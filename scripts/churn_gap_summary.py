@@ -9,17 +9,7 @@ sweeps without writing CSV files.
 
 import argparse
 
-import numpy as np
-
-from goodwill import (
-    SegmentGrid,
-    evaluate_policy,
-    memoryless_policy,
-    optimal_policy_lq,
-    relative_gap,
-    solve_costate,
-)
-from goodwill.cli import build_history, build_objective, build_params, load_defaults
+from goodwill.cli import churn_gap, load_defaults
 
 
 def main():
@@ -32,9 +22,6 @@ def main():
 
     cfg = load_defaults()
     cfg.update(n_paths=args.paths, dt=args.dt, seed=args.seed)
-    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
-    history = build_history(cfg, grid)
-    obj = build_objective(cfg)
 
     print(f"{'axis':<12}{'amp':>6}{'V*':>12}{'V0':>12}{'gap':>10}{'stderr':>10}")
     for axis in ("a1", "b1"):
@@ -43,17 +30,7 @@ def main():
             kw = {"a1_amp": signed, "b1_amp": 0.0} if axis == "a1" else {
                 "a1_amp": 0.0, "b1_amp": signed
             }
-            params = build_params(cfg, **kw)
-            cs = solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-            v_opt = evaluate_policy(
-                params, history, optimal_policy_lq(cs, params), obj,
-                cfg["dt"], cfg["n_paths"], cfg["seed"],
-            )
-            v_mem = evaluate_policy(
-                params, history, memoryless_policy(params, cfg["gamma"], cfg["beta"]),
-                obj, cfg["dt"], cfg["n_paths"], cfg["seed"],
-            )
-            g = relative_gap(v_opt, v_mem)
+            v_opt, v_mem, g = churn_gap(cfg, **kw)
             print(
                 f"{axis:<12}{signed:>6.2f}{v_opt.mean:>12.4f}"
                 f"{v_mem.mean:>12.4f}{g.gap:>10.4f}{g.stderr:>10.4f}"

@@ -30,12 +30,9 @@ from .hilbert import (
 from .sdde import (
     BlowupError,
     ConfigurationError,
-    CustomCost,
-    CustomReward,
     FeedbackPolicy,
     GapEstimate,
     HistoryPair,
-    LQOptimal,
     LinearCost,
     LinearReward,
     MCEstimate,
@@ -63,8 +60,6 @@ from .lifting import (
 )
 from .lq import (
     CostateSolution,
-    costate_profile,
-    lq_policy,
     memoryless_policy,
     optimal_policy_lq,
     sensitivity_dV_dr,

@@ -15,10 +15,12 @@ import numpy as np
 
 from .hilbert import ProfileX, SegmentGrid, kernel_eval, kernel_is_zero
 from .sdde import (
+    BlowupError,
     ConfigurationError,
-    MCEstimate,
     ModelParams,
     Policy,
+    _steps_of,
+    open_loop_controls,
     path_normals,
 )
 
@@ -131,16 +133,12 @@ def simulate_lifted_perturbed(
         raise ConfigurationError(
             f"CFL violation: dt={dt} exceeds grid spacing {dxi:.6g}"
         )
-    steps = round(params.T / dt)
-    if abs(steps * dt - params.T) > 1e-9 * params.T:
-        raise ConfigurationError(f"dt={dt} does not divide T={params.T}")
+    steps = _steps_of(params.T, dt, "T")
     if len(lifted_init.x1) != grid.n_nodes:
         raise ConfigurationError("lifted initial state must live on the grid")
 
     t = dt * np.arange(steps + 1)
-    z = policy.sample(params, t)
-    if z is None:
-        raise ConfigurationError("simulate_lifted_perturbed needs an open-loop policy")
+    z = open_loop_controls(policy, params, t, "simulate_lifted_perturbed")
     z = np.clip(z, params.u_min, params.u_max)
 
     a1v = kernel_eval(params.a1, grid.nodes, grid)
@@ -170,7 +168,7 @@ def simulate_lifted_perturbed(
             y1_new += sig1 * noise[:, 1, k][:, None] * b1v[None, :]
 
         if not (np.all(np.isfinite(y0_new)) and np.all(np.isfinite(y1_new))):
-            raise ConfigurationError(f"lifted evolution lost finiteness at step {k+1}")
+            raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
         y0, y1 = y0_new, y1_new
 
     return LiftedEnsemble(y0=y0, y1=y1, t_final=params.T, seed=seed)
@@ -201,11 +199,8 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Gap table |J_eps - baseline| for the regularized objective under a
     fixed open-loop policy, one row per (eps1, eps2) pair."""
-    steps = round(params.T / dt)
-    t = dt * np.arange(steps + 1)
-    z = policy.sample(params, t)
-    if z is None:
-        raise ConfigurationError("convergence_study needs an open-loop policy")
+    t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
+    z = open_loop_controls(policy, params, t, "convergence_study")
     z = np.clip(z, params.u_min, params.u_max)
 
     rows = []

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import approximation, lq, sdde, state_delay
-from .hilbert import ExponentialKernel, SegmentGrid, ZeroKernel
+from .hilbert import ExponentialKernel, ProfileX, SegmentGrid, ZeroKernel
 from .lifting import lift_M
 from .sdde import BlowupError, ConfigurationError, HistoryPair, ModelParams
 
@@ -126,8 +126,7 @@ def run_fig1(cfg: dict) -> str:
     for _, a_amp, b_amp in settings:
         params = build_params(cfg, a1_amp=a_amp, b1_amp=b_amp)
         cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-        zs = np.maximum(cs.bw, 0.0) / (2.0 * cfg["beta"])
-        cols.append(zs)
+        cols.append(lq.optimal_policy_lq(cs, params).z)
         t = cs.t
     rows = [
         ",".join([f"{t[k]:.10g}"] + [f"{col[k]:.10g}" for col in cols])
@@ -135,6 +134,26 @@ def run_fig1(cfg: dict) -> str:
     ]
     header = "t," + ",".join(name for name, _, _ in settings)
     return _csv(cfg, header, rows)
+
+
+def churn_gap(
+    cfg: dict, a1_amp: float, b1_amp: float
+) -> tuple[sdde.MCEstimate, sdde.MCEstimate, sdde.GapEstimate]:
+    """Optimal and memoryless policy values on common random numbers at one
+    churn setting, and the relative gap between them."""
+    params = build_params(cfg, a1_amp=a1_amp, b1_amp=b1_amp)
+    history = build_history(cfg, SegmentGrid(cfg["r"], cfg["n_nodes"]))
+    obj = build_objective(cfg)
+    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+    zstar = lq.optimal_policy_lq(cs, params)
+    zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
+    v_opt = sdde.evaluate_policy(
+        params, history, zstar, obj, cfg["dt"], cfg["n_paths"], cfg["seed"]
+    )
+    v_mem = sdde.evaluate_policy(
+        params, history, zmem, obj, cfg["dt"], cfg["n_paths"], cfg["seed"]
+    )
+    return v_opt, v_mem, sdde.relative_gap(v_opt, v_mem)
 
 
 def run_fig2(cfg: dict, axis: str) -> str:
@@ -148,25 +167,12 @@ def run_fig2(cfg: dict, axis: str) -> str:
             if axis == "a1_amplitude"
             else [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         )
-    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
-    history = build_history(cfg, grid)
-    obj = build_objective(cfg)
     rows = []
     for amp in amplitudes:
         if axis == "a1_amplitude":
-            params = build_params(cfg, a1_amp=amp, b1_amp=0.0)
+            v_opt, v_mem, gap = churn_gap(cfg, a1_amp=amp, b1_amp=0.0)
         else:
-            params = build_params(cfg, a1_amp=0.0, b1_amp=amp)
-        cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-        zstar = lq.optimal_policy_lq(cs, params)
-        zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
-        v_opt = sdde.evaluate_policy(
-            params, history, zstar, obj, cfg["dt"], cfg["n_paths"], cfg["seed"]
-        )
-        v_mem = sdde.evaluate_policy(
-            params, history, zmem, obj, cfg["dt"], cfg["n_paths"], cfg["seed"]
-        )
-        gap = sdde.relative_gap(v_opt, v_mem)
+            v_opt, v_mem, gap = churn_gap(cfg, a1_amp=0.0, b1_amp=amp)
         rows.append(
             f"{amp:.10g},{v_opt.mean:.10g},{v_mem.mean:.10g},"
             f"{gap.gap:.10g},{gap.stderr:.10g}"
@@ -199,33 +205,25 @@ def run_sensitivity(cfg: dict) -> str:
     return _csv(cfg, "r,dV_dr_formula,dV_dr_finite_difference,abs_diff", rows)
 
 
-def _params_with_r(cfg: dict, r: float) -> ModelParams:
-    sub = dict(cfg)
-    sub["r"] = r
-    return build_params(sub)
-
-
-def _state_profile(cfg: dict, grid: SegmentGrid):
-    from .hilbert import ProfileX
-
-    x1 = cfg["x0"] * np.exp(-np.abs(grid.nodes) / cfg["x1_decay"])
-    return ProfileX(cfg["x0"], x1)
+def _at_delay(cfg: dict, r: float) -> tuple[ModelParams, SegmentGrid, ProfileX]:
+    """Parameters, segment grid and initial state with the delay set to r."""
+    params = build_params(dict(cfg, r=r))
+    grid = SegmentGrid(r, cfg["n_nodes"])
+    history = build_history(cfg, grid)
+    return params, grid, ProfileX(history.x0, history.x1)
 
 
 def _sensitivity_at(cfg: dict, r: float, t_eval: float) -> float:
-    params = _params_with_r(cfg, r)
-    grid = SegmentGrid(r, cfg["n_nodes"])
-    x = _state_profile(cfg, grid)
+    params, _, x = _at_delay(cfg, r)
     return lq.sensitivity_dV_dr(
         t_eval, x, params, cfg["gamma"], cfg["beta"], cfg["dt"]
     )
 
 
 def _value_at(cfg: dict, r: float, t_eval: float) -> float:
-    params = _params_with_r(cfg, r)
-    grid = SegmentGrid(r, cfg["n_nodes"])
+    params, grid, x = _at_delay(cfg, r)
     cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-    return lq.value_lq(t_eval, _state_profile(cfg, grid), cs, grid)
+    return lq.value_lq(t_eval, x, cs, grid)
 
 
 def run_feedback_check(a0: float, a1: float, variant: str) -> str:

@@ -11,7 +11,7 @@ value with respect to the delay horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,7 +21,6 @@ from .hilbert import (
     DomainError,
     ProfileX,
     SegmentGrid,
-    inner_product,
     kernel_eval,
     kernel_is_zero,
 )
@@ -31,9 +30,10 @@ from .sdde import (
     Memoryless,
     ModelParams,
     OpenLoop,
-    LQOptimal,
     Policy,
+    _steps_of,
     _trapezoid_weights,
+    open_loop_controls,
 )
 
 
@@ -48,7 +48,6 @@ class CostateSolution:
     gamma: float
     beta: float
     params: ModelParams
-    dt: float = field(default=0.0)
 
     @property
     def T(self) -> float:
@@ -66,13 +65,8 @@ class CostateSolution:
         return np.interp(t, self.t, self.c)
 
     def to_csv(self) -> str:
-        zs = np.maximum(self.bw, 0.0) / (2.0 * self.beta)
-        zm = (
-            self.gamma
-            * self.params.b0
-            * np.exp((self.T - self.t) * self.params.a0)
-            / (2.0 * self.beta)
-        )
+        zs = optimal_policy_lq(self, self.params).z
+        zm = Memoryless(self.gamma, self.beta).sample(self.params, self.t)
         lines = ["t,w0,c,z_star,z_memoryless"]
         for k in range(len(self.t)):
             lines.append(
@@ -93,12 +87,8 @@ def solve_costate(
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
-    n = round(params.T / dt)
-    if n < 1 or abs(n * dt - params.T) > 1e-9 * params.T:
-        raise ConfigurationError(f"dt={dt} does not divide T={params.T}")
-    m = round(params.r / dt)
-    if m < 1 or abs(m * dt - params.r) > 1e-9 * params.r:
-        raise ConfigurationError(f"dt={dt} does not divide r={params.r}")
+    n = _steps_of(params.T, dt, "T")
+    m = _steps_of(params.r, dt, "r")
 
     grid = SegmentGrid(params.r, m + 1)
     t = dt * np.arange(n + 1)
@@ -153,18 +143,14 @@ def solve_costate(
         c[k] = c[k + 1] + dt / 2 * (g[k] + g[k + 1])
 
     return CostateSolution(
-        t=t, w0=w0, c=c, bw=bw, gamma=gamma, beta=beta, params=params, dt=dt
+        t=t, w0=w0, c=c, bw=bw, gamma=gamma, beta=beta, params=params
     )
 
 
-def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> Policy:
+def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> OpenLoop:
     """Open-loop optimal control z*(t) = <B, w(t)>^+ / (2 beta)."""
     z = np.maximum(costate.bw, 0.0) / (2.0 * costate.beta)
     return OpenLoop(t=costate.t, z=z)
-
-
-def lq_policy(costate: CostateSolution) -> LQOptimal:
-    return LQOptimal(costate=costate, beta=costate.beta)
 
 
 def memoryless_policy(params: ModelParams, gamma: float, beta: float) -> Policy:
@@ -172,11 +158,6 @@ def memoryless_policy(params: ModelParams, gamma: float, beta: float) -> Policy:
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     return Memoryless(gamma=gamma, beta=beta)
-
-
-def costate_profile(costate: CostateSolution, t: float, grid: SegmentGrid) -> ProfileX:
-    """w(t) = (w0(t), w1(t, .)) sampled on the segment grid."""
-    return ProfileX(float(costate.w0_at(t)), costate.w1_at(t, grid.nodes))
 
 
 def value_lq(
@@ -243,9 +224,7 @@ def trajectory_mean(
         np.dot(grid.weights, y_init.x1 * phi_at(t + grid.nodes))
     )
 
-    z = policy.sample(params, times)
-    if z is None:
-        raise ConfigurationError("trajectory_mean needs an open-loop policy")
+    z = open_loop_controls(policy, params, times, "trajectory_mean")
     b1v = kernel_eval(params.b1, grid.nodes, grid)
     # <B, psi(s)> with psi(s) = e^{(t-s)A*} e1
     q = params.b0 * phi_at(t - times)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -131,28 +131,22 @@ class Memoryless:
 
 
 @dataclass(frozen=True)
-class LQOptimal:
-    """z*(t) = <B, w(t)>^+ / (2*beta), read off a solved costate."""
-
-    costate: "object"  # lq.CostateSolution; kept loose to avoid an import cycle
-    beta: float
-
-    def sample(self, params: ModelParams, t: np.ndarray) -> np.ndarray:
-        cs = self.costate
-        return np.interp(t, cs.t, np.maximum(cs.bw, 0.0) / (2.0 * self.beta))
-
-
-@dataclass(frozen=True)
 class FeedbackPolicy:
     """State feedback z = control_fn(t, y); y is the per-path state array."""
 
     control_fn: Callable[[float, np.ndarray], np.ndarray]
 
-    def sample(self, params: ModelParams, t: np.ndarray) -> None:
-        return None
+
+Policy = OpenLoop | Memoryless | FeedbackPolicy
 
 
-Policy = OpenLoop | Memoryless | LQOptimal | FeedbackPolicy
+def open_loop_controls(
+    policy: Policy, params: ModelParams, t: np.ndarray, who: str
+) -> np.ndarray:
+    """Samples z(t) of an open-loop policy; a feedback policy has none."""
+    if isinstance(policy, FeedbackPolicy):
+        raise ConfigurationError(f"{who} needs an open-loop policy")
+    return policy.sample(params, t)
 
 
 # --- ensembles and estimates ------------------------------------------------
@@ -233,14 +227,6 @@ class PowerReward:
 
 
 @dataclass(frozen=True)
-class CustomReward:
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class QuadraticCost:
     beta: float
 
@@ -254,14 +240,6 @@ class LinearCost:
 
     def __call__(self, z):
         return self.beta * z
-
-
-@dataclass(frozen=True)
-class CustomCost:
-    fn: Callable
-
-    def __call__(self, z):
-        return self.fn(z)
 
 
 @dataclass(frozen=True)
@@ -346,9 +324,10 @@ def simulate_paths(
     y_pad[:, :m] = hist_y[:m]
     y_pad[:, m] = history.x0
 
-    z_open = policy.sample(params, t)
+    feedback = isinstance(policy, FeedbackPolicy)
     clip_count = 0
-    if z_open is not None:
+    if not feedback:
+        z_open = policy.sample(params, t)
         clipped = np.clip(z_open, params.u_min, params.u_max)
         clip_count = int(np.count_nonzero(clipped != z_open))
         z_pad = np.concatenate([hist_z[:m], clipped])
@@ -372,7 +351,7 @@ def simulate_paths(
             drift = drift + y_pad[:, k : k + m + 1] @ ka
         if a1_point != 0.0:
             drift = drift + a1_point * y_pad[:, k]
-        if z_open is not None:
+        if not feedback:
             drift = drift + params.b0 * z_pad[m + k]
             if qb is not None:
                 drift = drift + qb[k]
@@ -393,7 +372,7 @@ def simulate_paths(
             )
         y_pad[:, m + k + 1] = ynew
 
-    if z_open is None:
+    if feedback:
         # terminal control stored for completeness; it never enters the drift
         zT = np.asarray(policy.control_fn(t[-1], y_pad[:, -1]), dtype=float)
         z_pad[:, -1] = np.clip(np.broadcast_to(zT, (n_paths,)), params.u_min, params.u_max)
@@ -413,7 +392,8 @@ def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate
     values = terminal - costs  # broadcasts when z is shared across paths
     n = ensemble.n_paths
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    # one path carries no spread information: NaN, not a claim of certainty
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, seed=ensemble.seed)
 
 

@@ -11,7 +11,14 @@ from goodwill.approximation import (
     sup_inf_convolution,
 )
 from goodwill.hilbert import ConstantKernel, ProfileX, SegmentGrid, ZeroKernel
-from goodwill.sdde import ConfigurationError, FeedbackPolicy, ModelParams, OpenLoop
+from goodwill.lq import trajectory_mean
+from goodwill.sdde import (
+    BlowupError,
+    ConfigurationError,
+    FeedbackPolicy,
+    ModelParams,
+    OpenLoop,
+)
 
 
 def make_params(**kw):
@@ -164,17 +171,40 @@ def test_lifted_input_validation():
         simulate_lifted_perturbed(
             p, ProfileX(1.0, np.zeros(5)), pol, 0.0, grid, 0.05, 1, 0
         )  # wrong init length
-    with pytest.raises(ConfigurationError):
-        simulate_lifted_perturbed(
-            p,
-            ProfileX(1.0, np.zeros(11)),
-            FeedbackPolicy(lambda t, y: 0.0),
-            0.0,
-            grid,
-            0.05,
-            1,
-            0,
-        )
+
+
+GRID11 = SegmentGrid(0.5, 11)
+X11 = ProfileX(1.0, np.zeros(11))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, pol: trajectory_mean(1.0, X11, pol, p, GRID11, 0.05),
+        lambda p, pol: simulate_lifted_perturbed(p, X11, pol, 0.0, GRID11, 0.05, 1, 0),
+        lambda p, pol: convergence_study(
+            p, X11, pol, 1.0, 0.5, 0.0, [0.0], [0.1], GRID11, 0.05, 2, 0
+        ),
+    ],
+    ids=["trajectory_mean", "simulate_lifted_perturbed", "convergence_study"],
+)
+def test_open_loop_entry_points_reject_feedback(run):
+    with pytest.raises(ConfigurationError, match="needs an open-loop policy"):
+        run(make_params(), FeedbackPolicy(lambda t, y: 0.0))
+
+
+def test_lifted_blowup_is_a_numerical_failure():
+    # an explosive forgetting kernel overflows the scheme: that is a
+    # numerical failure (exit 3), not a configuration error (exit 2)
+    grid = SegmentGrid(0.5, 201)
+    p = make_params(a0=0.0, a1=ConstantKernel(1e8))
+    t = grid.spacing * np.arange(round(1.0 / grid.spacing) + 1)
+    pol = OpenLoop(t=t, z=np.zeros_like(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError, match="lost finiteness"):
+            simulate_lifted_perturbed(
+                p, ProfileX(1.0, np.zeros(201)), pol, 0.0, grid, grid.spacing, 1, 0
+            )
 
 
 def test_lifted_rank_one_noise_needs_b1():

@@ -254,7 +254,7 @@ def test_memoryless_equals_lq_without_delay():
     hist = make_history(GRID)
     obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
     cs = lq.solve_costate(p, 1.0, 0.5, 1e-3)
-    a = evaluate_policy(p, hist, lq.lq_policy(cs), obj, 1e-3, 64, 5)
+    a = evaluate_policy(p, hist, lq.optimal_policy_lq(cs, p), obj, 1e-3, 64, 5)
     b = evaluate_policy(p, hist, Memoryless(gamma=1.0, beta=0.5), obj, 1e-3, 64, 5)
     assert a.mean == pytest.approx(b.mean, rel=1e-9)
 
@@ -266,6 +266,19 @@ def test_clt_stderr_scaling():
     small = evaluate_policy(p, hist, zero_policy(p.T, 0.01), obj, 0.01, 400, 3)
     big = evaluate_policy(p, hist, zero_policy(p.T, 0.01), obj, 0.01, 800, 3)
     assert big.stderr / small.stderr == pytest.approx(1 / np.sqrt(2), rel=0.2)
+
+
+def test_one_path_stderr_is_nan():
+    # a single path says nothing about the spread: NaN, never 0.0
+    p = make_params(sigma=0.5)
+    hist = make_history(GRID)
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    est = evaluate_policy(p, hist, zero_policy(p.T, 0.01), obj, 0.01, 1, 3)
+    assert est.n_paths == 1 and np.isfinite(est.mean)
+    assert np.isnan(est.stderr)
+    other = MCEstimate(mean=est.mean + 1.0, stderr=0.1, n_paths=100, seed=3)
+    assert np.isnan(relative_gap(est, other).stderr)
+    assert np.isnan(relative_gap(other, est).stderr)
 
 
 def test_relative_gap_examples():
