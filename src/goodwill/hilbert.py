@@ -3,7 +3,9 @@
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
 grid. Delay kernels (zero / constant / exponential / sampled) live here
-too, together with the partial order used by the monotonicity checks.
+too, with DelaySum, their trapezoid sum over a window that slides one
+time step at a time, and the partial order used by the monotonicity
+checks.
 """
 
 from __future__ import annotations
@@ -166,6 +168,55 @@ def kernel_is_zero(k: Kernel) -> bool:
     if isinstance(k, SampledKernel):
         return bool(np.all(k.values == 0.0))
     return False
+
+
+class DelaySum:
+    """Trapezoid sum of a kernel against samples one time step apart.
+
+    The window at a step holds the samples x_0..x_m at the lags
+    xi_j = -r + j*dt, and `values` are a(xi_j). The sum
+
+        dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m)
+
+    is kept as the raw sum H = sum_{j<m} a_j x_j of the m past samples;
+    the caller supplies the newest sample x_m to `at`, so a predictor may
+    stand in for it. When the node values have a fixed ratio
+    rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
+    1 for a constant one), moving the window one step on costs O(1):
+
+        H' = rho * (H - a_0 x_0 + a_m x_m)
+
+    (the linear-chain recursion, with a tail term because the window is
+    finite). A sampled kernel has no such ratio and re-sums its window.
+    Samples may be arrays (one entry per path) or scalars.
+    """
+
+    def __init__(self, kernel: Kernel, values: np.ndarray, dt: float):
+        self.values = np.asarray(values, dtype=float)
+        self.dt = dt
+        self.first = float(self.values[0])
+        self.last = float(self.values[-1])
+        if isinstance(kernel, ExponentialKernel):
+            self.rho = float(np.exp(-dt / kernel.decay_scale))
+        elif isinstance(kernel, ConstantKernel):
+            self.rho = 1.0
+        else:
+            self.rho = None
+
+    def start(self, past):
+        """H of a window whose m past samples are `past` (oldest first)."""
+        return past @ self.values[:-1]
+
+    def at(self, h, oldest, newest):
+        """The trapezoid sum of the window with raw past sum h."""
+        return self.dt * (h + 0.5 * (self.last * newest - self.first * oldest))
+
+    def slide(self, h, oldest, newest, past):
+        """H one step on: `oldest` leaves the window and `newest` joins its
+        past; `past` is the new window's past, read only without a ratio."""
+        if self.rho is None:
+            return self.start(past)
+        return self.rho * (h - self.first * oldest + self.last * newest)
 
 
 def kernel_to_json(k: Kernel) -> str:

@@ -7,6 +7,13 @@ and c accumulates the squared positive part of <B, w>. From the costate
 we obtain the optimal open-loop policy, the memoryless baseline, the
 mean and variance of the optimal trajectory, and the sensitivity of the
 value with respect to the delay horizon.
+
+The backward sweep and the pairing <B, w> are trapezoid sums over a
+window of m+1 costate samples; for exponential and constant kernels
+they are updated in O(1) per step by the recursion of hilbert.DelaySum,
+and a sampled kernel is re-summed over its window. The two agree to
+1e-12 relative over 1e5 steps (tests compare them). A costate that
+leaves the finite range raises sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .hilbert import (
     ConstantKernel,
+    DelaySum,
     DomainError,
     ProfileX,
     SegmentGrid,
@@ -26,13 +33,13 @@ from .hilbert import (
 )
 from .lifting import DistributedKernel, DelayODEProblem, solve_delay_ode
 from .sdde import (
+    BlowupError,
     ConfigurationError,
     Memoryless,
     ModelParams,
     OpenLoop,
     Policy,
     _steps_of,
-    _trapezoid_weights,
     open_loop_controls,
 )
 
@@ -93,58 +100,82 @@ def solve_costate(
     grid = SegmentGrid(params.r, m + 1)
     t = dt * np.arange(n + 1)
     xi = -params.r + dt * np.arange(m + 1)
-    wq = _trapezoid_weights(m, dt)
 
     # w0ext[k] = w0(t_k) for k <= n, zero afterwards (the chi_[0,T] factor);
-    # with xi_j = -r + j*dt the integral term at t_k reads index k + m - j.
+    # at t_k the lag xi_j = -r + j*dt reads w0ext[k + m - j], so the window
+    # runs from w0ext[k + m] (lag r) to w0ext[k] (lag 0), and its past
+    # samples, oldest first, are w0ext[k + m : k : -1]
     w0ext = np.zeros(n + 1 + m)
     w0ext[n] = gamma
+
+    w = w0ext.item  # samples as Python floats: scalar arithmetic is faster
 
     has_a1 = not kernel_is_zero(params.a1)
     if has_a1:
         a1v = kernel_eval(params.a1, xi, grid)
-        kar = (wq * a1v)[::-1]
+        sum_a = DelaySum(params.a1, a1v, dt)
 
-        def wprime(k: int, w: float) -> float:
-            integ = kar[0] * w + float(np.dot(kar[1:], w0ext[k + 1 : k + m + 1]))
-            # the integrand cuts off at xi = t_k - T, which lands on node
-            # k + m - n; an interior cutoff node bounds the active region,
-            # so it carries a trapezoid boundary weight dt/2, not dt
-            j = k + m - n
-            if 1 <= j <= m - 1:
-                integ -= dt / 2 * a1v[j] * gamma
-            return -params.a0 * w - integ
+    def wprime(k: int, h: float, wk: float) -> float:
+        if not has_a1:
+            return -params.a0 * wk
+        integ = sum_a.at(h, w(k + m), wk)
+        # the integrand cuts off at xi = t_k - T, which lands on node
+        # k + m - n; an interior cutoff node bounds the active region,
+        # so it carries a trapezoid boundary weight dt/2, not dt
+        j = k + m - n
+        if 1 <= j <= m - 1:
+            integ -= dt / 2 * a1v[j] * gamma
+        return -params.a0 * wk - integ
 
-    else:
+    # overflow shows as a non-finite costate, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.0  # the past of the window at t_n holds only zeros
+        for k in range(n - 1, -1, -1):
+            f1 = wprime(k + 1, h, w(k + 1))
+            pred = w(k + 1) - dt * f1
+            if has_a1:
+                h = sum_a.slide(h, w(k + m + 1), w(k + 1), w0ext[k + m : k : -1])
+            f2 = wprime(k, h, pred)
+            w0ext[k] = w(k + 1) - dt / 2 * (f1 + f2)
+        w0 = w0ext[: n + 1].copy()
+        _check_finite(w0, t, "w0")
 
-        def wprime(k: int, w: float) -> float:
-            return -params.a0 * w
+        bw = params.b0 * w0
+        if not kernel_is_zero(params.b1):
+            b1v = kernel_eval(params.b1, xi, grid)
+            sum_b = DelaySum(params.b1, b1v, dt)
+            pairing = np.empty(n + 1)
+            h = 0.0
+            for k in range(n, -1, -1):
+                pairing[k] = sum_b.at(h, w(k + m), w(k))
+                if k:
+                    h = sum_b.slide(h, w(k + m), w(k), w0ext[k + m - 1 : k - 1 : -1])
+            bw = bw + pairing
+            # same cutoff-node half-weight correction as for the a1 pairing
+            j = np.arange(n + 1) + m - n
+            mask = (j >= 1) & (j <= m - 1)
+            bw[mask] -= dt / 2 * b1v[j[mask]] * gamma
+        _check_finite(bw, t, "<B, w>")
 
-    for k in range(n - 1, -1, -1):
-        f1 = wprime(k + 1, w0ext[k + 1])
-        pred = w0ext[k + 1] - dt * f1
-        f2 = wprime(k, pred)
-        w0ext[k] = w0ext[k + 1] - dt / 2 * (f1 + f2)
-    w0 = w0ext[: n + 1].copy()
-
-    bw = params.b0 * w0
-    if not kernel_is_zero(params.b1):
-        b1v = kernel_eval(params.b1, xi, grid)
-        kbr = (wq * b1v)[::-1]
-        bw = bw + sliding_window_view(w0ext, m + 1) @ kbr
-        # same cutoff-node half-weight correction as for the a1 pairing
-        j = np.arange(n + 1) + m - n
-        mask = (j >= 1) & (j <= m - 1)
-        bw[mask] -= dt / 2 * b1v[j[mask]] * gamma
-
-    g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
-    c = np.zeros(n + 1)
-    for k in range(n - 1, -1, -1):
-        c[k] = c[k + 1] + dt / 2 * (g[k] + g[k + 1])
+        # c[k] = c[k+1] + dt/2 (g[k] + g[k+1]) from c[n] = 0, added in
+        # that order by the reversed running sum
+        g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
+        c = np.zeros(n + 1)
+        c[:-1] = np.cumsum((dt / 2 * (g[:-1] + g[1:]))[::-1])[::-1]
+        _check_finite(c, t, "c")
 
     return CostateSolution(
         t=t, w0=w0, c=c, bw=bw, gamma=gamma, beta=beta, params=params
     )
+
+
+def _check_finite(values: np.ndarray, t: np.ndarray, name: str):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # the sweep runs backward from T, so the last bad index fails first
+        raise BlowupError(
+            f"costate {name} left the finite range at t={t[bad[-1]]:g}"
+        )
 
 
 def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> OpenLoop:
@@ -210,7 +241,8 @@ def trajectory_mean(
     """E Y0(t) = <Y(0), e^{tA*}e1> + int_0^t <B z(s), e^{(t-s)A*}e1> ds.
 
     A single delay ODE solve for phi with e1 initial data supplies every
-    semigroup evaluation: e^{uA*}e1 = (phi(u), phi(u + .)).
+    semigroup evaluation: e^{uA*}e1 = (phi(u), phi(u + .)). The control
+    is clipped to [u_min, u_max], as in sdde.simulate_paths.
     """
     if t == 0:
         return float(y_init.x0)
@@ -224,7 +256,11 @@ def trajectory_mean(
         np.dot(grid.weights, y_init.x1 * phi_at(t + grid.nodes))
     )
 
-    z = open_loop_controls(policy, params, times, "trajectory_mean")
+    z = np.clip(
+        open_loop_controls(policy, params, times, "trajectory_mean"),
+        params.u_min,
+        params.u_max,
+    )
     b1v = kernel_eval(params.b1, grid.nodes, grid)
     # <B, psi(s)> with psi(s) = e^{(t-s)A*} e1
     q = params.b0 * phi_at(t - times)

@@ -7,15 +7,22 @@ The goodwill stock follows
 
 with prescribed goodwill and advertising histories on [-r, 0]. The
 delay integrals are trapezoid quadratures on the simulation time step,
-so every lookback lands on a stored sample. Each path draws its noise
-from a Philox stream keyed by (seed, path index), which makes ensembles
-reproducible independently of how paths are scheduled.
+so every lookback lands on a stored sample. For exponential and constant
+kernels the state window of a1 (and, under a feedback policy, the
+control window of b1) is updated in O(1) per step by the recursion of
+hilbert.DelaySum; a sampled kernel is re-summed over its m+1 samples.
+The two agree to 1e-12 relative (tests compare them). An open-loop b1
+term is one product over the known control, computed before the loop.
+Each path draws its noise from a Philox stream keyed by (seed, path
+index), which makes ensembles reproducible independently of how paths
+are scheduled.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .hilbert import (
     ConstantKernel,
+    DelaySum,
     ExponentialKernel,
     Kernel,
     SampledKernel,
@@ -274,10 +282,31 @@ def _steps_of(span: float, dt: float, what: str) -> int:
     return n
 
 
+# One generator serves every path: path_normals resets its Philox state
+# to counter 0 and key [seed, path_index] before each draw, which gives
+# the same bits as a fresh Generator(Philox(key=[seed, path_index]))
+# without seeding a new bit generator (from OS entropy) for every path.
+_PATH_GENERATOR = np.random.Generator(np.random.Philox(0))
+_PATH_GENERATOR_LOCK = threading.Lock()
+
+
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
     """Noise increments for one path from a counter-based substream."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, path_index]))
-    return gen.standard_normal(shape)
+    state = {
+        "bit_generator": "Philox",
+        # the key conversion Philox(key=[...]) applies to a list
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.asarray([seed, path_index]).astype(np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    with _PATH_GENERATOR_LOCK:
+        _PATH_GENERATOR.bit_generator.state = state
+        return _PATH_GENERATOR.standard_normal(shape)
 
 
 def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
@@ -308,14 +337,13 @@ def simulate_paths(
     grid = history.grid
     t = dt * np.arange(steps + 1)
     xi = -params.r + dt * np.arange(m + 1)
-    wq = _trapezoid_weights(m, dt)
 
-    ka = None
+    sum_a = None
     if not kernel_is_zero(params.a1):
-        ka = wq * kernel_eval(params.a1, xi, grid)
-    kb = None
+        sum_a = DelaySum(params.a1, kernel_eval(params.a1, xi, grid), dt)
+    b1v = None
     if not kernel_is_zero(params.b1):
-        kb = wq * kernel_eval(params.b1, xi, grid)
+        b1v = kernel_eval(params.b1, xi, grid)
 
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
@@ -331,12 +359,17 @@ def simulate_paths(
         clipped = np.clip(z_open, params.u_min, params.u_max)
         clip_count = int(np.count_nonzero(clipped != z_open))
         z_pad = np.concatenate([hist_z[:m], clipped])
-        qb = sliding_window_view(z_pad, m + 1) @ kb if kb is not None else None
+        qb = None
+        if b1v is not None:
+            qb = sliding_window_view(z_pad, m + 1) @ (_trapezoid_weights(m, dt) * b1v)
         z_store = clipped[None, :]
     else:
         z_pad = np.empty((n_paths, m + steps + 1))
         z_pad[:, :m] = hist_z[:m]
-        qb = None
+        sum_b = None
+        if b1v is not None:
+            sum_b = DelaySum(params.b1, b1v, dt)
+            hb = sum_b.start(z_pad[:, :m])
         z_store = None
 
     noise = np.empty((n_paths, steps))
@@ -344,11 +377,13 @@ def simulate_paths(
         noise[p] = path_normals(seed, p, steps)
     sig = params.sigma * np.sqrt(dt)
 
+    if sum_a is not None:
+        ha = sum_a.start(y_pad[:, :m])
     for k in range(steps):
         ycur = y_pad[:, m + k]
         drift = params.a0 * ycur
-        if ka is not None:
-            drift = drift + y_pad[:, k : k + m + 1] @ ka
+        if sum_a is not None:
+            drift = drift + sum_a.at(ha, y_pad[:, k], ycur)
         if a1_point != 0.0:
             drift = drift + a1_point * y_pad[:, k]
         if not feedback:
@@ -362,8 +397,9 @@ def simulate_paths(
             clip_count += int(np.count_nonzero(zc != zk))
             z_pad[:, m + k] = zc
             drift = drift + params.b0 * zc
-            if kb is not None:
-                drift = drift + (z_pad[:, k : k + m + 1] * kb).sum(axis=1)
+            if sum_b is not None:
+                drift = drift + sum_b.at(hb, z_pad[:, k], zc)
+                hb = sum_b.slide(hb, z_pad[:, k], zc, z_pad[:, k + 1 : k + m + 1])
         ynew = ycur + drift * dt + sig * noise[:, k]
         if not np.all(np.isfinite(ynew)) or np.max(np.abs(ynew)) > BLOWUP_LIMIT:
             bad = int(np.argmax(~np.isfinite(ynew) | (np.abs(ynew) > BLOWUP_LIMIT)))
@@ -371,6 +407,8 @@ def simulate_paths(
                 f"path {bad} left the finite range at step {k + 1} (t={t[k + 1]:g})"
             )
         y_pad[:, m + k + 1] = ynew
+        if sum_a is not None:
+            ha = sum_a.slide(ha, y_pad[:, k], ycur, y_pad[:, k + 1 : k + m + 1])
 
     if feedback:
         # terminal control stored for completeness; it never enters the drift

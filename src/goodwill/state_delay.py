@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .sdde import (
     ConfigurationError,
@@ -180,6 +179,9 @@ def invariant_measure_condition(
                 f"no root of the {variant} equation in ]0, pi[ for a0={a0}"
             ),
         )
+    # imported here: scipy.optimize would triple the import time of goodwill
+    from scipy.optimize import brentq
+
     eps = 1e-12
     g = float(brentq(f, eps, np.pi - eps, xtol=1e-14))
     bound = float(np.sqrt(g * g + a0 * a0))

@@ -180,3 +180,14 @@ def test_blowup_exit_code(tmp_path):
     # a strongly self-exciting goodwill channel overflows the state guard
     path = write_config(tmp_path, {"a1_amp": 5000.0, "n_paths": 2})
     assert main(["evaluate", "--config", path, "--out", str(tmp_path / "x.json")]) == 3
+
+
+def test_costate_overflow_exit_code(tmp_path, capsys):
+    # an overflowing costate is a numerical failure, never NaN columns
+    path = write_config(tmp_path, {"a1_amp": 1e8})
+    out = tmp_path / "c.csv"
+    assert main(["costate", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: costate w0")
+    assert len(err.strip().splitlines()) == 1

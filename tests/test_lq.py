@@ -6,8 +6,10 @@ from goodwill.hilbert import (
     DomainError,
     ExponentialKernel,
     ProfileX,
+    SampledKernel,
     SegmentGrid,
     ZeroKernel,
+    kernel_eval,
 )
 from goodwill.lifting import lift_M
 from goodwill.lq import (
@@ -20,6 +22,7 @@ from goodwill.lq import (
     value_lq,
 )
 from goodwill.sdde import (
+    BlowupError,
     ConfigurationError,
     HistoryPair,
     LinearReward,
@@ -92,6 +95,38 @@ def test_costate_richardson_ratio():
     w = {dt: solve_costate(p, 1.0, 0.5, dt).w0[0] for dt in (2e-3, 1e-3, 5e-4)}
     ratio = (w[2e-3] - w[1e-3]) / (w[1e-3] - w[5e-4])
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize(
+    "a1, b1",
+    [
+        (ExponentialKernel(1.2, 1 / 6), ExponentialKernel(2.0, 0.5)),
+        (ConstantKernel(0.3), ConstantKernel(0.4)),
+    ],
+)
+def test_costate_recursion_matches_window_sum(a1, b1):
+    # 1e5 steps of the O(1) delay-sum recursion against the full-window
+    # quadrature of the same node values (a sampled kernel on m+1 nodes)
+    dt, r = 1e-3, 0.5
+    grid = SegmentGrid(r, round(r / dt) + 1)
+
+    def sampled(k):
+        return SampledKernel(kernel_eval(k, grid.nodes, grid))
+
+    common = dict(a0=-0.2, r=r, T=100.0)
+    rec = solve_costate(make_params(a1=a1, b1=b1, **common), 1.0, 0.5, dt)
+    win = solve_costate(
+        make_params(a1=sampled(a1), b1=sampled(b1), **common), 1.0, 0.5, dt
+    )
+    for name in ("w0", "bw", "c"):
+        got, want = getattr(rec, name), getattr(win, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_costate_overflow_raises_blowup():
+    p = make_params(a1=ExponentialKernel(1e8, 1 / 6))
+    with pytest.raises(BlowupError, match="costate w0 left the finite range"):
+        solve_costate(p, 1.0, 0.5, 1e-3)
 
 
 def test_costate_csv_layout():
@@ -253,6 +288,25 @@ def test_trajectory_mean_matches_monte_carlo():
     xbar = lift_M(3.0, x1, delta, p, grid)
     mean = trajectory_mean(1.0, xbar, pol, p, grid, 1e-3)
     assert abs(mean - mc_mean) <= 3 * mc_se
+
+
+def test_trajectory_mean_clips_like_simulation():
+    # z = 5 above u_max = 1: the exact mean must use the clipped control
+    from goodwill import cli
+
+    cfg = dict(cli.load_defaults(), u_max=1.0)
+    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
+    hist = cli.build_history(cfg, grid)
+    p = cli.build_params(cfg)
+    t = 1e-3 * np.arange(1001)
+    pol = OpenLoop(t=t, z=np.full_like(t, 5.0))
+    ens = simulate_paths(p, hist, pol, 1e-3, 2000, 7)
+    assert ens.clip_count > 0
+    yT = ens.y[:, -1]
+    se = yT.std(ddof=1) / np.sqrt(len(yT))
+    xbar = lift_M(hist.x0, hist.x1, hist.delta, p, grid)
+    mean = trajectory_mean(p.T, xbar, pol, p, grid, 1e-3)
+    assert abs(mean - yT.mean()) <= 6 * se + 3e-3 * abs(mean)
 
 
 def test_trajectory_variance_closed_form():

@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
+    SampledKernel,
     SegmentGrid,
     ZeroKernel,
+    kernel_eval,
 )
 from goodwill.sdde import (
     BlowupError,
     ConfigurationError,
+    FeedbackPolicy,
     HistoryPair,
     LinearReward,
     MCEstimate,
@@ -23,6 +26,7 @@ from goodwill.sdde import (
     QuadraticCost,
     evaluate_policy,
     objective_estimate,
+    path_normals,
     relative_gap,
     simulate_paths,
 )
@@ -162,6 +166,54 @@ def test_weak_convergence_order_one():
     assert e1 / e2 == pytest.approx(2.0, rel=0.5)
 
 
+def _as_sampled(k, grid):
+    """The same kernel as node values, which simulate_paths sums by window."""
+    return SampledKernel(kernel_eval(k, grid.nodes, grid))
+
+
+def _rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+# (m+1)-node grid at dt = 1e-3, so the sampled kernels hold the exact
+# kernel values at every lag of the simulation's window
+ORACLE_GRID = SegmentGrid(0.5, 501)
+ORACLE_HISTORY = HistoryPair(
+    grid=ORACLE_GRID, x0=2.0, x1=2.0 * np.exp(ORACLE_GRID.nodes),
+    delta=0.5 * np.ones(501),
+)
+
+
+@pytest.mark.parametrize("a1", [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-0.8)])
+def test_a1_recursion_matches_window_sum(a1):
+    # the O(1) delay-sum recursion against the full-window quadrature
+    dt, T = 1e-3, 5.0
+    t = dt * np.arange(round(T / dt) + 1)
+    pol = OpenLoop(t=t, z=1.0 + np.sin(t))
+    b1 = ExponentialKernel(2.0, 0.5)
+    rec = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, T=T)
+    win = make_params(a0=-0.5, a1=_as_sampled(a1, ORACLE_GRID), b1=b1, sigma=0.5, T=T)
+    a = simulate_paths(rec, ORACLE_HISTORY, pol, dt, 64, 3)
+    b = simulate_paths(win, ORACLE_HISTORY, pol, dt, 64, 3)
+    assert _rel_diff(a.y, b.y) <= 1e-12
+
+
+@pytest.mark.parametrize("b1", [ExponentialKernel(2.0, 0.5), ConstantKernel(0.8)])
+def test_feedback_b1_recursion_matches_window_sum(b1):
+    dt, T = 1e-3, 5.0
+    fb = FeedbackPolicy(lambda t, y: 3.0 - 0.5 * y)
+    a1 = ExponentialKernel(-2.0, 1 / 6)
+    common = dict(a0=-0.5, a1=a1, sigma=0.5, T=T, u_max=2.1)
+    a = simulate_paths(make_params(b1=b1, **common), ORACLE_HISTORY, fb, dt, 64, 3)
+    b = simulate_paths(
+        make_params(b1=_as_sampled(b1, ORACLE_GRID), **common),
+        ORACLE_HISTORY, fb, dt, 64, 3,
+    )
+    assert a.clip_count == b.clip_count > 0
+    assert _rel_diff(a.y, b.y) <= 1e-12
+    assert _rel_diff(a.z, b.z) <= 1e-12
+
+
 def test_step_size_errors():
     p = make_params()
     hist = make_history(GRID)
@@ -244,6 +296,16 @@ def test_path_prefix_stable_in_path_count():
     small = simulate_paths(p, hist, zero_policy(p.T, 0.01), 0.01, 4, 7)
     big = simulate_paths(p, hist, zero_policy(p.T, 0.01), 0.01, 16, 7)
     assert np.array_equal(small.y, big.y[:4])
+
+
+def test_path_normals_match_fresh_philox_generators():
+    # one re-keyed generator gives the bits of a new generator per path
+    for seed in (0, 7, 12345, 2**32 - 1, 2**63 + 5):
+        for path in (0, 1, 513):
+            for shape in (1, 1000, (2, 37)):
+                fresh = np.random.Generator(np.random.Philox(key=[seed, path]))
+                want = fresh.standard_normal(shape)
+                assert np.array_equal(path_normals(seed, path, shape), want)
 
 
 def test_memoryless_equals_lq_without_delay():

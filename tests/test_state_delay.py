@@ -234,3 +234,23 @@ def test_condition_coth_root_when_it_exists():
 def test_condition_unknown_variant():
     with pytest.raises(ConfigurationError):
         invariant_measure_condition(0.0, -1.0, variant="tan")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported only inside invariant_measure_condition
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import goodwill
+
+    code = (
+        "import sys, goodwill; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(goodwill.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
