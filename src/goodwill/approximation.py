@@ -134,12 +134,13 @@ def simulate_lifted_perturbed(
             f"CFL violation: dt={dt} exceeds grid spacing {dxi:.6g}"
         )
     steps = _steps_of(params.T, dt, "T")
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if len(lifted_init.x1) != grid.n_nodes:
         raise ConfigurationError("lifted initial state must live on the grid")
 
     t = dt * np.arange(steps + 1)
     z = open_loop_controls(policy, params, t, "simulate_lifted_perturbed")
-    z = np.clip(z, params.u_min, params.u_max)
 
     a1v = kernel_eval(params.a1, grid.nodes, grid)
     b1v = kernel_eval(params.b1, grid.nodes, grid)
@@ -201,7 +202,6 @@ def convergence_study(
     fixed open-loop policy, one row per (eps1, eps2) pair."""
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
     z = open_loop_controls(policy, params, t, "convergence_study")
-    z = np.clip(z, params.u_min, params.u_max)
 
     rows = []
     for eps1 in eps1_seq:

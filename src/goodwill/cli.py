@@ -31,13 +31,13 @@ from .hilbert import ExponentialKernel, ProfileX, SegmentGrid, ZeroKernel
 from .lifting import lift_M
 from .sdde import BlowupError, ConfigurationError, HistoryPair, ModelParams
 
-KNOWN_KEYS = {
+REAL_KEYS = {
     "a0", "b0", "sigma", "beta", "gamma", "T", "r",
     "delta_a", "delta_b", "a1_amp", "b1_amp",
-    "u_min", "u_max", "x0", "x1_decay",
-    "dt", "n_paths", "seed", "n_nodes",
-    "amplitudes", "r_grid", "t_eval", "eps1_list", "eps2_list",
+    "u_min", "u_max", "x0", "x1_decay", "dt", "t_eval",
 }
+INT_KEYS = {"n_paths", "seed", "n_nodes"}
+KNOWN_KEYS = REAL_KEYS | INT_KEYS | {"amplitudes", "r_grid", "eps1_list", "eps2_list"}
 
 
 def load_defaults() -> dict:
@@ -55,6 +55,13 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for key in (REAL_KEYS | INT_KEYS) & cfg.keys():
+        value, integer = cfg[key], key in INT_KEYS
+        kinds = int if integer else (int, float)
+        # bool is an int subclass, but true/false is no number of paths
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an integer" if integer else "a number"
+            raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
     return cfg
 
 
@@ -85,6 +92,8 @@ def build_params(cfg: dict, a1_amp=None, b1_amp=None) -> ModelParams:
 
 
 def build_history(cfg: dict, grid: SegmentGrid) -> HistoryPair:
+    if cfg["x1_decay"] <= 0:
+        raise ConfigurationError(f"x1_decay must be positive, got {cfg['x1_decay']}")
     x1 = cfg["x0"] * np.exp(-np.abs(grid.nodes) / cfg["x1_decay"])
     return HistoryPair(grid=grid, x0=cfg["x0"], x1=x1, delta=np.zeros(grid.n_nodes))
 

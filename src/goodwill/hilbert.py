@@ -204,8 +204,9 @@ class DelaySum:
             self.rho = None
 
     def start(self, past):
-        """H of a window whose m past samples are `past` (oldest first)."""
-        return past @ self.values[:-1]
+        """H of a window whose m past samples are the rows of `past`
+        (oldest first); a 2-D past gives one H per column (per path)."""
+        return self.values[:-1] @ past
 
     def at(self, h, oldest, newest):
         """The trapezoid sum of the window with raw past sum h."""

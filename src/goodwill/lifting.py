@@ -122,11 +122,12 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
         out = problem.a0 * ys
         if not use_delay:
             return out
+        end = known + 1
         if s > times[known]:
-            xs = np.concatenate([times[: known + 1], [s]])
-            fs = np.concatenate([vals[: known + 1], [ys]])
-        else:
-            xs, fs = times[: known + 1], vals[: known + 1]
+            # the stage point borrows the next slot until the step is accepted
+            times[end], vals[end] = s, ys
+            end += 1
+        xs, fs = times[:end], vals[:end]
         if distributed:
             out += float(np.dot(kq, np.interp(s + grid.nodes, xs, fs)))
         else:
@@ -135,7 +136,7 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
 
     for k in range(steps):
         i = n - 1 + k
-        t0 = times[i]
+        t0, t1 = times[i], times[i + 1]
         y0 = vals[i]
         k1 = rhs(t0, y0, i)
         k2 = rhs(t0 + dt_eff / 2, y0 + dt_eff * k1 / 2, i)
@@ -144,7 +145,7 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
         ynew = y0 + dt_eff / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(ynew):
             raise BlowupError(f"delay ODE blew up at step {k + 1}")
-        vals[i + 1] = ynew
+        times[i + 1], vals[i + 1] = t1, ynew
 
     return times[n - 1 :], vals[n - 1 :]
 

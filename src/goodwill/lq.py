@@ -110,22 +110,27 @@ def solve_costate(
 
     w = w0ext.item  # samples as Python floats: scalar arithmetic is faster
 
+    # at t_k the integrand cuts off at xi = t_k - T, on node j = k + m - n;
+    # an interior cutoff node carries a trapezoid boundary weight dt/2, not
+    # dt, so each window sum drops cutoff(values)[k] = dt/2 * values[j] * gamma
+    j = np.arange(n + 1) + m - n
+    interior = (j >= 1) & (j <= m - 1)
+
+    def cutoff(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(n + 1)
+        out[interior] = dt / 2 * values[j[interior]] * gamma
+        return out
+
     has_a1 = not kernel_is_zero(params.a1)
     if has_a1:
         a1v = kernel_eval(params.a1, xi, grid)
         sum_a = DelaySum(params.a1, a1v, dt)
+        cut_a = cutoff(a1v).item
 
     def wprime(k: int, h: float, wk: float) -> float:
         if not has_a1:
             return -params.a0 * wk
-        integ = sum_a.at(h, w(k + m), wk)
-        # the integrand cuts off at xi = t_k - T, which lands on node
-        # k + m - n; an interior cutoff node bounds the active region,
-        # so it carries a trapezoid boundary weight dt/2, not dt
-        j = k + m - n
-        if 1 <= j <= m - 1:
-            integ -= dt / 2 * a1v[j] * gamma
-        return -params.a0 * wk - integ
+        return -params.a0 * wk - (sum_a.at(h, w(k + m), wk) - cut_a(k))
 
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,11 +155,7 @@ def solve_costate(
                 pairing[k] = sum_b.at(h, w(k + m), w(k))
                 if k:
                     h = sum_b.slide(h, w(k + m), w(k), w0ext[k + m - 1 : k - 1 : -1])
-            bw = bw + pairing
-            # same cutoff-node half-weight correction as for the a1 pairing
-            j = np.arange(n + 1) + m - n
-            mask = (j >= 1) & (j <= m - 1)
-            bw[mask] -= dt / 2 * b1v[j[mask]] * gamma
+            bw = bw + pairing - cutoff(b1v)
         _check_finite(bw, t, "<B, w>")
 
         # c[k] = c[k+1] + dt/2 (g[k] + g[k+1]) from c[n] = 0, added in
@@ -256,11 +257,7 @@ def trajectory_mean(
         np.dot(grid.weights, y_init.x1 * phi_at(t + grid.nodes))
     )
 
-    z = np.clip(
-        open_loop_controls(policy, params, times, "trajectory_mean"),
-        params.u_min,
-        params.u_max,
-    )
+    z = open_loop_controls(policy, params, times, "trajectory_mean")
     b1v = kernel_eval(params.b1, grid.nodes, grid)
     # <B, psi(s)> with psi(s) = e^{(t-s)A*} e1
     q = params.b0 * phi_at(t - times)

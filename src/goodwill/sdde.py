@@ -7,15 +7,15 @@ The goodwill stock follows
 
 with prescribed goodwill and advertising histories on [-r, 0]. The
 delay integrals are trapezoid quadratures on the simulation time step,
-so every lookback lands on a stored sample. For exponential and constant
-kernels the state window of a1 (and, under a feedback policy, the
-control window of b1) is updated in O(1) per step by the recursion of
-hilbert.DelaySum; a sampled kernel is re-summed over its m+1 samples.
-The two agree to 1e-12 relative (tests compare them). An open-loop b1
-term is one product over the known control, computed before the loop.
-Each path draws its noise from a Philox stream keyed by (seed, path
-index), which makes ensembles reproducible independently of how paths
-are scheduled.
+so every lookback lands on a stored sample. Both go through
+hilbert.DelaySum: for exponential and constant kernels it updates the
+a1 state window and the b1 control window in O(1) per step; a sampled
+kernel is re-summed over its m+1 samples. The two agree to 1e-12
+relative (tests compare them). Open-loop and feedback policies share one
+step loop over time-major paths (one row per step); an open-loop
+control is one number per step, shared by every path. Each path draws
+its noise from a Philox stream keyed by (seed, path index), which makes
+ensembles reproducible independently of how paths are scheduled.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .hilbert import (
     ConstantKernel,
@@ -151,10 +150,11 @@ Policy = OpenLoop | Memoryless | FeedbackPolicy
 def open_loop_controls(
     policy: Policy, params: ModelParams, t: np.ndarray, who: str
 ) -> np.ndarray:
-    """Samples z(t) of an open-loop policy; a feedback policy has none."""
+    """Samples z(t) of an open-loop policy, clipped to [u_min, u_max]; a
+    feedback policy has none."""
     if isinstance(policy, FeedbackPolicy):
         raise ConfigurationError(f"{who} needs an open-loop policy")
-    return policy.sample(params, t)
+    return np.clip(policy.sample(params, t), params.u_min, params.u_max)
 
 
 # --- ensembles and estimates ------------------------------------------------
@@ -309,12 +309,6 @@ def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
         return _PATH_GENERATOR.standard_normal(shape)
 
 
-def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
-    w = np.full(m + 1, dt)
-    w[0] = w[-1] = dt / 2
-    return w
-
-
 def simulate_paths(
     params: ModelParams,
     history: HistoryPair,
@@ -330,6 +324,8 @@ def simulate_paths(
     used by the state-delay-only model where the forgetting distribution
     is concentrated on a point.
     """
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if dt > params.r or dt > params.T:
         raise ConfigurationError("dt must not exceed r or T")
     steps = _steps_of(params.T, dt, "T")
@@ -338,39 +334,32 @@ def simulate_paths(
     t = dt * np.arange(steps + 1)
     xi = -params.r + dt * np.arange(m + 1)
 
-    sum_a = None
+    sum_a = sum_b = None
     if not kernel_is_zero(params.a1):
         sum_a = DelaySum(params.a1, kernel_eval(params.a1, xi, grid), dt)
-    b1v = None
     if not kernel_is_zero(params.b1):
-        b1v = kernel_eval(params.b1, xi, grid)
+        sum_b = DelaySum(params.b1, kernel_eval(params.b1, xi, grid), dt)
 
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
 
-    y_pad = np.empty((n_paths, m + steps + 1))
-    y_pad[:, :m] = hist_y[:m]
-    y_pad[:, m] = history.x0
+    # time-major windows: row m + k holds time t_k, rows below m the history
+    y_pad = np.empty((m + steps + 1, n_paths))
+    y_pad[:m] = hist_y[:m, None]
+    y_pad[m] = history.x0
 
+    # an open-loop control is one number per step, a feedback control one
+    # per path
     feedback = isinstance(policy, FeedbackPolicy)
-    clip_count = 0
-    if not feedback:
+    if feedback:
+        z_pad = np.empty((m + steps + 1, n_paths))
+        z_pad[:m] = hist_z[:m, None]
+        clip_count = 0
+    else:
         z_open = policy.sample(params, t)
         clipped = np.clip(z_open, params.u_min, params.u_max)
         clip_count = int(np.count_nonzero(clipped != z_open))
         z_pad = np.concatenate([hist_z[:m], clipped])
-        qb = None
-        if b1v is not None:
-            qb = sliding_window_view(z_pad, m + 1) @ (_trapezoid_weights(m, dt) * b1v)
-        z_store = clipped[None, :]
-    else:
-        z_pad = np.empty((n_paths, m + steps + 1))
-        z_pad[:, :m] = hist_z[:m]
-        sum_b = None
-        if b1v is not None:
-            sum_b = DelaySum(params.b1, b1v, dt)
-            hb = sum_b.start(z_pad[:, :m])
-        z_store = None
 
     noise = np.empty((n_paths, steps))
     for p in range(n_paths):
@@ -378,47 +367,40 @@ def simulate_paths(
     sig = params.sigma * np.sqrt(dt)
 
     if sum_a is not None:
-        ha = sum_a.start(y_pad[:, :m])
-    for k in range(steps):
-        ycur = y_pad[:, m + k]
+        ha = sum_a.start(y_pad[:m])
+    if sum_b is not None:
+        hb = sum_b.start(z_pad[:m])
+    for k in range(steps + 1):
+        ycur = y_pad[m + k]
+        if feedback:
+            zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
+            zk = np.broadcast_to(zk, (n_paths,))
+            z_pad[m + k] = np.clip(zk, params.u_min, params.u_max)
+            clip_count += int(np.count_nonzero(z_pad[m + k] != zk))
+        if k == steps:
+            break  # the terminal control is stored, never used in a drift
+        zcur = z_pad[m + k]
         drift = params.a0 * ycur
         if sum_a is not None:
-            drift = drift + sum_a.at(ha, y_pad[:, k], ycur)
+            drift = drift + sum_a.at(ha, y_pad[k], ycur)
         if a1_point != 0.0:
-            drift = drift + a1_point * y_pad[:, k]
-        if not feedback:
-            drift = drift + params.b0 * z_pad[m + k]
-            if qb is not None:
-                drift = drift + qb[k]
-        else:
-            zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
-            zk = np.broadcast_to(zk, ycur.shape)
-            zc = np.clip(zk, params.u_min, params.u_max)
-            clip_count += int(np.count_nonzero(zc != zk))
-            z_pad[:, m + k] = zc
-            drift = drift + params.b0 * zc
-            if sum_b is not None:
-                drift = drift + sum_b.at(hb, z_pad[:, k], zc)
-                hb = sum_b.slide(hb, z_pad[:, k], zc, z_pad[:, k + 1 : k + m + 1])
+            drift = drift + a1_point * y_pad[k]
+        drift = drift + params.b0 * zcur
+        if sum_b is not None:
+            drift = drift + sum_b.at(hb, z_pad[k], zcur)
+            hb = sum_b.slide(hb, z_pad[k], zcur, z_pad[k + 1 : k + m + 1])
         ynew = ycur + drift * dt + sig * noise[:, k]
         if not np.all(np.isfinite(ynew)) or np.max(np.abs(ynew)) > BLOWUP_LIMIT:
             bad = int(np.argmax(~np.isfinite(ynew) | (np.abs(ynew) > BLOWUP_LIMIT)))
             raise BlowupError(
                 f"path {bad} left the finite range at step {k + 1} (t={t[k + 1]:g})"
             )
-        y_pad[:, m + k + 1] = ynew
+        y_pad[m + k + 1] = ynew
         if sum_a is not None:
-            ha = sum_a.slide(ha, y_pad[:, k], ycur, y_pad[:, k + 1 : k + m + 1])
+            ha = sum_a.slide(ha, y_pad[k], ycur, y_pad[k + 1 : k + m + 1])
 
-    if feedback:
-        # terminal control stored for completeness; it never enters the drift
-        zT = np.asarray(policy.control_fn(t[-1], y_pad[:, -1]), dtype=float)
-        z_pad[:, -1] = np.clip(np.broadcast_to(zT, (n_paths,)), params.u_min, params.u_max)
-        z_store = z_pad[:, m:]
-
-    return PathEnsemble(
-        t=t, y=y_pad[:, m:], z=z_store, dt=dt, seed=seed, clip_count=clip_count
-    )
+    y, z = y_pad[m:].T, np.atleast_2d(z_pad[m:].T)
+    return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
 def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate:

@@ -173,6 +173,15 @@ def test_lifted_input_validation():
         )  # wrong init length
 
 
+def test_lifted_scheme_needs_a_path():
+    grid = SegmentGrid(0.5, 11)
+    pol = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
+    with pytest.raises(ConfigurationError, match="n_paths must be at least 1"):
+        simulate_lifted_perturbed(
+            make_params(), ProfileX(1.0, np.zeros(11)), pol, 0.0, grid, 0.05, 0, 0
+        )
+
+
 GRID11 = SegmentGrid(0.5, 11)
 X11 = ProfileX(1.0, np.zeros(11))
 

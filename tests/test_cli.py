@@ -191,3 +191,22 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: costate w0")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"sigma": "x"}, "sigma must be a number"),
+        ({"x1_decay": 0}, "x1_decay must be positive"),
+        ({"n_paths": 0}, "n_paths must be at least 1"),
+    ],
+    ids=["sigma_type", "x1_decay_zero", "no_paths"],
+)
+def test_bad_config_is_a_one_line_config_error(tmp_path, capsys, extra, message):
+    path = write_config(tmp_path, extra)
+    out = tmp_path / "v.json"
+    assert main(["evaluate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert len(err.strip().splitlines()) == 1

@@ -198,20 +198,53 @@ def test_a1_recursion_matches_window_sum(a1):
     assert _rel_diff(a.y, b.y) <= 1e-12
 
 
+def _open_loop_wave(T, dt):
+    t = dt * np.arange(round(T / dt) + 1)
+    return OpenLoop(t=t, z=1.5 + np.sin(t))
+
+
 @pytest.mark.parametrize("b1", [ExponentialKernel(2.0, 0.5), ConstantKernel(0.8)])
-def test_feedback_b1_recursion_matches_window_sum(b1):
+@pytest.mark.parametrize(
+    "policy",
+    [FeedbackPolicy(lambda t, y: 3.0 - 0.5 * y), _open_loop_wave(5.0, 1e-3)],
+    ids=["feedback", "open_loop"],
+)
+def test_b1_recursion_matches_window_sum(policy, b1):
+    # the advertising window takes the same recursion under either policy
     dt, T = 1e-3, 5.0
-    fb = FeedbackPolicy(lambda t, y: 3.0 - 0.5 * y)
     a1 = ExponentialKernel(-2.0, 1 / 6)
     common = dict(a0=-0.5, a1=a1, sigma=0.5, T=T, u_max=2.1)
-    a = simulate_paths(make_params(b1=b1, **common), ORACLE_HISTORY, fb, dt, 64, 3)
+    a = simulate_paths(make_params(b1=b1, **common), ORACLE_HISTORY, policy, dt, 64, 3)
     b = simulate_paths(
         make_params(b1=_as_sampled(b1, ORACLE_GRID), **common),
-        ORACLE_HISTORY, fb, dt, 64, 3,
+        ORACLE_HISTORY, policy, dt, 64, 3,
     )
     assert a.clip_count == b.clip_count > 0
     assert _rel_diff(a.y, b.y) <= 1e-12
     assert _rel_diff(a.z, b.z) <= 1e-12
+
+
+def test_feedback_replaying_open_loop_is_bit_identical():
+    # one step loop serves both policy kinds: a feedback rule that ignores
+    # the state and returns z(t_k) must reproduce the open-loop ensemble
+    # bit for bit (a zero advertising history makes both window sums start
+    # at exactly zero)
+    dt, T = 1e-3, 2.0
+    pol = _open_loop_wave(T, dt)
+    replay = FeedbackPolicy(lambda t, y: pol.sample(None, t))
+    hist = HistoryPair(
+        grid=ORACLE_GRID, x0=2.0, x1=2.0 * np.exp(ORACLE_GRID.nodes),
+        delta=np.zeros(501),
+    )
+    p = make_params(
+        a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ExponentialKernel(2.0, 0.5),
+        sigma=0.5, T=T, u_max=2.1,
+    )
+    ol = simulate_paths(p, hist, pol, dt, 16, 5)
+    fb = simulate_paths(p, hist, replay, dt, 16, 5)
+    assert fb.clip_count == 16 * ol.clip_count > 0
+    np.testing.assert_array_equal(fb.y, ol.y)
+    np.testing.assert_array_equal(fb.z, np.broadcast_to(ol.z, fb.z.shape))
 
 
 def test_step_size_errors():
