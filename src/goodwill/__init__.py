@@ -51,7 +51,6 @@ from .sdde import (
 )
 from .lifting import (
     DelayODEProblem,
-    DistributedKernel,
     PointDelay,
     adjoint_semigroup_apply,
     lift_M,

@@ -19,6 +19,7 @@ from .sdde import (
     ConfigurationError,
     ModelParams,
     Policy,
+    _check_horizon,
     _steps_of,
     open_loop_controls,
     path_normals,
@@ -138,12 +139,13 @@ def simulate_lifted_perturbed(
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if len(lifted_init.x1) != grid.n_nodes:
         raise ConfigurationError("lifted initial state must live on the grid")
+    _check_horizon(params, grid)
 
     t = dt * np.arange(steps + 1)
     z = open_loop_controls(policy, params, t, "simulate_lifted_perturbed")
 
-    a1v = kernel_eval(params.a1, grid.nodes, grid)
-    b1v = kernel_eval(params.b1, grid.nodes, grid)
+    a1v = kernel_eval(params.a1, grid.nodes, params.r)
+    b1v = kernel_eval(params.b1, grid.nodes, params.r)
     lam = dt / dxi
 
     y0 = np.full(n_paths, float(lifted_init.x0))
@@ -199,7 +201,9 @@ def convergence_study(
     seed: int,
 ) -> list[ConvergenceRow]:
     """Gap table |J_eps - baseline| for the regularized objective under a
-    fixed open-loop policy, one row per (eps1, eps2) pair."""
+    fixed open-loop policy, one row per (eps1, eps2) pair. A one-path
+    row reports stderr NaN: one path carries no spread information."""
+    _check_horizon(params, grid)
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
     z = open_loop_controls(policy, params, t, "convergence_study")
 
@@ -214,7 +218,8 @@ def convergence_study(
             cost_vals = mollify_h(lambda x: beta * x**2, eps2, z[:-1], moll)
             j_vals = terminal - np.sum(cost_vals) * dt
             mean = float(np.mean(j_vals))
-            se = float(np.std(j_vals, ddof=1) / np.sqrt(len(j_vals)))
+            n = len(j_vals)
+            se = float(np.std(j_vals, ddof=1) / np.sqrt(n)) if n > 1 else np.nan
             rows.append(
                 ConvergenceRow(
                     eps1=float(eps1),

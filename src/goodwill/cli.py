@@ -37,7 +37,8 @@ REAL_KEYS = {
     "u_min", "u_max", "x0", "x1_decay", "dt", "t_eval",
 }
 INT_KEYS = {"n_paths", "seed", "n_nodes"}
-KNOWN_KEYS = REAL_KEYS | INT_KEYS | {"amplitudes", "r_grid", "eps1_list", "eps2_list"}
+LIST_KEYS = {"amplitudes", "r_grid", "eps1_list", "eps2_list"}
+KNOWN_KEYS = REAL_KEYS | INT_KEYS | LIST_KEYS
 
 
 def load_defaults() -> dict:
@@ -62,6 +63,12 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
         if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if integer else "a number"
             raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
+    for key in LIST_KEYS & cfg.keys():
+        value = cfg[key]
+        if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+        ):
+            raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
     return cfg
 
 

@@ -3,9 +3,10 @@
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
 grid. Delay kernels (zero / constant / exponential / sampled) live here
-too, with DelaySum, their trapezoid sum over a window that slides one
-time step at a time, and the partial order used by the monotonicity
-checks.
+too: each is a function of the lag on [-r, 0], evaluated given only the
+horizon r, whatever grid the caller samples it on. With them come
+DelaySum, their trapezoid sum over a window that slides one time step
+at a time, and the partial order used by the monotonicity checks.
 """
 
 from __future__ import annotations
@@ -123,23 +124,28 @@ class ExponentialKernel:
 
 @dataclass(frozen=True)
 class SampledKernel:
+    """Values at equally spaced lags from -r to 0, the first at -r."""
+
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim != 1 or len(self.values) < 2:
+            raise DimensionError("a sampled kernel needs a 1-d array of 2+ values")
 
 
 Kernel = ZeroKernel | ConstantKernel | ExponentialKernel | SampledKernel
 
 
-def kernel_eval(k: Kernel, xi, grid: SegmentGrid):
-    """Evaluate a kernel at xi in [-r, 0] (scalar or array).
+def kernel_eval(k: Kernel, xi, r: float):
+    """Evaluate a kernel at lags xi in [-r, 0] (scalar or array).
 
-    Sampled kernels are linearly interpolated between grid nodes.
+    A sampled kernel holds its values at len(values) equally spaced lags
+    from -r to 0 and is linearly interpolated between them.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < -grid.r - 1e-12 * grid.r) or np.any(xi > 1e-12 * grid.r):
-        raise DomainError(f"kernel argument outside [-{grid.r}, 0]")
+    if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
+        raise DomainError(f"kernel argument outside [-{r}, 0]")
     if isinstance(k, ZeroKernel):
         out = np.zeros_like(xi)
     elif isinstance(k, ConstantKernel):
@@ -147,12 +153,7 @@ def kernel_eval(k: Kernel, xi, grid: SegmentGrid):
     elif isinstance(k, ExponentialKernel):
         out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
     elif isinstance(k, SampledKernel):
-        if len(k.values) != grid.n_nodes:
-            raise DimensionError(
-                f"sampled kernel has {len(k.values)} values, grid has "
-                f"{grid.n_nodes} nodes"
-            )
-        out = np.interp(xi, grid.nodes, k.values)
+        out = np.interp(xi, np.linspace(-r, 0.0, len(k.values)), k.values)
     else:
         raise TypeError(f"unknown kernel type {type(k).__name__}")
     return out if out.ndim else float(out)
@@ -168,6 +169,16 @@ def kernel_is_zero(k: Kernel) -> bool:
     if isinstance(k, SampledKernel):
         return bool(np.all(k.values == 0.0))
     return False
+
+
+def check_kernel_nonneg(k: Kernel, name: str):
+    """Raise ValueError unless the kernel is non-negative on [-r, 0]."""
+    if isinstance(k, ConstantKernel) and k.c < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if isinstance(k, ExponentialKernel) and k.amp < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if isinstance(k, SampledKernel) and np.any(k.values < 0):
+        raise ValueError(f"{name} must be non-negative at every node")
 
 
 class DelaySum:

@@ -13,19 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    Kernel,
-    ProfileX,
-    SegmentGrid,
-    kernel_eval,
-    kernel_is_zero,
-)
-from .sdde import BlowupError, ConfigurationError, ModelParams
-
-
-@dataclass(frozen=True)
-class DistributedKernel:
-    a1: Kernel
+from .hilbert import Kernel, ProfileX, SegmentGrid, kernel_eval
+from .sdde import BlowupError, ConfigurationError, ModelParams, _check_horizon
 
 
 @dataclass(frozen=True)
@@ -35,10 +24,14 @@ class PointDelay:
 
 @dataclass(frozen=True)
 class DelayODEProblem:
-    """phi'(t) = a0 phi(t) + delay term, with phi = x1 on [-r, 0]."""
+    """phi'(t) = a0 phi(t) + delay term, with phi = x1 on [-r, 0].
+
+    The delay term is int a1(xi) phi(t + xi) dxi over [-r, 0] for a
+    kernel a1, or a1_scalar phi(t - r) for a point lag.
+    """
 
     a0: float
-    delay: DistributedKernel | PointDelay
+    delay: Kernel | PointDelay
     x0: float
     x1: np.ndarray
     grid: SegmentGrid
@@ -72,25 +65,25 @@ def lift_M(
     n = grid.n_nodes
     if len(x1) != n or len(v) != n:
         raise ConfigurationError("profiles must live on the grid")
+    _check_horizon(params, grid)
     h = grid.spacing
-    a1v = kernel_eval(params.a1, grid.nodes, grid)
-    b1v = kernel_eval(params.b1, grid.nodes, grid)
-    m = np.zeros(n)
-    for i in range(1, n):
-        w = np.full(i + 1, h)
-        w[0] = w[-1] = h / 2
-        # node j of the z-grid pairs with history node n-1-i+j
-        seg = slice(n - 1 - i, n)
-        m[i] = np.dot(w, a1v[: i + 1] * x1[seg]) + np.dot(w, b1v[: i + 1] * v[seg])
-    return ProfileX(x0, m)
+
+    def quadrature(k: Kernel, f: np.ndarray) -> np.ndarray:
+        # node i pairs kernel node j with profile node n-1-i+j, a convolution
+        # with the reversed profile; the two end terms carry half weight
+        kv, fr = kernel_eval(k, grid.nodes, grid.r), f[::-1]
+        return h * np.convolve(kv, fr)[:n] - h / 2 * (kv[0] * fr + kv * f[-1])
+
+    return ProfileX(x0, quadrature(params.a1, x1) + quadrature(params.b1, v))
 
 
 def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the linear delay ODE on [0, t_end].
 
-    The distributed delay integral is a trapezoid quadrature on the
-    segment grid; delayed values are read by linear interpolation from
-    the initial profile and the stored trajectory. Stage evaluations
+    The delay term is one lag quadrature, built once: the segment grid's
+    trapezoid rule against a1 for a kernel, the single lag -r for a point
+    delay. Delayed values are read by linear interpolation from the
+    initial profile and the stored trajectory. Stage evaluations
     past the last accepted point interpolate between the accepted value
     and the stage value itself, which keeps the integral well defined at
     the xi = 0 endpoint.
@@ -110,29 +103,24 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     vals[: n - 1] = problem.x1[:-1]
     vals[n - 1] = problem.x0
 
-    distributed = isinstance(problem.delay, DistributedKernel)
-    if distributed:
-        kq = grid.weights * kernel_eval(problem.delay.a1, grid.nodes, grid)
-        use_delay = not kernel_is_zero(problem.delay.a1)
+    if isinstance(problem.delay, PointDelay):
+        lags, weights = np.array([-r]), np.array([problem.delay.a1_scalar])
     else:
-        use_delay = problem.delay.a1_scalar != 0.0
+        lags = grid.nodes
+        weights = grid.weights * kernel_eval(problem.delay, lags, r)
 
-    def rhs(s: float, ys: float, known: int) -> float:
+    def delay_rhs(s: float, ys: float, known: int) -> float:
         # known = index of the last accepted sample; s >= times[known]
-        out = problem.a0 * ys
-        if not use_delay:
-            return out
         end = known + 1
         if s > times[known]:
             # the stage point borrows the next slot until the step is accepted
             times[end], vals[end] = s, ys
             end += 1
-        xs, fs = times[:end], vals[:end]
-        if distributed:
-            out += float(np.dot(kq, np.interp(s + grid.nodes, xs, fs)))
-        else:
-            out += problem.delay.a1_scalar * float(np.interp(s - r, xs, fs))
-        return out
+        delayed = np.interp(s + lags, times[:end], vals[:end])
+        return problem.a0 * ys + float(np.dot(weights, delayed))
+
+    # a zero delay term reads nothing
+    rhs = delay_rhs if np.any(weights) else lambda s, ys, known: problem.a0 * ys
 
     for k in range(steps):
         i = n - 1 + k
@@ -170,8 +158,9 @@ def adjoint_semigroup_apply(
     t: float, x: ProfileX, params: ModelParams, grid: SegmentGrid, dt: float
 ) -> ProfileX:
     """e^{tA*} x = (phi(t), phi(t + .)|[-r,0]) for the distributed-delay ODE."""
+    _check_horizon(params, grid)
     prob = DelayODEProblem(
-        params.a0, DistributedKernel(params.a1), x.x0, x.x1, grid, t_end=max(t, 0.0)
+        params.a0, params.a1, x.x0, x.x1, grid, t_end=max(t, 0.0)
     )
     return _semigroup_apply(prob, t, dt)
 

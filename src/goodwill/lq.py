@@ -31,7 +31,7 @@ from .hilbert import (
     kernel_eval,
     kernel_is_zero,
 )
-from .lifting import DistributedKernel, DelayODEProblem, solve_delay_ode
+from .lifting import DelayODEProblem, solve_delay_ode
 from .sdde import (
     BlowupError,
     ConfigurationError,
@@ -39,6 +39,7 @@ from .sdde import (
     ModelParams,
     OpenLoop,
     Policy,
+    _check_horizon,
     _steps_of,
     open_loop_controls,
 )
@@ -97,7 +98,6 @@ def solve_costate(
     n = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")
 
-    grid = SegmentGrid(params.r, m + 1)
     t = dt * np.arange(n + 1)
     xi = -params.r + dt * np.arange(m + 1)
 
@@ -123,7 +123,7 @@ def solve_costate(
 
     has_a1 = not kernel_is_zero(params.a1)
     if has_a1:
-        a1v = kernel_eval(params.a1, xi, grid)
+        a1v = kernel_eval(params.a1, xi, params.r)
         sum_a = DelaySum(params.a1, a1v, dt)
         cut_a = cutoff(a1v).item
 
@@ -147,7 +147,7 @@ def solve_costate(
 
         bw = params.b0 * w0
         if not kernel_is_zero(params.b1):
-            b1v = kernel_eval(params.b1, xi, grid)
+            b1v = kernel_eval(params.b1, xi, params.r)
             sum_b = DelaySum(params.b1, b1v, dt)
             pairing = np.empty(n + 1)
             h = 0.0
@@ -204,6 +204,7 @@ def value_lq(
     """
     if t < -1e-12 or t > costate.T + 1e-12:
         raise DomainError(f"t={t} outside [0, {costate.T}]")
+    _check_horizon(costate.params, grid)
     xi = grid.nodes
     cut = t - costate.T
     if cut <= xi[0] + 1e-15:
@@ -220,14 +221,7 @@ def value_lq(
 
 def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
     """phi solving the distributed delay ODE with x0 = 1, x1 = 0 on [0, t]."""
-    prob = DelayODEProblem(
-        params.a0,
-        DistributedKernel(params.a1),
-        1.0,
-        np.zeros(grid.n_nodes),
-        grid,
-        t_end=t,
-    )
+    prob = DelayODEProblem(params.a0, params.a1, 1.0, np.zeros(grid.n_nodes), grid, t)
     return solve_delay_ode(prob, dt)
 
 
@@ -245,6 +239,7 @@ def trajectory_mean(
     semigroup evaluation: e^{uA*}e1 = (phi(u), phi(u + .)). The control
     is clipped to [u_min, u_max], as in sdde.simulate_paths.
     """
+    _check_horizon(params, grid)
     if t == 0:
         return float(y_init.x0)
     times, phi = _e1_trajectory(params, grid, t, dt)
@@ -258,7 +253,7 @@ def trajectory_mean(
     )
 
     z = open_loop_controls(policy, params, times, "trajectory_mean")
-    b1v = kernel_eval(params.b1, grid.nodes, grid)
+    b1v = kernel_eval(params.b1, grid.nodes, params.r)
     # <B, psi(s)> with psi(s) = e^{(t-s)A*} e1
     q = params.b0 * phi_at(t - times)
     if not kernel_is_zero(params.b1):
@@ -271,6 +266,7 @@ def trajectory_variance(
     t: float, params: ModelParams, grid: SegmentGrid, dt: float
 ) -> float:
     """Var Y0(t) = sigma^2 int_0^t phi(u)^2 du with the e1 trajectory phi."""
+    _check_horizon(params, grid)
     if t == 0:
         return 0.0
     times, phi = _e1_trajectory(params, grid, t, dt)
@@ -332,8 +328,7 @@ def sensitivity_dV_dr(
         return float(term1 + term2)
 
     cs = solve_costate(params, gamma, beta, dt)
-    grid = SegmentGrid(r, round(r / dt) + 1)
-    b1_at_minus_r = float(kernel_eval(params.b1, -r, grid))
+    b1_at_minus_r = float(kernel_eval(params.b1, -r, r))
     term1 = cs.w0_at(t + r) * x1_at_minus_r
     mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
     s = cs.t[mask]

@@ -29,12 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import (
-    ConstantKernel,
     DelaySum,
-    ExponentialKernel,
     Kernel,
-    SampledKernel,
     SegmentGrid,
+    check_kernel_nonneg,
     kernel_eval,
     kernel_is_zero,
 )
@@ -75,16 +73,7 @@ class ModelParams:
             raise ValueError(
                 f"need 0 <= u_min <= u_max, got [{self.u_min}, {self.u_max}]"
             )
-        _check_kernel_nonneg(self.b1, "b1")
-
-
-def _check_kernel_nonneg(k: Kernel, name: str):
-    if isinstance(k, ConstantKernel) and k.c < 0:
-        raise ValueError(f"{name} must be non-negative")
-    if isinstance(k, ExponentialKernel) and k.amp < 0:
-        raise ValueError(f"{name} must be non-negative")
-    if isinstance(k, SampledKernel) and np.any(k.values < 0):
-        raise ValueError(f"{name} must be non-negative at every node")
+        check_kernel_nonneg(self.b1, "b1")
 
 
 @dataclass(frozen=True)
@@ -275,6 +264,14 @@ class ObjectiveSpec:
 # --- simulation -------------------------------------------------------------
 
 
+def _check_horizon(params: ModelParams, grid: SegmentGrid):
+    """Raise ConfigurationError unless the grid spans the model's [-r, 0]."""
+    if abs(grid.r - params.r) > 1e-12 * params.r:
+        raise ConfigurationError(
+            f"segment grid has r={grid.r:g}, the model has r={params.r:g}"
+        )
+
+
 def _steps_of(span: float, dt: float, what: str) -> int:
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * span:
@@ -328,6 +325,7 @@ def simulate_paths(
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if dt > params.r or dt > params.T:
         raise ConfigurationError("dt must not exceed r or T")
+    _check_horizon(params, history.grid)
     steps = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")
     grid = history.grid
@@ -336,9 +334,9 @@ def simulate_paths(
 
     sum_a = sum_b = None
     if not kernel_is_zero(params.a1):
-        sum_a = DelaySum(params.a1, kernel_eval(params.a1, xi, grid), dt)
+        sum_a = DelaySum(params.a1, kernel_eval(params.a1, xi, params.r), dt)
     if not kernel_is_zero(params.b1):
-        sum_b = DelaySum(params.b1, kernel_eval(params.b1, xi, grid), dt)
+        sum_b = DelaySum(params.b1, kernel_eval(params.b1, xi, params.r), dt)
 
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)

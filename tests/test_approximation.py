@@ -11,13 +11,16 @@ from goodwill.approximation import (
     sup_inf_convolution,
 )
 from goodwill.hilbert import ConstantKernel, ProfileX, SegmentGrid, ZeroKernel
-from goodwill.lq import trajectory_mean
+from goodwill.lifting import adjoint_semigroup_apply, lift_M
+from goodwill.lq import solve_costate, trajectory_mean, trajectory_variance, value_lq
 from goodwill.sdde import (
     BlowupError,
     ConfigurationError,
     FeedbackPolicy,
+    HistoryPair,
     ModelParams,
     OpenLoop,
+    simulate_paths,
 )
 
 
@@ -202,6 +205,39 @@ def test_open_loop_entry_points_reject_feedback(run):
         run(make_params(), FeedbackPolicy(lambda t, y: 0.0))
 
 
+# a segment grid on [-1, 0] under a model whose delay horizon is r = 0.5
+GRID_R1 = SegmentGrid(1.0, 11)
+X_R1 = ProfileX(1.0, np.ones(11))
+POL = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: simulate_paths(
+            p, HistoryPair(GRID_R1, 1.0, np.ones(11), np.zeros(11)), POL, 0.05, 1, 0
+        ),
+        lambda p: lift_M(1.0, np.ones(11), np.zeros(11), p, GRID_R1),
+        lambda p: trajectory_mean(1.0, X_R1, POL, p, GRID_R1, 0.05),
+        lambda p: trajectory_variance(1.0, p, GRID_R1, 0.05),
+        lambda p: value_lq(0.0, X_R1, solve_costate(p, 1.0, 0.5, 0.05), GRID_R1),
+        lambda p: adjoint_semigroup_apply(0.5, X_R1, p, GRID_R1, 0.05),
+        lambda p: simulate_lifted_perturbed(p, X_R1, POL, 0.0, GRID_R1, 0.05, 1, 0),
+        lambda p: convergence_study(
+            p, X_R1, POL, 1.0, 0.5, 0.0, [0.0], [0.1], GRID_R1, 0.05, 2, 0
+        ),
+    ],
+    ids=[
+        "simulate_paths", "lift_M", "trajectory_mean", "trajectory_variance",
+        "value_lq", "adjoint_semigroup_apply", "simulate_lifted_perturbed",
+        "convergence_study",
+    ],
+)
+def test_grid_horizon_must_match_the_model(run):
+    with pytest.raises(ConfigurationError, match="segment grid has r=1"):
+        run(make_params(a1=ConstantKernel(0.5), b1=ConstantKernel(0.5)))
+
+
 def test_lifted_blowup_is_a_numerical_failure():
     # an explosive forgetting kernel overflows the scheme: that is a
     # numerical failure (exit 3), not a configuration error (exit 2)
@@ -279,6 +315,12 @@ def test_convergence_eps1_independent_for_linear_reward():
     assert abs(rows[0].j_eps - rows[1].j_eps) <= 3 * np.hypot(
         rows[0].stderr, rows[1].stderr
     )
+
+
+def test_convergence_one_path_stderr_is_nan():
+    # one path carries no spread information: NaN on purpose, no warning
+    rows = _study([0.0, 0.2], [0.4, 0.1], n_paths=1)
+    assert all(np.isfinite(r.j_eps) and np.isnan(r.stderr) for r in rows)
 
 
 def test_convergence_csv_layout():

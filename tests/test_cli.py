@@ -199,8 +199,10 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ({"sigma": "x"}, "sigma must be a number"),
         ({"x1_decay": 0}, "x1_decay must be positive"),
         ({"n_paths": 0}, "n_paths must be at least 1"),
+        ({"amplitudes": ["a"]}, "amplitudes must be a list of numbers"),
+        ({"amplitudes": 5}, "amplitudes must be a list of numbers"),
     ],
-    ids=["sigma_type", "x1_decay_zero", "no_paths"],
+    ids=["sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type"],
 )
 def test_bad_config_is_a_one_line_config_error(tmp_path, capsys, extra, message):
     path = write_config(tmp_path, extra)

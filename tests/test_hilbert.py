@@ -180,29 +180,38 @@ def test_order_grid_mismatch():
 
 def test_kernel_eval_examples():
     g = SegmentGrid(0.5, 51)
-    assert kernel_eval(ExponentialKernel(5.0, 1 / 6), 0.0, g) == 5.0
-    assert kernel_eval(ConstantKernel(2.5), -0.3, g) == 2.5
-    assert kernel_eval(ZeroKernel(), -0.1, g) == 0.0
+    assert kernel_eval(ExponentialKernel(5.0, 1 / 6), 0.0, g.r) == 5.0
+    assert kernel_eval(ConstantKernel(2.5), -0.3, g.r) == 2.5
+    assert kernel_eval(ZeroKernel(), -0.1, g.r) == 0.0
 
 
 def test_kernel_eval_exponential_decay():
     g = SegmentGrid(1.0, 51)
     k = ExponentialKernel(2.0, 0.5)
-    assert kernel_eval(k, -1.0, g) == pytest.approx(2.0 * np.exp(-2.0))
+    assert kernel_eval(k, -1.0, g.r) == pytest.approx(2.0 * np.exp(-2.0))
 
 
 def test_kernel_eval_sampled_interpolates():
     g = SegmentGrid(1.0, 3)  # nodes -1, -0.5, 0
     k = SampledKernel([0.0, 1.0, 0.0])
-    assert kernel_eval(k, -0.75, g) == pytest.approx(0.5)
+    assert kernel_eval(k, -0.75, g.r) == pytest.approx(0.5)
+
+
+def test_sampled_kernel_nodes_follow_from_its_length():
+    # the same five values on [-1, 0] at any sampling lag set
+    k = SampledKernel([0.0, 1.0, 2.0, 3.0, 4.0])  # nodes -1, -0.75, ..., 0
+    assert kernel_eval(k, -0.625, 1.0) == pytest.approx(1.5)
+    assert kernel_eval(k, -0.625, 2.0) == pytest.approx(2.75)
+    with pytest.raises(DimensionError):
+        SampledKernel([1.0])
 
 
 def test_kernel_eval_domain_error():
     g = SegmentGrid(0.5, 11)
     with pytest.raises(DomainError):
-        kernel_eval(ConstantKernel(1.0), -0.6, g)
+        kernel_eval(ConstantKernel(1.0), -0.6, g.r)
     with pytest.raises(DomainError):
-        kernel_eval(ConstantKernel(1.0), 0.1, g)
+        kernel_eval(ConstantKernel(1.0), 0.1, g.r)
 
 
 def test_kernel_is_zero():
@@ -227,7 +236,7 @@ def test_kernel_json_round_trip(k):
     assert type(back) is type(k)
     g = SegmentGrid(1.0, 3)
     xi = g.nodes
-    np.testing.assert_allclose(kernel_eval(back, xi, g), kernel_eval(k, xi, g))
+    np.testing.assert_allclose(kernel_eval(back, xi, g.r), kernel_eval(k, xi, g.r))
 
 
 def test_kernel_json_schema_fields():

@@ -15,7 +15,6 @@ from goodwill.hilbert import (
 )
 from goodwill.lifting import (
     DelayODEProblem,
-    DistributedKernel,
     PointDelay,
     adjoint_semigroup_apply,
     lift_M,
@@ -68,8 +67,8 @@ def test_lift_matches_fine_quadrature():
     out = lift_M(1.0, x1, v, p, grid)
 
     fine = SegmentGrid(0.5, 1601)
-    a1f = kernel_eval(p.a1, fine.nodes, fine)
-    b1f = kernel_eval(p.b1, fine.nodes, fine)
+    a1f = kernel_eval(p.a1, fine.nodes, fine.r)
+    b1f = kernel_eval(p.b1, fine.nodes, fine.r)
     for i in (1, 50, 100, 200):
         xi = grid.nodes[i]
         zmask = fine.nodes <= xi + 1e-12
@@ -103,7 +102,7 @@ def test_lift_linear_in_history_and_control(seed, alpha, beta):
 
 def test_delay_ode_no_delay_is_exponential():
     grid = SegmentGrid(0.5, 51)
-    prob = DelayODEProblem(-1.3, DistributedKernel(ZeroKernel()), 2.0,
+    prob = DelayODEProblem(-1.3, ZeroKernel(), 2.0,
                            np.zeros(51), grid, t_end=1.0)
     times, vals = solve_delay_ode(prob, 1e-2)
     np.testing.assert_allclose(vals, 2.0 * np.exp(-1.3 * times), atol=1e-8)

@@ -111,7 +111,7 @@ def test_costate_recursion_matches_window_sum(a1, b1):
     grid = SegmentGrid(r, round(r / dt) + 1)
 
     def sampled(k):
-        return SampledKernel(kernel_eval(k, grid.nodes, grid))
+        return SampledKernel(kernel_eval(k, grid.nodes, grid.r))
 
     common = dict(a0=-0.2, r=r, T=100.0)
     rec = solve_costate(make_params(a1=a1, b1=b1, **common), 1.0, 0.5, dt)
@@ -121,6 +121,25 @@ def test_costate_recursion_matches_window_sum(a1, b1):
     for name in ("w0", "bw", "c"):
         got, want = getattr(rec, name), getattr(win, name)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_sampled_kernels_need_no_matching_step():
+    # 201-node kernels under a 1e-3 step (a 501-lag window): a sampled kernel
+    # is a function of the lag, read off its own nodes on [-r, 0]
+    r, dt = 0.5, 1e-3
+    nodes = np.linspace(-r, 0.0, 201)
+    a1, b1 = ExponentialKernel(-5.0, 1 / 6), ExponentialKernel(5.0, 0.5)
+    sampled = [SampledKernel(kernel_eval(k, nodes, r)) for k in (a1, b1)]
+    common = dict(a0=-0.5, r=r)
+    p_exp = make_params(a1=a1, b1=b1, **common)
+    p_smp = make_params(a1=sampled[0], b1=sampled[1], **common)
+    exp, smp = (solve_costate(p, 1.0, 0.5, dt) for p in (p_exp, p_smp))
+    for name in ("w0", "bw"):
+        got, want = getattr(smp, name), getattr(exp, name)
+        assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want)), name
+    x = ProfileX(1.0, np.ones(201))
+    s_exp, s_smp = (sensitivity_dV_dr(0.0, x, p, 1.0, 0.5, dt) for p in (p_exp, p_smp))
+    assert s_smp == pytest.approx(s_exp, rel=1e-4)
 
 
 def test_costate_overflow_raises_blowup():

@@ -168,7 +168,7 @@ def test_weak_convergence_order_one():
 
 def _as_sampled(k, grid):
     """The same kernel as node values, which simulate_paths sums by window."""
-    return SampledKernel(kernel_eval(k, grid.nodes, grid))
+    return SampledKernel(kernel_eval(k, grid.nodes, grid.r))
 
 
 def _rel_diff(a, b):
