@@ -33,7 +33,6 @@ from .sdde import (
     FeedbackPolicy,
     GapEstimate,
     HistoryPair,
-    LinearCost,
     LinearReward,
     MCEstimate,
     Memoryless,
@@ -41,7 +40,6 @@ from .sdde import (
     ObjectiveSpec,
     OpenLoop,
     PathEnsemble,
-    PowerReward,
     QuadraticCost,
     evaluate_policy,
     objective_estimate,
@@ -83,7 +81,6 @@ from .state_delay import (
 from .approximation import (
     ConvergenceRow,
     LiftedEnsemble,
-    MollifierConfig,
     convergence_rows_to_csv,
     convergence_study,
     mollify_h,

@@ -9,7 +9,7 @@ regularized objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .sdde import (
     ModelParams,
     Policy,
     _check_horizon,
+    _mean_stderr,
     _steps_of,
     open_loop_controls,
     path_normals,
@@ -28,56 +29,47 @@ from .sdde import (
 _MOLLIFIER_POINTS = 2001
 
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
+def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u on [-1, 1] and the smooth unit-mass bump zeta sampled there."""
+    u = np.linspace(-1.0, 1.0, _MOLLIFIER_POINTS)
+    z = np.zeros_like(u)
     inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return out
+    z[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return u, z / np.trapezoid(z, u)
 
 
-@dataclass(frozen=True)
-class MollifierConfig:
-    """Smooth unit-mass bump on [-1, 1] plus the two scheme parameters."""
-
-    eps1: float = 0.0
-    eps2: float = 0.1
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    zeta: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 <= 0:
-            raise ConfigurationError("need eps1 >= 0 and eps2 > 0")
-        u = np.linspace(-1.0, 1.0, _MOLLIFIER_POINTS)
-        z = _bump(u)
-        z = z / np.trapezoid(z, u)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "zeta", z)
+# the one bump every mollifier uses; eps2 only scales its support
+BUMP_U, BUMP_ZETA = _unit_bump()
 
 
-def _convolve(fn, eps: float, eval_points: np.ndarray, moll: MollifierConfig):
-    """(fn * zeta_eps)(x) by quadrature: int fn(x - eps u) zeta(u) du."""
-    pts = np.asarray(eval_points, dtype=float)
-    args = pts[:, None] - eps * moll.u[None, :]
+def _check_eps1(eps1: float):
+    if not eps1 >= 0:
+        raise ConfigurationError(f"eps1 must be non-negative, got {eps1}")
+
+
+def _convolve(fn, eps2: float, eval_points):
+    """(fn * zeta_eps2)(x) by quadrature: int fn(x - eps2 u) zeta(u) du."""
+    if not eps2 > 0:
+        raise ConfigurationError(f"eps2 must be positive, got {eps2}")
+    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    args = pts[:, None] - eps2 * BUMP_U[None, :]
     vals = fn(args)
-    return np.trapezoid(vals * moll.zeta[None, :], moll.u, axis=1)
+    return np.trapezoid(vals * BUMP_ZETA[None, :], BUMP_U, axis=1)
 
 
-def mollify_phi(phi0, eps2: float, eval_points, moll: MollifierConfig | None = None):
+def mollify_phi(phi0, eps2: float, eval_points):
     """Truncate the reward outside [-1/eps2, 1/eps2], then mollify at
     scale eps2."""
-    moll = moll or MollifierConfig(eps2=eps2)
-    cutoff = 1.0 / eps2
 
-    def truncated(x):
-        return np.where(np.abs(x) <= cutoff, phi0(x), 0.0)
+    def truncated(x):  # called only after _convolve has checked eps2 > 0
+        return np.where(np.abs(x) <= 1.0 / eps2, phi0(x), 0.0)
 
-    return _convolve(truncated, eps2, np.atleast_1d(eval_points), moll)
+    return _convolve(truncated, eps2, eval_points)
 
 
-def mollify_h(h0, eps2: float, eval_points, moll: MollifierConfig | None = None):
+def mollify_h(h0, eps2: float, eval_points):
     """Mollify the cost at scale eps2 (no truncation)."""
-    moll = moll or MollifierConfig(eps2=eps2)
-    return _convolve(h0, eps2, np.atleast_1d(eval_points), moll)
+    return _convolve(h0, eps2, eval_points)
 
 
 def sup_inf_convolution(
@@ -107,8 +99,6 @@ class LiftedEnsemble:
 
     y0: np.ndarray  # (n_paths,)
     y1: np.ndarray  # (n_paths, n_nodes)
-    t_final: float
-    seed: int
 
 
 def simulate_lifted_perturbed(
@@ -129,6 +119,7 @@ def simulate_lifted_perturbed(
     shared Brownian increment scaled by eps1 * b1(xi) (the rank-one
     perturbation).
     """
+    _check_eps1(eps1)
     dxi = grid.spacing
     if dt > dxi + 1e-15:
         raise ConfigurationError(
@@ -174,7 +165,7 @@ def simulate_lifted_perturbed(
             raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
         y0, y1 = y0_new, y1_new
 
-    return LiftedEnsemble(y0=y0, y1=y1, t_final=params.T, seed=seed)
+    return LiftedEnsemble(y0=y0, y1=y1)
 
 
 @dataclass(frozen=True)
@@ -204,22 +195,24 @@ def convergence_study(
     fixed open-loop policy, one row per (eps1, eps2) pair. A one-path
     row reports stderr NaN: one path carries no spread information."""
     _check_horizon(params, grid)
+    for eps1 in eps1_seq:
+        _check_eps1(eps1)
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
     z = open_loop_controls(policy, params, t, "convergence_study")
+    # the control is shared by every path, so its cost depends on eps2 alone
+    costs = [
+        np.sum(mollify_h(lambda x: beta * x**2, eps2, z[:-1])) * dt
+        for eps2 in eps2_seq
+    ]
 
     rows = []
     for eps1 in eps1_seq:
         ens = simulate_lifted_perturbed(
             params, lifted_init, policy, eps1, grid, dt, n_paths, seed
         )
-        for eps2 in eps2_seq:
-            moll = MollifierConfig(eps1=eps1, eps2=eps2)
-            terminal = mollify_phi(lambda x: gamma * x, eps2, ens.y0, moll)
-            cost_vals = mollify_h(lambda x: beta * x**2, eps2, z[:-1], moll)
-            j_vals = terminal - np.sum(cost_vals) * dt
-            mean = float(np.mean(j_vals))
-            n = len(j_vals)
-            se = float(np.std(j_vals, ddof=1) / np.sqrt(n)) if n > 1 else np.nan
+        for eps2, cost in zip(eps2_seq, costs):
+            terminal = mollify_phi(lambda x: gamma * x, eps2, ens.y0)
+            mean, se = _mean_stderr(terminal - cost)
             rows.append(
                 ConvergenceRow(
                     eps1=float(eps1),

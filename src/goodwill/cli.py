@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -109,8 +110,6 @@ def build_objective(cfg: dict) -> sdde.ObjectiveSpec:
     return sdde.ObjectiveSpec(
         phi0=sdde.LinearReward(cfg["gamma"]),
         h0=sdde.QuadraticCost(cfg["beta"]),
-        growth_K=abs(cfg["gamma"]) + 1.0,
-        growth_m=1.0,
     )
 
 
@@ -277,7 +276,7 @@ def run_evaluate(cfg: dict) -> str:
     return json.dumps(
         {
             "config_hash": config_hash(cfg),
-            "mc": json.loads(est.to_json()),
+            "mc": dataclasses.asdict(est),
             "analytic_value": analytic,
         }
     ) + "\n"

@@ -90,6 +90,8 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
 
     Returns (times on [0, t_end], trajectory values).
     """
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     grid = problem.grid
     r = grid.r
     if problem.t_end == 0:

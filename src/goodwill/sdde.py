@@ -21,7 +21,6 @@ ensembles reproducible independently of how paths are scheduled.
 from __future__ import annotations
 
 import io
-import json
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -69,6 +68,8 @@ class ModelParams:
             raise ValueError(f"b0 must be >= 0, got {self.b0}")
         if self.r <= 0 or self.T <= 0:
             raise ValueError("r and T must be positive")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not 0 <= self.u_min <= self.u_max:
             raise ValueError(
                 f"need 0 <= u_min <= u_max, got [{self.u_min}, {self.u_max}]"
@@ -180,16 +181,6 @@ class MCEstimate:
     n_paths: int
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean,
-                "stderr": self.stderr,
-                "n_paths": self.n_paths,
-                "seed": self.seed,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class GapEstimate:
@@ -209,21 +200,6 @@ class LinearReward:
 
 
 @dataclass(frozen=True)
-class PowerReward:
-    """Concave power reward coeff * max(x,0)^exponent, 0 < exponent <= 1."""
-
-    coeff: float
-    exponent: float
-
-    def __post_init__(self):
-        if not 0 < self.exponent <= 1:
-            raise ValueError("exponent must lie in (0, 1]")
-
-    def __call__(self, x):
-        return self.coeff * np.maximum(x, 0.0) ** self.exponent
-
-
-@dataclass(frozen=True)
 class QuadraticCost:
     beta: float
 
@@ -232,33 +208,12 @@ class QuadraticCost:
 
 
 @dataclass(frozen=True)
-class LinearCost:
-    beta: float
-
-    def __call__(self, z):
-        return self.beta * z
-
-
-@dataclass(frozen=True)
 class ObjectiveSpec:
-    """Terminal reward phi0 and running advertising cost h0.
-
-    growth_K and growth_m bound the reward, |phi0(x)| <= K(1+|x|)^m.
-    """
+    """Terminal reward phi0 and running advertising cost h0; the paper
+    assumes polynomial growth of the reward, |phi0(x)| <= K(1+|x|)^m."""
 
     phi0: Callable
     h0: Callable
-    growth_K: float = 1.0
-    growth_m: float = 1.0
-
-    def check_growth(self, xs) -> bool:
-        xs = np.asarray(xs, dtype=float)
-        return bool(
-            np.all(
-                np.abs(self.phi0(xs))
-                <= self.growth_K * (1.0 + np.abs(xs)) ** self.growth_m + 1e-12
-            )
-        )
 
 
 # --- simulation -------------------------------------------------------------
@@ -273,6 +228,8 @@ def _check_horizon(params: ModelParams, grid: SegmentGrid):
 
 
 def _steps_of(span: float, dt: float, what: str) -> int:
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * span:
         raise ConfigurationError(f"dt={dt} does not divide {what}={span}")
@@ -401,18 +358,23 @@ def simulate_paths(
     return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error. One value carries no spread
+    information, so its stderr is NaN, never a claim of certainty (0)."""
+    n = len(values)
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return float(np.mean(values)), stderr
+
+
 def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate:
     """Per-path phi0(y(T)) minus the left-endpoint cost integral, averaged."""
     if ensemble.n_paths == 0:
         raise ConfigurationError("ensemble is empty")
     terminal = obj.phi0(ensemble.y[:, -1])
     costs = obj.h0(ensemble.z[:, :-1]).sum(axis=1) * ensemble.dt
-    values = terminal - costs  # broadcasts when z is shared across paths
-    n = ensemble.n_paths
-    mean = float(np.mean(values))
-    # one path carries no spread information: NaN, not a claim of certainty
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=n, seed=ensemble.seed)
+    # costs broadcast when z is shared across paths
+    mean, stderr = _mean_stderr(terminal - costs)
+    return MCEstimate(mean, stderr, ensemble.n_paths, ensemble.seed)
 
 
 def evaluate_policy(
@@ -423,9 +385,8 @@ def evaluate_policy(
     dt: float,
     n_paths: int,
     seed: int,
-    a1_point: float = 0.0,
 ) -> MCEstimate:
-    ens = simulate_paths(params, history, policy, dt, n_paths, seed, a1_point)
+    ens = simulate_paths(params, history, policy, dt, n_paths, seed)
     return objective_estimate(ens, obj)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from goodwill import approximation
 from goodwill.approximation import (
-    MollifierConfig,
+    BUMP_U,
+    BUMP_ZETA,
     convergence_rows_to_csv,
     convergence_study,
     mollify_h,
@@ -36,17 +38,23 @@ def make_params(**kw):
 
 
 def test_mollifier_unit_mass_and_support():
-    m = MollifierConfig(eps2=0.1)
-    assert np.trapezoid(m.zeta, m.u) == pytest.approx(1.0, abs=1e-12)
-    assert m.zeta[0] == 0.0 and m.zeta[-1] == 0.0
-    assert np.all(m.zeta >= 0)
+    assert np.trapezoid(BUMP_ZETA, BUMP_U) == pytest.approx(1.0, abs=1e-12)
+    assert BUMP_ZETA[0] == 0.0 and BUMP_ZETA[-1] == 0.0
+    assert np.all(BUMP_ZETA >= 0)
 
 
 def test_mollifier_config_validation():
     with pytest.raises(ConfigurationError):
-        MollifierConfig(eps1=-0.1, eps2=0.1)
+        simulate_lifted_perturbed(make_params(), X11, POL, -0.1, GRID11, 0.05, 1, 0)
     with pytest.raises(ConfigurationError):
-        MollifierConfig(eps2=0.0)
+        mollify_phi(np.abs, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mollify", [mollify_phi, mollify_h])
+def test_zero_eps2_is_a_config_error(mollify):
+    # checked before the truncation radius 1/eps2 is formed
+    with pytest.raises(ConfigurationError, match="eps2 must be positive"):
+        mollify(np.abs, 0.0, np.zeros(3))
 
 
 def test_mollify_phi_linear_exact_in_bulk():
@@ -65,9 +73,8 @@ def test_mollify_phi_truncates_far_field():
 
 def test_mollify_phi_abs_at_zero():
     eps = 0.3
-    m = MollifierConfig(eps2=eps)
-    got = mollify_phi(np.abs, eps, 0.0, m)[0]
-    expect = eps * np.trapezoid(np.abs(m.u) * m.zeta, m.u)
+    got = mollify_phi(np.abs, eps, 0.0)[0]
+    expect = eps * np.trapezoid(np.abs(BUMP_U) * BUMP_ZETA, BUMP_U)
     assert got == pytest.approx(expect, rel=1e-10)
     # convexity pushes the mollified value above the original
     assert got > 0.0
@@ -76,14 +83,13 @@ def test_mollify_phi_abs_at_zero():
 
 
 def test_mollify_h_constant_and_quadratic_offset():
-    m = MollifierConfig(eps2=0.2)
     x = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(
-        mollify_h(lambda v: 3.0 * np.ones_like(v), 0.2, x, m), 3.0, atol=1e-12
+        mollify_h(lambda v: 3.0 * np.ones_like(v), 0.2, x), 3.0, atol=1e-12
     )
     # (h * zeta_eps)(x) = x^2 + eps^2 * int u^2 zeta(u) du for h = x^2
-    got = mollify_h(lambda v: v**2, 0.2, x, m)
-    offset = 0.2**2 * np.trapezoid(m.u**2 * m.zeta, m.u)
+    got = mollify_h(lambda v: v**2, 0.2, x)
+    offset = 0.2**2 * np.trapezoid(BUMP_U**2 * BUMP_ZETA, BUMP_U)
     np.testing.assert_allclose(got - x**2, offset, atol=1e-10)
 
 
@@ -236,6 +242,27 @@ POL = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
 def test_grid_horizon_must_match_the_model(run):
     with pytest.raises(ConfigurationError, match="segment grid has r=1"):
         run(make_params(a1=ConstantKernel(0.5), b1=ConstantKernel(0.5)))
+
+
+def _no_noise_draw(*args):
+    raise AssertionError("noise drawn before eps1 was checked")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: simulate_lifted_perturbed(p, X11, POL, -0.1, GRID11, 0.05, 1, 0),
+        lambda p: convergence_study(
+            p, X11, POL, 1.0, 0.5, 0.0, [0.0, -0.1], [0.1], GRID11, 0.05, 2, 0
+        ),
+    ],
+    ids=["simulate_lifted_perturbed", "convergence_study"],
+)
+def test_negative_eps1_raises_before_simulating(monkeypatch, run):
+    # a negative eps1 would silently drop the rank-one perturbation
+    monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
+    with pytest.raises(ConfigurationError, match="eps1 must be non-negative"):
+        run(make_params(b1=ConstantKernel(1.0)))
 
 
 def test_lifted_blowup_is_a_numerical_failure():

@@ -155,6 +155,15 @@ def test_approx_output_table(tmp_path):
     assert len(lines) == 2 + 2
 
 
+def test_out_dash_writes_to_stdout(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["costate", "--config", path, "--out", "-"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "t,w0,c,z_star,z_memoryless"
+    assert len(lines) == 2 + 101
+
+
 # --- feedback-check -----------------------------------------------------------
 
 
@@ -201,8 +210,13 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ({"n_paths": 0}, "n_paths must be at least 1"),
         ({"amplitudes": ["a"]}, "amplitudes must be a list of numbers"),
         ({"amplitudes": 5}, "amplitudes must be a list of numbers"),
+        ({"dt": 0}, "dt must be positive"),
+        ({"sigma": -1}, "sigma must be >= 0"),
     ],
-    ids=["sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type"],
+    ids=[
+        "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
+        "dt_zero", "sigma_negative",
+    ],
 )
 def test_bad_config_is_a_one_line_config_error(tmp_path, capsys, extra, message):
     path = write_config(tmp_path, extra)

@@ -21,7 +21,13 @@ from goodwill.lifting import (
     solve_delay_ode,
     state_semigroup_apply,
 )
-from goodwill.sdde import HistoryPair, ModelParams, OpenLoop, simulate_paths
+from goodwill.sdde import (
+    ConfigurationError,
+    HistoryPair,
+    ModelParams,
+    OpenLoop,
+    simulate_paths,
+)
 
 
 def make_params(**kw):
@@ -114,6 +120,14 @@ def test_point_delay_first_interval_closed_form():
     prob = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=1.0)
     _, vals = solve_delay_ode(prob, 1e-3)
     assert vals[-1] == pytest.approx(np.exp(-1) + 0.5 * (1 - np.exp(-1)), abs=1e-6)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_delay_ode_rejects_nonpositive_step(dt):
+    grid = SegmentGrid(1.0, 51)
+    prob = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=1.0)
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        solve_delay_ode(prob, dt)
 
 
 @settings(max_examples=120, deadline=None)

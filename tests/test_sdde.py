@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +83,12 @@ def test_params_reject_bad_control_bounds():
         make_params(u_min=2.0, u_max=1.0)
     with pytest.raises(ValueError):
         make_params(u_min=-1.0)
+
+
+def test_params_reject_negative_sigma():
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        make_params(sigma=-1.0)
+    assert make_params(sigma=0.0).sigma == 0.0  # noiseless models stay valid
 
 
 def test_history_requires_matching_endpoint():
@@ -257,6 +261,14 @@ def test_step_size_errors():
         simulate_paths(p, hist, zero_policy(1.0, 0.3), 0.3, 1, 0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_nonpositive_dt_is_a_config_error(dt):
+    # dt = 0 used to divide by zero, a negative dt to "not divide T"
+    hist = make_history(GRID)
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        simulate_paths(make_params(), hist, zero_policy(1.0, 0.01), dt, 1, 0)
+
+
 def test_blowup_error_names_the_step():
     p = make_params(a0=0.0, b0=1.0, u_max=np.inf)
     hist = make_history(GRID)
@@ -300,15 +312,6 @@ def test_objective_constant_control_exact():
     obj = ObjectiveSpec(phi0=LinearReward(1.5), h0=QuadraticCost(0.5))
     est = objective_estimate(ens, obj)
     assert est.mean == pytest.approx(1.5 * 2.0 - 0.5 * 9.0 * 1.0, abs=1e-10)
-
-
-def test_growth_bound_check():
-    obj = ObjectiveSpec(phi0=LinearReward(2.0), h0=QuadraticCost(1.0),
-                        growth_K=2.0, growth_m=1.0)
-    assert obj.check_growth(np.linspace(-100, 100, 201))
-    tight = ObjectiveSpec(phi0=LinearReward(2.0), h0=QuadraticCost(1.0),
-                          growth_K=0.5, growth_m=1.0)
-    assert not tight.check_growth([10.0])
 
 
 # --- Monte Carlo behaviour ----------------------------------------------------
@@ -467,13 +470,3 @@ def test_ensemble_csv_layout():
     assert len(lines) == 1 + 2 * 5  # 2 paths x (T/dt + 1) rows
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
-
-
-def test_mc_estimate_json():
-    est = MCEstimate(mean=1.5, stderr=0.1, n_paths=100, seed=7)
-    assert json.loads(est.to_json()) == {
-        "mean": 1.5,
-        "stderr": 0.1,
-        "n_paths": 100,
-        "seed": 7,
-    }
