@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -276,7 +275,10 @@ def run_evaluate(cfg: dict) -> str:
     return json.dumps(
         {
             "config_hash": config_hash(cfg),
-            "mc": dataclasses.asdict(est),
+            "mc": {
+                "mean": est.mean, "stderr": est.stderr,
+                "n_paths": est.n_paths, "seed": est.seed,
+            },
             "analytic_value": analytic,
         }
     ) + "\n"

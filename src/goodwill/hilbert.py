@@ -190,8 +190,8 @@ class DelaySum:
         dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m)
 
     is kept as the raw sum H = sum_{j<m} a_j x_j of the m past samples;
-    the caller supplies the newest sample x_m to `at`, so a predictor may
-    stand in for it. When the node values have a fixed ratio
+    the caller supplies the newest sample x_m to `ends`, so a predictor
+    may stand in for it. When the node values have a fixed ratio
     rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
     1 for a constant one), moving the window one step on costs O(1):
 
@@ -199,7 +199,10 @@ class DelaySum:
 
     (the linear-chain recursion, with a tail term because the window is
     finite). A sampled kernel has no such ratio and re-sums its window.
-    Samples may be arrays (one entry per path) or scalars.
+    Samples may be arrays (one entry per path) or scalars. The end terms
+    a_0 x_0 and a_m x_m come from `ends` and are shared by `at` and
+    `slide`; given `out` buffers, `ends`, `at` and the recursion fill
+    them in place.
     """
 
     def __init__(self, kernel: Kernel, values: np.ndarray, dt: float):
@@ -214,21 +217,59 @@ class DelaySum:
         else:
             self.rho = None
 
-    def start(self, past):
+    def start(self, past, out=None):
         """H of a window whose m past samples are the rows of `past`
-        (oldest first); a 2-D past gives one H per column (per path)."""
-        return self.values[:-1] @ past
+        (oldest first); a 2-D past gives one H per column (per path).
 
-    def at(self, h, oldest, newest):
+        Each column is summed in lag order, so a path's H does not depend
+        on how many columns share the call: a BLAS gemv regroups its sums
+        by the column count, and einsum sums a lone column as a SIMD dot,
+        so that column goes through a running sum instead.
+        """
+        head = self.values[:-1]
+        if past.ndim == 1:
+            return head @ past
+        if out is None:
+            out = np.empty(past.shape[1])
+        if past.shape[1] == 1:
+            out[0] = np.cumsum(head * past[:, 0])[-1]
+        else:
+            np.einsum("j,ji->i", head, past, out=out)
+        return out
+
+    def ends(self, oldest, newest, out=None):
+        """The end terms (a_0 x_0, a_m x_m) of the window from its oldest
+        sample x_0 and its newest x_m; `out` is a pair of arrays or None."""
+        if out is None:
+            return self.first * oldest, self.last * newest
+        np.multiply(oldest, self.first, out=out[0])
+        np.multiply(newest, self.last, out=out[1])
+        return out
+
+    def at(self, h, ends, out=None):
         """The trapezoid sum of the window with raw past sum h."""
-        return self.dt * (h + 0.5 * (self.last * newest - self.first * oldest))
+        first, last = ends
+        if out is None:
+            return self.dt * (h + 0.5 * (last - first))
+        np.subtract(last, first, out=out)
+        out *= 0.5
+        out += h
+        out *= self.dt
+        return out
 
-    def slide(self, h, oldest, newest, past):
-        """H one step on: `oldest` leaves the window and `newest` joins its
-        past; `past` is the new window's past, read only without a ratio."""
+    def slide(self, h, ends, past, out=None):
+        """H one step on: the window's oldest sample leaves it and its
+        newest joins its past; `past` is the new window's past, read only
+        without a ratio. `out` may be h itself."""
         if self.rho is None:
-            return self.start(past)
-        return self.rho * (h - self.first * oldest + self.last * newest)
+            return self.start(past, out)
+        first, last = ends
+        if out is None:
+            return self.rho * (h - first + last)
+        np.subtract(h, first, out=out)
+        out += last
+        out *= self.rho
+        return out
 
 
 def kernel_to_json(k: Kernel) -> str:

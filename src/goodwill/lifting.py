@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Kernel, ProfileX, SegmentGrid, kernel_eval
-from .sdde import BlowupError, ConfigurationError, ModelParams, _check_horizon
+from .sdde import (
+    BlowupError,
+    ConfigurationError,
+    ModelParams,
+    _check_horizon,
+    check_step_count,
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,7 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    check_step_count(problem.t_end / dt, "t_end")
     grid = problem.grid
     r = grid.r
     if problem.t_end == 0:

@@ -130,7 +130,7 @@ def solve_costate(
     def wprime(k: int, h: float, wk: float) -> float:
         if not has_a1:
             return -params.a0 * wk
-        return -params.a0 * wk - (sum_a.at(h, w(k + m), wk) - cut_a(k))
+        return -params.a0 * wk - (sum_a.at(h, sum_a.ends(w(k + m), wk)) - cut_a(k))
 
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +139,8 @@ def solve_costate(
             f1 = wprime(k + 1, h, w(k + 1))
             pred = w(k + 1) - dt * f1
             if has_a1:
-                h = sum_a.slide(h, w(k + m + 1), w(k + 1), w0ext[k + m : k : -1])
+                ends = sum_a.ends(w(k + m + 1), w(k + 1))
+                h = sum_a.slide(h, ends, w0ext[k + m : k : -1])
             f2 = wprime(k, h, pred)
             w0ext[k] = w(k + 1) - dt / 2 * (f1 + f2)
         w0 = w0ext[: n + 1].copy()
@@ -152,9 +153,10 @@ def solve_costate(
             pairing = np.empty(n + 1)
             h = 0.0
             for k in range(n, -1, -1):
-                pairing[k] = sum_b.at(h, w(k + m), w(k))
+                ends = sum_b.ends(w(k + m), w(k))
+                pairing[k] = sum_b.at(h, ends)
                 if k:
-                    h = sum_b.slide(h, w(k + m), w(k), w0ext[k + m - 1 : k - 1 : -1])
+                    h = sum_b.slide(h, ends, w0ext[k + m - 1 : k - 1 : -1])
             bw = bw + pairing - cutoff(b1v)
         _check_finite(bw, t, "<B, w>")
 

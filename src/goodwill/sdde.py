@@ -13,16 +13,27 @@ a1 state window and the b1 control window in O(1) per step; a sampled
 kernel is re-summed over its m+1 samples. The two agree to 1e-12
 relative (tests compare them). Open-loop and feedback policies share one
 step loop over time-major paths (one row per step); an open-loop
-control is one number per step, shared by every path. Each path draws
-its noise from a Philox stream keyed by (seed, path index), which makes
-ensembles reproducible independently of how paths are scheduled.
+control is one number per step, shared by every path. The loop fills
+preallocated per-path buffers in place; only a feedback policy's
+control and its clip count make per-step arrays.
+Each path draws its noise from a Philox stream keyed by (seed, path
+index), and every per-path sum runs in an order that does not depend on
+how many paths share an array, so a path's result is bit-identical
+whatever the path count, blocking or scheduling.
+
+evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
+only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
+for m = r/dt and steps = T/dt, whatever the path count. A feedback
+policy's control_fn is then called on one block of states at a time, so
+it must act path-wise: the control of a path may depend on that path's
+state only.
 """
 
 from __future__ import annotations
 
 import io
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,6 +48,11 @@ from .hilbert import (
 )
 
 BLOWUP_LIMIT = 1e12
+# evaluate_policy simulates this many paths at a time
+PATH_BLOCK = 2048
+# the most time steps any solver takes over one span (T or r); checked
+# before anything is allocated
+MAX_STEPS = 10**7
 
 
 class ConfigurationError(ValueError):
@@ -129,7 +145,10 @@ class Memoryless:
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
-    """State feedback z = control_fn(t, y); y is the per-path state array."""
+    """State feedback z = control_fn(t, y); y is the per-path state array.
+
+    control_fn must act path-wise (entry i of z from entry i of y alone):
+    evaluate_policy calls it on one block of paths at a time."""
 
     control_fn: Callable[[float, np.ndarray], np.ndarray]
 
@@ -154,7 +173,7 @@ def open_loop_controls(
 class PathEnsemble:
     t: np.ndarray
     y: np.ndarray  # (n_paths, steps+1)
-    z: np.ndarray  # (n_paths, steps+1) or (1, steps+1) when shared
+    z: np.ndarray  # (n_paths, steps+1), or (steps+1,) when shared by all paths
     dt: float
     seed: int
     clip_count: int = 0
@@ -166,9 +185,9 @@ class PathEnsemble:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("path_id,t,y,z\n")
-        shared = self.z.shape[0] == 1
+        shared = self.z.ndim == 1
         for p in range(self.n_paths):
-            zrow = self.z[0] if shared else self.z[p]
+            zrow = self.z if shared else self.z[p]
             for k, tk in enumerate(self.t):
                 buf.write(f"{p},{tk:.10g},{self.y[p, k]:.10g},{zrow[k]:.10g}\n")
         return buf.getvalue()
@@ -180,6 +199,8 @@ class MCEstimate:
     stderr: float
     n_paths: int
     seed: int
+    # the objective of each path, in path order
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -227,9 +248,19 @@ def _check_horizon(params: ModelParams, grid: SegmentGrid):
         )
 
 
+def check_step_count(steps: float, what: str):
+    """Raise ConfigurationError unless steps (a span over dt) is at most
+    MAX_STEPS; a NaN or infinite count fails too."""
+    if not steps <= MAX_STEPS:
+        raise ConfigurationError(
+            f"{what}/dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS:.0e}"
+        )
+
+
 def _steps_of(span: float, dt: float, what: str) -> int:
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    check_step_count(span / dt, what)
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * span:
         raise ConfigurationError(f"dt={dt} does not divide {what}={span}")
@@ -271,15 +302,20 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     a1_point: float = 0.0,
+    first_path: int = 0,
 ) -> PathEnsemble:
     """Explicit Euler-Maruyama over [0, T] for n_paths independent paths.
 
     a1_point adds a discrete lag term a1_point * y(t - r) to the drift,
     used by the state-delay-only model where the forgetting distribution
-    is concentrated on a point.
+    is concentrated on a point. The paths are numbered from first_path:
+    path p draws the noise substream (seed, p), so the paths s.. of one
+    run equal the rows s.. of a larger run.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
+    if first_path < 0:
+        raise ConfigurationError(f"first_path must be >= 0, got {first_path}")
     if dt > params.r or dt > params.T:
         raise ConfigurationError("dt must not exceed r or T")
     _check_horizon(params, history.grid)
@@ -316,45 +352,60 @@ def simulate_paths(
         clip_count = int(np.count_nonzero(clipped != z_open))
         z_pad = np.concatenate([hist_z[:m], clipped])
 
+    # noise scaled once: column k holds sigma*dW of every path at step k
     noise = np.empty((n_paths, steps))
     for p in range(n_paths):
-        noise[p] = path_normals(seed, p, steps)
-    sig = params.sigma * np.sqrt(dt)
+        noise[p] = path_normals(seed, first_path + p, steps)
+    noise *= params.sigma * np.sqrt(dt)
 
+    # per-step buffers, filled in place; the control terms of an open-loop
+    # policy are scalars, shared by every path
+    drift, term = np.empty(n_paths), np.empty(n_paths)
+    zterm = term if feedback else None
     if sum_a is not None:
         ha = sum_a.start(y_pad[:m])
+        ends_a = (np.empty(n_paths), np.empty(n_paths))
     if sum_b is not None:
         hb = sum_b.start(z_pad[:m])
+        ends_b = (np.empty(n_paths), np.empty(n_paths)) if feedback else None
+        hb_out = hb if feedback else None
     for k in range(steps + 1):
         ycur = y_pad[m + k]
         if feedback:
             zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
             zk = np.broadcast_to(zk, (n_paths,))
-            z_pad[m + k] = np.clip(zk, params.u_min, params.u_max)
+            np.clip(zk, params.u_min, params.u_max, out=z_pad[m + k])
             clip_count += int(np.count_nonzero(z_pad[m + k] != zk))
         if k == steps:
             break  # the terminal control is stored, never used in a drift
         zcur = z_pad[m + k]
-        drift = params.a0 * ycur
+        np.multiply(ycur, params.a0, out=drift)
         if sum_a is not None:
-            drift = drift + sum_a.at(ha, y_pad[k], ycur)
+            sum_a.ends(y_pad[k], ycur, out=ends_a)
+            drift += sum_a.at(ha, ends_a, out=term)
         if a1_point != 0.0:
-            drift = drift + a1_point * y_pad[k]
-        drift = drift + params.b0 * zcur
+            drift += np.multiply(y_pad[k], a1_point, out=term)
+        drift += np.multiply(zcur, params.b0, out=zterm)
         if sum_b is not None:
-            drift = drift + sum_b.at(hb, z_pad[k], zcur)
-            hb = sum_b.slide(hb, z_pad[k], zcur, z_pad[k + 1 : k + m + 1])
-        ynew = ycur + drift * dt + sig * noise[:, k]
-        if not np.all(np.isfinite(ynew)) or np.max(np.abs(ynew)) > BLOWUP_LIMIT:
+            eb = sum_b.ends(z_pad[k], zcur, out=ends_b)
+            drift += sum_b.at(hb, eb, out=zterm)
+            hb = sum_b.slide(hb, eb, z_pad[k + 1 : k + m + 1], out=hb_out)
+        ynew = y_pad[m + k + 1]
+        drift *= dt
+        np.add(ycur, drift, out=ynew)
+        ynew += noise[:, k]
+        # maximum propagates NaN, so this also catches a non-finite state
+        if not np.maximum.reduce(np.abs(ynew, out=term)) <= BLOWUP_LIMIT:
             bad = int(np.argmax(~np.isfinite(ynew) | (np.abs(ynew) > BLOWUP_LIMIT)))
             raise BlowupError(
-                f"path {bad} left the finite range at step {k + 1} (t={t[k + 1]:g})"
+                f"path {first_path + bad} left the finite range at step {k + 1} "
+                f"(t={t[k + 1]:g})"
             )
-        y_pad[m + k + 1] = ynew
         if sum_a is not None:
-            ha = sum_a.slide(ha, y_pad[k], ycur, y_pad[k + 1 : k + m + 1])
+            sum_a.slide(ha, ends_a, y_pad[k + 1 : k + m + 1], out=ha)
 
-    y, z = y_pad[m:].T, np.atleast_2d(z_pad[m:].T)
+    y = y_pad[m:].T
+    z = z_pad[m:].T if feedback else z_pad[m:]
     return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
@@ -371,10 +422,16 @@ def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate
     if ensemble.n_paths == 0:
         raise ConfigurationError("ensemble is empty")
     terminal = obj.phi0(ensemble.y[:, -1])
-    costs = obj.h0(ensemble.z[:, :-1]).sum(axis=1) * ensemble.dt
-    # costs broadcast when z is shared across paths
-    mean, stderr = _mean_stderr(terminal - costs)
-    return MCEstimate(mean, stderr, ensemble.n_paths, ensemble.seed)
+    cost = obj.h0(ensemble.z[..., :-1])
+    if cost.ndim == 1:  # one control shared by every path
+        cost = cost.sum()
+    else:
+        # a running sum adds each path's costs in time order whatever the
+        # path count; a plain sum is pairwise for one path only
+        cost = np.cumsum(cost, axis=1)[:, -1]
+    values = terminal - cost * ensemble.dt
+    mean, stderr = _mean_stderr(values)
+    return MCEstimate(mean, stderr, ensemble.n_paths, ensemble.seed, values)
 
 
 def evaluate_policy(
@@ -386,8 +443,23 @@ def evaluate_policy(
     n_paths: int,
     seed: int,
 ) -> MCEstimate:
-    ens = simulate_paths(params, history, policy, dt, n_paths, seed)
-    return objective_estimate(ens, obj)
+    """objective_estimate over n_paths paths, simulated PATH_BLOCK at a time.
+
+    Only each path's objective outlives its block, so memory is
+    O(PATH_BLOCK * (m + steps)) whatever n_paths is. The mean and stderr
+    come from the whole per-path vector, so they equal those of a single
+    simulate_paths over every path, bit for bit.
+    """
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
+    values = np.empty(n_paths)
+    for first in range(0, n_paths, PATH_BLOCK):
+        n = min(PATH_BLOCK, n_paths - first)
+        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
+        values[first : first + n] = objective_estimate(ens, obj).values
+        del ens  # free the block before the next one is built
+    mean, stderr = _mean_stderr(values)
+    return MCEstimate(mean, stderr, n_paths, seed, values)
 
 
 def relative_gap(v_opt: MCEstimate, v_base: MCEstimate) -> GapEstimate:

@@ -212,10 +212,13 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ({"amplitudes": 5}, "amplitudes must be a list of numbers"),
         ({"dt": 0}, "dt must be positive"),
         ({"sigma": -1}, "sigma must be >= 0"),
+        # step counts past the ceiling fail before any array is allocated
+        ({"T": 1e9}, "T/dt = 1e+11 steps exceeds the limit"),
+        ({"dt": 1e-300}, "T/dt = 1e+300 steps exceeds the limit"),
     ],
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
-        "dt_zero", "sigma_negative",
+        "dt_zero", "sigma_negative", "T_huge", "dt_tiny",
     ],
 )
 def test_bad_config_is_a_one_line_config_error(tmp_path, capsys, extra, message):

@@ -130,6 +130,15 @@ def test_delay_ode_rejects_nonpositive_step(dt):
         solve_delay_ode(prob, dt)
 
 
+@pytest.mark.parametrize("dt", [1e-8, 5e-324])
+def test_delay_ode_rejects_too_many_steps(dt):
+    # 1e8 steps, and a step count that overflows to inf
+    grid = SegmentGrid(1.0, 51)
+    prob = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=1.0)
+    with pytest.raises(ConfigurationError, match="steps exceeds the limit"):
+        solve_delay_ode(prob, dt)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 def test_point_delay_positivity(seed, a1s, a0mag):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from goodwill import lq, sdde
 
 from goodwill.hilbert import (
     ConstantKernel,
@@ -11,6 +15,7 @@ from goodwill.hilbert import (
     kernel_eval,
 )
 from goodwill.sdde import (
+    PATH_BLOCK,
     BlowupError,
     ConfigurationError,
     FeedbackPolicy,
@@ -269,6 +274,17 @@ def test_nonpositive_dt_is_a_config_error(dt):
         simulate_paths(make_params(), hist, zero_policy(1.0, 0.01), dt, 1, 0)
 
 
+@pytest.mark.parametrize("dt, T", [(1e-300, 1.0), (5e-324, 1.0), (1e-3, 1e9)])
+def test_step_count_ceiling_is_a_config_error(dt, T):
+    # checked before any array is sized by the step count; 5e-324 makes
+    # T/dt overflow to inf, which round() cannot convert
+    hist = make_history(GRID)
+    with pytest.raises(ConfigurationError, match="steps exceeds the limit"):
+        simulate_paths(make_params(T=T), hist, zero_policy(1.0, 0.01), dt, 1, 0)
+    with pytest.raises(ConfigurationError, match="steps exceeds the limit"):
+        lq.solve_costate(make_params(T=T), 1.0, 0.5, dt)
+
+
 def test_blowup_error_names_the_step():
     p = make_params(a0=0.0, b0=1.0, u_max=np.inf)
     hist = make_history(GRID)
@@ -344,9 +360,121 @@ def test_path_normals_match_fresh_philox_generators():
                 assert np.array_equal(path_normals(seed, path, shape), want)
 
 
+# --- path blocks and path-count stability -----------------------------------
+
+
+# the kernels of each case: exponential (O(1) recursion), sampled (window
+# re-summed every step) and a feedback policy with a sampled b1 (one
+# control per path, so the b1 window is per path too)
+BLOCK_CASES = {
+    "exponential": (ExponentialKernel(-2.0, 0.2), ExponentialKernel(3.0, 0.5), None),
+    "sampled": (
+        SampledKernel(-np.linspace(0.5, 2.0, 7)),
+        SampledKernel([0.2, 1.0, 0.4, 2.0]),
+        None,
+    ),
+    "feedback": (
+        ExponentialKernel(-2.0, 0.2),
+        SampledKernel([0.2, 1.0, 0.4, 2.0]),
+        FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
+    ),
+}
+BLOCK_HISTORY = HistoryPair(
+    grid=GRID, x0=2.0, x1=2.0 * np.exp(GRID.nodes), delta=0.5 + 0.1 * GRID.nodes,
+)
+BLOCK_DT = 0.01
+
+
+def _block_setup(case):
+    a1, b1, policy = BLOCK_CASES[case]
+    p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5)
+    if policy is None:
+        policy = _open_loop_wave(p.T, BLOCK_DT)
+    return p, policy
+
+
+@pytest.mark.parametrize("n_paths", [PATH_BLOCK + 1, 2 * PATH_BLOCK + 3])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_evaluate_blocks_equal_one_pass(case, n_paths):
+    # blocks of PATH_BLOCK paths (the last one may hold a single path)
+    # give every path's objective, the mean and the stderr bit for bit
+    p, policy = _block_setup(case)
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    blocked = evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, n_paths, 11)
+    ens = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 11)
+    one = objective_estimate(ens, obj)
+    np.testing.assert_array_equal(blocked.values, one.values)
+    assert (blocked.mean, blocked.stderr) == (one.mean, one.stderr)
+    assert blocked == one  # the per-path values take no part in equality
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_first_path_rows_match_a_larger_run(case):
+    p, policy = _block_setup(case)
+    big = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, 16, 4)
+    for first, n in ((5, 3), (15, 1), (0, 2)):
+        part = simulate_paths(
+            p, BLOCK_HISTORY, policy, BLOCK_DT, n, 4, first_path=first
+        )
+        np.testing.assert_array_equal(part.y, big.y[first : first + n])
+        if part.z.ndim == 2:
+            np.testing.assert_array_equal(part.z, big.z[first : first + n])
+
+
+@pytest.mark.parametrize("small, large", [(3, 64), (5, 512), (1, 9), (2, 9)])
+@pytest.mark.parametrize("case", ["sampled", "feedback"])
+def test_path_count_stable_with_sampled_kernels(case, small, large):
+    # a sampled kernel re-sums its window for every path at every step;
+    # that sum must not depend on how many paths share the array
+    p, policy = _block_setup(case)
+    a = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, small, 7)
+    b = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, large, 7)
+    np.testing.assert_array_equal(a.y, b.y[:small])
+
+
+def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
+    # one path of the second block gets a huge shock at its 4th step
+    target = PATH_BLOCK + 7
+    normals = sdde.path_normals
+
+    def shocked(seed, path_index, shape):
+        out = normals(seed, path_index, shape)
+        if path_index == target:
+            out[3] = 1e15
+        return out
+
+    monkeypatch.setattr(sdde, "path_normals", shocked)
+    p, policy = _block_setup("exponential")
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    with pytest.raises(BlowupError, match=rf"^path {target} .* at step 4 "):
+        evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 10, 2)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_peak_memory_does_not_grow_with_paths():
+    # sizes, not timing: the peak is set by one block, not by the path count
+    p, policy = _block_setup("exponential")
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    dt = 0.01  # 100 steps and a 50-step window make the block dominate
+
+    def peak(n_paths):
+        return _peak_bytes(
+            lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, n_paths, 1)
+        )
+
+    assert peak(8 * PATH_BLOCK) <= 1.2 * peak(2 * PATH_BLOCK)
+
+
 def test_memoryless_equals_lq_without_delay():
     # with a1 = b1 = 0 the two policies are the same function of t
-    from goodwill import lq
 
     p = make_params(a0=-0.5, sigma=0.3)
     hist = make_history(GRID)
