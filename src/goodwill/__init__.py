@@ -2,10 +2,10 @@
 
 Goodwill dynamics with delayed carryover in both the state and the
 control, simulated directly as an SDDE and through its lifting to
-R x L2([-r, 0]); closed-form linear-quadratic policies via a backward
-costate sweep; Monte Carlo policy evaluation with common random
-numbers; feedback maps for the state-delay-only model; and the
-regularization schemes used in the approximation study.
+R x L2([-r, 0]); closed-form linear-quadratic policies via the costate,
+solved as the e1 trajectory run backward; Monte Carlo policy evaluation
+with common random numbers; feedback maps for the state-delay-only
+model; and the regularization schemes used in the approximation study.
 """
 
 from .hilbert import (

@@ -69,6 +69,10 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+    # the seed keys the Philox streams as a uint64: this range maps onto
+    # the keys one to one, and a larger seed would alias, warn or overflow
+    if "seed" in cfg and not -(2**63) <= cfg["seed"] < 2**63:
+        raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {cfg['seed']}")
     return cfg
 
 
@@ -174,6 +178,11 @@ def run_fig2(cfg: dict, axis: str) -> str:
     """Relative performance gap of the memoryless policy vs churn amplitude."""
     if axis not in ("a1_amplitude", "b1_amplitude"):
         raise ConfigurationError(f"unknown axis {axis!r}")
+    if cfg["gamma"] == 0:
+        raise ConfigurationError(
+            "fig2 needs gamma != 0: the gap is relative to the optimal value, "
+            "which is 0 at gamma = 0"
+        )
     amplitudes = cfg.get("amplitudes")
     if amplitudes is None:
         amplitudes = (

@@ -5,8 +5,9 @@ uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
 grid. Delay kernels (zero / constant / exponential / sampled) live here
 too: each is a function of the lag on [-r, 0], evaluated given only the
 horizon r, whatever grid the caller samples it on. With them come
-DelaySum, their trapezoid sum over a window that slides one time step
-at a time, and the partial order used by the monotonicity checks.
+DelayWindow, their trapezoid sum over a window that slides one time step
+at a time (the delay terms of the simulator and of the costate solve),
+and the partial order used by the monotonicity checks.
 """
 
 from __future__ import annotations
@@ -181,95 +182,99 @@ def check_kernel_nonneg(k: Kernel, name: str):
         raise ValueError(f"{name} must be non-negative at every node")
 
 
-class DelaySum:
-    """Trapezoid sum of a kernel against samples one time step apart.
+class DelayWindow:
+    """Trapezoid sum of a kernel over a window that slides along samples
+    one time step apart.
 
-    The window at a step holds the samples x_0..x_m at the lags
-    xi_j = -r + j*dt, and `values` are a(xi_j). The sum
+    `samples` is time-major: rows k..k+m form the window at step k, row
+    k + j sitting at the lag xi_j = -r + j*dt, and `values` are a(xi_j).
+    The sum at step k is
 
-        dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m)
+        dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m),
 
-    is kept as the raw sum H = sum_{j<m} a_j x_j of the m past samples;
-    the caller supplies the newest sample x_m to `ends`, so a predictor
-    may stand in for it. When the node values have a fixed ratio
+    kept as the raw sum h = sum_{j<m} a_j x_j of the m past rows; the
+    caller passes the newest sample x_m to `sum`, so a predictor may stand
+    in for row k + m. When the node values have a fixed ratio
     rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
-    1 for a constant one), moving the window one step on costs O(1):
+    1 for a constant one), `advance` moves the window on in O(1):
 
-        H' = rho * (H - a_0 x_0 + a_m x_m)
+        h' = rho * (h - a_0 x_0 + a_m x_m)
 
     (the linear-chain recursion, with a tail term because the window is
-    finite). A sampled kernel has no such ratio and re-sums its window.
-    Samples may be arrays (one entry per path) or scalars. The end terms
-    a_0 x_0 and a_m x_m come from `ends` and are shared by `at` and
-    `slide`; given `out` buffers, `ends`, `at` and the recursion fill
-    them in place.
+    finite), from the end terms of the last `sum`. A sampled kernel has
+    no such ratio and re-sums its window in lag order.
+
+    A 1-d sample array is summed in Python floats. A 2-d array holds one
+    column per path and is summed in place, each column in lag order, so
+    a path's sums do not depend on how many columns share the array: a
+    BLAS gemv regroups its sums by the column count, and einsum sums a
+    lone column as a SIMD dot, so that column goes through a running sum
+    instead. `sum` then returns a buffer that the next `sum` overwrites.
+    The rows the window reads must be filled before it reaches them; the
+    m past rows of step 0 are summed at construction.
     """
 
-    def __init__(self, kernel: Kernel, values: np.ndarray, dt: float):
-        self.values = np.asarray(values, dtype=float)
+    def __init__(
+        self, kernel: Kernel, values: np.ndarray, dt: float, samples: np.ndarray
+    ):
+        values = np.asarray(values, dtype=float)
+        self.head = values[:-1]
+        self.first = float(values[0])
+        self.last = float(values[-1])
+        self.m = len(values) - 1
         self.dt = dt
-        self.first = float(self.values[0])
-        self.last = float(self.values[-1])
+        self.samples = samples
         if isinstance(kernel, ExponentialKernel):
             self.rho = float(np.exp(-dt / kernel.decay_scale))
         elif isinstance(kernel, ConstantKernel):
             self.rho = 1.0
         else:
             self.rho = None
+        self.columns = samples.ndim == 2
+        if self.columns:
+            n = samples.shape[1]
+            self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
+        self._resum(0)
 
-    def start(self, past, out=None):
-        """H of a window whose m past samples are the rows of `past`
-        (oldest first); a 2-D past gives one H per column (per path).
-
-        Each column is summed in lag order, so a path's H does not depend
-        on how many columns share the call: a BLAS gemv regroups its sums
-        by the column count, and einsum sums a lone column as a SIMD dot,
-        so that column goes through a running sum instead.
-        """
-        head = self.values[:-1]
-        if past.ndim == 1:
-            return head @ past
-        if out is None:
-            out = np.empty(past.shape[1])
-        if past.shape[1] == 1:
-            out[0] = np.cumsum(head * past[:, 0])[-1]
+    def _resum(self, k: int):
+        """h of the window at step k, summed over its past rows."""
+        past = self.samples[k : k + self.m]
+        if not self.columns:
+            self.h = float(self.head @ past)
+        elif past.shape[1] == 1:
+            self.h[0] = np.cumsum(self.head * past[:, 0])[-1]
         else:
-            np.einsum("j,ji->i", head, past, out=out)
-        return out
+            np.einsum("j,ji->i", self.head, past, out=self.h)
 
-    def ends(self, oldest, newest, out=None):
-        """The end terms (a_0 x_0, a_m x_m) of the window from its oldest
-        sample x_0 and its newest x_m; `out` is a pair of arrays or None."""
-        if out is None:
-            return self.first * oldest, self.last * newest
-        np.multiply(oldest, self.first, out=out[0])
-        np.multiply(newest, self.last, out=out[1])
-        return out
-
-    def at(self, h, ends, out=None):
-        """The trapezoid sum of the window with raw past sum h."""
-        first, last = ends
-        if out is None:
-            return self.dt * (h + 0.5 * (last - first))
-        np.subtract(last, first, out=out)
+    def sum(self, k: int, newest):
+        """The trapezoid sum of the window at step k, whose newest sample
+        is `newest`; its end terms are kept for `advance`."""
+        if not self.columns:
+            self.e0 = self.first * self.samples.item(k)
+            self.e1 = self.last * newest
+            return self.dt * (self.h + 0.5 * (self.e1 - self.e0))
+        out = self.out
+        np.multiply(self.samples[k], self.first, out=self.e0)
+        np.multiply(newest, self.last, out=self.e1)
+        np.subtract(self.e1, self.e0, out=out)
         out *= 0.5
-        out += h
+        out += self.h
         out *= self.dt
         return out
 
-    def slide(self, h, ends, past, out=None):
-        """H one step on: the window's oldest sample leaves it and its
-        newest joins its past; `past` is the new window's past, read only
-        without a ratio. `out` may be h itself."""
+    def advance(self, k: int):
+        """Move the window from step k to step k + 1: the oldest sample
+        leaves it and the newest given to the last `sum` joins its past,
+        so that sample must by now be row k + m (a sampled kernel reads it
+        from there)."""
         if self.rho is None:
-            return self.start(past, out)
-        first, last = ends
-        if out is None:
-            return self.rho * (h - first + last)
-        np.subtract(h, first, out=out)
-        out += last
-        out *= self.rho
-        return out
+            self._resum(k + 1)
+        elif not self.columns:
+            self.h = self.rho * (self.h - self.e0 + self.e1)
+        else:
+            np.subtract(self.h, self.e0, out=self.h)
+            self.h += self.e1
+            self.h *= self.rho
 
 
 def kernel_to_json(k: Kernel) -> str:

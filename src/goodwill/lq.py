@@ -1,19 +1,22 @@
 """Closed-form linear-reward / quadratic-cost optimal control.
 
 The value function is v(t,x) = <w(t), x> + c(t), where the costate
-w = (w0, w1) solves an advanced ODE integrated backward from
-w0(T) = gamma, w1 is the shifted read-off w1(t,xi) = w0(t-xi) on [0,T],
-and c accumulates the squared positive part of <B, w>. From the costate
-we obtain the optimal open-loop policy, the memoryless baseline, the
-mean and variance of the optimal trajectory, and the sensitivity of the
-value with respect to the delay horizon.
+w = (w0, w1) solves an advanced ODE ending at w0(T) = gamma, w1 is the
+shifted read-off w1(t,xi) = w0(t-xi) on [0,T] (zero beyond T), and c
+accumulates the squared positive part of <B, w>. The costate is the e1
+trajectory phi (the state's delay equation from phi(0) = 1 over a zero
+history) run backward: w0(t) = gamma * phi(T - t), so solve_costate
+integrates gamma * phi forward. From the costate we obtain the
+optimal open-loop policy, the memoryless baseline, the mean and variance
+of the optimal trajectory, and the sensitivity of the value with respect
+to the delay horizon.
 
-The backward sweep and the pairing <B, w> are trapezoid sums over a
-window of m+1 costate samples; for exponential and constant kernels
-they are updated in O(1) per step by the recursion of hilbert.DelaySum,
-and a sampled kernel is re-summed over its window. The two agree to
-1e-12 relative over 1e5 steps (tests compare them). A costate that
-leaves the finite range raises sdde.BlowupError.
+The delay integral of the forward solve and the pairing <B, w> are
+trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi; for
+exponential and constant kernels they are updated in O(1) per step, and
+a sampled kernel is re-summed over its window. The two agree to 1e-12
+relative over 1e5 steps (tests compare them). A costate that leaves the
+finite range raises sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .hilbert import (
     ConstantKernel,
-    DelaySum,
+    DelayWindow,
     DomainError,
     ProfileX,
     SegmentGrid,
@@ -47,7 +50,7 @@ from .sdde import (
 
 @dataclass(frozen=True)
 class CostateSolution:
-    """Backward-swept costate w0, running constant c, and <B, w> samples."""
+    """Costate w0, running constant c, and <B, w> samples on [0, T]."""
 
     t: np.ndarray
     w0: np.ndarray
@@ -63,11 +66,6 @@ class CostateSolution:
 
     def w0_at(self, t) -> float:
         return np.interp(t, self.t, self.w0)
-
-    def w1_at(self, t, xi):
-        """w1(t, xi) = w0(t - xi) when t - xi <= T, else 0."""
-        arg = np.asarray(t) - np.asarray(xi)
-        return np.where(arg <= self.T + 1e-12, np.interp(arg, self.t, self.w0), 0.0)
 
     def c_at(self, t) -> float:
         return np.interp(t, self.t, self.c)
@@ -87,11 +85,15 @@ class CostateSolution:
 def solve_costate(
     params: ModelParams, gamma: float, beta: float, dt: float
 ) -> CostateSolution:
-    """Integrate the advanced costate ODE backward from w0(T) = gamma.
+    """The costate w0(t) = gamma * phi(T - t), from the e1 trajectory phi.
 
-    Heun predictor-corrector; at time t the delay integral reads w0 at
-    arguments t - xi in [t, t + r], all already available during the
-    backward sweep (zero beyond T).
+    gamma * phi solves the delay equation
+    x' = a0 x + int a1(xi) x(u + xi) dxi forward from gamma over a zero
+    history, by Heun's predictor-corrector on the layout of
+    sdde.simulate_paths: m history rows, then one row per step, with the
+    delay integral a trapezoid DelayWindow over the rows. <B, w> is a
+    second window over the same rows, and c accumulates the squared
+    positive part of <B, w> from c(T) = 0.
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -101,70 +103,60 @@ def solve_costate(
     t = dt * np.arange(n + 1)
     xi = -params.r + dt * np.arange(m + 1)
 
-    # w0ext[k] = w0(t_k) for k <= n, zero afterwards (the chi_[0,T] factor);
-    # at t_k the lag xi_j = -r + j*dt reads w0ext[k + m - j], so the window
-    # runs from w0ext[k + m] (lag r) to w0ext[k] (lag 0), and its past
-    # samples, oldest first, are w0ext[k + m : k : -1]
-    w0ext = np.zeros(n + 1 + m)
-    w0ext[n] = gamma
+    # row m + i holds gamma * phi(u_i), u_i = i*dt, that is w0(T - u_i);
+    # the zero history rows below it stand for w0 = 0 beyond T
+    phi = np.zeros(m + n + 1)
+    phi[m] = gamma
+    p = phi.item  # samples as Python floats: scalar arithmetic is faster
 
-    w = w0ext.item  # samples as Python floats: scalar arithmetic is faster
-
-    # at t_k the integrand cuts off at xi = t_k - T, on node j = k + m - n;
-    # an interior cutoff node carries a trapezoid boundary weight dt/2, not
-    # dt, so each window sum drops cutoff(values)[k] = dt/2 * values[j] * gamma
-    j = np.arange(n + 1) + m - n
-    interior = (j >= 1) & (j <= m - 1)
-
-    def cutoff(values: np.ndarray) -> np.ndarray:
+    # the rows jump from 0 to gamma at u = 0 (row m), which the window at
+    # step i holds at node j = m - i; a jump interior to the window carries the
+    # trapezoid boundary weight dt/2, not dt, so each window sum drops
+    # jump(values)[i] = dt/2 * values[j] * gamma
+    def jump(values: np.ndarray) -> np.ndarray:
         out = np.zeros(n + 1)
-        out[interior] = dt / 2 * values[j[interior]] * gamma
+        i = np.arange(1, min(m, n + 1))
+        out[i] = dt / 2 * values[m - i] * gamma
         return out
 
     has_a1 = not kernel_is_zero(params.a1)
     if has_a1:
         a1v = kernel_eval(params.a1, xi, params.r)
-        sum_a = DelaySum(params.a1, a1v, dt)
-        cut_a = cutoff(a1v).item
+        win_a = DelayWindow(params.a1, a1v, dt, phi)
+        jump_a = jump(a1v).item
 
-    def wprime(k: int, h: float, wk: float) -> float:
+    def slope(i: int, phi_i: float) -> float:
         if not has_a1:
-            return -params.a0 * wk
-        return -params.a0 * wk - (sum_a.at(h, sum_a.ends(w(k + m), wk)) - cut_a(k))
+            return params.a0 * phi_i
+        return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a(i))
 
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.0  # the past of the window at t_n holds only zeros
-        for k in range(n - 1, -1, -1):
-            f1 = wprime(k + 1, h, w(k + 1))
-            pred = w(k + 1) - dt * f1
+        for i in range(1, n + 1):
+            prev = p(m + i - 1)
+            f1 = slope(i - 1, prev)
             if has_a1:
-                ends = sum_a.ends(w(k + m + 1), w(k + 1))
-                h = sum_a.slide(h, ends, w0ext[k + m : k : -1])
-            f2 = wprime(k, h, pred)
-            w0ext[k] = w(k + 1) - dt / 2 * (f1 + f2)
-        w0 = w0ext[: n + 1].copy()
-        _check_finite(w0, t, "w0")
+                win_a.advance(i - 1)
+            f2 = slope(i, prev + dt * f1)
+            phi[m + i] = prev + dt / 2 * (f1 + f2)
 
-        bw = params.b0 * w0
+        bw = params.b0 * phi[m:]
         if not kernel_is_zero(params.b1):
             b1v = kernel_eval(params.b1, xi, params.r)
-            sum_b = DelaySum(params.b1, b1v, dt)
+            win_b = DelayWindow(params.b1, b1v, dt, phi)
             pairing = np.empty(n + 1)
-            h = 0.0
-            for k in range(n, -1, -1):
-                ends = sum_b.ends(w(k + m), w(k))
-                pairing[k] = sum_b.at(h, ends)
-                if k:
-                    h = sum_b.slide(h, ends, w0ext[k + m - 1 : k - 1 : -1])
-            bw = bw + pairing - cutoff(b1v)
-        _check_finite(bw, t, "<B, w>")
+            for i in range(n + 1):
+                pairing[i] = win_b.sum(i, p(m + i))
+                win_b.advance(i)
+            bw = bw + pairing - jump(b1v)
 
-        # c[k] = c[k+1] + dt/2 (g[k] + g[k+1]) from c[n] = 0, added in
-        # that order by the reversed running sum
+        # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order
         g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
         c = np.zeros(n + 1)
-        c[:-1] = np.cumsum((dt / 2 * (g[:-1] + g[1:]))[::-1])[::-1]
+        c[1:] = np.cumsum(dt / 2 * (g[:-1] + g[1:]))
+        w0, bw, c = (np.flip(v).copy() for v in (phi[m:], bw, c))
+        _check_finite(w0, t, "w0")
+        _check_finite(bw, t, "<B, w>")
         _check_finite(c, t, "c")
 
     return CostateSolution(
@@ -175,7 +167,8 @@ def solve_costate(
 def _check_finite(values: np.ndarray, t: np.ndarray, name: str):
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        # the sweep runs backward from T, so the last bad index fails first
+        # phi runs forward from u = 0, i.e. backward from t = T, so the last
+        # bad index fails first
         raise BlowupError(
             f"costate {name} left the finite range at t={t[bad[-1]]:g}"
         )

@@ -7,15 +7,16 @@ The goodwill stock follows
 
 with prescribed goodwill and advertising histories on [-r, 0]. The
 delay integrals are trapezoid quadratures on the simulation time step,
-so every lookback lands on a stored sample. Both go through
-hilbert.DelaySum: for exponential and constant kernels it updates the
-a1 state window and the b1 control window in O(1) per step; a sampled
-kernel is re-summed over its m+1 samples. The two agree to 1e-12
-relative (tests compare them). Open-loop and feedback policies share one
-step loop over time-major paths (one row per step); an open-loop
-control is one number per step, shared by every path. The loop fills
-preallocated per-path buffers in place; only a feedback policy's
-control and its clip count make per-step arrays.
+so every lookback lands on a stored sample. Each is a
+hilbert.DelayWindow sliding along the time-major state or control rows:
+for exponential and constant kernels it updates the a1 state window and
+the b1 control window in O(1) per step; a sampled kernel is re-summed
+over its m+1 samples. The two agree to 1e-12 relative (tests compare
+them). Open-loop and feedback policies share one step loop over
+time-major paths (one row per step); an open-loop control is one number
+per step, shared by every path. The loop and the windows fill
+preallocated per-path buffers in place; only a feedback policy's control
+and its clip count make per-step arrays.
 Each path draws its noise from a Philox stream keyed by (seed, path
 index), and every per-path sum runs in an order that does not depend on
 how many paths share an array, so a path's result is bit-identical
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import (
-    DelaySum,
+    DelayWindow,
     Kernel,
     SegmentGrid,
     check_kernel_nonneg,
@@ -324,13 +325,6 @@ def simulate_paths(
     grid = history.grid
     t = dt * np.arange(steps + 1)
     xi = -params.r + dt * np.arange(m + 1)
-
-    sum_a = sum_b = None
-    if not kernel_is_zero(params.a1):
-        sum_a = DelaySum(params.a1, kernel_eval(params.a1, xi, params.r), dt)
-    if not kernel_is_zero(params.b1):
-        sum_b = DelaySum(params.b1, kernel_eval(params.b1, xi, params.r), dt)
-
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
 
@@ -352,6 +346,13 @@ def simulate_paths(
         clip_count = int(np.count_nonzero(clipped != z_open))
         z_pad = np.concatenate([hist_z[:m], clipped])
 
+    def window(kernel: Kernel, samples: np.ndarray) -> DelayWindow | None:
+        if kernel_is_zero(kernel):
+            return None
+        return DelayWindow(kernel, kernel_eval(kernel, xi, params.r), dt, samples)
+
+    win_a, win_b = window(params.a1, y_pad), window(params.b1, z_pad)
+
     # noise scaled once: column k holds sigma*dW of every path at step k
     noise = np.empty((n_paths, steps))
     for p in range(n_paths):
@@ -362,13 +363,6 @@ def simulate_paths(
     # policy are scalars, shared by every path
     drift, term = np.empty(n_paths), np.empty(n_paths)
     zterm = term if feedback else None
-    if sum_a is not None:
-        ha = sum_a.start(y_pad[:m])
-        ends_a = (np.empty(n_paths), np.empty(n_paths))
-    if sum_b is not None:
-        hb = sum_b.start(z_pad[:m])
-        ends_b = (np.empty(n_paths), np.empty(n_paths)) if feedback else None
-        hb_out = hb if feedback else None
     for k in range(steps + 1):
         ycur = y_pad[m + k]
         if feedback:
@@ -380,16 +374,14 @@ def simulate_paths(
             break  # the terminal control is stored, never used in a drift
         zcur = z_pad[m + k]
         np.multiply(ycur, params.a0, out=drift)
-        if sum_a is not None:
-            sum_a.ends(y_pad[k], ycur, out=ends_a)
-            drift += sum_a.at(ha, ends_a, out=term)
+        if win_a is not None:
+            drift += win_a.sum(k, ycur)
         if a1_point != 0.0:
             drift += np.multiply(y_pad[k], a1_point, out=term)
         drift += np.multiply(zcur, params.b0, out=zterm)
-        if sum_b is not None:
-            eb = sum_b.ends(z_pad[k], zcur, out=ends_b)
-            drift += sum_b.at(hb, eb, out=zterm)
-            hb = sum_b.slide(hb, eb, z_pad[k + 1 : k + m + 1], out=hb_out)
+        if win_b is not None:
+            drift += win_b.sum(k, zcur)
+            win_b.advance(k)
         ynew = y_pad[m + k + 1]
         drift *= dt
         np.add(ycur, drift, out=ynew)
@@ -401,8 +393,8 @@ def simulate_paths(
                 f"path {first_path + bad} left the finite range at step {k + 1} "
                 f"(t={t[k + 1]:g})"
             )
-        if sum_a is not None:
-            sum_a.slide(ha, ends_a, y_pad[k + 1 : k + m + 1], out=ha)
+        if win_a is not None:
+            win_a.advance(k)
 
     y = y_pad[m:].T
     z = z_pad[m:].T if feedback else z_pad[m:]

@@ -203,28 +203,37 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra, message",
+    "command, extra, message",
     [
-        ({"sigma": "x"}, "sigma must be a number"),
-        ({"x1_decay": 0}, "x1_decay must be positive"),
-        ({"n_paths": 0}, "n_paths must be at least 1"),
-        ({"amplitudes": ["a"]}, "amplitudes must be a list of numbers"),
-        ({"amplitudes": 5}, "amplitudes must be a list of numbers"),
-        ({"dt": 0}, "dt must be positive"),
-        ({"sigma": -1}, "sigma must be >= 0"),
+        ("evaluate", {"sigma": "x"}, "sigma must be a number"),
+        ("evaluate", {"x1_decay": 0}, "x1_decay must be positive"),
+        ("evaluate", {"n_paths": 0}, "n_paths must be at least 1"),
+        ("evaluate", {"amplitudes": ["a"]}, "amplitudes must be a list of numbers"),
+        ("evaluate", {"amplitudes": 5}, "amplitudes must be a list of numbers"),
+        ("evaluate", {"dt": 0}, "dt must be positive"),
+        ("evaluate", {"sigma": -1}, "sigma must be >= 0"),
         # step counts past the ceiling fail before any array is allocated
-        ({"T": 1e9}, "T/dt = 1e+11 steps exceeds the limit"),
-        ({"dt": 1e-300}, "T/dt = 1e+300 steps exceeds the limit"),
+        ("evaluate", {"T": 1e9}, "T/dt = 1e+11 steps exceeds the limit"),
+        ("evaluate", {"dt": 1e-300}, "T/dt = 1e+300 steps exceeds the limit"),
+        # seeds outside int64 would overflow the uint64 Philox key, or go
+        # through float64 and share a key with a neighbouring seed
+        ("evaluate", {"seed": 2**70}, "seed must be in [-2**63, 2**63)"),
+        ("evaluate", {"seed": 2**63 + 1}, "seed must be in [-2**63, 2**63)"),
+        # the optimal value is 0 at gamma = 0, and the gap is relative to it
+        ("fig2", {"gamma": 0}, "fig2 needs gamma != 0"),
     ],
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
-        "dt_zero", "sigma_negative", "T_huge", "dt_tiny",
+        "dt_zero", "sigma_negative", "T_huge", "dt_tiny", "seed_huge",
+        "seed_float_key", "fig2_gamma_zero",
     ],
 )
-def test_bad_config_is_a_one_line_config_error(tmp_path, capsys, extra, message):
+def test_bad_config_is_a_one_line_config_error(
+    tmp_path, capsys, command, extra, message
+):
     path = write_config(tmp_path, extra)
     out = tmp_path / "v.json"
-    assert main(["evaluate", "--config", path, "--out", str(out)]) == 2
+    assert main([command, "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")

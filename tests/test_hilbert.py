@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodwill.hilbert import (
     ConstantKernel,
-    DelaySum,
+    DelayWindow,
     DimensionError,
     DomainError,
     ExponentialKernel,
@@ -250,34 +250,46 @@ def test_kernel_json_schema_fields():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 513])
 def test_window_sum_per_column_independent_of_column_count(n):
-    # each column's H is a sum in lag order whatever the column count; a
-    # BLAS gemv and a one-column einsum both regroup it
+    # each column's raw sum is taken in lag order whatever the column
+    # count; a BLAS gemv and a one-column einsum both regroup it
     rng = np.random.default_rng(5)
     m = 500
     k = SampledKernel(rng.standard_normal(m + 1))
-    ds = DelaySum(k, k.values, 1e-3)
-    past = rng.standard_normal((m, 1024))
-    want = np.array([np.cumsum(k.values[:-1] * past[:, i])[-1] for i in range(n)])
-    got = ds.start(np.ascontiguousarray(past[:, :n]))
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(ds.start(past)[:n], want)
-    out = np.empty(n)
-    assert ds.start(past[:, :n], out=out) is out
-    np.testing.assert_array_equal(out, want)
+    samples = rng.standard_normal((m + 2, 1024))
+    head = k.values[:-1]
+
+    def want(row):
+        return np.array(
+            [np.cumsum(head * samples[row : row + m, i])[-1] for i in range(n)]
+        )
+
+    narrow = DelayWindow(k, k.values, 1e-3, np.ascontiguousarray(samples[:, :n]))
+    wide = DelayWindow(k, k.values, 1e-3, samples)
+    for step in (0, 1):
+        np.testing.assert_array_equal(narrow.h, want(step))
+        np.testing.assert_array_equal(wide.h[:n], want(step))
+        narrow.advance(step)  # a sampled kernel re-sums the next window
+        wide.advance(step)
 
 
 def test_window_sum_in_place_forms_match_scalar_forms():
-    # the array forms with out= buffers give the scalar forms' bits
+    # a window over path columns, summed and moved on in place, gives each
+    # column the bits of a window over that column alone, in Python floats
     rng = np.random.default_rng(6)
-    dt, m = 1e-3, 50
+    dt, m, steps = 1e-3, 50, 8
     for k in (ExponentialKernel(-2.0, 0.3), ConstantKernel(0.7)):
         values = kernel_eval(k, -0.05 + dt * np.arange(m + 1), 0.05)
-        ds = DelaySum(k, values, dt)
-        h, old, new = (rng.standard_normal(8) for _ in range(3))
-        ends = ds.ends(old, new, out=(np.empty(8), np.empty(8)))
-        at = ds.at(h, ends, out=np.empty(8))
-        slid = ds.slide(h.copy(), ends, None, out=np.empty(8))
-        for i in range(8):
-            e = ds.ends(float(old[i]), float(new[i]))
-            assert at[i] == ds.at(float(h[i]), e)
-            assert slid[i] == ds.slide(float(h[i]), e, None)
+        samples = rng.standard_normal((m + steps + 1, 8))
+        paths = DelayWindow(k, values, dt, samples)
+        cols = [DelayWindow(k, values, dt, samples[:, i].copy()) for i in range(8)]
+        for i, col in enumerate(cols):
+            # the first raw sums differ in their grouping (einsum against a
+            # dot), so the recursion starts from the same one
+            col.h = float(paths.h[i])
+        for step in range(steps):
+            got = paths.sum(step, samples[step + m])
+            paths.advance(step)
+            for i, col in enumerate(cols):
+                assert got[i] == col.sum(step, float(samples[step + m, i]))
+                col.advance(step)
+                assert paths.h[i] == col.h

@@ -11,7 +11,7 @@ from goodwill.hilbert import (
     ZeroKernel,
     kernel_eval,
 )
-from goodwill.lifting import lift_M
+from goodwill.lifting import DelayODEProblem, lift_M, solve_delay_ode
 from goodwill.lq import (
     memoryless_policy,
     optimal_policy_lq,
@@ -97,6 +97,29 @@ def test_costate_richardson_ratio():
     assert 3.5 <= ratio <= 4.5
 
 
+def test_costate_agrees_with_delay_ode_at_first_order():
+    # w0(T - u) / gamma is the e1 trajectory phi(u); the RK4 engine reads
+    # its history by interpolation on the segment grid, so the two exact
+    # engines differ at first order in the node spacing (the gaps at 201,
+    # 401 and 801 nodes are 7.4e-4, 3.7e-4 and 1.8e-4 of max |phi|)
+    p = make_params(
+        a0=-0.5, a1=ExponentialKernel(-5.0, 1 / 6), b1=ExponentialKernel(5.0, 0.5)
+    )
+    gamma, dt = 2.7, 1e-3
+    cs = solve_costate(p, gamma, 0.5, dt)
+    phi = cs.w0[::-1] / gamma
+    gaps = []
+    for n_nodes in (201, 401, 801):
+        grid = SegmentGrid(p.r, n_nodes)
+        problem = DelayODEProblem(p.a0, p.a1, 1.0, np.zeros(n_nodes), grid, p.T)
+        times, ode = solve_delay_ode(problem, dt)
+        np.testing.assert_allclose(times, cs.t, rtol=0, atol=1e-12)
+        gaps.append(np.max(np.abs(phi - ode)) / np.max(np.abs(ode)))
+    assert gaps[0] <= 1e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+
+
 @pytest.mark.parametrize(
     "a1, b1",
     [
@@ -178,6 +201,23 @@ def test_policy_matches_constant_b1_closed_form():
     integral = (1.0 - np.exp(a0 * lo)) / a0
     expect = gamma * np.exp((T - cs.t) * a0) / (2 * beta) * (b0 + bc * integral)
     np.testing.assert_allclose(z, expect, atol=5e-4)
+
+
+def test_pairing_before_T_converges_at_second_order():
+    # the pairing's half weight at the jump of w1 (window node j = m - i)
+    # keeps <B, w> second order in dt on t < T; without it the error is
+    # dt/2 * b * gamma * w0 wherever t > T - r
+    a0, b0, bc, gamma, r, T = -0.5, 1.0, 2.0, 1.0, 0.5, 1.0
+    p = make_params(a0=a0, b0=b0, b1=ConstantKernel(bc))
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        cs = solve_costate(p, gamma, 0.5, dt)
+        integral = (1.0 - np.exp(a0 * np.maximum(-r, cs.t - T))) / a0
+        expect = gamma * np.exp((T - cs.t) * a0) * (b0 + bc * integral)
+        errors.append(np.max(np.abs(cs.bw - expect)[:-1]))
+    assert errors[1] <= 1e-7
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_policy_zero_for_negative_reward_slope():
