@@ -19,9 +19,7 @@ from .hilbert import (
     ZeroKernel,
     inner_product,
     kernel_eval,
-    kernel_from_json,
     kernel_is_zero,
-    kernel_to_json,
     norm,
     order_leq,
     profile_from_callable,
@@ -81,7 +79,6 @@ from .state_delay import (
 from .approximation import (
     ConvergenceRow,
     LiftedEnsemble,
-    convergence_rows_to_csv,
     convergence_study,
     mollify_h,
     mollify_phi,

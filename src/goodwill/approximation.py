@@ -223,13 +223,3 @@ def convergence_study(
                 )
             )
     return rows
-
-
-def convergence_rows_to_csv(rows: list[ConvergenceRow]) -> str:
-    lines = ["eps1,eps2,J_eps,stderr,gap"]
-    for row in rows:
-        lines.append(
-            f"{row.eps1:.10g},{row.eps2:.10g},{row.j_eps:.10g},"
-            f"{row.stderr:.10g},{row.gap:.10g}"
-        )
-    return "\n".join(lines) + "\n"

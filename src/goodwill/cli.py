@@ -124,8 +124,16 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def _csv(cfg: dict, header: str, rows: list[str]) -> str:
-    return "\n".join([f"# config_hash={config_hash(cfg)}", header] + rows) + "\n"
+def _table(cfg: dict, columns: dict) -> str:
+    """CSV of named, equal-length columns under a config-hash comment line:
+    the column names, then one row per index, each value to 10 significant
+    digits. Empty columns give the hash line and the header alone."""
+    lines = [f"# config_hash={config_hash(cfg)}", ",".join(columns)]
+    lines += [
+        ",".join(f"{v:.10g}" for v in row)
+        for row in zip(*columns.values(), strict=True)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -139,19 +147,12 @@ def run_fig1(cfg: dict) -> str:
         ("z_advertising_churn", 0.0, cfg["b1_amp"]),
         ("z_both", cfg["a1_amp"], cfg["b1_amp"]),
     ]
-    cols = []
-    t = None
-    for _, a_amp, b_amp in settings:
+    columns = {}
+    for name, a_amp, b_amp in settings:
         params = build_params(cfg, a1_amp=a_amp, b1_amp=b_amp)
         cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-        cols.append(lq.optimal_policy_lq(cs, params).z)
-        t = cs.t
-    rows = [
-        ",".join([f"{t[k]:.10g}"] + [f"{col[k]:.10g}" for col in cols])
-        for k in range(len(t))
-    ]
-    header = "t," + ",".join(name for name, _, _ in settings)
-    return _csv(cfg, header, rows)
+        columns[name] = lq.optimal_policy_lq(cs, params).z
+    return _table(cfg, {"t": cs.t, **columns})
 
 
 def churn_gap(
@@ -190,17 +191,19 @@ def run_fig2(cfg: dict, axis: str) -> str:
             if axis == "a1_amplitude"
             else [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         )
-    rows = []
-    for amp in amplitudes:
-        if axis == "a1_amplitude":
-            v_opt, v_mem, gap = churn_gap(cfg, a1_amp=amp, b1_amp=0.0)
-        else:
-            v_opt, v_mem, gap = churn_gap(cfg, a1_amp=0.0, b1_amp=amp)
-        rows.append(
-            f"{amp:.10g},{v_opt.mean:.10g},{v_mem.mean:.10g},"
-            f"{gap.gap:.10g},{gap.stderr:.10g}"
-        )
-    return _csv(cfg, "amplitude,V_hat,V0_hat,gap,gap_stderr", rows)
+    results = [
+        churn_gap(cfg, a1_amp=amp, b1_amp=0.0)
+        if axis == "a1_amplitude"
+        else churn_gap(cfg, a1_amp=0.0, b1_amp=amp)
+        for amp in amplitudes
+    ]
+    return _table(cfg, {
+        "amplitude": amplitudes,
+        "V_hat": [v_opt.mean for v_opt, _, _ in results],
+        "V0_hat": [v_mem.mean for _, v_mem, _ in results],
+        "gap": [gap.gap for _, _, gap in results],
+        "gap_stderr": [gap.stderr for _, _, gap in results],
+    })
 
 
 def run_sensitivity(cfg: dict) -> str:
@@ -214,18 +217,20 @@ def run_sensitivity(cfg: dict) -> str:
     r_grid = cfg.get("r_grid")
     if r_grid is None:
         r_grid = [round(0.25 + 0.05 * i, 10) for i in range(10)]
-    rows = []
+    t_eval = cfg.get("t_eval", 0.0)
+    formula, fd = [], []
     for r in r_grid:
         h = r / 50.0
-        t_eval = cfg.get("t_eval", 0.0)
-        formula = _sensitivity_at(cfg, r, t_eval)
+        formula.append(_sensitivity_at(cfg, r, t_eval))
         v_plus = _value_at(cfg, r + h, t_eval)
         v_minus = _value_at(cfg, r - h, t_eval)
-        fd = (v_plus - v_minus) / (2.0 * h)
-        rows.append(
-            f"{r:.10g},{formula:.10g},{fd:.10g},{abs(formula - fd):.10g}"
-        )
-    return _csv(cfg, "r,dV_dr_formula,dV_dr_finite_difference,abs_diff", rows)
+        fd.append((v_plus - v_minus) / (2.0 * h))
+    return _table(cfg, {
+        "r": r_grid,
+        "dV_dr_formula": formula,
+        "dV_dr_finite_difference": fd,
+        "abs_diff": [abs(f - d) for f, d in zip(formula, fd)],
+    })
 
 
 def _at_delay(cfg: dict, r: float) -> tuple[ModelParams, SegmentGrid, ProfileX]:
@@ -264,9 +269,16 @@ def run_feedback_check(a0: float, a1: float, variant: str) -> str:
 
 def run_costate(cfg: dict) -> str:
     params = build_params(cfg)
-    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-    body = cs.to_csv().splitlines()
-    return _csv(cfg, body[0], body[1:])
+    gamma, beta = cfg["gamma"], cfg["beta"]
+    cs = lq.solve_costate(params, gamma, beta, cfg["dt"])
+    zmem = lq.memoryless_policy(params, gamma, beta)
+    return _table(cfg, {
+        "t": cs.t,
+        "w0": cs.w0,
+        "c": cs.c,
+        "z_star": lq.optimal_policy_lq(cs, params).z,
+        "z_memoryless": zmem.sample(params, cs.t),
+    })
 
 
 def run_evaluate(cfg: dict) -> str:
@@ -310,8 +322,13 @@ def run_approx(cfg: dict) -> str:
         cfg.get("eps2_list", [0.4, 0.2, 0.1, 0.05]),
         grid, dt, cfg["n_paths"], cfg["seed"],
     )
-    body = approximation.convergence_rows_to_csv(rows).splitlines()
-    return _csv(cfg, body[0], body[1:])
+    return _table(cfg, {
+        "eps1": [row.eps1 for row in rows],
+        "eps2": [row.eps2 for row in rows],
+        "J_eps": [row.j_eps for row in rows],
+        "stderr": [row.stderr for row in rows],
+        "gap": [row.gap for row in rows],
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

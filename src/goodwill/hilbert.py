@@ -12,7 +12,6 @@ and the partial order used by the monotonicity checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,31 +274,3 @@ class DelayWindow:
             np.subtract(self.h, self.e0, out=self.h)
             self.h += self.e1
             self.h *= self.rho
-
-
-def kernel_to_json(k: Kernel) -> str:
-    if isinstance(k, ZeroKernel):
-        obj = {"type": "zero"}
-    elif isinstance(k, ConstantKernel):
-        obj = {"type": "constant", "c": k.c}
-    elif isinstance(k, ExponentialKernel):
-        obj = {"type": "exponential", "amp": k.amp, "delta": k.decay_scale}
-    elif isinstance(k, SampledKernel):
-        obj = {"type": "sampled", "values": list(k.values)}
-    else:
-        raise TypeError(f"unknown kernel type {type(k).__name__}")
-    return json.dumps(obj)
-
-
-def kernel_from_json(s: str) -> Kernel:
-    obj = json.loads(s)
-    t = obj.get("type")
-    if t == "zero":
-        return ZeroKernel()
-    if t == "constant":
-        return ConstantKernel(float(obj["c"]))
-    if t == "exponential":
-        return ExponentialKernel(float(obj["amp"]), float(obj["delta"]))
-    if t == "sampled":
-        return SampledKernel(np.asarray(obj["values"], dtype=float))
-    raise ValueError(f"unknown kernel tag {t!r}")

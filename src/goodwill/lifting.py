@@ -19,7 +19,7 @@ from .sdde import (
     ConfigurationError,
     ModelParams,
     _check_horizon,
-    check_step_count,
+    _steps_of,
 )
 
 
@@ -84,7 +84,8 @@ def lift_M(
 
 
 def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the linear delay ODE on [0, t_end].
+    """RK4 integration of the linear delay ODE on [0, t_end], in steps dt
+    that divide t_end (ConfigurationError otherwise).
 
     The delay term is one lag quadrature, built once: the segment grid's
     trapezoid rule against a1 for a kernel, the single lag -r for a point
@@ -96,15 +97,12 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
 
     Returns (times on [0, t_end], trajectory values).
     """
-    if not dt > 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    check_step_count(problem.t_end / dt, "t_end")
+    if problem.t_end == 0 and dt > 0:
+        return np.zeros(1), np.array([problem.x0], dtype=float)
+    steps = _steps_of(problem.t_end, dt, "t_end")
+    dt_eff = problem.t_end / steps
     grid = problem.grid
     r = grid.r
-    if problem.t_end == 0:
-        return np.zeros(1), np.array([problem.x0], dtype=float)
-    steps = max(1, round(problem.t_end / dt))
-    dt_eff = problem.t_end / steps
 
     n = grid.n_nodes
     times = np.concatenate([grid.nodes[:-1], dt_eff * np.arange(steps + 1)])

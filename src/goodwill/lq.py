@@ -56,7 +56,6 @@ class CostateSolution:
     w0: np.ndarray
     c: np.ndarray
     bw: np.ndarray
-    gamma: float
     beta: float
     params: ModelParams
 
@@ -69,17 +68,6 @@ class CostateSolution:
 
     def c_at(self, t) -> float:
         return np.interp(t, self.t, self.c)
-
-    def to_csv(self) -> str:
-        zs = optimal_policy_lq(self, self.params).z
-        zm = Memoryless(self.gamma, self.beta).sample(self.params, self.t)
-        lines = ["t,w0,c,z_star,z_memoryless"]
-        for k in range(len(self.t)):
-            lines.append(
-                f"{self.t[k]:.10g},{self.w0[k]:.10g},{self.c[k]:.10g},"
-                f"{zs[k]:.10g},{zm[k]:.10g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def solve_costate(
@@ -159,9 +147,7 @@ def solve_costate(
         _check_finite(bw, t, "<B, w>")
         _check_finite(c, t, "c")
 
-    return CostateSolution(
-        t=t, w0=w0, c=c, bw=bw, gamma=gamma, beta=beta, params=params
-    )
+    return CostateSolution(t=t, w0=w0, c=c, bw=bw, beta=beta, params=params)
 
 
 def _check_finite(values: np.ndarray, t: np.ndarray, name: str):
@@ -284,18 +270,21 @@ def sensitivity_dV_dr(
     and each boundary term carries the costate read r ahead of the
     current time. The sensitivity therefore vanishes once t + r > T.
 
-    When a1 = 0 and b1 is constant (b0, b1-hat below) the closed form
+    The formula needs a1 = 0, so that w0 does not itself depend on r; a
+    non-zero a1 raises ConfigurationError (the formula would drop the
+    d(w0)/dr terms: 29% off a finite difference at a1 = -5 e^{-|xi|/(1/6)}).
+    When b1 is also constant (b0, b1-hat below) the closed form
 
         gamma e^{a0(T-t-r)} x1(-r)
         + (b1 gamma^2 / (4 beta a0)) (b0 + b1 (1 - e^{-a0 r}) / a0)
           e^{-a0 r} (e^{2 a0 (T-t)} - e^{2 a0 r})
 
     is used on t in [0, T-r]; it matches a central finite difference of
-    the costate value over re-solved delays to O(h^2). The quadrature
-    route is exact (up to the costate discretization) only when w0 does
-    not itself depend on r, i.e. for a1 = 0; with a non-zero a1 kernel
-    it drops the d(w0)/dr terms.
+    the costate value over re-solved delays to O(h^2). Otherwise the two
+    terms are quadratures of the costate, exact up to its discretization.
     """
+    if not kernel_is_zero(params.a1):
+        raise ConfigurationError("the delay sensitivity needs a1 = 0")
     if t < -1e-12 or t > params.T + 1e-12:
         raise DomainError(f"t={t} outside [0, {params.T}]")
     a0, b0, r, T = params.a0, params.b0, params.r, params.T
@@ -304,12 +293,7 @@ def sensitivity_dV_dr(
     if t + r > T + 1e-12:
         return 0.0
 
-    closed_form_ok = (
-        kernel_is_zero(params.a1)
-        and (isinstance(params.b1, ConstantKernel) or kernel_is_zero(params.b1))
-        and a0 < 0
-    )
-    if closed_form_ok:
+    if (isinstance(params.b1, ConstantKernel) or kernel_is_zero(params.b1)) and a0 < 0:
         b1 = params.b1.c if isinstance(params.b1, ConstantKernel) else 0.0
         term1 = gamma * np.exp(a0 * (T - t - r)) * x1_at_minus_r
         term2 = (

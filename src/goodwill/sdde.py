@@ -32,7 +32,6 @@ state only.
 
 from __future__ import annotations
 
-import io
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -183,16 +182,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.y.shape[0]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("path_id,t,y,z\n")
-        shared = self.z.ndim == 1
-        for p in range(self.n_paths):
-            zrow = self.z if shared else self.z[p]
-            for k, tk in enumerate(self.t):
-                buf.write(f"{p},{tk:.10g},{self.y[p, k]:.10g},{zrow[k]:.10g}\n")
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -249,20 +238,18 @@ def _check_horizon(params: ModelParams, grid: SegmentGrid):
         )
 
 
-def check_step_count(steps: float, what: str):
-    """Raise ConfigurationError unless steps (a span over dt) is at most
-    MAX_STEPS; a NaN or infinite count fails too."""
+def _steps_of(span: float, dt: float, what: str) -> int:
+    """The number of steps dt in span. Raises ConfigurationError unless
+    dt > 0 divides span into 1 to MAX_STEPS steps (a NaN or infinite count
+    fails too)."""
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    steps = span / dt
     if not steps <= MAX_STEPS:
         raise ConfigurationError(
             f"{what}/dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS:.0e}"
         )
-
-
-def _steps_of(span: float, dt: float, what: str) -> int:
-    if not dt > 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    check_step_count(span / dt, what)
-    n = round(span / dt)
+    n = round(steps)
     if n < 1 or abs(n * dt - span) > 1e-9 * span:
         raise ConfigurationError(f"dt={dt} does not divide {what}={span}")
     return n

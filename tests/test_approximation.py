@@ -5,7 +5,6 @@ from goodwill import approximation
 from goodwill.approximation import (
     BUMP_U,
     BUMP_ZETA,
-    convergence_rows_to_csv,
     convergence_study,
     mollify_h,
     mollify_phi,
@@ -348,12 +347,3 @@ def test_convergence_one_path_stderr_is_nan():
     # one path carries no spread information: NaN on purpose, no warning
     rows = _study([0.0, 0.2], [0.4, 0.1], n_paths=1)
     assert all(np.isfinite(r.j_eps) and np.isnan(r.stderr) for r in rows)
-
-
-def test_convergence_csv_layout():
-    rows = _study([0.0], [0.4, 0.1], n_paths=200)
-    lines = convergence_rows_to_csv(rows).strip().split("\n")
-    assert lines[0] == "eps1,eps2,J_eps,stderr,gap"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 0.4

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from goodwill.cli import config_hash, load_defaults, main, merged_config
+from goodwill import lq
+from goodwill.cli import build_params, config_hash, load_defaults, main, merged_config
 from goodwill.sdde import ConfigurationError
 
 SMALL = {"n_paths": 50, "dt": 0.01, "n_nodes": 51}
@@ -67,8 +69,6 @@ def test_fig1_layout_and_rerun_identical(tmp_path):
 
 
 def test_fig1_no_churn_column_is_memoryless(tmp_path):
-    import numpy as np
-
     path = write_config(tmp_path)
     out = str(tmp_path / "fig1.csv")
     assert main(["fig1", "--config", path, "--out", out]) == 0
@@ -94,6 +94,23 @@ def test_fig2_zero_amplitude_gap_is_zero(tmp_path):
     # same seed and, up to costate integration error, the same policy
     assert v == pytest.approx(v0, rel=1e-7)
     assert abs(gap) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "command, key, header",
+    [
+        ("fig2", "amplitudes", "amplitude,V_hat,V0_hat,gap,gap_stderr"),
+        ("sensitivity", "r_grid", "r,dV_dr_formula,dV_dr_finite_difference,abs_diff"),
+    ],
+    ids=["fig2", "sensitivity"],
+)
+def test_empty_sweep_prints_the_header_alone(tmp_path, command, key, header):
+    path = write_config(tmp_path, {key: []})
+    out = str(tmp_path / "empty.csv")
+    assert main([command, "--config", path, "--out", out]) == 0
+    lines = open(out).read().split("\n")
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1:] == [header, ""]
 
 
 def test_fig2_positive_gap_with_churn(tmp_path):
@@ -131,6 +148,18 @@ def test_costate_output_columns(tmp_path):
     lines = open(out).read().strip().split("\n")
     assert lines[1] == "t,w0,c,z_star,z_memoryless"
     assert len(lines) == 2 + 101
+    # each column is the library's array, to 10 significant digits
+    cfg = merged_config(path, {})
+    params = build_params(cfg)
+    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+    zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
+    expect = [
+        cs.t, cs.w0, cs.c, lq.optimal_policy_lq(cs, params).z,
+        zmem.sample(params, cs.t),
+    ]
+    got = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    for column, want in zip(got.T, expect):
+        np.testing.assert_allclose(column, want, rtol=1e-9, atol=1e-12)
 
 
 def test_evaluate_json_fields(tmp_path):
@@ -153,6 +182,8 @@ def test_approx_output_table(tmp_path):
     lines = open(out).read().strip().split("\n")
     assert lines[1] == "eps1,eps2,J_eps,stderr,gap"
     assert len(lines) == 2 + 2
+    first = lines[2].split(",")
+    assert float(first[0]) == 0.0 and float(first[1]) == 0.2
 
 
 def test_out_dash_writes_to_stdout(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +14,7 @@ from goodwill.hilbert import (
     ZeroKernel,
     inner_product,
     kernel_eval,
-    kernel_from_json,
     kernel_is_zero,
-    kernel_to_json,
     norm,
     order_leq,
     profile_from_callable,
@@ -220,29 +216,6 @@ def test_kernel_is_zero():
     assert kernel_is_zero(ConstantKernel(0.0))
     assert kernel_is_zero(SampledKernel(np.zeros(4)))
     assert not kernel_is_zero(ExponentialKernel(1.0, 1.0))
-
-
-@pytest.mark.parametrize(
-    "k",
-    [
-        ZeroKernel(),
-        ConstantKernel(-3.25),
-        ExponentialKernel(5.0, 1 / 6),
-        SampledKernel(np.array([0.0, 0.5, 1.0])),
-    ],
-)
-def test_kernel_json_round_trip(k):
-    s = kernel_to_json(k)
-    back = kernel_from_json(s)
-    assert type(back) is type(k)
-    g = SegmentGrid(1.0, 3)
-    xi = g.nodes
-    np.testing.assert_allclose(kernel_eval(back, xi, g.r), kernel_eval(k, xi, g.r))
-
-
-def test_kernel_json_schema_fields():
-    obj = json.loads(kernel_to_json(ExponentialKernel(5.0, 0.25)))
-    assert obj == {"type": "exponential", "amp": 5.0, "delta": 0.25}
 
 
 # --- window sums ----------------------------------------------------------------

@@ -130,6 +130,23 @@ def test_delay_ode_rejects_nonpositive_step(dt):
         solve_delay_ode(prob, dt)
 
 
+def test_delay_ode_rejects_a_step_that_does_not_divide_the_span():
+    # 0.3 does not divide 0.7: the engine must not quietly step by 0.35
+    grid = SegmentGrid(0.5, 101)
+    x = ProfileX(1.0, np.ones(101))
+    with pytest.raises(ConfigurationError, match="does not divide t_end"):
+        adjoint_semigroup_apply(0.7, x, make_params(), grid, 0.3)
+
+
+def test_delay_ode_zero_span_rejects_nonpositive_step():
+    grid = SegmentGrid(1.0, 51)
+    prob = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=0.0)
+    _, vals = solve_delay_ode(prob, 1e-3)
+    assert vals.tolist() == [1.0]
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        solve_delay_ode(prob, 0.0)
+
+
 @pytest.mark.parametrize("dt", [1e-8, 5e-324])
 def test_delay_ode_rejects_too_many_steps(dt):
     # 1e8 steps, and a step count that overflows to inf

@@ -120,6 +120,34 @@ def test_costate_agrees_with_delay_ode_at_first_order():
         assert 1.8 <= coarse / fine <= 2.2
 
 
+@pytest.mark.parametrize("a1_amp", [-5.0, 3.0])
+def test_noiseless_sdde_agrees_with_costate_at_first_order(a1_amp):
+    # sigma = 0, one path, zero control, and a history that is zero apart
+    # from x1(0) = x0 = 1: the Euler path is the e1 trajectory phi, which
+    # the costate's Heun solve gives as w0[::-1] at gamma = 1 (the gaps at
+    # dt = 1e-3, 5e-4 and 2.5e-4 are 2.6e-4, 1.3e-4 and 6.6e-5 of max |phi|
+    # at a1 = -5)
+    p = make_params(
+        a0=-0.5, a1=ExponentialKernel(a1_amp, 1 / 6),
+        b1=ExponentialKernel(5.0, 0.5), sigma=0.0,
+    )
+    gaps = []
+    for dt in (1e-3, 5e-4, 2.5e-4):
+        n_nodes = round(p.r / dt) + 1
+        x1 = np.zeros(n_nodes)
+        x1[-1] = 1.0
+        hist = HistoryPair(
+            grid=SegmentGrid(p.r, n_nodes), x0=1.0, x1=x1, delta=np.zeros(n_nodes)
+        )
+        t = dt * np.arange(round(p.T / dt) + 1)
+        y = simulate_paths(p, hist, OpenLoop(t=t, z=np.zeros_like(t)), dt, 1, 0).y[0]
+        phi = solve_costate(p, 1.0, 0.5, dt).w0[::-1]
+        gaps.append(np.max(np.abs(y - phi)) / np.max(np.abs(phi)))
+    assert gaps[0] <= 4e-4
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+
+
 @pytest.mark.parametrize(
     "a1, b1",
     [
@@ -160,8 +188,12 @@ def test_sampled_kernels_need_no_matching_step():
     for name in ("w0", "bw"):
         got, want = getattr(smp, name), getattr(exp, name)
         assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want)), name
+    # the delay sensitivity needs a1 = 0: compare the b1 kernels alone
     x = ProfileX(1.0, np.ones(201))
-    s_exp, s_smp = (sensitivity_dV_dr(0.0, x, p, 1.0, 0.5, dt) for p in (p_exp, p_smp))
+    s_exp, s_smp = (
+        sensitivity_dV_dr(0.0, x, make_params(b1=k, **common), 1.0, 0.5, dt)
+        for k in (b1, sampled[1])
+    )
     assert s_smp == pytest.approx(s_exp, rel=1e-4)
 
 
@@ -169,14 +201,6 @@ def test_costate_overflow_raises_blowup():
     p = make_params(a1=ExponentialKernel(1e8, 1 / 6))
     with pytest.raises(BlowupError, match="costate w0 left the finite range"):
         solve_costate(p, 1.0, 0.5, 1e-3)
-
-
-def test_costate_csv_layout():
-    p = make_params()
-    cs = solve_costate(p, 1.0, 0.5, 0.25)
-    lines = cs.to_csv().strip().split("\n")
-    assert lines[0] == "t,w0,c,z_star,z_memoryless"
-    assert len(lines) == 1 + 5
 
 
 # --- policies -----------------------------------------------------------------
@@ -454,6 +478,14 @@ def test_sensitivity_quadrature_route_against_finite_difference():
         - _value_at_r(0.5 - h, t, b1, ZeroKernel())
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
+
+
+def test_sensitivity_rejects_a1():
+    # with a1 != 0 the costate depends on r, a term the formula leaves out
+    p = make_params(a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ConstantKernel(1.0))
+    x = ProfileX(1.0, np.ones(201))
+    with pytest.raises(ConfigurationError, match="needs a1 = 0"):
+        sensitivity_dV_dr(0.0, x, p, 1.0, 0.5, 1e-3)
 
 
 def test_sensitivity_domain_error():

@@ -584,17 +584,3 @@ def test_lipschitz_in_initial_state():
         ratios.append(abs(J(xa) - J(xb)) / dist)
     # affine response: every ratio is bounded by the operator norm of the map
     assert max(ratios) < 5.0
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def test_ensemble_csv_layout():
-    p = make_params()
-    hist = make_history(GRID)
-    ens = simulate_paths(p, hist, zero_policy(p.T, 0.25), 0.25, 2, 0)
-    lines = ens.to_csv().strip().split("\n")
-    assert lines[0] == "path_id,t,y,z"
-    assert len(lines) == 1 + 2 * 5  # 2 paths x (T/dt + 1) rows
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0
