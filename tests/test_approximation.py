@@ -11,6 +11,7 @@ from goodwill.approximation import (
     simulate_lifted_perturbed,
     sup_inf_convolution,
 )
+from goodwill.cli import merged_config, run_approx
 from goodwill.hilbert import ConstantKernel, ProfileX, SegmentGrid, ZeroKernel
 from goodwill.lifting import adjoint_semigroup_apply, lift_M
 from goodwill.lq import solve_costate, trajectory_mean, trajectory_variance, value_lq
@@ -347,3 +348,18 @@ def test_convergence_one_path_stderr_is_nan():
     # one path carries no spread information: NaN on purpose, no warning
     rows = _study([0.0, 0.2], [0.4, 0.1], n_paths=1)
     assert all(np.isfinite(r.j_eps) and np.isnan(r.stderr) for r in rows)
+
+
+def test_convergence_csv_layout():
+    # the convergence table is written by the CLI's column writer
+    cfg = merged_config(
+        None,
+        {"n_paths": 50, "dt": 0.01, "n_nodes": 51, "eps1_list": [0.0],
+         "eps2_list": [0.4, 0.1]},
+    )
+    lines = run_approx(cfg).strip().split("\n")
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "eps1,eps2,J_eps,stderr,gap"
+    assert len(lines) == 2 + 2
+    first = lines[2].split(",")
+    assert float(first[0]) == 0.0 and float(first[1]) == 0.4

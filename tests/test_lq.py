@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from goodwill.cli import merged_config, run_costate
 from goodwill.hilbert import (
     ConstantKernel,
     DomainError,
@@ -201,6 +202,15 @@ def test_costate_overflow_raises_blowup():
     p = make_params(a1=ExponentialKernel(1e8, 1 / 6))
     with pytest.raises(BlowupError, match="costate w0 left the finite range"):
         solve_costate(p, 1.0, 0.5, 1e-3)
+
+
+def test_costate_csv_layout():
+    # the costate table is written by the CLI's column writer
+    cs_table = run_costate(merged_config(None, {"dt": 0.25}))
+    lines = cs_table.strip().split("\n")
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "t,w0,c,z_star,z_memoryless"
+    assert len(lines) == 2 + 5
 
 
 # --- policies -----------------------------------------------------------------
