@@ -13,6 +13,7 @@ from .hilbert import (
     DimensionError,
     DomainError,
     ExponentialKernel,
+    PointDelay,
     ProfileX,
     SampledKernel,
     SegmentGrid,
@@ -47,11 +48,9 @@ from .sdde import (
 )
 from .lifting import (
     DelayODEProblem,
-    PointDelay,
     adjoint_semigroup_apply,
     lift_M,
     solve_delay_ode,
-    state_semigroup_apply,
 )
 from .lq import (
     CostateSolution,

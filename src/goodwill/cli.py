@@ -19,8 +19,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from importlib import resources
 
@@ -63,12 +65,19 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
         if isinstance(value, bool) or not isinstance(value, kinds):
             kind = "an integer" if integer else "a number"
             raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
+        # json reads NaN and Infinity; only u_max = +Infinity means something
+        if isinstance(value, float) and not math.isfinite(value) and (
+            key != "u_max" or value != math.inf
+        ):
+            raise ConfigurationError(f"{key} must be finite, got {value!r}")
     for key in LIST_KEYS & cfg.keys():
         value = cfg[key]
         if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+            raise ConfigurationError(f"{key} entries must be finite, got {value!r}")
     # the seed keys the Philox streams as a uint64: this range maps onto
     # the keys one to one, and a larger seed would alias, warn or overflow
     if "seed" in cfg and not -(2**63) <= cfg["seed"] < 2**63:
@@ -256,15 +265,7 @@ def _value_at(cfg: dict, r: float, t_eval: float) -> float:
 
 def run_feedback_check(a0: float, a1: float, variant: str) -> str:
     report = state_delay.invariant_measure_condition(a0, a1, variant)
-    return json.dumps(
-        {
-            "variant": variant,
-            "holds": report.holds,
-            "gamma_root": report.gamma_root,
-            "upper_bound": report.upper_bound,
-            "diagnostic": report.diagnostic,
-        }
-    ) + "\n"
+    return json.dumps({"variant": variant, **dataclasses.asdict(report)}) + "\n"
 
 
 def run_costate(cfg: dict) -> str:
@@ -313,8 +314,10 @@ def run_approx(cfg: dict) -> str:
     policy = lq.optimal_policy_lq(cs, params)
     xbar = lift_M(history.x0, history.x1, history.delta, params, grid)
     baseline = lq.value_lq(0.0, xbar, cs, grid)
-    dt = min(cfg["dt"], grid.spacing)
-    steps = max(1, round(params.T / dt))
+    # the fewest steps that divide T and pass the lifted scheme's CFL check
+    steps = max(1, round(params.T / min(cfg["dt"], grid.spacing)))
+    if params.T / steps > grid.spacing + 1e-15:
+        steps += 1
     dt = params.T / steps
     rows = approximation.convergence_study(
         params, xbar, policy, cfg["gamma"], cfg["beta"], baseline,

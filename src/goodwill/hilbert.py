@@ -2,12 +2,12 @@
 
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
-grid. Delay kernels (zero / constant / exponential / sampled) live here
-too: each is a function of the lag on [-r, 0], evaluated given only the
-horizon r, whatever grid the caller samples it on. With them come
-DelayWindow, their trapezoid sum over a window that slides one time step
-at a time (the delay terms of the simulator and of the costate solve),
-and the partial order used by the monotonicity checks.
+grid. Delay kernels live here too: zero, constant, exponential and
+sampled densities on [-r, 0], evaluated given only the horizon r whatever
+grid the caller samples them on, and the point lag amp * x(t - r). With
+them come DelayWindow, their trapezoid sum over a window that slides one
+time step at a time (the delay terms of the simulator and of the costate
+solve), and the partial order used by the monotonicity checks.
 """
 
 from __future__ import annotations
@@ -134,7 +134,14 @@ class SampledKernel:
             raise DimensionError("a sampled kernel needs a 1-d array of 2+ values")
 
 
-Kernel = ZeroKernel | ConstantKernel | ExponentialKernel | SampledKernel
+@dataclass(frozen=True)
+class PointDelay:
+    """The point lag amp * x(t - r): all the weight at xi = -r, no density."""
+
+    amp: float
+
+
+Kernel = PointDelay | ZeroKernel | ConstantKernel | ExponentialKernel | SampledKernel
 
 
 def kernel_eval(k: Kernel, xi, r: float):
@@ -143,6 +150,8 @@ def kernel_eval(k: Kernel, xi, r: float):
     A sampled kernel holds its values at len(values) equally spaced lags
     from -r to 0 and is linearly interpolated between them.
     """
+    if isinstance(k, PointDelay):
+        raise ValueError("a point lag has no density: it needs a kernel with one")
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
         raise DomainError(f"kernel argument outside [-{r}, 0]")
@@ -164,7 +173,7 @@ def kernel_is_zero(k: Kernel) -> bool:
         return True
     if isinstance(k, ConstantKernel):
         return k.c == 0.0
-    if isinstance(k, ExponentialKernel):
+    if isinstance(k, (ExponentialKernel, PointDelay)):
         return k.amp == 0.0
     if isinstance(k, SampledKernel):
         return bool(np.all(k.values == 0.0))
@@ -175,7 +184,7 @@ def check_kernel_nonneg(k: Kernel, name: str):
     """Raise ValueError unless the kernel is non-negative on [-r, 0]."""
     if isinstance(k, ConstantKernel) and k.c < 0:
         raise ValueError(f"{name} must be non-negative")
-    if isinstance(k, ExponentialKernel) and k.amp < 0:
+    if isinstance(k, (ExponentialKernel, PointDelay)) and k.amp < 0:
         raise ValueError(f"{name} must be non-negative")
     if isinstance(k, SampledKernel) and np.any(k.values < 0):
         raise ValueError(f"{name} must be non-negative at every node")
@@ -201,7 +210,9 @@ class DelayWindow:
 
     (the linear-chain recursion, with a tail term because the window is
     finite), from the end terms of the last `sum`. A sampled kernel has
-    no such ratio and re-sums its window in lag order.
+    no such ratio and re-sums its window in lag order. A point lag is the
+    one-sample window amp * x_k (row k, at lag -r): it takes no node
+    values (None) and has nothing to advance.
 
     A 1-d sample array is summed in Python floats. A 2-d array holds one
     column per path and is summed in place, each column in lag order, so
@@ -213,23 +224,25 @@ class DelayWindow:
     m past rows of step 0 are summed at construction.
     """
 
-    def __init__(
-        self, kernel: Kernel, values: np.ndarray, dt: float, samples: np.ndarray
-    ):
+    def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
+        self.samples = samples
+        self.columns = samples.ndim == 2
+        self.point = kernel.amp if isinstance(kernel, PointDelay) else None
+        if self.point is not None:
+            self.out = np.empty(samples.shape[1]) if self.columns else None
+            return
         values = np.asarray(values, dtype=float)
         self.head = values[:-1]
         self.first = float(values[0])
         self.last = float(values[-1])
         self.m = len(values) - 1
         self.dt = dt
-        self.samples = samples
         if isinstance(kernel, ExponentialKernel):
             self.rho = float(np.exp(-dt / kernel.decay_scale))
         elif isinstance(kernel, ConstantKernel):
             self.rho = 1.0
         else:
             self.rho = None
-        self.columns = samples.ndim == 2
         if self.columns:
             n = samples.shape[1]
             self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
@@ -248,6 +261,8 @@ class DelayWindow:
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
+        if self.point is not None:
+            return np.multiply(self.samples[k], self.point, out=self.out)
         if not self.columns:
             self.e0 = self.first * self.samples.item(k)
             self.e1 = self.last * newest
@@ -266,6 +281,8 @@ class DelayWindow:
         leaves it and the newest given to the last `sum` joins its past,
         so that sample must by now be row k + m (a sampled kernel reads it
         from there)."""
+        if self.point is not None:
+            return
         if self.rho is None:
             self._resum(k + 1)
         elif not self.columns:

@@ -2,9 +2,10 @@
 
 Contains the structural map M that turns (initial goodwill, goodwill
 history, advertising history) into the lifted initial state, an RK4
-engine for linear delay ODEs (distributed or point lag), and the two
-delay semigroups realized through that engine: the adjoint semigroup of
-the full model and the state semigroup of the state-delay-only model.
+engine for linear delay ODEs, and the delay semigroup realized through
+that engine: the adjoint semigroup of the full model, which with a point
+lag a1 = hilbert.PointDelay(a) is the state semigroup of the
+state-delay-only model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Kernel, ProfileX, SegmentGrid, kernel_eval
+from .hilbert import Kernel, PointDelay, ProfileX, SegmentGrid, kernel_eval
 from .sdde import (
     BlowupError,
     ConfigurationError,
@@ -24,20 +25,15 @@ from .sdde import (
 
 
 @dataclass(frozen=True)
-class PointDelay:
-    a1_scalar: float
-
-
-@dataclass(frozen=True)
 class DelayODEProblem:
     """phi'(t) = a0 phi(t) + delay term, with phi = x1 on [-r, 0].
 
     The delay term is int a1(xi) phi(t + xi) dxi over [-r, 0] for a
-    kernel a1, or a1_scalar phi(t - r) for a point lag.
+    kernel a1 with a density, or amp * phi(t - r) for a point lag.
     """
 
     a0: float
-    delay: Kernel | PointDelay
+    delay: Kernel
     x0: float
     x1: np.ndarray
     grid: SegmentGrid
@@ -111,7 +107,7 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     vals[n - 1] = problem.x0
 
     if isinstance(problem.delay, PointDelay):
-        lags, weights = np.array([-r]), np.array([problem.delay.a1_scalar])
+        lags, weights = np.array([-r]), np.array([problem.delay.amp])
     else:
         lags = grid.nodes
         weights = grid.weights * kernel_eval(problem.delay, lags, r)
@@ -145,10 +141,16 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     return times[n - 1 :], vals[n - 1 :]
 
 
-def _semigroup_apply(problem: DelayODEProblem, t: float, dt: float) -> ProfileX:
+def adjoint_semigroup_apply(
+    t: float, x: ProfileX, params: ModelParams, grid: SegmentGrid, dt: float
+) -> ProfileX:
+    """e^{tA*} x = (phi(t), phi(t + .)|[-r,0]), phi solving the delay ODE
+    with kernel params.a1 from x; a point lag gives the state semigroup
+    S(t) x of the state-delay-only model."""
     if t < 0:
         raise ValueError("semigroup time must be non-negative")
-    grid = problem.grid
+    _check_horizon(params, grid)
+    problem = DelayODEProblem(params.a0, params.a1, x.x0, x.x1, grid, t_end=t)
     if t == 0:
         return ProfileX(problem.x0, problem.x1.copy())
     times, phi = solve_delay_ode(problem, dt)
@@ -159,24 +161,3 @@ def _semigroup_apply(problem: DelayODEProblem, t: float, dt: float) -> ProfileX:
         np.interp(np.minimum(shifted, 0.0), grid.nodes, problem.x1),
     )
     return ProfileX(float(phi[-1]), out)
-
-
-def adjoint_semigroup_apply(
-    t: float, x: ProfileX, params: ModelParams, grid: SegmentGrid, dt: float
-) -> ProfileX:
-    """e^{tA*} x = (phi(t), phi(t + .)|[-r,0]) for the distributed-delay ODE."""
-    _check_horizon(params, grid)
-    prob = DelayODEProblem(
-        params.a0, params.a1, x.x0, x.x1, grid, t_end=max(t, 0.0)
-    )
-    return _semigroup_apply(prob, t, dt)
-
-
-def state_semigroup_apply(
-    t: float, x: ProfileX, a0: float, a1_scalar: float, grid: SegmentGrid, dt: float
-) -> ProfileX:
-    """S(t) x = (u(t), u(t + .)|[-r,0]) for the point-delay ODE."""
-    prob = DelayODEProblem(
-        a0, PointDelay(a1_scalar), x.x0, x.x1, grid, t_end=max(t, 0.0)
-    )
-    return _semigroup_apply(prob, t, dt)

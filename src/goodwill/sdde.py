@@ -11,12 +11,12 @@ so every lookback lands on a stored sample. Each is a
 hilbert.DelayWindow sliding along the time-major state or control rows:
 for exponential and constant kernels it updates the a1 state window and
 the b1 control window in O(1) per step; a sampled kernel is re-summed
-over its m+1 samples. The two agree to 1e-12 relative (tests compare
-them). Open-loop and feedback policies share one step loop over
-time-major paths (one row per step); an open-loop control is one number
-per step, shared by every path. The loop and the windows fill
-preallocated per-path buffers in place; only a feedback policy's control
-and its clip count make per-step arrays.
+over its m+1 samples (the two agree to 1e-12 relative; tests compare
+them), and a point lag reads its one sample at lag -r. Open-loop and
+feedback policies share one step loop over time-major paths (one row per
+step); an open-loop control is one number per step, shared by every path.
+The loop and the windows fill preallocated per-path buffers in place;
+only a feedback policy's control and its clip count make per-step arrays.
 Each path draws its noise from a Philox stream keyed by (seed, path
 index), and every per-path sum runs in an order that does not depend on
 how many paths share an array, so a path's result is bit-identical
@@ -41,6 +41,7 @@ import numpy as np
 from .hilbert import (
     DelayWindow,
     Kernel,
+    PointDelay,
     SegmentGrid,
     check_kernel_nonneg,
     kernel_eval,
@@ -289,16 +290,15 @@ def simulate_paths(
     dt: float,
     n_paths: int,
     seed: int,
-    a1_point: float = 0.0,
     first_path: int = 0,
 ) -> PathEnsemble:
     """Explicit Euler-Maruyama over [0, T] for n_paths independent paths.
 
-    a1_point adds a discrete lag term a1_point * y(t - r) to the drift,
-    used by the state-delay-only model where the forgetting distribution
-    is concentrated on a point. The paths are numbered from first_path:
-    path p draws the noise substream (seed, p), so the paths s.. of one
-    run equal the rows s.. of a larger run.
+    A point lag in params.a1 or params.b1 (hilbert.PointDelay, as in the
+    state-delay-only model, whose forgetting sits at one lag) adds
+    amp * y(t - r) or amp * z(t - r) to the drift. The paths are numbered
+    from first_path: path p draws the noise substream (seed, p), so the
+    paths s.. of one run equal the rows s.. of a larger run.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
@@ -336,6 +336,8 @@ def simulate_paths(
     def window(kernel: Kernel, samples: np.ndarray) -> DelayWindow | None:
         if kernel_is_zero(kernel):
             return None
+        if isinstance(kernel, PointDelay):  # one sample, no node values
+            return DelayWindow(kernel, None, dt, samples)
         return DelayWindow(kernel, kernel_eval(kernel, xi, params.r), dt, samples)
 
     win_a, win_b = window(params.a1, y_pad), window(params.b1, z_pad)
@@ -363,8 +365,6 @@ def simulate_paths(
         np.multiply(ycur, params.a0, out=drift)
         if win_a is not None:
             drift += win_a.sum(k, ycur)
-        if a1_point != 0.0:
-            drift += np.multiply(y_pad[k], a1_point, out=term)
         drift += np.multiply(zcur, params.b0, out=zterm)
         if win_b is not None:
             drift += win_b.sum(k, zcur)

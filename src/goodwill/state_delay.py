@@ -1,4 +1,4 @@
-"""Feedback machinery for delay in the state only (b1 = 0, point lag).
+"""Feedback machinery for delay in the state only (b1 = 0, a point lag a1).
 
 Covers the scaled Hamiltonians of the goodwill model with forgetting,
 the quadratic-cost and bang-bang feedback maps, closed-loop simulation
@@ -9,10 +9,11 @@ uncontrolled dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .hilbert import PointDelay, kernel_is_zero
 from .sdde import (
     ConfigurationError,
     FeedbackPolicy,
@@ -127,19 +128,16 @@ def simulate_feedback(
     """Closed-loop Euler-Maruyama for dy = [a0 y + a1 y(t-r) + b0 z] dt + s dW.
 
     The control at each step is the feedback policy applied to the
-    current state; params must carry zero a1/b1 kernels (the lag is the
-    explicit point term a1_scalar).
+    current state; params must carry zero a1/b1 kernels, and the lag is
+    simulated as the point lag params.a1 = PointDelay(a1_scalar).
     """
-    from .hilbert import kernel_is_zero
-
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(
             "simulate_feedback covers the state-delay-only model: "
             "a1 and b1 kernels must be zero"
         )
-    return simulate_paths(
-        params, history, policy, dt, n_paths, seed, a1_point=a1_scalar
-    )
+    params = replace(params, a1=PointDelay(a1_scalar))
+    return simulate_paths(params, history, policy, dt, n_paths, seed)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from goodwill.approximation import (
 )
 from goodwill.hilbert import (
     ExponentialKernel,
+    PointDelay,
     ProfileX,
     SegmentGrid,
     ZeroKernel,
@@ -314,7 +315,7 @@ def test_a9_property_suites():
             fails += 1
     counts["inner_product"] = fails
 
-    # pathwise monotone coupling and concavity (a1 >= 0 via a1_point)
+    # pathwise monotone coupling and concavity (a1 >= 0 as a point lag)
     mono = conc = 0
     grid = SegmentGrid(0.5, 11)
     t = np.linspace(0, 1, 11)
@@ -322,7 +323,7 @@ def test_a9_property_suites():
         a0 = -rng.uniform(0, 2)
         a1p = rng.uniform(0, 1)
         p = ModelParams(
-            a0=a0, a1=ZeroKernel(), b0=1.0, b1=ZeroKernel(),
+            a0=a0, a1=PointDelay(a1p), b0=1.0, b1=ZeroKernel(),
             sigma=rng.uniform(0, 0.5), r=0.5, T=1.0,
         )
         lo = rng.uniform(0, 1, 11)
@@ -333,7 +334,7 @@ def test_a9_property_suites():
         def terminal(x1, z):
             h = HistoryPair(grid=grid, x0=x1[-1], x1=x1, delta=np.zeros(11))
             ens = simulate_paths(
-                p, h, OpenLoop(t=t, z=z), 0.1, 1, 1000 + i, a1_point=a1p
+                p, h, OpenLoop(t=t, z=z), 0.1, 1, 1000 + i
             )
             return ens.y[0, -1]
 

@@ -8,6 +8,7 @@ from goodwill.cli import build_params, config_hash, load_defaults, main, merged_
 from goodwill.sdde import ConfigurationError
 
 SMALL = {"n_paths": 50, "dt": 0.01, "n_nodes": 51}
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -186,6 +187,25 @@ def test_approx_output_table(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.2
 
 
+def test_approx_steps_fit_the_grid_spacing(tmp_path):
+    # r = 0.56 on 201 nodes has spacing 0.0028: T/0.0028 rounds down to 357
+    # steps of 0.0028011, which broke the CFL check; 358 steps fit
+    path = write_config(tmp_path, {
+        "r": 0.56, "n_nodes": 201, "n_paths": 4,
+        "eps1_list": [0.0], "eps2_list": [0.4],
+    })
+    out = str(tmp_path / "approx.csv")
+    assert main(["approx", "--config", path, "--out", out]) == 0
+    assert len(open(out).read().strip().split("\n")) == 2 + 1
+
+
+def test_u_max_may_be_infinite(tmp_path):
+    # +Infinity is the one non-finite number with a meaning: no upper bound
+    path = write_config(tmp_path, {"u_max": INF})
+    assert main(["costate", "--config", path, "--out", str(tmp_path / "c.csv")]) == 0
+    assert build_params(merged_config(path, {})).u_max == np.inf
+
+
 def test_out_dash_writes_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["costate", "--config", path, "--out", "-"]) == 0
@@ -252,11 +272,32 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ("evaluate", {"seed": 2**63 + 1}, "seed must be in [-2**63, 2**63)"),
         # the optimal value is 0 at gamma = 0, and the gap is relative to it
         ("fig2", {"gamma": 0}, "fig2 needs gamma != 0"),
+        # json reads NaN and Infinity; they used to run into nan rows or a
+        # "numerical failure"
+        ("sensitivity", {"x0": NAN}, "x0 must be finite, got nan"),
+        ("sensitivity", {"t_eval": NAN}, "t_eval must be finite"),
+        ("sensitivity", {"x1_decay": NAN}, "x1_decay must be finite"),
+        ("evaluate", {"sigma": NAN}, "sigma must be finite"),
+        ("fig2", {"x0": NAN}, "x0 must be finite"),
+        ("fig2", {"x1_decay": NAN}, "x1_decay must be finite"),
+        ("costate", {"a0": NAN}, "a0 must be finite"),
+        ("costate", {"beta": NAN}, "beta must be finite"),
+        ("costate", {"gamma": NAN}, "gamma must be finite"),
+        ("costate", {"delta_a": NAN}, "delta_a must be finite"),
+        ("costate", {"gamma": INF}, "gamma must be finite, got inf"),
+        ("costate", {"u_max": -INF}, "u_max must be finite, got -inf"),
+        ("costate", {"u_min": INF}, "u_min must be finite"),
+        ("fig2", {"amplitudes": [1.0, NAN]}, "amplitudes entries must be finite"),
+        ("sensitivity", {"r_grid": [INF]}, "r_grid entries must be finite"),
     ],
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
         "dt_zero", "sigma_negative", "T_huge", "dt_tiny", "seed_huge",
-        "seed_float_key", "fig2_gamma_zero",
+        "seed_float_key", "fig2_gamma_zero", "sensitivity_x0_nan",
+        "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
+        "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
+        "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
+        "u_min_inf", "list_entry_nan", "list_entry_inf",
     ],
 )
 def test_bad_config_is_a_one_line_config_error(

@@ -8,6 +8,7 @@ from goodwill.hilbert import (
     DimensionError,
     DomainError,
     ExponentialKernel,
+    PointDelay,
     ProfileX,
     SampledKernel,
     SegmentGrid,
@@ -218,7 +219,28 @@ def test_kernel_is_zero():
     assert not kernel_is_zero(ExponentialKernel(1.0, 1.0))
 
 
+def test_point_lag_is_zero_at_zero_amplitude():
+    assert kernel_is_zero(PointDelay(0.0))
+    assert not kernel_is_zero(PointDelay(-1.0))
+
+
 # --- window sums ----------------------------------------------------------------
+
+
+def test_point_lag_window_reads_the_oldest_row():
+    # the one-sample window amp * x_k, over path columns and over one column
+    rng = np.random.default_rng(7)
+    m, steps = 5, 6
+    samples = rng.standard_normal((m + steps + 1, 3))
+    k = PointDelay(-0.7)
+    paths = DelayWindow(k, None, 1e-3, samples)
+    col = DelayWindow(k, None, 1e-3, samples[:, 1].copy())
+    for step in range(steps):
+        newest = samples[step + m]
+        np.testing.assert_array_equal(paths.sum(step, newest), -0.7 * samples[step])
+        assert col.sum(step, float(newest[1])) == -0.7 * samples[step, 1]
+        paths.advance(step)
+        col.advance(step)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 513])

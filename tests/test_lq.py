@@ -6,6 +6,7 @@ from goodwill.hilbert import (
     ConstantKernel,
     DomainError,
     ExponentialKernel,
+    PointDelay,
     ProfileX,
     SampledKernel,
     SegmentGrid,
@@ -348,6 +349,51 @@ def test_first_order_optimality_probe():
 
 
 # --- trajectory statistics ----------------------------------------------------
+
+
+def _refusals():
+    from goodwill.approximation import simulate_lifted_perturbed
+
+    grid = SegmentGrid(0.5, 11)
+    x, zero = ProfileX(1.0, np.ones(11)), np.zeros(11)
+    point_a1 = make_params(a1=PointDelay(-1.0))
+    point_b1 = make_params(b1=PointDelay(1.0))
+    pol = OpenLoop(t=np.array([0.0, 1.0]), z=np.ones(2))
+    return {
+        "kernel_eval": lambda: kernel_eval(PointDelay(-1.0), grid.nodes, grid.r),
+        "lift_M": lambda: lift_M(1.0, x.x1, zero, point_a1, grid),
+        "solve_costate_a1": lambda: solve_costate(point_a1, 1.0, 0.5, 0.01),
+        "solve_costate_b1": lambda: solve_costate(point_b1, 1.0, 0.5, 0.01),
+        "lifted_scheme": lambda: simulate_lifted_perturbed(
+            point_a1, x, pol, 0.0, grid, 0.05, 1, 0
+        ),
+        "trajectory_mean_b1": lambda: trajectory_mean(
+            0.5, x, pol, point_b1, grid, 0.01
+        ),
+    }
+
+
+@pytest.mark.parametrize("consumer", list(_refusals()))
+def test_density_consumers_refuse_a_point_lag(consumer):
+    # each needs a kernel density on [-r, 0], which a point lag has not;
+    # the one refusal is kernel_eval's
+    with pytest.raises(ValueError, match="^a point lag has no density"):
+        _refusals()[consumer]()
+
+
+def test_trajectory_mean_reads_a_point_a1():
+    # the e1 trajectory takes a point a1 (the RK4 engine's one-node lag):
+    # u' = -u + 0.5 u(t - 0.5) from u(0) = 1 over a zero history is
+    # e^{-t} + 0.5 (t - r) e^{-(t - r)} on [r, 2r]; the engine reads the
+    # jump at 0 through one grid cell, 8.4e-4 off at t = 0.9 on 101 nodes
+    grid = SegmentGrid(0.5, 101)
+    p = make_params(a1=PointDelay(0.5))
+    pol = OpenLoop(t=np.array([0.0, 1.0]), z=np.zeros(2))
+    e1 = ProfileX(1.0, np.zeros(101))
+    exact = np.exp(-0.9) + 0.5 * 0.4 * np.exp(-0.4)
+    assert trajectory_mean(0.9, e1, pol, p, grid, 1e-3) == pytest.approx(
+        exact, abs=1e-3
+    )
 
 
 def test_trajectory_mean_at_zero_and_no_delay():

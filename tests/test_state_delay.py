@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goodwill.hilbert import ConstantKernel, SegmentGrid, ZeroKernel
+from goodwill.hilbert import ConstantKernel, PointDelay, SegmentGrid, ZeroKernel
 from goodwill.sdde import ConfigurationError, HistoryPair, ModelParams, OpenLoop, simulate_paths
 from goodwill.state_delay import (
     HamiltonianSpec,
@@ -156,13 +158,12 @@ def test_saturated_feedback_matches_open_loop_exactly():
 
     t = 0.01 * np.arange(101)
     ol = simulate_paths(
-        p,
+        replace(p, a1=PointDelay(-0.5)),
         make_history(grid),
         OpenLoop(t=t, z=np.full(101, 10.0)),
         0.01,
         8,
         7,
-        a1_point=-0.5,
     )
     np.testing.assert_array_equal(fb.y, ol.y)
     np.testing.assert_array_equal(fb.z, np.full_like(fb.z, 10.0))
