@@ -21,8 +21,8 @@ goodwill sensitivity --out "$out/sensitivity.csv"
 echo "== regularized objective convergence table =="
 goodwill approx --paths 4000 --out "$out/approx_convergence.csv"
 
-echo "== invariant-measure condition spot checks =="
+echo "== invariant-measure condition spot checks at the shipped r =="
 goodwill feedback-check --a0 -1 --a1 -2 | tee "$out/feedback_check_holds.json"
-goodwill feedback-check --a0 -1 --a1 -3 | tee "$out/feedback_check_fails.json"
+goodwill feedback-check --a0 -1 --a1 -4 | tee "$out/feedback_check_fails.json"
 
 echo "done; outputs in $out/"

@@ -8,7 +8,7 @@ traceable and re-runs are byte-identical.
     goodwill fig1 --out fig1.csv
     goodwill fig2 --axis a1_amplitude --out fig2a.csv
     goodwill sensitivity --out sens.csv
-    goodwill feedback-check --a0 -1 --a1 -2 --variant cot
+    goodwill feedback-check --a0 -1 --a1 -2 --r 0.5 --variant cot
     goodwill costate --out costate.csv
     goodwill evaluate --out value.json
     goodwill approx --out table.csv
@@ -41,6 +41,10 @@ REAL_KEYS = {
 INT_KEYS = {"n_paths", "seed", "n_nodes"}
 LIST_KEYS = {"amplitudes", "r_grid", "eps1_list", "eps2_list"}
 KNOWN_KEYS = REAL_KEYS | INT_KEYS | LIST_KEYS
+# the most segment-grid nodes a config may ask for: the grid is checked
+# before it is built, and `approx` steps at most the grid spacing, so its
+# step count and its (paths x nodes) arrays both grow with n_nodes
+MAX_NODES = 10**4
 
 
 def load_defaults() -> dict:
@@ -78,6 +82,10 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
             raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
         if any(isinstance(v, float) and not math.isfinite(v) for v in value):
             raise ConfigurationError(f"{key} entries must be finite, got {value!r}")
+    if "n_nodes" in cfg and not 2 <= cfg["n_nodes"] <= MAX_NODES:
+        raise ConfigurationError(
+            f"n_nodes must be in [2, {MAX_NODES}], got {cfg['n_nodes']}"
+        )
     # the seed keys the Philox streams as a uint64: this range maps onto
     # the keys one to one, and a larger seed would alias, warn or overflow
     if "seed" in cfg and not -(2**63) <= cfg["seed"] < 2**63:
@@ -263,9 +271,11 @@ def _value_at(cfg: dict, r: float, t_eval: float) -> float:
     return lq.value_lq(t_eval, x, cs, grid)
 
 
-def run_feedback_check(a0: float, a1: float, variant: str) -> str:
-    report = state_delay.invariant_measure_condition(a0, a1, variant)
-    return json.dumps({"variant": variant, **dataclasses.asdict(report)}) + "\n"
+def run_feedback_check(a0: float, a1: float, r: float, variant: str) -> str:
+    report = state_delay.invariant_measure_condition(a0, a1, r, variant)
+    return json.dumps(
+        {"variant": variant, "r": r, **dataclasses.asdict(report)}
+    ) + "\n"
 
 
 def run_costate(cfg: dict) -> str:
@@ -358,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     fc = sub.add_parser("feedback-check", help="invariant-measure condition")
     fc.add_argument("--a0", type=float, required=True)
     fc.add_argument("--a1", type=float, required=True)
+    fc.add_argument(
+        "--r", type=float, default=load_defaults()["r"],
+        help="the delay (default: the shipped r, %(default)s)",
+    )
     fc.add_argument("--variant", choices=["cot", "coth"], default="cot")
     return p
 
@@ -366,7 +380,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "feedback-check":
-            sys.stdout.write(run_feedback_check(args.a0, args.a1, args.variant))
+            sys.stdout.write(
+                run_feedback_check(args.a0, args.a1, args.r, args.variant)
+            )
             return 0
         cfg = merged_config(
             args.config,

@@ -24,7 +24,8 @@ whatever the path count, blocking or scheduling.
 
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
-for m = r/dt and steps = T/dt, whatever the path count. A feedback
+for m = r/dt and steps = T/dt, whatever the path count;
+state_delay.simulate_feedback blocks the same way and keeps y(T). A feedback
 policy's control_fn is then called on one block of states at a time, so
 it must act path-wise: the control of a path may depend on that path's
 state only.
@@ -49,7 +50,8 @@ from .hilbert import (
 )
 
 BLOWUP_LIMIT = 1e12
-# evaluate_policy simulates this many paths at a time
+# evaluate_policy and state_delay.simulate_feedback simulate this many
+# paths at a time
 PATH_BLOCK = 2048
 # the most time steps any solver takes over one span (T or r); checked
 # before anything is allocated
@@ -172,12 +174,27 @@ def open_loop_controls(
 
 @dataclass(frozen=True)
 class PathEnsemble:
+    """Paths sampled at the times t: whole paths from simulate_paths, or
+    the terminal time alone (t = [T]) from state_delay.simulate_feedback."""
+
     t: np.ndarray
-    y: np.ndarray  # (n_paths, steps+1)
-    z: np.ndarray  # (n_paths, steps+1), or (steps+1,) when shared by all paths
+    y: np.ndarray  # (n_paths, len(t))
+    z: np.ndarray  # (n_paths, len(t)), or (len(t),) when shared by all paths
     dt: float
     seed: int
     clip_count: int = 0
+
+    def __post_init__(self):
+        times = len(self.t)
+        if self.y.ndim != 2 or self.y.shape[1] != times:
+            raise ConfigurationError(
+                f"y has shape {self.y.shape}, expected (n_paths, {times})"
+            )
+        if self.z.shape not in ((times,), (self.y.shape[0], times)):
+            raise ConfigurationError(
+                f"z has shape {self.z.shape}, expected ({times},) or "
+                f"({self.y.shape[0]}, {times})"
+            )
 
     @property
     def n_paths(self) -> int:
@@ -400,6 +417,12 @@ def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate
     """Per-path phi0(y(T)) minus the left-endpoint cost integral, averaged."""
     if ensemble.n_paths == 0:
         raise ConfigurationError("ensemble is empty")
+    if len(ensemble.t) < 2:
+        # a terminal-only record (simulate_feedback's) has no running cost
+        raise ConfigurationError(
+            "objective_estimate needs whole paths, got an ensemble with "
+            f"{len(ensemble.t)} time point(s)"
+        )
     terminal = obj.phi0(ensemble.y[:, -1])
     cost = obj.h0(ensemble.z[..., :-1])
     if cost.ndim == 1:  # one control shared by every path

@@ -2,8 +2,9 @@
 
 Covers the scaled Hamiltonians of the goodwill model with forgetting,
 the quadratic-cost and bang-bang feedback maps, closed-loop simulation
-driven by an externally supplied gradient of the value function, and
-the transcendental parameter condition for the invariant measure of the
+driven by an externally supplied gradient of the value function (run in
+path blocks, keeping y(T) only), and the transcendental parameter
+condition, at the model's delay r, for the invariant measure of the
 uncontrolled dynamics.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .hilbert import PointDelay, kernel_is_zero
 from .sdde import (
+    PATH_BLOCK,
     ConfigurationError,
     FeedbackPolicy,
     HistoryPair,
@@ -125,19 +127,36 @@ def simulate_feedback(
     n_paths: int,
     seed: int,
 ) -> PathEnsemble:
-    """Closed-loop Euler-Maruyama for dy = [a0 y + a1 y(t-r) + b0 z] dt + s dW.
+    """Closed-loop Euler-Maruyama for dy = [a0 y + a1 y(t-r) + b0 z] dt + s dW,
+    recorded at the terminal time only.
 
     The control at each step is the feedback policy applied to the
     current state; params must carry zero a1/b1 kernels, and the lag is
-    simulated as the point lag params.a1 = PointDelay(a1_scalar).
+    simulated as the point lag params.a1 = PointDelay(a1_scalar). The
+    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * (m + steps))
+    for m = r/dt and steps = T/dt, whatever n_paths is. The ensemble holds
+    t = [T], y(T) and z(T) as (n_paths, 1) columns, and the clip count of
+    every step of every path; each path's numbers equal those of one
+    simulate_paths pass over all of them, bit for bit.
     """
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(
             "simulate_feedback covers the state-delay-only model: "
             "a1 and b1 kernels must be zero"
         )
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     params = replace(params, a1=PointDelay(a1_scalar))
-    return simulate_paths(params, history, policy, dt, n_paths, seed)
+    y, z, clip_count = np.empty((n_paths, 1)), np.empty((n_paths, 1)), 0
+    for first in range(0, n_paths, PATH_BLOCK):
+        n = min(PATH_BLOCK, n_paths - first)
+        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
+        y[first : first + n] = ens.y[:, -1:]
+        z[first : first + n] = ens.z[:, -1:]
+        clip_count += ens.clip_count
+        t = ens.t[-1:].copy()
+        del ens  # free the block before the next one is built
+    return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
 @dataclass(frozen=True)
@@ -149,22 +168,29 @@ class ConditionReport:
 
 
 def invariant_measure_condition(
-    a0: float, a1_scalar: float, variant: str = "cot"
+    a0: float, a1_scalar: float, r: float, variant: str = "cot"
 ) -> ConditionReport:
-    """Check a0 < -a1 < sqrt(g^2 + a0^2) where g solves the transcendental
-    equation on ]0, pi[.
+    """Check the stability condition of dy = [a0 y + a1 y(t-r)] dt at delay r.
 
-    variant "cot" solves g*cot(g) = a0 (the standard delay-stability
-    form, the default); variant "coth" solves g*coth(g) = a0 as printed,
-    which has no root on ]0, pi[ unless a0 > 1.
+    Scaling time by r turns the delay r into 1 and the pair into
+    (a, b) = (a0*r, a1*r), so the check is a < -b < sqrt(g^2 + a^2), where
+    g solves the transcendental equation in a on ]0, pi[ (Hayes 1950 for
+    delay 1); gamma_root and upper_bound are g and sqrt(g^2 + a^2).
+
+    variant "cot" solves g*cot(g) = a (the standard delay-stability
+    form, the default); variant "coth" solves g*coth(g) = a as printed,
+    which has no root on ]0, pi[ unless a > 1.
     """
+    if not 0 < r < np.inf:
+        raise ConfigurationError(f"r must be positive and finite, got {r}")
+    a, b = a0 * r, a1_scalar * r
     if variant == "cot":
-        f = lambda g: g / np.tan(g) - a0
-        has_root = a0 < 1.0  # g*cot(g) decreases from 1 to -inf on ]0, pi[
+        f = lambda g: g / np.tan(g) - a
+        has_root = a < 1.0  # g*cot(g) decreases from 1 to -inf on ]0, pi[
     elif variant == "coth":
-        f = lambda g: g / np.tanh(g) - a0
+        f = lambda g: g / np.tanh(g) - a
         # g*coth(g) increases from 1 to pi*coth(pi) on ]0, pi[
-        has_root = 1.0 < a0 < np.pi / np.tanh(np.pi)
+        has_root = 1.0 < a < np.pi / np.tanh(np.pi)
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
 
@@ -174,7 +200,7 @@ def invariant_measure_condition(
             gamma_root=None,
             upper_bound=None,
             diagnostic=(
-                f"no root of the {variant} equation in ]0, pi[ for a0={a0}"
+                f"no root of the {variant} equation in ]0, pi[ for a0*r={a}"
             ),
         )
     # imported here: scipy.optimize would triple the import time of goodwill
@@ -182,8 +208,8 @@ def invariant_measure_condition(
 
     eps = 1e-12
     g = float(brentq(f, eps, np.pi - eps, xtol=1e-14))
-    bound = float(np.sqrt(g * g + a0 * a0))
-    holds = bool(a0 < -a1_scalar < bound)
+    bound = float(np.sqrt(g * g + a * a))
+    holds = bool(a < -b < bound)
     return ConditionReport(
         holds=holds, gamma_root=g, upper_bound=bound, diagnostic="ok"
     )

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from goodwill import lq
-from goodwill.cli import build_params, config_hash, load_defaults, main, merged_config
+from goodwill.cli import (
+    MAX_NODES,
+    build_params,
+    config_hash,
+    load_defaults,
+    main,
+    merged_config,
+)
 from goodwill.sdde import ConfigurationError
 
 SMALL = {"n_paths": 50, "dt": 0.01, "n_nodes": 51}
@@ -206,6 +213,11 @@ def test_u_max_may_be_infinite(tmp_path):
     assert build_params(merged_config(path, {})).u_max == np.inf
 
 
+def test_n_nodes_may_reach_the_cap(tmp_path):
+    path = write_config(tmp_path, {"n_nodes": MAX_NODES})
+    assert merged_config(path, {})["n_nodes"] == MAX_NODES == 10**4
+
+
 def test_out_dash_writes_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["costate", "--config", path, "--out", "-"]) == 0
@@ -219,18 +231,40 @@ def test_out_dash_writes_to_stdout(tmp_path, capsys):
 
 
 def test_feedback_check_json(capsys):
-    assert main(["feedback-check", "--a0", "-1", "--a1", "-2"]) == 0
+    assert main(["feedback-check", "--a0", "-1", "--a1", "-2", "--r", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["holds"] is True
     assert obj["gamma_root"] == pytest.approx(2.0288, abs=2e-4)
 
-    assert main(["feedback-check", "--a0", "-1", "--a1", "-3"]) == 0
+    assert main(["feedback-check", "--a0", "-1", "--a1", "-3", "--r", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["holds"] is False
 
-    assert main(["feedback-check", "--a0", "-1", "--a1", "-2", "--variant", "coth"]) == 0
+    argv = ["feedback-check", "--a0", "-1", "--a1", "-2", "--r", "1", "--variant", "coth"]
+    assert main(argv) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["holds"] is False
     assert "no root" in obj["diagnostic"]
+
+
+def test_feedback_check_defaults_to_the_shipped_delay(capsys):
+    # a0 = -1, a1 = -2.5 is stable at r = 0.5 (rightmost root -0.611) but
+    # not at r = 1; the JSON names the delay it checked
+    assert main(["feedback-check", "--a0", "-1", "--a1", "-2.5"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == [
+        "variant", "r", "holds", "gamma_root", "upper_bound", "diagnostic"
+    ]
+    assert obj["r"] == load_defaults()["r"] == 0.5
+    assert obj["holds"] is True
+    assert main(["feedback-check", "--a0", "-1", "--a1", "-2.5", "--r", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["r"], obj["holds"]) == (1.0, False)
+
+
+@pytest.mark.parametrize("r", ["0", "-1", "nan", "inf"])
+def test_feedback_check_rejects_a_bad_delay(capsys, r):
+    assert main(["feedback-check", "--a0", "-1", "--a1", "-2", "--r", r]) == 2
+    assert capsys.readouterr().err.startswith("config error: r must be positive")
 
 
 # --- failure modes ------------------------------------------------------------
@@ -289,6 +323,12 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ("costate", {"u_min": INF}, "u_min must be finite"),
         ("fig2", {"amplitudes": [1.0, NAN]}, "amplitudes entries must be finite"),
         ("sensitivity", {"r_grid": [INF]}, "r_grid entries must be finite"),
+        # a grid past MAX_NODES is refused before it is built; these used to
+        # run past a minute allocating it
+        ("sensitivity", {"n_nodes": 100_000_000}, "n_nodes must be in [2, 10000]"),
+        ("evaluate", {"n_nodes": 100_000_000}, "n_nodes must be in [2, 10000]"),
+        ("approx", {"n_nodes": 100_000_000}, "n_nodes must be in [2, 10000]"),
+        ("evaluate", {"n_nodes": 1}, "n_nodes must be in [2, 10000], got 1"),
     ],
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
@@ -297,7 +337,8 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
         "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
         "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
-        "u_min_inf", "list_entry_nan", "list_entry_inf",
+        "u_min_inf", "list_entry_nan", "list_entry_inf", "sensitivity_n_nodes_huge",
+        "evaluate_n_nodes_huge", "approx_n_nodes_huge", "n_nodes_one",
     ],
 )
 def test_bad_config_is_a_one_line_config_error(

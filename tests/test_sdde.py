@@ -357,6 +357,32 @@ def test_objective_constant_control_exact():
     assert est.mean == pytest.approx(1.5 * 2.0 - 0.5 * 9.0 * 1.0, abs=1e-10)
 
 
+def test_ensemble_checks_its_shapes():
+    t = np.array([0.0, 0.5, 1.0])
+    kw = dict(dt=0.5, seed=0)
+    assert sdde.PathEnsemble(t, np.zeros((2, 3)), np.zeros(3), **kw).n_paths == 2
+    assert sdde.PathEnsemble(t, np.zeros((2, 3)), np.zeros((2, 3)), **kw).n_paths == 2
+    for y, z in [
+        (np.zeros((2, 2)), np.zeros(3)),  # y misses a time
+        (np.zeros(3), np.zeros(3)),  # y is no (paths, times) array
+        (np.zeros((2, 3)), np.zeros(2)),  # shared z misses a time
+        (np.zeros((2, 3)), np.zeros((3, 3))),  # z has another path count
+        (np.zeros((2, 3)), np.zeros((2, 1))),  # z at the terminal time only
+    ]:
+        with pytest.raises(ConfigurationError, match="has shape"):
+            sdde.PathEnsemble(t, y, z, **kw)
+
+
+def test_objective_refuses_a_terminal_only_ensemble():
+    # y(T) alone carries no running cost: pricing it would drop the cost
+    ens = sdde.PathEnsemble(
+        np.array([1.0]), np.ones((4, 1)), np.ones((4, 1)), dt=0.01, seed=0
+    )
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    with pytest.raises(ConfigurationError, match="needs whole paths"):
+        objective_estimate(ens, obj)
+
+
 # --- Monte Carlo behaviour ----------------------------------------------------
 
 

@@ -1,11 +1,22 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goodwill import sdde
 from goodwill.hilbert import ConstantKernel, PointDelay, SegmentGrid, ZeroKernel
-from goodwill.sdde import ConfigurationError, HistoryPair, ModelParams, OpenLoop, simulate_paths
+from goodwill.sdde import (
+    PATH_BLOCK,
+    BlowupError,
+    ConfigurationError,
+    FeedbackPolicy,
+    HistoryPair,
+    ModelParams,
+    OpenLoop,
+    simulate_paths,
+)
 from goodwill.state_delay import (
     HamiltonianSpec,
     bangbang_feedback_policy,
@@ -150,11 +161,27 @@ def test_simulate_feedback_rejects_kernels():
         simulate_feedback(p, -0.5, make_history(grid), pol, 0.05, 2, 0)
 
 
+def closed_loop(p, a1_scalar, history, policy, dt, n_paths, seed):
+    """simulate_feedback's terminal record, checked bit for bit against the
+    terminal column of one simulate_paths pass that keeps whole paths,
+    which is returned for the full-path assertions."""
+    fb = simulate_feedback(p, a1_scalar, history, policy, dt, n_paths, seed)
+    full = simulate_paths(
+        replace(p, a1=PointDelay(a1_scalar)), history, policy, dt, n_paths, seed
+    )
+    np.testing.assert_array_equal(fb.t, full.t[-1:])
+    np.testing.assert_array_equal(fb.y, full.y[:, -1:])
+    np.testing.assert_array_equal(fb.z, full.z[:, -1:])
+    assert fb.clip_count == full.clip_count
+    assert (fb.dt, fb.seed, fb.n_paths) == (dt, seed, n_paths)
+    return full
+
+
 def test_saturated_feedback_matches_open_loop_exactly():
     grid = SegmentGrid(0.5, 11)
     p = make_params()
     pol = quadratic_feedback_policy(quad_spec(), lambda t, y: 1e6)
-    fb = simulate_feedback(p, -0.5, make_history(grid), pol, 0.01, 8, 7)
+    fb = closed_loop(p, -0.5, make_history(grid), pol, 0.01, 8, 7)
 
     t = 0.01 * np.arange(101)
     ol = simulate_paths(
@@ -173,7 +200,7 @@ def test_negative_gradient_switches_off_control():
     grid = SegmentGrid(0.5, 11)
     p = make_params()
     pol = bangbang_feedback_policy(lin_spec(), lambda t, y: -1.0)
-    fb = simulate_feedback(p, -0.5, make_history(grid), pol, 0.01, 4, 3)
+    fb = closed_loop(p, -0.5, make_history(grid), pol, 0.01, 4, 3)
     np.testing.assert_array_equal(fb.z, np.zeros_like(fb.z))
 
 
@@ -186,7 +213,7 @@ def test_state_independent_gradient_reproduces_open_loop_lq():
     p = make_params()
     grad = lambda t, y: np.exp(p.a0 * (p.T - t))  # gamma e^{a0 (T-t)}
     pol = quadratic_feedback_policy(quad_spec(beta=0.5), grad)
-    fb = simulate_feedback(p, 0.0, make_history(grid), pol, 0.01, 16, 5)
+    fb = closed_loop(p, 0.0, make_history(grid), pol, 0.01, 16, 5)
 
     ol = simulate_paths(
         p, make_history(grid), memoryless_policy(p, 1.0, 0.5), 0.01, 16, 5
@@ -194,39 +221,98 @@ def test_state_independent_gradient_reproduces_open_loop_lq():
     np.testing.assert_allclose(fb.y, ol.y, atol=1e-10)
 
 
+# --- closed loop in path blocks -----------------------------------------------
+
+BLOCK_DT = 0.05  # 20 steps and a 10-step lag keep the many-path runs cheap
+
+
+def clipping_setup():
+    # z = 3 - y leaves [0, 1] for paths above 3 and below 2, so both
+    # bounds clip; the policy acts path-wise, as blocks require
+    p = make_params(sigma=1.0, u_max=1.0)
+    return p, make_history(SegmentGrid(0.5, 11)), FeedbackPolicy(lambda t, y: 3.0 - y)
+
+
+@pytest.mark.parametrize("n_paths", [PATH_BLOCK + 1, 2 * PATH_BLOCK + 3])
+def test_feedback_blocks_equal_one_pass(n_paths):
+    # the last block may hold a single path; the clip count sums over blocks
+    p, history, policy = clipping_setup()
+    full = closed_loop(p, -0.5, history, policy, BLOCK_DT, n_paths, 9)
+    assert full.clip_count > n_paths
+
+
+def test_feedback_blowup_in_a_later_block_names_the_global_path(monkeypatch):
+    # one path of the second block gets a huge shock at its 4th step
+    target = PATH_BLOCK + 7
+    normals = sdde.path_normals
+
+    def shocked(seed, path_index, shape):
+        out = normals(seed, path_index, shape)
+        if path_index == target:
+            out[3] = 1e15
+        return out
+
+    monkeypatch.setattr(sdde, "path_normals", shocked)
+    p, history, policy = clipping_setup()
+    with pytest.raises(BlowupError, match=rf"^path {target} .* at step 4 "):
+        simulate_feedback(p, -0.5, history, policy, BLOCK_DT, PATH_BLOCK + 10, 2)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_feedback_needs_a_path(n_paths):
+    p, history, policy = clipping_setup()
+    with pytest.raises(ConfigurationError, match="n_paths must be at least 1"):
+        simulate_feedback(p, -0.5, history, policy, BLOCK_DT, n_paths, 0)
+
+
+def test_feedback_peak_memory_does_not_grow_with_paths():
+    # sizes, not timing: the peak is set by one block, not by the path count
+    p, history, policy = clipping_setup()
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            simulate_feedback(p, -0.5, history, policy, BLOCK_DT, n_paths, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * PATH_BLOCK + 1) <= 1.5 * peak(PATH_BLOCK)
+
+
 # --- invariant measure condition ----------------------------------------------
 
 
 def test_condition_cot_a0_zero():
-    rep = invariant_measure_condition(0.0, -1.0)
+    rep = invariant_measure_condition(0.0, -1.0, r=1)
     assert rep.gamma_root == pytest.approx(np.pi / 2, abs=1e-10)
     assert rep.upper_bound == pytest.approx(np.pi / 2, abs=1e-10)
     assert rep.holds
 
 
 def test_condition_cot_a0_minus_one():
-    rep = invariant_measure_condition(-1.0, -2.0)
+    rep = invariant_measure_condition(-1.0, -2.0, r=1)
     assert rep.gamma_root == pytest.approx(2.0288, abs=2e-4)
     assert rep.upper_bound == pytest.approx(2.2618, abs=2e-4)
     assert rep.holds
-    assert not invariant_measure_condition(-1.0, -3.0).holds
+    assert not invariant_measure_condition(-1.0, -3.0, r=1).holds
 
 
 def test_condition_root_solves_equation():
-    rep = invariant_measure_condition(-2.5, -1.0)
+    rep = invariant_measure_condition(-2.5, -1.0, r=1)
     g = rep.gamma_root
     assert g / np.tan(g) == pytest.approx(-2.5, abs=1e-9)
 
 
 def test_condition_coth_has_no_root_for_negative_a0():
-    rep = invariant_measure_condition(-1.0, -2.0, variant="coth")
+    rep = invariant_measure_condition(-1.0, -2.0, r=1, variant="coth")
     assert not rep.holds
     assert rep.gamma_root is None
     assert "no root" in rep.diagnostic
 
 
 def test_condition_coth_root_when_it_exists():
-    rep = invariant_measure_condition(2.0, -1.0, variant="coth")
+    rep = invariant_measure_condition(2.0, -1.0, r=1, variant="coth")
     g = rep.gamma_root
     assert g is not None
     assert g / np.tanh(g) == pytest.approx(2.0, abs=1e-9)
@@ -234,7 +320,43 @@ def test_condition_coth_root_when_it_exists():
 
 def test_condition_unknown_variant():
     with pytest.raises(ConfigurationError):
-        invariant_measure_condition(0.0, -1.0, variant="tan")
+        invariant_measure_condition(0.0, -1.0, r=1, variant="tan")
+
+
+def rightmost_root(a0, a1, r):
+    """Real part of the rightmost root of lambda = a0 + a1 e^{-lambda r}:
+    a0 + W_0(a1 r e^{-a0 r}) / r, W_0 the principal Lambert W branch
+    (Shinozaki & Mori 2006)."""
+    from scipy.special import lambertw
+
+    return a0 + lambertw(a1 * r * np.exp(-a0 * r)).real / r
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_condition_agrees_with_the_lambert_w_root(r):
+    # the condition holds exactly when every root lies left of the axis
+    rng = np.random.default_rng(2007)
+    a0 = rng.uniform(-4.0, 0.0, 500)
+    a1 = rng.uniform(-6.0, 2.0, 500)
+    root = rightmost_root(a0, a1, r)
+    clear = np.abs(root) > 1e-9  # no pair sits on the boundary
+    holds = [invariant_measure_condition(a, b, r).holds for a, b in zip(a0, a1)]
+    np.testing.assert_array_equal(np.array(holds)[clear], (root < 0)[clear])
+    assert clear.sum() > 490
+
+
+def test_condition_holds_at_the_shipped_delay_where_r1_fails():
+    # stable at r = 0.5 (rightmost root -0.611), unstable at r = 1
+    assert rightmost_root(-1.0, -2.5, 0.5) == pytest.approx(-0.611, abs=5e-4)
+    assert invariant_measure_condition(-1.0, -2.5, r=0.5).holds
+    assert rightmost_root(-1.0, -2.5, 1.0) > 0
+    assert not invariant_measure_condition(-1.0, -2.5, r=1).holds
+
+
+@pytest.mark.parametrize("r", [0.0, -0.5, np.inf, np.nan])
+def test_condition_rejects_a_bad_delay(r):
+    with pytest.raises(ConfigurationError, match="r must be positive"):
+        invariant_measure_condition(-1.0, -2.0, r)
 
 
 def test_import_leaves_scipy_unloaded():
