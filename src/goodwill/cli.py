@@ -8,7 +8,7 @@ traceable and re-runs are byte-identical.
     goodwill fig1 --out fig1.csv
     goodwill fig2 --axis a1_amplitude --out fig2a.csv
     goodwill sensitivity --out sens.csv
-    goodwill feedback-check --a0 -1 --a1 -2 --r 0.5 --variant cot
+    goodwill feedback-check --a0 -1 --a1 -2 --variant cot
     goodwill costate --out costate.csv
     goodwill evaluate --out value.json
     goodwill approx --out table.csv
@@ -41,9 +41,11 @@ REAL_KEYS = {
 INT_KEYS = {"n_paths", "seed", "n_nodes"}
 LIST_KEYS = {"amplitudes", "r_grid", "eps1_list", "eps2_list"}
 KNOWN_KEYS = REAL_KEYS | INT_KEYS | LIST_KEYS
-# the most segment-grid nodes a config may ask for: the grid is checked
-# before it is built, and `approx` steps at most the grid spacing, so its
-# step count and its (paths x nodes) arrays both grow with n_nodes
+# the most segment-grid nodes a config may ask for, checked before any grid
+# is built. The value is a chosen sanity limit (50x the shipped 201), not a
+# resource bound: `evaluate` and `sensitivity` cost about the same at 10^4
+# nodes as at 201, but `approx` steps at most the grid spacing, so its step
+# count and its (paths x nodes) arrays still grow with n_nodes up to the cap
 MAX_NODES = 10**4
 
 
@@ -271,7 +273,9 @@ def _value_at(cfg: dict, r: float, t_eval: float) -> float:
     return lq.value_lq(t_eval, x, cs, grid)
 
 
-def run_feedback_check(a0: float, a1: float, r: float, variant: str) -> str:
+def run_feedback_check(a0: float, a1: float, variant: str) -> str:
+    # the condition is checked at the model's delay, the shipped r
+    r = load_defaults()["r"]
     report = state_delay.invariant_measure_condition(a0, a1, r, variant)
     return json.dumps(
         {"variant": variant, "r": r, **dataclasses.asdict(report)}
@@ -368,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc = sub.add_parser("feedback-check", help="invariant-measure condition")
     fc.add_argument("--a0", type=float, required=True)
     fc.add_argument("--a1", type=float, required=True)
-    fc.add_argument(
-        "--r", type=float, default=load_defaults()["r"],
-        help="the delay (default: the shipped r, %(default)s)",
-    )
     fc.add_argument("--variant", choices=["cot", "coth"], default="cot")
     return p
 
@@ -380,9 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "feedback-check":
-            sys.stdout.write(
-                run_feedback_check(args.a0, args.a1, args.r, args.variant)
-            )
+            sys.stdout.write(run_feedback_check(args.a0, args.a1, args.variant))
             return 0
         cfg = merged_config(
             args.config,
