@@ -27,6 +27,8 @@ from .sdde import (
 )
 
 _MOLLIFIER_POINTS = 2001
+# evaluation points per (points x _MOLLIFIER_POINTS) temporary of _convolve
+_CONVOLVE_ROWS = 64
 
 
 def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
@@ -48,13 +50,20 @@ def _check_eps1(eps1: float):
 
 
 def _convolve(fn, eps2: float, eval_points):
-    """(fn * zeta_eps2)(x) by quadrature: int fn(x - eps2 u) zeta(u) du."""
+    """(fn * zeta_eps2)(x) by quadrature: int fn(x - eps2 u) zeta(u) du.
+
+    The points go _CONVOLVE_ROWS at a time, so the temporaries stay
+    bounded however many there are; each point's sum is the same.
+    """
     if not eps2 > 0:
         raise ConfigurationError(f"eps2 must be positive, got {eps2}")
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    args = pts[:, None] - eps2 * BUMP_U[None, :]
-    vals = fn(args)
-    return np.trapezoid(vals * BUMP_ZETA[None, :], BUMP_U, axis=1)
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), _CONVOLVE_ROWS):
+        args = pts[i : i + _CONVOLVE_ROWS, None] - eps2 * BUMP_U[None, :]
+        vals = fn(args) * BUMP_ZETA[None, :]
+        out[i : i + _CONVOLVE_ROWS] = np.trapezoid(vals, BUMP_U, axis=1)
+    return out
 
 
 def mollify_phi(phi0, eps2: float, eval_points):

@@ -8,7 +8,7 @@ traceable and re-runs are byte-identical.
     goodwill fig1 --out fig1.csv
     goodwill fig2 --axis a1_amplitude --out fig2a.csv
     goodwill sensitivity --out sens.csv
-    goodwill feedback-check --a0 -1 --a1 -2 --variant cot
+    goodwill feedback-check --a0 -1 --a1 -2
     goodwill costate --out costate.csv
     goodwill evaluate --out value.json
     goodwill approx --out table.csv
@@ -273,13 +273,11 @@ def _value_at(cfg: dict, r: float, t_eval: float) -> float:
     return lq.value_lq(t_eval, x, cs, grid)
 
 
-def run_feedback_check(a0: float, a1: float, variant: str) -> str:
+def run_feedback_check(a0: float, a1: float) -> str:
     # the condition is checked at the model's delay, the shipped r
     r = load_defaults()["r"]
-    report = state_delay.invariant_measure_condition(a0, a1, r, variant)
-    return json.dumps(
-        {"variant": variant, "r": r, **dataclasses.asdict(report)}
-    ) + "\n"
+    report = state_delay.invariant_measure_condition(a0, a1, r)
+    return json.dumps({"r": r, **dataclasses.asdict(report)}) + "\n"
 
 
 def run_costate(cfg: dict) -> str:
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc = sub.add_parser("feedback-check", help="invariant-measure condition")
     fc.add_argument("--a0", type=float, required=True)
     fc.add_argument("--a1", type=float, required=True)
-    fc.add_argument("--variant", choices=["cot", "coth"], default="cot")
     return p
 
 
@@ -380,7 +377,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "feedback-check":
-            sys.stdout.write(run_feedback_check(args.a0, args.a1, args.variant))
+            sys.stdout.write(run_feedback_check(args.a0, args.a1))
             return 0
         cfg = merged_config(
             args.config,

@@ -2,10 +2,12 @@
 
 Covers the scaled Hamiltonians of the goodwill model with forgetting,
 the quadratic-cost and bang-bang feedback maps, closed-loop simulation
-driven by an externally supplied gradient of the value function (run in
-path blocks, keeping y(T) only), and the transcendental parameter
-condition, at the model's delay r, for the invariant measure of the
-uncontrolled dynamics.
+driven by an externally supplied gradient of the value function, and the
+transcendental parameter condition, at the model's delay r, for the
+invariant measure of the uncontrolled dynamics. The closed loop runs in
+path blocks on rings of the last m + 1 = r/dt + 1 rows and keeps y(T)
+only, so its state is O(PATH_BLOCK * m) and its noise
+O(PATH_BLOCK * steps) for steps = T/dt.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .sdde import (
     HistoryPair,
     ModelParams,
     PathEnsemble,
-    simulate_paths,
+    _simulate_block,
 )
 
 
@@ -133,11 +135,13 @@ def simulate_feedback(
     The control at each step is the feedback policy applied to the
     current state; params must carry zero a1/b1 kernels, and the lag is
     simulated as the point lag params.a1 = PointDelay(a1_scalar). The
-    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * (m + steps))
-    for m = r/dt and steps = T/dt, whatever n_paths is. The ensemble holds
-    t = [T], y(T) and z(T) as (n_paths, 1) columns, and the clip count of
-    every step of every path; each path's numbers equal those of one
-    simulate_paths pass over all of them, bit for bit.
+    paths run PATH_BLOCK at a time, each block on rings of the m + 1 state
+    and control rows its next step reads, so memory is O(PATH_BLOCK * m)
+    for the state plus O(PATH_BLOCK * steps) for the noise, with m = r/dt
+    and steps = T/dt, whatever n_paths is. The ensemble holds t = [T], y(T)
+    and z(T) as (n_paths, 1) columns, and the clip count of every step of
+    every path; each path's numbers equal those of one simulate_paths pass
+    over all of them, bit for bit.
     """
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(
@@ -150,12 +154,12 @@ def simulate_feedback(
     y, z, clip_count = np.empty((n_paths, 1)), np.empty((n_paths, 1)), 0
     for first in range(0, n_paths, PATH_BLOCK):
         n = min(PATH_BLOCK, n_paths - first)
-        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
-        y[first : first + n] = ens.y[:, -1:]
-        z[first : first + n] = ens.z[:, -1:]
-        clip_count += ens.clip_count
-        t = ens.t[-1:].copy()
-        del ens  # free the block before the next one is built
+        b = _simulate_block(params, history, policy, dt, n, seed, first, whole=False)
+        y[first : first + n, 0] = b.y[b.last]
+        z[first : first + n, 0] = b.z[b.last]
+        clip_count += b.clip_count
+        t = b.t[-1:]
+        del b  # free the rings before the next block is built
     return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
@@ -168,46 +172,30 @@ class ConditionReport:
 
 
 def invariant_measure_condition(
-    a0: float, a1_scalar: float, r: float, variant: str = "cot"
+    a0: float, a1_scalar: float, r: float
 ) -> ConditionReport:
     """Check the stability condition of dy = [a0 y + a1 y(t-r)] dt at delay r.
 
     Scaling time by r turns the delay r into 1 and the pair into
     (a, b) = (a0*r, a1*r), so the check is a < -b < sqrt(g^2 + a^2), where
-    g solves the transcendental equation in a on ]0, pi[ (Hayes 1950 for
-    delay 1); gamma_root and upper_bound are g and sqrt(g^2 + a^2).
-
-    variant "cot" solves g*cot(g) = a (the standard delay-stability
-    form, the default); variant "coth" solves g*coth(g) = a as printed,
-    which has no root on ]0, pi[ unless a > 1.
+    g solves g*cot(g) = a on ]0, pi[ (Hayes 1950 for delay 1); gamma_root
+    and upper_bound are g and sqrt(g^2 + a^2).
     """
     if not 0 < r < np.inf:
         raise ConfigurationError(f"r must be positive and finite, got {r}")
     a, b = a0 * r, a1_scalar * r
-    if variant == "cot":
-        f = lambda g: g / np.tan(g) - a
-        has_root = a < 1.0  # g*cot(g) decreases from 1 to -inf on ]0, pi[
-    elif variant == "coth":
-        f = lambda g: g / np.tanh(g) - a
-        # g*coth(g) increases from 1 to pi*coth(pi) on ]0, pi[
-        has_root = 1.0 < a < np.pi / np.tanh(np.pi)
-    else:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-
-    if not has_root:
+    if not a < 1.0:  # g*cot(g) decreases from 1 to -inf on ]0, pi[
         return ConditionReport(
             holds=False,
             gamma_root=None,
             upper_bound=None,
-            diagnostic=(
-                f"no root of the {variant} equation in ]0, pi[ for a0*r={a}"
-            ),
+            diagnostic=f"no root of the cot equation in ]0, pi[ for a0*r={a}",
         )
     # imported here: scipy.optimize would triple the import time of goodwill
     from scipy.optimize import brentq
 
     eps = 1e-12
-    g = float(brentq(f, eps, np.pi - eps, xtol=1e-14))
+    g = float(brentq(lambda g: g / np.tan(g) - a, eps, np.pi - eps, xtol=1e-14))
     bound = float(np.sqrt(g * g + a * a))
     holds = bool(a < -b < bound)
     return ConditionReport(

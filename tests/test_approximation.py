@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,26 @@ def test_mollify_phi_uniform_growth_bound():
     for eps2 in (0.4, 0.2, 0.1, 0.05):
         vals = mollify_phi(lambda v: gamma * v, eps2, x)
         assert np.all(np.abs(vals) <= gamma * (1.0 + np.abs(x)) + 1e-9)
+
+
+def test_mollify_is_the_same_point_by_point():
+    # the points go in chunks; a point's value does not depend on its chunk
+    x = np.linspace(-3, 3, 2 * approximation._CONVOLVE_ROWS + 5)
+    h = lambda v: 0.5 * v * v
+    one_by_one = [mollify_h(h, 0.2, xi)[0] for xi in x]
+    np.testing.assert_array_equal(mollify_h(h, 0.2, x), one_by_one)
+
+
+def test_mollify_memory_does_not_grow_with_the_point_count():
+    # sizes, not timing: one (20000 x 2001) temporary alone would be 320 MB
+    x = np.linspace(-3, 3, 20_000)
+    tracemalloc.start()
+    try:
+        mollify_h(lambda v: v * v, 0.1, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # --- sup-inf convolution ------------------------------------------------------

@@ -503,6 +503,38 @@ def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
         evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 10, 2)
 
 
+# --- the ring of m + 1 rows ---------------------------------------------------
+
+# r = 0.5 and dt = 0.01, so m = 50 and the ring holds 51 rows: T = 0.3 ends
+# while history rows are still in it (steps < m), T = 0.5 as the last one
+# leaves (steps = m), T = 1.7 after the ring has turned over three times
+RING_T = [0.3, 0.5, 1.7]
+RING_CASES = dict(
+    BLOCK_CASES,
+    point_feedback=(
+        ExponentialKernel(-2.0, 0.2),
+        PointDelay(1.5),
+        FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
+    ),
+)
+
+
+@pytest.mark.parametrize("T", RING_T)
+@pytest.mark.parametrize("case", list(RING_CASES))
+def test_ring_equals_whole_paths(case, T):
+    # evaluate_policy keeps m + 1 rows per block, simulate_paths every row;
+    # the objectives agree bit for bit, one column or several
+    a1, b1, policy = RING_CASES[case]
+    p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
+    if policy is None:
+        policy = _open_loop_wave(T, BLOCK_DT)
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    for n_paths in (1, 5):
+        ring = evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, n_paths, 3)
+        ens = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 3)
+        np.testing.assert_array_equal(ring.values, objective_estimate(ens, obj).values)
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -524,6 +556,20 @@ def test_evaluate_peak_memory_does_not_grow_with_paths():
         )
 
     assert peak(8 * PATH_BLOCK) <= 1.2 * peak(2 * PATH_BLOCK)
+
+
+def test_one_block_keeps_rings_not_paths():
+    # sizes, not timing: one block holds its noise (steps columns) and
+    # rings of m + 1 rows for y, for z and for a wrapped sampled window,
+    # not the m + steps + 1 rows of whole paths
+    dt, T, m, steps = 0.005, 2.0, 100, 400  # steps = 4m
+    a1, b1, policy = BLOCK_CASES["feedback"]
+    p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    peak = _peak_bytes(
+        lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
+    )
+    assert peak <= 1.2 * 8 * PATH_BLOCK * (steps + 3 * (m + 1))
 
 
 def test_memoryless_equals_lq_without_delay():

@@ -280,6 +280,31 @@ def test_feedback_peak_memory_does_not_grow_with_paths():
     assert peak(4 * PATH_BLOCK + 1) <= 1.5 * peak(PATH_BLOCK)
 
 
+@pytest.mark.parametrize("T", [0.3, 0.5, 1.7])
+def test_feedback_ring_equals_whole_paths(T):
+    # r = 0.5 and dt = 0.01 (m = 50): the run ends with history rows still
+    # in the (m + 1)-row rings, as the last one leaves, and after the rings
+    # have turned over three times; closed_loop compares y(T), z(T) and the
+    # clip count with the last column of whole paths
+    p, history, policy = clipping_setup()
+    full = closed_loop(replace(p, T=T), -0.5, history, policy, 0.01, 5, 4)
+    assert full.clip_count > 0
+
+
+def test_feedback_block_keeps_rings_not_paths():
+    # sizes, not timing: one block holds its noise (steps columns) and
+    # rings of m + 1 rows for y and z, not the m + steps + 1 rows of paths
+    p, history, policy = clipping_setup()
+    dt, m, steps = 0.005, 100, 400  # steps = 4m
+    tracemalloc.start()
+    try:
+        simulate_feedback(replace(p, T=2.0), -0.5, history, policy, dt, PATH_BLOCK, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * PATH_BLOCK * (steps + 3 * (m + 1))
+
+
 # --- invariant measure condition ----------------------------------------------
 
 
@@ -304,23 +329,13 @@ def test_condition_root_solves_equation():
     assert g / np.tan(g) == pytest.approx(-2.5, abs=1e-9)
 
 
-def test_condition_coth_has_no_root_for_negative_a0():
-    rep = invariant_measure_condition(-1.0, -2.0, r=1, variant="coth")
-    assert not rep.holds
-    assert rep.gamma_root is None
-    assert "no root" in rep.diagnostic
-
-
-def test_condition_coth_root_when_it_exists():
-    rep = invariant_measure_condition(2.0, -1.0, r=1, variant="coth")
-    g = rep.gamma_root
-    assert g is not None
-    assert g / np.tanh(g) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_condition_unknown_variant():
-    with pytest.raises(ConfigurationError):
-        invariant_measure_condition(0.0, -1.0, r=1, variant="tan")
+def test_condition_has_no_root_once_a0_r_reaches_one():
+    # g*cot(g) decreases from 1 on ]0, pi[, so a = a0*r >= 1 has no root
+    for a0, r in ((1.0, 1.0), (3.0, 0.5)):
+        rep = invariant_measure_condition(a0, -2.0, r)
+        assert not rep.holds
+        assert rep.gamma_root is None and rep.upper_bound is None
+        assert "no root" in rep.diagnostic
 
 
 def rightmost_root(a0, a1, r):
