@@ -222,18 +222,11 @@ class DelayWindow:
     instead. `sum` then returns a buffer that the next `sum` overwrites.
     The rows the window reads must be filled before it reaches them; the
     m past rows of step 0 are summed at construction.
-
-    A 2-d array may also be a ring of at least m + 1 rows: row i sits in
-    slot i % len(samples), so row k + m + 1 may overwrite row k once
-    `sum(k, ...)` has read it. A sampled kernel gathers a window that
-    wraps into lag order before summing it, so its sums keep their bits.
-    A 1-d array holds every row.
     """
 
     def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
         self.samples = samples
         self.columns = samples.ndim == 2
-        self.rows = len(samples)
         self.point = kernel.amp if isinstance(kernel, PointDelay) else None
         if self.point is not None:
             self.out = np.empty(samples.shape[1]) if self.columns else None
@@ -253,25 +246,14 @@ class DelayWindow:
         if self.columns:
             n = samples.shape[1]
             self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
-            self.gathered = None  # a wrapped window's rows, in lag order
         self._resum(0)
 
     def _resum(self, k: int):
         """h of the window at step k, summed over its past rows."""
+        past = self.samples[k : k + self.m]
         if not self.columns:
-            self.h = float(self.head @ self.samples[k : k + self.m])
-            return
-        start = k % self.rows
-        if start + self.m <= self.rows:
-            past = self.samples[start : start + self.m]
-        else:
-            if self.gathered is None:
-                self.gathered = np.empty((self.m, self.samples.shape[1]))
-            past = np.take(
-                self.samples, np.arange(start, start + self.m), axis=0,
-                out=self.gathered, mode="wrap",
-            )
-        if past.shape[1] == 1:
+            self.h = float(self.head @ past)
+        elif past.shape[1] == 1:
             self.h[0] = np.cumsum(self.head * past[:, 0])[-1]
         else:
             np.einsum("j,ji->i", self.head, past, out=self.h)
@@ -280,13 +262,13 @@ class DelayWindow:
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
         if self.point is not None:
-            return np.multiply(self.samples[k % self.rows], self.point, out=self.out)
+            return np.multiply(self.samples[k], self.point, out=self.out)
         if not self.columns:
             self.e0 = self.first * self.samples.item(k)
             self.e1 = self.last * newest
             return self.dt * (self.h + 0.5 * (self.e1 - self.e0))
         out = self.out
-        np.multiply(self.samples[k % self.rows], self.first, out=self.e0)
+        np.multiply(self.samples[k], self.first, out=self.e0)
         np.multiply(newest, self.last, out=self.e1)
         np.subtract(self.e1, self.e0, out=out)
         out *= 0.5
@@ -298,7 +280,7 @@ class DelayWindow:
         """Move the window from step k to step k + 1: the oldest sample
         leaves it and the newest given to the last `sum` joins its past,
         so that sample must by now be row k + m (a sampled kernel reads it
-        from there; row k, which left, may already be overwritten)."""
+        from there)."""
         if self.point is not None:
             return
         if self.rho is None:

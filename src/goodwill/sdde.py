@@ -15,33 +15,33 @@ over its m+1 samples (the two agree to 1e-12 relative; tests compare
 them), and a point lag reads its one sample at lag -r. Open-loop and
 feedback policies share one step loop over time-major rows (one row per
 step, one column per path); an open-loop control is one number per step,
-shared by every path. The rows form a ring: the step that writes row
-m + k + 1 (time t_{k+1}) reads rows k..m + k, so a ring of m + 1 rows,
-m = r/dt, holds everything the next step needs, and row m + k + 1 takes
-the slot of row k. The loop and the windows fill preallocated per-path
+shared by every path. The loop and the windows fill preallocated per-path
 buffers in place; only a feedback policy's control and its clip count
 make per-step arrays. Each path draws its noise from a Philox stream
 keyed by (seed, path index), and every per-path sum runs in an order that
 does not depend on how many paths share an array, so a path's result is
 bit-identical whatever the path count, blocking or scheduling.
 
-simulate_paths keeps every row (a ring that never wraps). evaluate_policy
-simulates PATH_BLOCK (2048) paths at a time on an (m + 1)-row ring and
-keeps only each path's objective, and state_delay.simulate_feedback does
-the same and keeps y(T). Their state is O(PATH_BLOCK * m) and their noise
-O(PATH_BLOCK * steps), steps = T/dt, whatever the path count: each path's
-noise substream is drawn whole, since the ziggurat takes a variable number
-of Philox words per normal, so a later time chunk has no known counter to
-start from. A feedback policy's control_fn is called on one block of
-states at a time, so it must act path-wise: the control of a path may
-depend on that path's state only.
+simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
+under feedback, plus the m = r/dt history rows below them only where a
+delay window reads them. Each path's noise substream is drawn whole (the
+ziggurat takes a variable number of Philox words per normal, so a later
+time chunk has no known counter to start from) and copied into the
+state rows it perturbs, so the noise needs no array of its own beyond a
+buffer of 64 paths.
+evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
+only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
+whatever the path count; state_delay.simulate_feedback blocks the same
+way and keeps y(T). A feedback policy's control_fn is then called on one
+block of states at a time, so it must act path-wise: the control of a
+path may depend on that path's state only.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +59,8 @@ BLOWUP_LIMIT = 1e12
 # evaluate_policy and state_delay.simulate_feedback simulate this many
 # paths at a time
 PATH_BLOCK = 2048
+# simulate_paths draws the noise of this many paths at a time
+_NOISE_CHUNK = 64
 # the most time steps any solver takes over one span (T or r); checked
 # before anything is allocated
 MAX_STEPS = 10**7
@@ -306,41 +308,28 @@ def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
         return _PATH_GENERATOR.standard_normal(shape)
 
 
-class _Block(NamedTuple):
-    """One block of paths from _simulate_block."""
-
-    t: np.ndarray  # the step times t_0 .. t_steps
-    # time-major ring of state rows, one column per path: time t_k (row
-    # m + k) sits in slot (m + k) % len(y), the history rows below it
-    y: np.ndarray
-    # the same ring of controls under a feedback policy; an open-loop
-    # control is one (m + steps + 1,) row of values shared by every path
-    z: np.ndarray
-    last: int  # the slot of time T in y (and in a ring z)
-    clip_count: int
-    # sum over k < steps of h0(z_k), per path under feedback; None without h0
-    cost: np.ndarray | float | None
-
-
-def _simulate_block(
+def simulate_paths(
     params: ModelParams,
     history: HistoryPair,
     policy: Policy,
     dt: float,
     n_paths: int,
     seed: int,
-    first_path: int,
-    whole: bool,
-    h0: Callable | None = None,
-) -> _Block:
-    """Euler-Maruyama for the paths first_path.. on a ring of time-major rows.
+    first_path: int = 0,
+) -> PathEnsemble:
+    """Explicit Euler-Maruyama over [0, T] for n_paths independent paths.
 
-    A ring keeps the m + 1 rows that the next step reads (whole=False),
-    or every row of the run, so that nothing wraps (whole=True). Row
-    m + k + 1 takes the slot of row k, which the delay windows read at
-    step k before the new row is written. With h0 the running cost is
-    summed too: from the one open-loop control, or per path in time order
-    under feedback.
+    A point lag in params.a1 or params.b1 (hilbert.PointDelay, as in the
+    state-delay-only model, whose forgetting sits at one lag) adds
+    amp * y(t - r) or amp * z(t - r) to the drift. The paths are numbered
+    from first_path: path p draws the noise substream (seed, p), so the
+    paths s.. of one run equal the rows s.. of a larger run.
+
+    Each path keeps its steps + 1 states (and controls, under feedback),
+    O(n_paths * steps) memory, plus the m = r/dt history rows only where a
+    delay window reads them: under a nonzero a1 for y, a nonzero b1 for z.
+    The noise is copied into the state rows it perturbs, so it takes no
+    (n_paths, steps) array of its own.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
@@ -357,26 +346,39 @@ def _simulate_block(
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
 
-    rows = m + steps + 1 if whole else m + 1
-    y = np.empty((rows, n_paths))
-    y[:m] = hist_y[:m, None]
-    y[m] = history.x0
+    # time-major rows, one column per path: row hy + k holds time t_k and
+    # the hy rows below it the history a delay window reads (none without)
+    hy = 0 if kernel_is_zero(params.a1) else m
+    y = np.empty((hy + steps + 1, n_paths))
+    y[:hy] = hist_y[:hy, None]
+    y[hy] = history.x0
+    # row hy + k + 1 holds sigma*dW of step k until that step adds the
+    # drift. Each path's draw goes through a path-major buffer of
+    # _NOISE_CHUNK paths, copied in a chunk at a time: a column at a time
+    # would write one cache line per number.
+    noise = np.empty((min(_NOISE_CHUNK, n_paths), steps))
+    for first in range(0, n_paths, len(noise)):
+        chunk = noise[: n_paths - first]
+        for i, row in enumerate(chunk):
+            row[:] = path_normals(seed, first_path + first + i, steps)
+        chunk *= params.sigma * np.sqrt(dt)
+        y[hy + 1 :, first : first + len(chunk)] = chunk.T
+    del noise
 
     # an open-loop control is one number per step, a feedback control one
     # per path
     feedback = isinstance(policy, FeedbackPolicy)
     if feedback:
-        z = np.empty((rows, n_paths))
-        z[:m] = hist_z[:m, None]
+        hz = 0 if kernel_is_zero(params.b1) else m
+        z = np.empty((hz + steps + 1, n_paths))
+        z[:hz] = hist_z[:hz, None]
         clip_count = 0
-        # -0.0 is the identity of +, so the running sum equals a cumsum
-        cost = None if h0 is None else np.full(n_paths, -0.0)
     else:
         z_open = policy.sample(params, t)
         clipped = np.clip(z_open, params.u_min, params.u_max)
         clip_count = int(np.count_nonzero(clipped != z_open))
+        hz = m
         z = np.concatenate([hist_z[:m], clipped])
-        cost = None if h0 is None else h0(clipped[:-1]).sum()
 
     def window(kernel: Kernel, samples: np.ndarray) -> DelayWindow | None:
         if kernel_is_zero(kernel):
@@ -387,28 +389,18 @@ def _simulate_block(
 
     win_a, win_b = window(params.a1, y), window(params.b1, z)
 
-    # noise scaled once: column k holds sigma*dW of every path at step k
-    noise = np.empty((n_paths, steps))
-    for p in range(n_paths):
-        noise[p] = path_normals(seed, first_path + p, steps)
-    noise *= params.sigma * np.sqrt(dt)
-
     # per-step buffers, filled in place; the control terms of an open-loop
     # policy are scalars, shared by every path
     drift, term = np.empty(n_paths), np.empty(n_paths)
     zterm = term if feedback else None
     for k in range(steps + 1):
-        ycur = y[(m + k) % rows]
+        ycur = y[hy + k]
+        zcur = z[hz + k]
         if feedback:
             zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
             zk = np.broadcast_to(zk, (n_paths,))
-            zcur = z[(m + k) % rows]
             np.clip(zk, params.u_min, params.u_max, out=zcur)
             clip_count += int(np.count_nonzero(zcur != zk))
-            if h0 is not None and k < steps:
-                cost += h0(zcur)
-        else:
-            zcur = z[m + k]
         if k == steps:
             break  # the terminal control is stored, never used in a drift
         np.multiply(ycur, params.a0, out=drift)
@@ -418,12 +410,12 @@ def _simulate_block(
         if win_b is not None:
             drift += win_b.sum(k, zcur)
             win_b.advance(k)
-        # row k, the oldest the windows read, is done with: its slot
-        # takes the new row
-        ynew = y[(m + k + 1) % rows]
         drift *= dt
-        np.add(ycur, drift, out=ynew)
-        ynew += noise[:, k]
+        drift += ycur
+        # the noise already in the new row joins y + drift (+ commutes,
+        # so the bits are those of (y + drift) + noise)
+        ynew = y[hy + k + 1]
+        ynew += drift
         # maximum propagates NaN, so this also catches a non-finite state
         if not np.maximum.reduce(np.abs(ynew, out=term)) <= BLOWUP_LIMIT:
             bad = int(np.argmax(~np.isfinite(ynew) | (np.abs(ynew) > BLOWUP_LIMIT)))
@@ -433,34 +425,9 @@ def _simulate_block(
             )
         if win_a is not None:
             win_a.advance(k)
-    return _Block(t, y, z, (m + steps) % rows, clip_count, cost)
 
-
-def simulate_paths(
-    params: ModelParams,
-    history: HistoryPair,
-    policy: Policy,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    first_path: int = 0,
-) -> PathEnsemble:
-    """Explicit Euler-Maruyama over [0, T] for n_paths independent paths.
-
-    A point lag in params.a1 or params.b1 (hilbert.PointDelay, as in the
-    state-delay-only model, whose forgetting sits at one lag) adds
-    amp * y(t - r) or amp * z(t - r) to the drift. The paths are numbered
-    from first_path: path p draws the noise substream (seed, p), so the
-    paths s.. of one run equal the rows s.. of a larger run. Every row
-    of every path is kept, O(n_paths * (m + steps)) memory.
-    """
-    b = _simulate_block(
-        params, history, policy, dt, n_paths, seed, first_path, whole=True
-    )
-    times = len(b.t)  # the ring keeps every row: the last `times` are t_k
-    y = b.y[-times:].T
-    z = b.z[-times:].T if b.z.ndim == 2 else b.z[-times:]
-    return PathEnsemble(t=b.t, y=y, z=z, dt=dt, seed=seed, clip_count=b.clip_count)
+    z = z[hz:].T if feedback else z[hz:]
+    return PathEnsemble(t=t, y=y[hy:].T, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -482,13 +449,17 @@ def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate
             f"{len(ensemble.t)} time point(s)"
         )
     terminal = obj.phi0(ensemble.y[:, -1])
-    cost = obj.h0(ensemble.z[..., :-1])
-    if cost.ndim == 1:  # one control shared by every path
-        cost = cost.sum()
+    z = ensemble.z
+    if z.ndim == 1:  # one control shared by every path
+        cost = obj.h0(z[:-1]).sum()
     else:
         # a running sum adds each path's costs in time order whatever the
-        # path count; a plain sum is pairwise for one path only
-        cost = np.cumsum(cost, axis=1)[:, -1]
+        # path count (a plain sum is pairwise for one path only); -0.0 is
+        # the identity of +, so this is np.cumsum's last column, without
+        # an (n_paths, steps) array of costs
+        cost = np.full(ensemble.n_paths, -0.0)
+        for k in range(z.shape[1] - 1):
+            cost += obj.h0(z[:, k])
     values = terminal - cost * ensemble.dt
     mean, stderr = _mean_stderr(values)
     return MCEstimate(mean, stderr, ensemble.n_paths, ensemble.seed, values)
@@ -503,26 +474,21 @@ def evaluate_policy(
     n_paths: int,
     seed: int,
 ) -> MCEstimate:
-    """objective_estimate of simulate_paths over n_paths paths, streamed.
+    """objective_estimate over n_paths paths, simulated PATH_BLOCK at a time.
 
-    The paths run PATH_BLOCK at a time, each block on a ring of the m + 1
-    rows its next step reads, and only each path's objective outlives its
-    block. So memory is O(PATH_BLOCK * m) for the state (twice that under
-    feedback, for the control) plus O(PATH_BLOCK * steps) for the noise,
-    whatever n_paths is. The per-path cost sums in time order, so every
-    value, the mean and the stderr equal those of objective_estimate on a
-    single simulate_paths over every path, bit for bit.
+    Only each path's objective outlives its block, so memory is
+    O(PATH_BLOCK * (m + steps)) whatever n_paths is. The mean and stderr
+    come from the whole per-path vector, so they equal those of a single
+    simulate_paths over every path, bit for bit.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     values = np.empty(n_paths)
     for first in range(0, n_paths, PATH_BLOCK):
         n = min(PATH_BLOCK, n_paths - first)
-        b = _simulate_block(
-            params, history, policy, dt, n, seed, first, whole=False, h0=obj.h0
-        )
-        values[first : first + n] = obj.phi0(b.y[b.last]) - b.cost * dt
-        del b  # free the rings before the next block is built
+        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
+        values[first : first + n] = objective_estimate(ens, obj).values
+        del ens  # free the block before the next one is built
     mean, stderr = _mean_stderr(values)
     return MCEstimate(mean, stderr, n_paths, seed, values)
 

@@ -2,12 +2,10 @@
 
 Covers the scaled Hamiltonians of the goodwill model with forgetting,
 the quadratic-cost and bang-bang feedback maps, closed-loop simulation
-driven by an externally supplied gradient of the value function, and the
-transcendental parameter condition, at the model's delay r, for the
-invariant measure of the uncontrolled dynamics. The closed loop runs in
-path blocks on rings of the last m + 1 = r/dt + 1 rows and keeps y(T)
-only, so its state is O(PATH_BLOCK * m) and its noise
-O(PATH_BLOCK * steps) for steps = T/dt.
+driven by an externally supplied gradient of the value function (run in
+path blocks, keeping y(T) only), and the transcendental parameter
+condition, at the model's delay r, for the invariant measure of the
+uncontrolled dynamics.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .sdde import (
     HistoryPair,
     ModelParams,
     PathEnsemble,
-    _simulate_block,
+    simulate_paths,
 )
 
 
@@ -135,13 +133,13 @@ def simulate_feedback(
     The control at each step is the feedback policy applied to the
     current state; params must carry zero a1/b1 kernels, and the lag is
     simulated as the point lag params.a1 = PointDelay(a1_scalar). The
-    paths run PATH_BLOCK at a time, each block on rings of the m + 1 state
-    and control rows its next step reads, so memory is O(PATH_BLOCK * m)
-    for the state plus O(PATH_BLOCK * steps) for the noise, with m = r/dt
-    and steps = T/dt, whatever n_paths is. The ensemble holds t = [T], y(T)
-    and z(T) as (n_paths, 1) columns, and the clip count of every step of
-    every path; each path's numbers equal those of one simulate_paths pass
-    over all of them, bit for bit.
+    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * (m + steps))
+    for m = r/dt and steps = T/dt, whatever n_paths is: one block's states
+    (its noise copied into them) with the m history rows the lag reads, and
+    its controls. The ensemble holds t = [T], y(T) and z(T) as (n_paths, 1)
+    columns, and the clip count of every step of every path; each path's
+    numbers equal those of one simulate_paths pass over all of them, bit
+    for bit.
     """
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(
@@ -154,12 +152,12 @@ def simulate_feedback(
     y, z, clip_count = np.empty((n_paths, 1)), np.empty((n_paths, 1)), 0
     for first in range(0, n_paths, PATH_BLOCK):
         n = min(PATH_BLOCK, n_paths - first)
-        b = _simulate_block(params, history, policy, dt, n, seed, first, whole=False)
-        y[first : first + n, 0] = b.y[b.last]
-        z[first : first + n, 0] = b.z[b.last]
-        clip_count += b.clip_count
-        t = b.t[-1:]
-        del b  # free the rings before the next block is built
+        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
+        y[first : first + n] = ens.y[:, -1:]
+        z[first : first + n] = ens.z[:, -1:]
+        clip_count += ens.clip_count
+        t = ens.t[-1:].copy()
+        del ens  # free the block before the next one is built
     return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
 
 

@@ -288,30 +288,3 @@ def test_window_sum_in_place_forms_match_scalar_forms():
                 assert got[i] == col.sum(step, float(samples[step + m, i]))
                 col.advance(step)
                 assert paths.h[i] == col.h
-
-
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize(
-    "kernel",
-    [SampledKernel([0.2, -1.0, 0.4, 2.0]), ExponentialKernel(-2.0, 0.3), PointDelay(-0.7)],
-    ids=["sampled", "exponential", "point"],
-)
-def test_window_over_a_ring_equals_the_window_over_every_row(kernel, n):
-    # a ring of m + 1 rows holds row i in slot i % (m + 1); each new row
-    # overwrites the row that the last `sum` read as its oldest, and the
-    # sums keep the bits of a window over every row
-    rng = np.random.default_rng(8)
-    dt, m, steps = 1e-3, 6, 20
-    values = None if isinstance(kernel, PointDelay) else kernel_eval(
-        kernel, -m * dt + dt * np.arange(m + 1), m * dt
-    )
-    rows = rng.standard_normal((m + steps + 1, n))
-    ring = rows[: m + 1].copy()
-    whole = DelayWindow(kernel, values, dt, rows)
-    wrapped = DelayWindow(kernel, values, dt, ring)
-    for k in range(steps):
-        want = whole.sum(k, rows[m + k]).copy()
-        np.testing.assert_array_equal(wrapped.sum(k, rows[m + k]), want)
-        ring[(m + k + 1) % (m + 1)] = rows[m + k + 1]
-        whole.advance(k)
-        wrapped.advance(k)

@@ -8,6 +8,7 @@ from goodwill import lq, sdde
 
 from goodwill.hilbert import (
     ConstantKernel,
+    DelayWindow,
     ExponentialKernel,
     PointDelay,
     SampledKernel,
@@ -503,36 +504,85 @@ def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
         evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 10, 2)
 
 
-# --- the ring of m + 1 rows ---------------------------------------------------
+# --- the rows a run keeps -----------------------------------------------------
 
-# r = 0.5 and dt = 0.01, so m = 50 and the ring holds 51 rows: T = 0.3 ends
-# while history rows are still in it (steps < m), T = 0.5 as the last one
-# leaves (steps = m), T = 1.7 after the ring has turned over three times
-RING_T = [0.3, 0.5, 1.7]
-RING_CASES = dict(
+# r = 0.5 and dt = 0.01, so m = 50: T = 0.3 ends while the windows still
+# read history rows (steps < m), T = 0.5 as they read the last one
+# (steps = m), T = 1.7 long after
+LAYOUT_T = [0.3, 0.5, 1.7]
+LAYOUT_CASES = dict(
     BLOCK_CASES,
     point_feedback=(
         ExponentialKernel(-2.0, 0.2),
         PointDelay(1.5),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
+    no_window_feedback=(
+        ZeroKernel(),
+        ZeroKernel(),
+        FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
+    ),
 )
 
 
-@pytest.mark.parametrize("T", RING_T)
-@pytest.mark.parametrize("case", list(RING_CASES))
-def test_ring_equals_whole_paths(case, T):
-    # evaluate_policy keeps m + 1 rows per block, simulate_paths every row;
-    # the objectives agree bit for bit, one column or several
-    a1, b1, policy = RING_CASES[case]
+def _padded_euler(p, history, policy, dt, n_paths, seed):
+    """Euler-Maruyama on rows that always hold the m history rows, with the
+    noise in its own array: the layout simulate_paths trims."""
+    steps, m = round(p.T / dt), round(p.r / dt)
+    t, xi = dt * np.arange(steps + 1), -p.r + dt * np.arange(m + 1)
+    hist_y = np.interp(xi, history.grid.nodes, history.x1)
+    hist_z = np.interp(xi, history.grid.nodes, history.delta)
+    y = np.empty((m + steps + 1, n_paths))
+    y[:m], y[m] = hist_y[:m, None], history.x0
+    feedback = isinstance(policy, FeedbackPolicy)
+    if feedback:
+        z = np.empty((m + steps + 1, n_paths))
+        z[:m] = hist_z[:m, None]
+    else:  # one control row shared by every path
+        z = np.concatenate([hist_z[:m], np.clip(policy.sample(p, t), p.u_min, p.u_max)])
+
+    def window(kernel, rows):
+        if isinstance(kernel, ZeroKernel):
+            return None
+        values = None if isinstance(kernel, PointDelay) else kernel_eval(kernel, xi, p.r)
+        return DelayWindow(kernel, values, dt, rows)
+
+    win_a, win_b = window(p.a1, y), window(p.b1, z)
+    noise = np.stack([path_normals(seed, i, steps) for i in range(n_paths)])
+    noise *= p.sigma * np.sqrt(dt)
+    for k in range(steps + 1):
+        if feedback:
+            z[m + k] = np.clip(policy.control_fn(t[k], y[m + k]), p.u_min, p.u_max)
+        if k == steps:
+            break
+        drift = y[m + k] * p.a0
+        if win_a is not None:
+            drift += win_a.sum(k, y[m + k])
+        drift += z[m + k] * p.b0
+        if win_b is not None:
+            drift += win_b.sum(k, z[m + k])
+            win_b.advance(k)
+        y[m + k + 1] = (y[m + k] + drift * dt) + noise[:, k]
+        if win_a is not None:
+            win_a.advance(k)
+    return y[m:].T, z[m:].T
+
+
+@pytest.mark.parametrize("T", LAYOUT_T)
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_trimmed_rows_equal_the_padded_layout(case, T):
+    # simulate_paths copies the noise into the state rows and keeps history
+    # rows only where a window reads them; the paths are those of the
+    # padded layout bit for bit, one column or several
+    a1, b1, policy = LAYOUT_CASES[case]
     p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
     if policy is None:
         policy = _open_loop_wave(T, BLOCK_DT)
-    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
     for n_paths in (1, 5):
-        ring = evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, n_paths, 3)
         ens = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 3)
-        np.testing.assert_array_equal(ring.values, objective_estimate(ens, obj).values)
+        y, z = _padded_euler(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 3)
+        np.testing.assert_array_equal(ens.y, y)
+        np.testing.assert_array_equal(ens.z, z)
 
 
 def _peak_bytes(fn) -> int:
@@ -558,10 +608,10 @@ def test_evaluate_peak_memory_does_not_grow_with_paths():
     assert peak(8 * PATH_BLOCK) <= 1.2 * peak(2 * PATH_BLOCK)
 
 
-def test_one_block_keeps_rings_not_paths():
-    # sizes, not timing: one block holds its noise (steps columns) and
-    # rings of m + 1 rows for y, for z and for a wrapped sampled window,
-    # not the m + steps + 1 rows of whole paths
+def test_one_block_holds_states_and_controls_only():
+    # sizes, not timing: one feedback block holds m + steps + 1 rows of
+    # states (the noise copied into them) and of controls (the b1 window
+    # reads their history); no noise array and no (paths, steps) costs
     dt, T, m, steps = 0.005, 2.0, 100, 400  # steps = 4m
     a1, b1, policy = BLOCK_CASES["feedback"]
     p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
@@ -569,7 +619,7 @@ def test_one_block_keeps_rings_not_paths():
     peak = _peak_bytes(
         lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
     )
-    assert peak <= 1.2 * 8 * PATH_BLOCK * (steps + 3 * (m + 1))
+    assert peak <= 1.1 * 8 * PATH_BLOCK * 2 * (m + steps + 1)
 
 
 def test_memoryless_equals_lq_without_delay():

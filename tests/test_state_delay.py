@@ -281,19 +281,20 @@ def test_feedback_peak_memory_does_not_grow_with_paths():
 
 
 @pytest.mark.parametrize("T", [0.3, 0.5, 1.7])
-def test_feedback_ring_equals_whole_paths(T):
-    # r = 0.5 and dt = 0.01 (m = 50): the run ends with history rows still
-    # in the (m + 1)-row rings, as the last one leaves, and after the rings
-    # have turned over three times; closed_loop compares y(T), z(T) and the
-    # clip count with the last column of whole paths
+def test_feedback_equals_whole_paths_before_and_after_the_history(T):
+    # r = 0.5 and dt = 0.01 (m = 50): the run ends while the lag still
+    # reads history rows, as it reads the last one, and long after;
+    # closed_loop compares y(T), z(T) and the clip count with the last
+    # column of whole paths
     p, history, policy = clipping_setup()
     full = closed_loop(replace(p, T=T), -0.5, history, policy, 0.01, 5, 4)
     assert full.clip_count > 0
 
 
-def test_feedback_block_keeps_rings_not_paths():
-    # sizes, not timing: one block holds its noise (steps columns) and
-    # rings of m + 1 rows for y and z, not the m + steps + 1 rows of paths
+def test_feedback_block_holds_states_and_controls_only():
+    # sizes, not timing: one block holds its m + steps + 1 state rows, the
+    # noise copied into them, and steps + 1 control rows (b1 = 0 reads no
+    # control history); no noise array and no per-path cost array
     p, history, policy = clipping_setup()
     dt, m, steps = 0.005, 100, 400  # steps = 4m
     tracemalloc.start()
@@ -302,7 +303,7 @@ def test_feedback_block_keeps_rings_not_paths():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 8 * PATH_BLOCK * (steps + 3 * (m + 1))
+    assert peak <= 1.1 * 8 * PATH_BLOCK * ((m + steps + 1) + (steps + 1))
 
 
 # --- invariant measure condition ----------------------------------------------
