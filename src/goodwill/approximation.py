@@ -15,6 +15,7 @@ import numpy as np
 
 from .hilbert import ProfileX, SegmentGrid, kernel_eval, kernel_is_zero
 from .sdde import (
+    PATH_BLOCK,
     BlowupError,
     ConfigurationError,
     ModelParams,
@@ -127,6 +128,10 @@ def simulate_lifted_perturbed(
     a1(xi) Y0 + b1(xi) z source, boundary Y1(-r) = 0, plus a single
     shared Brownian increment scaled by eps1 * b1(xi) (the rank-one
     perturbation).
+
+    Paths are stepped sdde.PATH_BLOCK at a time in preallocated buffers,
+    so the noise takes O(PATH_BLOCK * steps) memory whatever the path
+    count; a path's result does not depend on the count or the blocking.
     """
     _check_eps1(eps1)
     dxi = grid.spacing
@@ -147,34 +152,63 @@ def simulate_lifted_perturbed(
     a1v = kernel_eval(params.a1, grid.nodes, params.r)
     b1v = kernel_eval(params.b1, grid.nodes, params.r)
     lam = dt / dxi
-
-    y0 = np.full(n_paths, float(lifted_init.x0))
-    y1 = np.tile(np.asarray(lifted_init.x1, dtype=float), (n_paths, 1))
-
-    noise = np.empty((n_paths, 2, steps))
-    for p in range(n_paths):
-        noise[p] = path_normals(seed, p, (2, steps))
     sig0 = params.sigma * np.sqrt(dt)
     sig1 = eps1 * np.sqrt(dt)
+    perturbed = sig1 > 0 and not kernel_is_zero(params.b1)
 
-    for k in range(steps):
-        tip = y1[:, -1]
-        y0_new = y0 + (params.a0 * y0 + tip + params.b0 * z[k]) * dt
-        y0_new += sig0 * noise[:, 0, k]
+    y0_out = np.empty(n_paths)
+    y1_out = np.empty((n_paths, grid.n_nodes))
+    rows = min(PATH_BLOCK, n_paths)
+    # state and next state, double-buffered, and the step's temporaries
+    y0_buf, y0_new_buf, drift_buf, kick_buf = (np.empty(rows) for _ in range(4))
+    y1_buf, y1_new_buf, work_buf = (np.empty((rows, grid.n_nodes)) for _ in range(3))
+    b1z = np.empty(grid.n_nodes)
+    noise_buf = np.empty((2, steps, rows))  # time-major: a step reads one row
+    for first in range(0, n_paths, PATH_BLOCK):
+        n = min(PATH_BLOCK, n_paths - first)
+        y0, y0_new, drift, kick = (b[:n] for b in (y0_buf, y0_new_buf, drift_buf, kick_buf))
+        y1, y1_new, work = (b[:n] for b in (y1_buf, y1_new_buf, work_buf))
+        noise = noise_buf[:, :, :n]
+        for j in range(n):
+            noise[:, :, j] = path_normals(seed, first + j, (2, steps))
+        y0.fill(float(lifted_init.x0))
+        y1[:] = np.asarray(lifted_init.x1, dtype=float)
 
-        upwind = np.empty_like(y1)
-        upwind[:, 0] = y1[:, 0]  # ghost value 0 at xi = -r
-        upwind[:, 1:] = y1[:, 1:] - y1[:, :-1]
-        source = a1v[None, :] * y0[:, None] + (b1v * z[k])[None, :]
-        y1_new = y1 - lam * upwind + dt * source
-        if sig1 > 0 and not kernel_is_zero(params.b1):
-            y1_new += sig1 * noise[:, 1, k][:, None] * b1v[None, :]
+        for k in range(steps):
+            # y0_new = y0 + (a0 y0 + y1(0) + b0 z) dt + sig0 dW0
+            np.multiply(y0, params.a0, out=drift)
+            drift += y1[:, -1]
+            drift += params.b0 * z[k]
+            drift *= dt
+            np.add(y0, drift, out=y0_new)
+            np.multiply(noise[0, k], sig0, out=kick)
+            y0_new += kick
 
-        if not (np.all(np.isfinite(y0_new)) and np.all(np.isfinite(y1_new))):
-            raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
-        y0, y1 = y0_new, y1_new
+            # y1_new = y1 - lam * upwind + dt * (a1 y0 + b1 z), the ghost
+            # value at xi = -r being 0
+            work[:, 0] = y1[:, 0]
+            np.subtract(y1[:, 1:], y1[:, :-1], out=work[:, 1:])
+            work *= lam
+            np.subtract(y1, work, out=y1_new)
+            np.multiply(y0[:, None], a1v[None, :], out=work)
+            np.multiply(b1v, z[k], out=b1z)
+            work += b1z
+            work *= dt
+            y1_new += work
+            if perturbed:
+                np.multiply(noise[1, k], sig1, out=kick)
+                np.multiply(kick[:, None], b1v[None, :], out=work)
+                y1_new += work
 
-    return LiftedEnsemble(y0=y0, y1=y1)
+            if not (np.isfinite(y0_new).all() and np.isfinite(y1_new).all()):
+                raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
+            y0, y0_new = y0_new, y0
+            y1, y1_new = y1_new, y1
+
+        y0_out[first : first + n] = y0
+        y1_out[first : first + n] = y1
+
+    return LiftedEnsemble(y0=y0_out, y1=y1_out)
 
 
 @dataclass(frozen=True)

@@ -122,16 +122,34 @@ class ExponentialKernel:
             raise ValueError(f"decay_scale must be positive, got {self.decay_scale}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledKernel:
-    """Values at equally spaced lags from -r to 0, the first at -r."""
+    """Values at equally spaced lags from -r to 0, the first at -r.
+
+    The kernel keeps a read-only copy of the values, and compares and
+    hashes by their shape and bytes, so a model holding it can key a
+    cache like any other kernel.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or len(self.values) < 2:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or len(values) < 2:
             raise DimensionError("a sampled kernel needs a 1-d array of 2+ values")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledKernel):
+            return NotImplemented
+        return (
+            self.values.shape == other.values.shape
+            and self.values.tobytes() == other.values.tobytes()
+        )
+
+    def __hash__(self):
+        return hash((self.values.shape, self.values.tobytes()))
 
 
 @dataclass(frozen=True)

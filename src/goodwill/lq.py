@@ -21,6 +21,7 @@ finite range raises sdde.BlowupError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .hilbert import (
     ConstantKernel,
     DelayWindow,
     DomainError,
+    PointDelay,
     ProfileX,
     SegmentGrid,
     kernel_eval,
@@ -200,10 +202,36 @@ def value_lq(
     return float(costate.w0_at(t)) * float(xbar.x0) + pairing + float(costate.c_at(t))
 
 
+@functools.lru_cache(maxsize=1)
 def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
-    """phi solving the distributed delay ODE with x0 = 1, x1 = 0 on [0, t]."""
+    """The e1 trajectory phi on [0, t] and the policy-free terms it gives.
+
+    phi solves the distributed delay ODE from x0 = 1, x1 = 0. Returns the
+    read-only arrays (times, phi, q, tail): q(s) = <B, e^{(t-s)A*} e1>
+    at the times (None for a point b1, which has no density to pair
+    with) and tail = phi(t + xi) at the grid nodes. One entry is kept:
+    trajectory_mean for two policies and trajectory_variance on one
+    model share a solve, and nothing outlives the next model.
+    """
     prob = DelayODEProblem(params.a0, params.a1, 1.0, np.zeros(grid.n_nodes), grid, t)
-    return solve_delay_ode(prob, dt)
+    times, phi = solve_delay_ode(prob, dt)
+
+    def phi_at(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u >= 0, np.interp(np.maximum(u, 0.0), times, phi), 0.0)
+
+    tail = phi_at(t + grid.nodes)
+    q = None
+    if not isinstance(params.b1, PointDelay):
+        b1v = kernel_eval(params.b1, grid.nodes, params.r)
+        q = params.b0 * phi_at(t - times)
+        if not kernel_is_zero(params.b1):
+            shifted = (t - times)[:, None] + grid.nodes[None, :]
+            q = q + phi_at(shifted) @ (grid.weights * b1v)
+    for a in (times, phi, q, tail):
+        if a is not None:
+            a.setflags(write=False)
+    return times, phi, q, tail
 
 
 def trajectory_mean(
@@ -217,40 +245,35 @@ def trajectory_mean(
     """E Y0(t) = <Y(0), e^{tA*}e1> + int_0^t <B z(s), e^{(t-s)A*}e1> ds.
 
     A single delay ODE solve for phi with e1 initial data supplies every
-    semigroup evaluation: e^{uA*}e1 = (phi(u), phi(u + .)). The control
-    is clipped to [u_min, u_max], as in sdde.simulate_paths.
+    semigroup evaluation: e^{uA*}e1 = (phi(u), phi(u + .)). That solve
+    and the control response q(s) = <B, e^{(t-s)A*}e1> depend on the
+    model, the grid, t and dt only, so they sit in a one-entry memo
+    (read-only arrays) that the means of several policies and
+    trajectory_variance on the same model share; a call adds only the
+    policy's part. The control is clipped to [u_min, u_max], as in
+    sdde.simulate_paths.
     """
     _check_horizon(params, grid)
     if t == 0:
         return float(y_init.x0)
-    times, phi = _e1_trajectory(params, grid, t, dt)
-
-    def phi_at(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u >= 0, np.interp(np.maximum(u, 0.0), times, phi), 0.0)
-
-    term1 = y_init.x0 * float(phi[-1]) + float(
-        np.dot(grid.weights, y_init.x1 * phi_at(t + grid.nodes))
-    )
-
+    times, phi, q, tail = _e1_trajectory(params, grid, t, dt)
+    if q is None:
+        kernel_eval(params.b1, grid.nodes, params.r)  # refuses the point lag
+    term1 = y_init.x0 * float(phi[-1]) + float(np.dot(grid.weights, y_init.x1 * tail))
     z = open_loop_controls(policy, params, times, "trajectory_mean")
-    b1v = kernel_eval(params.b1, grid.nodes, params.r)
-    # <B, psi(s)> with psi(s) = e^{(t-s)A*} e1
-    q = params.b0 * phi_at(t - times)
-    if not kernel_is_zero(params.b1):
-        shifted = (t - times)[:, None] + grid.nodes[None, :]
-        q = q + phi_at(shifted) @ (grid.weights * b1v)
     return term1 + float(np.trapezoid(z * q, times))
 
 
 def trajectory_variance(
     t: float, params: ModelParams, grid: SegmentGrid, dt: float
 ) -> float:
-    """Var Y0(t) = sigma^2 int_0^t phi(u)^2 du with the e1 trajectory phi."""
+    """Var Y0(t) = sigma^2 int_0^t phi(u)^2 du with the e1 trajectory phi,
+    read from the one-entry memo that trajectory_mean fills (one solve
+    per model, read-only arrays)."""
     _check_horizon(params, grid)
     if t == 0:
         return 0.0
-    times, phi = _e1_trajectory(params, grid, t, dt)
+    times, phi, _, _ = _e1_trajectory(params, grid, t, dt)
     return params.sigma**2 * float(np.trapezoid(phi**2, times))
 
 

@@ -10,6 +10,7 @@ uncontrolled dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,13 +190,26 @@ def invariant_measure_condition(
             upper_bound=None,
             diagnostic=f"no root of the cot equation in ]0, pi[ for a0*r={a}",
         )
-    # imported here: scipy.optimize would triple the import time of goodwill
-    from scipy.optimize import brentq
-
-    eps = 1e-12
-    g = float(brentq(lambda g: g / np.tan(g) - a, eps, np.pi - eps, xtol=1e-14))
+    g = _cot_root(a)
     bound = float(np.sqrt(g * g + a * a))
     holds = bool(a < -b < bound)
     return ConditionReport(
         holds=holds, gamma_root=g, upper_bound=bound, diagnostic="ok"
     )
+
+
+def _cot_root(a: float) -> float:
+    """The root g of g*cot(g) = a on ]0, pi[, for a < 1, by bisection.
+
+    g*cot(g) decreases from 1 to -inf on ]0, pi[, so the bracket halves
+    until it stops shrinking, its midpoint rounding to one of its ends.
+    """
+    lo, hi = 0.0, math.pi
+    while True:
+        g = 0.5 * (lo + hi)
+        if g <= lo or g >= hi:
+            return g
+        if g / math.tan(g) > a:
+            lo = g
+        else:
+            hi = g

@@ -329,6 +329,49 @@ def test_lifted_determinism():
     np.testing.assert_array_equal(a.y1, b.y1)
 
 
+def _lifted_reference(p, x, pol, eps1, grid, dt, n_paths, seed):
+    """The upwind scheme on every path at once, one fresh array per term."""
+    steps = round(p.T / dt)
+    z = pol.sample(p, dt * np.arange(steps + 1))
+    a1v, b1v = (np.full(grid.n_nodes, k.c) for k in (p.a1, p.b1))
+    y0 = np.full(n_paths, x.x0)
+    y1 = np.tile(x.x1, (n_paths, 1))
+    noise = np.array([approximation.path_normals(seed, i, (2, steps)) for i in range(n_paths)])
+    sig0, sig1 = p.sigma * np.sqrt(dt), eps1 * np.sqrt(dt)
+    for k in range(steps):
+        y0_new = y0 + (p.a0 * y0 + y1[:, -1] + p.b0 * z[k]) * dt
+        y0_new += sig0 * noise[:, 0, k]
+        upwind = np.diff(y1, axis=1, prepend=0.0)
+        source = a1v[None, :] * y0[:, None] + (b1v * z[k])[None, :]
+        y1 = y1 - dt / grid.spacing * upwind + dt * source
+        y1 += sig1 * noise[:, 1, k][:, None] * b1v[None, :]
+        y0 = y0_new
+    return y0, y1
+
+
+def test_lifted_blocks_are_bit_identical(monkeypatch):
+    # path blocks and in-place buffers change no bit: against the plain
+    # scheme, across a block boundary, and for any path count
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(sigma=0.4, a1=ConstantKernel(-0.5), b1=ConstantKernel(1.0))
+    t = np.linspace(0.0, 1.0, 11)
+    pol = OpenLoop(t=t, z=np.linspace(1.0, 0.2, 11))
+    x = ProfileX(1.0, np.linspace(0, 1, 21))
+    run = lambda n: simulate_lifted_perturbed(p, x, pol, 0.3, grid, grid.spacing, n, 11)
+    whole = run(5)
+    y0, y1 = _lifted_reference(p, x, pol, 0.3, grid, grid.spacing, 5, 11)
+    assert whole.y0.tobytes() == y0.tobytes() and whole.y1.tobytes() == y1.tobytes()
+    for n in (1, 3):
+        part = run(n)
+        assert part.y0.tobytes() == whole.y0[:n].tobytes()
+        assert part.y1.tobytes() == whole.y1[:n].tobytes()
+    monkeypatch.setattr(approximation, "PATH_BLOCK", 2)
+    blocked = run(5)
+    assert blocked.y1.shape == (5, 21)
+    assert blocked.y0.tobytes() == whole.y0.tobytes()
+    assert blocked.y1.tobytes() == whole.y1.tobytes()
+
+
 # --- convergence table --------------------------------------------------------
 
 

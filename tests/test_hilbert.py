@@ -204,6 +204,25 @@ def test_sampled_kernel_nodes_follow_from_its_length():
         SampledKernel([1.0])
 
 
+def test_sampled_kernel_compares_and_hashes_by_value():
+    k = SampledKernel([0.0, 1.0, 2.0])
+    same = SampledKernel(np.array([0, 1, 2]))
+    assert k == same and hash(k) == hash(same)
+    assert k != SampledKernel([0.0, 1.0, 2.5])
+    assert k != SampledKernel([0.0, 1.0, 2.0, 2.0])
+    assert k != ConstantKernel(1.0)
+    assert len({k, same, SampledKernel([0.0, 1.0, 2.5])}) == 2
+
+
+def test_sampled_kernel_keeps_a_read_only_copy():
+    values = np.array([0.0, 1.0, 2.0])
+    k = SampledKernel(values)
+    values[0] = 5.0  # the caller's array stays writeable and is not shared
+    assert k.values[0] == 0.0
+    with pytest.raises(ValueError):
+        k.values[1] = 3.0
+
+
 def test_kernel_eval_domain_error():
     g = SegmentGrid(0.5, 11)
     with pytest.raises(DomainError):

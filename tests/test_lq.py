@@ -473,6 +473,124 @@ def test_trajectory_variance_matches_monte_carlo():
     assert abs(got - sample_var) <= 3 * se
 
 
+def test_trajectory_mean_reads_a_sampled_a1_like_its_kernel():
+    # the sampled kernel keys the e1 memo like any other and gives the
+    # exponential kernel's mean within the sampled-costate tolerance
+    grid = SegmentGrid(0.5, 201)
+    a1 = ExponentialKernel(-5.0, 1 / 6)
+    sampled = SampledKernel(kernel_eval(a1, grid.nodes, grid.r))
+    x = ProfileX(2.0, 2.0 * np.ones(201))
+    pol = OpenLoop(t=np.linspace(0, 1, 11), z=np.linspace(1.0, 0.0, 11))
+    exp, smp = (
+        trajectory_mean(1.0, x, pol, make_params(a0=-0.5, a1=k, b1=ConstantKernel(1.0)),
+                        grid, 1e-3)
+        for k in (a1, sampled)
+    )
+    assert smp == pytest.approx(exp, rel=1e-4)
+
+
+@pytest.fixture
+def ode_solves(monkeypatch):
+    """Count the delay-ODE solves lq makes, from an empty e1 memo."""
+    from goodwill import lq
+
+    calls = []
+
+    def counted(problem, dt):
+        calls.append(dt)
+        return solve_delay_ode(problem, dt)
+
+    lq._e1_trajectory.cache_clear()
+    monkeypatch.setattr(lq, "solve_delay_ode", counted)
+    yield calls
+    lq._e1_trajectory.cache_clear()
+
+
+MEMO_GRID = SegmentGrid(0.5, 51)
+MEMO_PARAMS = dict(a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b0=1.0,
+                   b1=ExponentialKernel(2.0, 1 / 6))
+
+
+def _exact_calls(p, grid=MEMO_GRID, t=1.0, dt=1e-2):
+    """The three exact calls of a churn gap: mean(z*), mean(z0), variance."""
+    x = ProfileX(1.0, np.linspace(0.5, 1.0, grid.n_nodes))
+    cs = solve_costate(p, 1.0, 0.5, 1e-2)
+    policies = (optimal_policy_lq(cs, p), memoryless_policy(p, 1.0, 0.5))
+    return [
+        *(lambda pol=pol: trajectory_mean(t, x, pol, p, grid, dt) for pol in policies),
+        lambda: trajectory_variance(t, p, grid, dt),
+    ]
+
+
+def _exact_pair(p, **kw):
+    return [f() for f in _exact_calls(p, **kw)]
+
+
+def test_means_and_variance_of_one_model_share_one_solve(ode_solves):
+    from goodwill import lq
+
+    calls = _exact_calls(make_params(**MEMO_PARAMS))
+    warm = [f() for f in calls]
+    assert len(ode_solves) == 1
+    cold = []
+    for f in calls:
+        lq._e1_trajectory.cache_clear()
+        cold.append(f())
+    assert warm == cold  # bit for bit, not approximately
+    assert len(ode_solves) == 4
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(params=dict(a0=-0.6)),
+        dict(params=dict(a1=ExponentialKernel(-2.5, 1 / 6))),
+        dict(params=dict(b0=1.5)),
+        dict(params=dict(b1=ConstantKernel(2.0))),
+        dict(grid=SegmentGrid(0.5, 41)),
+        dict(t=0.9),
+        dict(dt=5e-3),
+    ],
+    ids=["a0", "a1", "b0", "b1", "grid", "t", "dt"],
+)
+def test_any_model_change_makes_a_new_solve(ode_solves, change):
+    p = make_params(**MEMO_PARAMS)
+    _exact_pair(p)
+    changed = make_params(**dict(MEMO_PARAMS, **change.get("params", {})))
+    kw = {k: v for k, v in change.items() if k != "params"}
+    _exact_pair(changed, **kw)
+    assert len(ode_solves) == 2
+
+
+def test_memo_holds_one_model(ode_solves):
+    # no result outlives the next model: going back re-solves
+    p, q = make_params(**MEMO_PARAMS), make_params(**dict(MEMO_PARAMS, a0=-0.6))
+    for model in (p, q, p):
+        _exact_pair(model)
+    assert len(ode_solves) == 3
+
+
+def test_memo_arrays_are_read_only(ode_solves):
+    from goodwill import lq
+
+    p = make_params(**MEMO_PARAMS)
+    arrays = lq._e1_trajectory(p, MEMO_GRID, 1.0, 1e-2)
+    assert len(arrays) == 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_variance_takes_a_point_b1(ode_solves):
+    # b1 leaves the variance alone, so a point b1 is no refusal there
+    p = make_params(**dict(MEMO_PARAMS, b1=PointDelay(1.0)))
+    q = make_params(**dict(MEMO_PARAMS, b1=ZeroKernel()))
+    assert trajectory_variance(1.0, p, MEMO_GRID, 1e-2) == trajectory_variance(
+        1.0, q, MEMO_GRID, 1e-2
+    )
+
+
 # --- delay sensitivity --------------------------------------------------------
 
 

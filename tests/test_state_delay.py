@@ -375,8 +375,20 @@ def test_condition_rejects_a_bad_delay(r):
         invariant_measure_condition(-1.0, -2.0, r)
 
 
+def test_cot_root_bisection_matches_brentq():
+    # the bisection stands in for the brentq call the condition once made
+    from scipy.optimize import brentq
+
+    from goodwill.state_delay import _cot_root
+
+    for a in np.linspace(-50.0, 0.9, 201):
+        g = _cot_root(a)
+        want = brentq(lambda g: g / np.tan(g) - a, 1e-12, np.pi - 1e-12, xtol=1e-14)
+        assert g == pytest.approx(want, rel=1e-13), a
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported only inside invariant_measure_condition
+    # goodwill needs numpy only, the stability condition included
     import os
     import subprocess
     import sys
@@ -386,10 +398,11 @@ def test_import_leaves_scipy_unloaded():
 
     code = (
         "import sys, goodwill; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.signal') if m in sys.modules))"
+        "goodwill.state_delay.invariant_measure_condition(-1.0, -2.0, 0.5); "
+        "print('scipy' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(goodwill.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False"
