@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from goodwill import lq
 from goodwill.cli import merged_config, run_costate
 from goodwill.hilbert import (
     ConstantKernel,
@@ -492,8 +493,6 @@ def test_trajectory_mean_reads_a_sampled_a1_like_its_kernel():
 @pytest.fixture
 def ode_solves(monkeypatch):
     """Count the delay-ODE solves lq makes, from an empty e1 memo."""
-    from goodwill import lq
-
     calls = []
 
     def counted(problem, dt):
@@ -527,8 +526,6 @@ def _exact_pair(p, **kw):
 
 
 def test_means_and_variance_of_one_model_share_one_solve(ode_solves):
-    from goodwill import lq
-
     calls = _exact_calls(make_params(**MEMO_PARAMS))
     warm = [f() for f in calls]
     assert len(ode_solves) == 1
@@ -571,8 +568,6 @@ def test_memo_holds_one_model(ode_solves):
 
 
 def test_memo_arrays_are_read_only(ode_solves):
-    from goodwill import lq
-
     p = make_params(**MEMO_PARAMS)
     arrays = lq._e1_trajectory(p, MEMO_GRID, 1.0, 1e-2)
     assert len(arrays) == 4
