@@ -239,7 +239,10 @@ class DelayWindow:
     lone column as a SIMD dot, so that column goes through a running sum
     instead. `sum` then returns a buffer that the next `sum` overwrites.
     The rows the window reads must be filled before it reaches them; the
-    m past rows of step 0 are summed at construction.
+    m past rows of step 0 are summed at construction. Once every row of a
+    1-d array is filled, `sums` gives the sums of all steps in one pass:
+    the end terms as two arrays, the recursion in one loop over Python
+    floats, with the operations of `sum` and `advance` in their order.
     """
 
     def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
@@ -247,6 +250,7 @@ class DelayWindow:
         self.columns = samples.ndim == 2
         self.point = kernel.amp if isinstance(kernel, PointDelay) else None
         if self.point is not None:
+            self.m = 0  # no past rows: the window is the one row k
             self.out = np.empty(samples.shape[1]) if self.columns else None
             return
         values = np.asarray(values, dtype=float)
@@ -309,3 +313,35 @@ class DelayWindow:
             np.subtract(self.h, self.e0, out=self.h)
             self.h += self.e1
             self.h *= self.rho
+
+    def sums(self) -> np.ndarray:
+        """The sum of every step of a 1-d window whose rows are all filled,
+        row k + m being the newest sample of step k (a point lag's window
+        is its one row k): entry k equals `sum(k, samples[k + m])` followed
+        by `advance(k)`, bit for bit, and the window is left where those
+        calls leave it. The recursion takes its end terms as two arrays and
+        runs in one float loop; a sampled kernel or a point lag goes step
+        by step."""
+        m = self.m
+        n = len(self.samples) - m
+        if self.point is not None or self.rho is None:
+            out = np.empty(n)
+            for k in range(n):
+                out[k] = self.sum(k, self.samples.item(k + m))
+                self.advance(k)
+            return out
+        e0 = self.first * self.samples[:n]
+        e1 = self.last * self.samples[m:]
+        raw = np.empty(n)
+        at = memoryview(raw)
+        h, rho = self.h, self.rho
+        for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
+            at[k] = h
+            h = rho * (h - a + b)
+        self.h, self.e0, self.e1 = h, a, b
+        # dt * (h + 0.5 * (e1 - e0)) of `sum`, in place
+        e1 -= e0
+        e1 *= 0.5
+        e1 += raw
+        e1 *= self.dt
+        return e1

@@ -15,8 +15,9 @@ The delay integral of the forward solve and the pairing <B, w> are
 trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi; for
 exponential and constant kernels they are updated in O(1) per step, and
 a sampled kernel is re-summed over its window. The two agree to 1e-12
-relative over 1e5 steps (tests compare them). A costate that leaves the
-finite range raises sdde.BlowupError.
+relative over 1e5 steps (tests compare them). The pairing is one pass
+over the filled phi rows. A costate that leaves the finite range raises
+sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def solve_costate(
     delay integral a trapezoid DelayWindow over the rows. <B, w> is a
     second window over the same rows, and c accumulates the squared
     positive part of <B, w> from c(T) = 0.
+
+    With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
+    floats; otherwise each step sums and advances the a1 window. The
+    pairing comes after, from the filled rows in one DelayWindow.sums
+    pass. The bits are those of a loop of sum/advance calls per step.
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -109,36 +115,35 @@ def solve_costate(
         out[i] = dt / 2 * values[m - i] * gamma
         return out
 
-    has_a1 = not kernel_is_zero(params.a1)
-    if has_a1:
-        a1v = kernel_eval(params.a1, xi, params.r)
-        win_a = DelayWindow(params.a1, a1v, dt, phi)
-        jump_a = jump(a1v).item
-
-    def slope(i: int, phi_i: float) -> float:
-        if not has_a1:
-            return params.a0 * phi_i
-        return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a(i))
-
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            prev = p(m + i - 1)
-            f1 = slope(i - 1, prev)
-            if has_a1:
+        if kernel_is_zero(params.a1):
+            # the slope is a0 * phi: Heun's step on Python floats
+            a0, half, prev, rows = float(params.a0), dt / 2, p(m), memoryview(phi)
+            for i in range(m + 1, m + n + 1):
+                f1 = a0 * prev
+                prev = prev + half * (f1 + a0 * (prev + dt * f1))
+                rows[i] = prev
+        else:
+            a1v = kernel_eval(params.a1, xi, params.r)
+            win_a = DelayWindow(params.a1, a1v, dt, phi)
+            jump_a = jump(a1v).item
+
+            def slope(i: int, phi_i: float) -> float:
+                return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a(i))
+
+            for i in range(1, n + 1):
+                prev = p(m + i - 1)
+                f1 = slope(i - 1, prev)
                 win_a.advance(i - 1)
-            f2 = slope(i, prev + dt * f1)
-            phi[m + i] = prev + dt / 2 * (f1 + f2)
+                f2 = slope(i, prev + dt * f1)
+                phi[m + i] = prev + dt / 2 * (f1 + f2)
 
         bw = params.b0 * phi[m:]
         if not kernel_is_zero(params.b1):
+            # every row of phi is filled now, so the pairing is one pass
             b1v = kernel_eval(params.b1, xi, params.r)
-            win_b = DelayWindow(params.b1, b1v, dt, phi)
-            pairing = np.empty(n + 1)
-            for i in range(n + 1):
-                pairing[i] = win_b.sum(i, p(m + i))
-                win_b.advance(i)
-            bw = bw + pairing - jump(b1v)
+            bw = bw + DelayWindow(params.b1, b1v, dt, phi).sums() - jump(b1v)
 
         # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order
         g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)

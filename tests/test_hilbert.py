@@ -307,3 +307,36 @@ def test_window_sum_in_place_forms_match_scalar_forms():
                 assert got[i] == col.sum(step, float(samples[step + m, i]))
                 col.advance(step)
                 assert paths.h[i] == col.h
+
+
+@pytest.mark.parametrize("m", [1, 2, 50])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ExponentialKernel(-2.0, 0.3),
+        ConstantKernel(0.7),
+        SampledKernel(np.sin(np.linspace(0.0, 3.0, 13))),
+        PointDelay(-0.7),
+    ],
+    ids=["exponential", "constant", "sampled", "point"],
+)
+def test_window_sums_equal_the_step_by_step_sums(kernel, m):
+    # the costate's layout: m zero rows, a jump, then a rough run, every
+    # row filled; sums() against sum(k, row k + m) then advance(k)
+    rng = np.random.default_rng(m)
+    dt = 1e-3
+    samples = np.zeros(m + 300)
+    samples[m:] = 2.7 + rng.standard_normal(300)
+    values = (
+        None if isinstance(kernel, PointDelay)
+        else kernel_eval(kernel, -m * dt + dt * np.arange(m + 1), m * dt)
+    )
+    stepped, whole = (DelayWindow(kernel, values, dt, samples) for _ in range(2))
+    past = 0 if values is None else m  # a point lag's window is its one row
+    want = np.empty(len(samples) - past)
+    for k in range(len(want)):
+        want[k] = stepped.sum(k, samples.item(k + past))
+        stepped.advance(k)
+    np.testing.assert_array_equal(whole.sums(), want)
+    if values is not None:
+        assert whole.h == stepped.h

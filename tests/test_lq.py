@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from goodwill import lq
-from goodwill.cli import merged_config, run_costate
+from goodwill.cli import build_params, merged_config, run_costate
 from goodwill.hilbert import (
     ConstantKernel,
+    DelayWindow,
     DomainError,
     ExponentialKernel,
     PointDelay,
@@ -198,6 +201,79 @@ def test_sampled_kernels_need_no_matching_step():
         for k in (b1, sampled[1])
     )
     assert s_smp == pytest.approx(s_exp, rel=1e-4)
+
+
+def stepwise_costate(params, gamma, beta, dt):
+    """(w0, <B, w>, c) of an a1-free model, one call per step: Heun's loop
+    through a slope function, then the pairing through DelayWindow.sum and
+    advance. solve_costate must give these bits."""
+    n, m = round(params.T / dt), round(params.r / dt)
+    phi = np.zeros(m + n + 1)
+    phi[m] = gamma
+
+    def slope(i, phi_i):
+        return params.a0 * phi_i
+
+    for i in range(1, n + 1):
+        prev = phi.item(m + i - 1)
+        f1 = slope(i - 1, prev)
+        f2 = slope(i, prev + dt * f1)
+        phi[m + i] = prev + dt / 2 * (f1 + f2)
+    bw = params.b0 * phi[m:]
+    if not isinstance(params.b1, ZeroKernel):
+        b1v = kernel_eval(params.b1, -params.r + dt * np.arange(m + 1), params.r)
+        win = DelayWindow(params.b1, b1v, dt, phi)
+        pairing = np.empty(n + 1)
+        for i in range(n + 1):
+            pairing[i] = win.sum(i, phi.item(m + i))
+            win.advance(i)
+        jump = np.zeros(n + 1)
+        i = np.arange(1, min(m, n + 1))
+        jump[i] = dt / 2 * b1v[m - i] * gamma
+        bw = bw + pairing - jump
+    g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
+    c = np.zeros(n + 1)
+    c[1:] = np.cumsum(dt / 2 * (g[:-1] + g[1:]))
+    return tuple(np.flip(v) for v in (phi[m:], bw, c))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-5])
+@pytest.mark.parametrize("gamma", [1.0, 2.7])
+@pytest.mark.parametrize(
+    "b1",
+    [
+        ZeroKernel(),
+        ConstantKernel(0.8),
+        ExponentialKernel(5.0, 0.5),
+        SampledKernel(np.abs(np.sin(np.linspace(0.0, 3.0, 37)))),
+    ],
+    ids=["zero", "constant", "exponential", "sampled"],
+)
+def test_a1_free_costate_equals_the_step_by_step_solve(b1, gamma, dt):
+    p = make_params(a0=-0.5, b1=b1)
+    cs = solve_costate(p, gamma, 0.5, dt)
+    for name, want in zip(("w0", "bw", "c"), stepwise_costate(p, gamma, 0.5, dt)):
+        np.testing.assert_array_equal(getattr(cs, name), want, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "a1_amp, limit_mib", [(0.0, 1.61), (None, 1.84)], ids=["b1_only", "both_churns"]
+)
+def test_costate_peak_memory(a1_amp, limit_mib):
+    # the tracemalloc peak of one fine-step solve at the shipped model: a
+    # few arrays of the 20,001 steps, no Python list of a float per step
+    # (that alone would add about 0.6 MiB); the limits are the measured
+    # peaks of the same solve with a per-step sum/advance pairing loop
+    cfg = merged_config(None, {})
+    p = build_params(cfg, a1_amp=a1_amp)
+    solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)  # one-time set-up off the count
+    tracemalloc.start()
+    try:
+        solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_costate_overflow_raises_blowup():

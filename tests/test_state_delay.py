@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodwill import sdde
 from goodwill.hilbert import ConstantKernel, PointDelay, SegmentGrid, ZeroKernel
+from goodwill.lq import trajectory_variance
 from goodwill.sdde import (
     PATH_BLOCK,
     BlowupError,
@@ -406,3 +407,62 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+# --- stationary variance --------------------------------------------------------
+
+# stable (a0, a1, r): the Kuechler-Mensch values of each are in ROADMAP item 7
+STABLE = [
+    (-1.0, -0.5, 1.0),
+    (-1.0, -2.0, 1.0),
+    (-2.0, 1.0, 1.0),
+    (-1.0, -2.5, 0.5),
+    (-1.0, 0.5, 2.0),
+]
+SIGMA, HORIZON = 0.5, 40.0  # e^{2 lambda T} < 1e-3 at the slowest root, -0.092
+
+
+def stationary_variance(a0, a1, r, sigma):
+    """sigma^2 int_0^inf phi^2 of dy = (a0 y + a1 y(t - r)) dt + sigma dW.
+
+    Kuechler & Mensch (1992) give it at delay 1 and unit sigma as V(a, b);
+    scaling time by r makes it sigma^2 r V(a0 r, a1 r).
+    """
+    a, b = a0 * r, a1 * r
+    if abs(b) < -a:
+        w = np.sqrt(a * a - b * b)
+        v = (b * np.sinh(w) - w) / (2 * w * (a + b * np.cosh(w)))
+    else:
+        w = np.sqrt(b * b - a * a)
+        v = (b * np.sin(w) - w) / (2 * w * (a + b * np.cos(w)))
+    return sigma**2 * r * v
+
+
+@pytest.mark.parametrize("a0, a1, r", STABLE)
+def test_trajectory_variance_reaches_the_stationary_variance(a0, a1, r):
+    # RK4 at dt = 0.01 on 401 nodes: the largest error is 1.6e-3 relative,
+    # at (-1, -2, 1), and it halves with dt and the node spacing
+    assert invariant_measure_condition(a0, a1, r).holds
+    p = ModelParams(a0=a0, a1=PointDelay(a1), b0=1.0, b1=ZeroKernel(),
+                    sigma=SIGMA, r=r, T=HORIZON)
+    got = trajectory_variance(HORIZON, p, SegmentGrid(r, 401), 0.01)
+    assert got == pytest.approx(stationary_variance(a0, a1, r, SIGMA), rel=3e-3)
+
+
+@pytest.mark.parametrize("a0, a1, r", STABLE)
+def test_uncontrolled_sample_variance_reaches_the_stationary_variance(a0, a1, r):
+    # 2000 zero-control paths from a zero history: the sample variance of
+    # y(T) within 3 of its standard errors, sqrt(2 / (n - 1)) of it, plus
+    # an Euler allowance of 6 dt relative (the variance of the Euler scheme
+    # itself is off by at most 5.6 dt relative over these five, at
+    # (-1, -2, 1), and halving dt halves it)
+    dt, n_paths = 0.01, 2000
+    p = ModelParams(a0=a0, a1=ZeroKernel(), b0=1.0, b1=ZeroKernel(),
+                    sigma=SIGMA, r=r, T=HORIZON)
+    grid = SegmentGrid(r, 11)
+    zero = HistoryPair(grid=grid, x0=0.0, x1=np.zeros(11), delta=np.zeros(11))
+    off = FeedbackPolicy(lambda t, y: np.zeros_like(y))
+    ens = simulate_feedback(p, a1, zero, off, dt, n_paths, 1)
+    s2 = float(np.var(ens.y[:, 0], ddof=1))
+    want = stationary_variance(a0, a1, r, SIGMA)
+    assert abs(s2 - want) <= 3 * s2 * np.sqrt(2 / (n_paths - 1)) + 6 * dt * want
