@@ -6,10 +6,17 @@ engine for linear delay ODEs, and the delay semigroup realized through
 that engine: the adjoint semigroup of the full model, which with a point
 lag a1 = hilbert.PointDelay(a) is the state semigroup of the
 state-delay-only model.
+
+The engine is the method of steps on a uniform time grid (Bellman and
+Cooke, Differential-Difference Equations, 1963): each RK4 stage reads
+its lags at the same offsets from the current step, so the delay term is
+a stencil built once per solve, and a step costs one gather and one
+small product whatever r/dt is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,28 +90,36 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     """RK4 integration of the linear delay ODE on [0, t_end], in steps dt
     that divide t_end (ConfigurationError otherwise).
 
-    The delay term is one lag quadrature, built once: the segment grid's
-    trapezoid rule against a1 for a kernel, the single lag -r for a point
-    delay. Delayed values are read by linear interpolation from the
-    initial profile and the stored trajectory. Stage evaluations
-    past the last accepted point interpolate between the accepted value
-    and the stage value itself, which keeps the integral well defined at
-    the xi = 0 endpoint.
+    The delay term is one lag quadrature: the segment grid's trapezoid
+    rule against a1 for a kernel, the single lag -r for a point delay.
+    A lag reads phi by linear interpolation: between accepted steps of
+    the trajectory, between the accepted value and the stage value itself
+    for a lag that falls inside the current step (which keeps the
+    integral well defined at the xi = 0 endpoint), and on the initial
+    profile, taken as piecewise linear through x1 at nodes[:-1] and then
+    x0 at 0, for t < 0. A zero delay term gives RK4 on a0 * phi.
+
+    On the uniform step the lag xi_j of stage c (0, 1/2 or 1) lands at
+    grid position k + c + xi_j/dt, so its offset from step k and its
+    interpolation weights are the same at every step. They are merged
+    once per solve into one stencil per stage over the stored trajectory,
+    plus the coefficient of the stage value itself. A step then costs one
+    gather of at most two entries per lag and stage and one 3-row product,
+    whatever k or r/dt (the two c = 1/2 stages share a row). The history
+    is a separate term of the first r/dt steps, built one lag at a time;
+    the trajectory is padded with zeros ahead of t = 0, so every step
+    takes the same gather. The result agrees with per-stage np.interp
+    reads to round-off (tested at 1e-13 relative).
 
     Returns (times on [0, t_end], trajectory values).
     """
     if problem.t_end == 0 and dt > 0:
         return np.zeros(1), np.array([problem.x0], dtype=float)
     steps = _steps_of(problem.t_end, dt, "t_end")
-    dt_eff = problem.t_end / steps
+    dt = problem.t_end / steps
     grid = problem.grid
     r = grid.r
-
-    n = grid.n_nodes
-    times = np.concatenate([grid.nodes[:-1], dt_eff * np.arange(steps + 1)])
-    vals = np.empty(len(times))
-    vals[: n - 1] = problem.x1[:-1]
-    vals[n - 1] = problem.x0
+    times = dt * np.arange(steps + 1)
 
     if isinstance(problem.delay, PointDelay):
         lags, weights = np.array([-r]), np.array([problem.delay.amp])
@@ -112,33 +127,103 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
         lags = grid.nodes
         weights = grid.weights * kernel_eval(problem.delay, lags, r)
 
-    def delay_rhs(s: float, ys: float, known: int) -> float:
-        # known = index of the last accepted sample; s >= times[known]
-        end = known + 1
-        if s > times[known]:
-            # the stage point borrows the next slot until the step is accepted
-            times[end], vals[end] = s, ys
-            end += 1
-        delayed = np.interp(s + lags, times[:end], vals[:end])
-        return problem.a0 * ys + float(np.dot(weights, delayed))
+    a0, y = float(problem.a0), float(problem.x0)
+    if not np.any(weights):
+        # a zero delay term reads nothing
+        phi = np.empty(steps + 1)
+        phi[0] = y
+        rows = memoryview(phi)
+        for k in range(steps):
+            k1 = a0 * y
+            k2 = a0 * (y + dt * k1 / 2)
+            k3 = a0 * (y + dt * k2 / 2)
+            k4 = a0 * (y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not math.isfinite(y):
+                raise BlowupError(f"delay ODE blew up at step {k + 1}")
+            rows[k + 1] = y
+        return times, phi
 
-    # a zero delay term reads nothing
-    rhs = delay_rhs if np.any(weights) else lambda s, ys, known: problem.a0 * ys
+    offsets, coef, alpha, history = _lag_stencils(problem, lags, weights, dt, steps)
+    # row pad + k holds phi(t_k); the zero rows ahead of it stand for t < 0,
+    # whose values the history term carries
+    pad = -int(offsets[0])
+    padded = np.zeros(pad + steps + 1)
+    padded[pad] = y
+    rows, read, n_hist = memoryview(padded), offsets + pad, len(history)
+    a_half, a_one = a0 + alpha[1], a0 + alpha[2]
+    # overflow shows as a non-finite step, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            d = np.dot(coef, padded[k:].take(read))
+            if k < n_hist:
+                d += history[k]
+            d0, d_half, d_one = d.tolist()
+            k1 = a0 * y + d0
+            k2 = a_half * (y + dt * k1 / 2) + d_half
+            k3 = a_half * (y + dt * k2 / 2) + d_half
+            k4 = a_one * (y + dt * k3) + d_one
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not math.isfinite(y):
+                raise BlowupError(f"delay ODE blew up at step {k + 1}")
+            rows[pad + k + 1] = y
+    return times, padded[pad:]
 
-    for k in range(steps):
-        i = n - 1 + k
-        t0, t1 = times[i], times[i + 1]
-        y0 = vals[i]
-        k1 = rhs(t0, y0, i)
-        k2 = rhs(t0 + dt_eff / 2, y0 + dt_eff * k1 / 2, i)
-        k3 = rhs(t0 + dt_eff / 2, y0 + dt_eff * k2 / 2, i)
-        k4 = rhs(t0 + dt_eff, y0 + dt_eff * k3, i)
-        ynew = y0 + dt_eff / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(ynew):
-            raise BlowupError(f"delay ODE blew up at step {k + 1}")
-        times[i + 1], vals[i + 1] = t1, ynew
 
-    return times[n - 1 :], vals[n - 1 :]
+_STAGES = (0.0, 0.5, 1.0)  # RK4's stage points, in steps after t_k
+
+
+def _lag_stencils(problem: DelayODEProblem, lags, weights, dt: float, steps: int):
+    """The delay term of each RK4 stage as a fixed stencil.
+
+    Returns (offsets, coef, alpha, history): the delay term of stage c at
+    step k is coef[c] @ phi[k + offsets] + alpha[c] * (stage value)
+    + history[k, c], with phi zero before t = 0 and history zero past
+    its rows, the steps whose lags reach back before t = 0.
+    """
+    x0, nodes = float(problem.x0), problem.grid.nodes
+    profile = np.append(problem.x1[:-1], x0)  # the history, at the nodes
+    n_hist = min(steps, -math.floor(lags.min() / dt))
+    history = np.zeros((n_hist, len(_STAGES)))
+    k = np.arange(n_hist)
+    stage, offs, wts, alpha = [], [], [], []
+    for row, c in enumerate(_STAGES):
+        pos = c + lags / dt  # grid position of each lag, relative to step k
+        # in (t_k, t_k + c dt]: between phi(t_k) and the stage value
+        inside = pos > 0
+        frac = pos[inside] / c  # (empty at c = 0)
+        alpha.append(float(np.dot(weights[inside], frac)))
+        # at or before t_k: between two accepted steps
+        low = np.floor(pos[~inside]).astype(np.intp)
+        f = pos[~inside] - low
+        q = weights[~inside]
+        up = f > 0
+        offs.append(np.concatenate([low, low[up] + 1, np.zeros(len(frac), np.intp)]))
+        wts.append(
+            np.concatenate([(1 - f) * q, f[up] * q[up], (1 - frac) * weights[inside]])
+        )
+        stage.append(np.full(len(offs[-1]), row))
+
+        # a lag whose lower neighbour lies before t = 0 reads the history
+        # instead, one lag at a time over the steps where it does (no
+        # steps x lags temporary); the stencil's weight on its upper
+        # neighbour phi(0) = x0 is taken back at the last such step
+        s = dt * k + c * dt
+        past = zip(low.tolist(), f.tolist(), q.tolist(), lags[~inside].tolist())
+        for lo, fj, qj, xi in past:
+            n = min(n_hist, -lo)
+            if n > 0:
+                history[:n, row] += qj * np.interp(s[:n] + xi, nodes, profile)
+            if n == -lo > 0:
+                history[n - 1, row] -= qj * fj * x0
+    # the offsets any stage reads, in order (np.unique would load sort code
+    # that adds to the resident set)
+    offs = np.concatenate(offs)
+    offsets = np.flatnonzero(np.bincount(offs - offs.min())) + offs.min()
+    coef = np.zeros((len(_STAGES), len(offsets)))
+    at = (np.concatenate(stage), np.searchsorted(offsets, offs))
+    np.add.at(coef, at, np.concatenate(wts))
+    return offsets, coef, alpha, history
 
 
 def adjoint_semigroup_apply(

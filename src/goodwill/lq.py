@@ -87,9 +87,11 @@ def solve_costate(
     positive part of <B, w> from c(T) = 0.
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
-    floats; otherwise each step sums and advances the a1 window. The
-    pairing comes after, from the filled rows in one DelayWindow.sums
-    pass. The bits are those of a loop of sum/advance calls per step.
+    floats; an exponential or constant a1 runs on local floats too, with
+    the window's sum and advance written out inline, and a sampled a1
+    sums and advances its window at each step. The pairing comes after,
+    from the filled rows in one DelayWindow.sums pass. The bits are those
+    of a loop of sum/advance calls per step.
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -115,19 +117,35 @@ def solve_costate(
         out[i] = dt / 2 * values[m - i] * gamma
         return out
 
+    a0, half, prev, rows = float(params.a0), dt / 2, p(m), memoryview(phi)
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        if kernel_is_zero(params.a1):
+        win_a = None
+        if not kernel_is_zero(params.a1):
+            a1v = kernel_eval(params.a1, xi, params.r)
+            win_a = DelayWindow(params.a1, a1v, dt, phi)
+            jump_a = jump(a1v).item
+
+        if win_a is None:
             # the slope is a0 * phi: Heun's step on Python floats
-            a0, half, prev, rows = float(params.a0), dt / 2, p(m), memoryview(phi)
             for i in range(m + 1, m + n + 1):
                 f1 = a0 * prev
                 prev = prev + half * (f1 + a0 * (prev + dt * f1))
                 rows[i] = prev
+        elif win_a.rho is not None:
+            # the window's sum and advance, inlined on Python floats: a, b
+            # are its end terms and h its raw sum
+            first, last, rho, h = win_a.first, win_a.last, win_a.rho, win_a.h
+            for i in range(1, n + 1):
+                a, b = first * p(i - 1), last * prev
+                f1 = a0 * prev + (dt * (h + 0.5 * (b - a)) - jump_a(i - 1))
+                h = rho * (h - a + b)
+                pred = prev + dt * f1
+                a, b = first * p(i), last * pred
+                f2 = a0 * pred + (dt * (h + 0.5 * (b - a)) - jump_a(i))
+                prev = prev + half * (f1 + f2)
+                rows[m + i] = prev
         else:
-            a1v = kernel_eval(params.a1, xi, params.r)
-            win_a = DelayWindow(params.a1, a1v, dt, phi)
-            jump_a = jump(a1v).item
 
             def slope(i: int, phi_i: float) -> float:
                 return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a(i))
@@ -222,8 +240,12 @@ def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
     times, phi = solve_delay_ode(prob, dt)
 
     def phi_at(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u >= 0, np.interp(np.maximum(u, 0.0), times, phi), 0.0)
+        # u is a fresh array, clipped at 0 in place: the (steps x nodes)
+        # argument of q then needs one temporary of its size, not three
+        before = ~(u >= 0)
+        out = np.interp(np.maximum(u, 0.0, out=u), times, phi)
+        out[before] = 0.0
+        return out
 
     tail = phi_at(t + grid.nodes)
     q = None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
     ProfileX,
+    SampledKernel,
     SegmentGrid,
     ZeroKernel,
     inner_product,
@@ -21,6 +24,7 @@ from goodwill.lifting import (
     solve_delay_ode,
 )
 from goodwill.sdde import (
+    BlowupError,
     ConfigurationError,
     HistoryPair,
     ModelParams,
@@ -187,6 +191,157 @@ def test_point_delay_positivity(seed, a1s, a0mag):
     prob = DelayODEProblem(-a0mag, PointDelay(a1s), x1[-1], x1, grid, t_end=1.0)
     _, vals = solve_delay_ode(prob, 0.02)
     assert np.all(vals >= -1e-9)
+
+
+def interpolating_delay_ode(problem, dt):
+    """The stencil engine's reference: the same RK4 scheme with each stage
+    reading its lags by np.interp over the stored trajectory and a borrowed
+    slot for the stage value (the engine before its lag stencils)."""
+    if problem.t_end == 0 and dt > 0:
+        return np.zeros(1), np.array([problem.x0], dtype=float)
+    steps = round(problem.t_end / dt)
+    dt_eff = problem.t_end / steps
+    grid = problem.grid
+    r = grid.r
+
+    n = grid.n_nodes
+    times = np.concatenate([grid.nodes[:-1], dt_eff * np.arange(steps + 1)])
+    vals = np.empty(len(times))
+    vals[: n - 1] = problem.x1[:-1]
+    vals[n - 1] = problem.x0
+
+    if isinstance(problem.delay, PointDelay):
+        lags, weights = np.array([-r]), np.array([problem.delay.amp])
+    else:
+        lags = grid.nodes
+        weights = grid.weights * kernel_eval(problem.delay, lags, r)
+
+    def rhs(s, ys, known):
+        # known = index of the last accepted sample; s >= times[known]
+        end = known + 1
+        if s > times[known]:
+            # the stage point borrows the next slot until the step is accepted
+            times[end], vals[end] = s, ys
+            end += 1
+        delayed = np.interp(s + lags, times[:end], vals[:end])
+        return problem.a0 * ys + float(np.dot(weights, delayed))
+
+    for k in range(steps):
+        i = n - 1 + k
+        t0, t1 = times[i], times[i + 1]
+        y0 = vals[i]
+        k1 = rhs(t0, y0, i)
+        k2 = rhs(t0 + dt_eff / 2, y0 + dt_eff * k1 / 2, i)
+        k3 = rhs(t0 + dt_eff / 2, y0 + dt_eff * k2 / 2, i)
+        k4 = rhs(t0 + dt_eff, y0 + dt_eff * k3, i)
+        ynew = y0 + dt_eff / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(ynew):
+            raise BlowupError(f"delay ODE blew up at step {k + 1}")
+        times[i + 1], vals[i + 1] = t1, ynew
+
+    return times[n - 1 :], vals[n - 1 :]
+
+
+REFERENCE_KERNELS = {
+    "exponential": ExponentialKernel(-5.0, 1 / 6),
+    "constant": ConstantKernel(-1.3),
+    "sampled": SampledKernel(np.sin(np.linspace(0.0, 3.0, 37)) - 0.4),
+    "point": PointDelay(-0.8),
+}
+SPACING = 0.5 / 20  # of the 21-node grid below
+
+
+@pytest.mark.parametrize("t_end", [1.0, 0.3, 0.0])
+@pytest.mark.parametrize(
+    "dt", [SPACING / 10, SPACING, 2 * SPACING, 1 / 70],
+    ids=["spacing/10", "spacing", "2spacing", "incommensurate"],
+)
+@pytest.mark.parametrize("history", ["e1", "cosine"])
+@pytest.mark.parametrize("kernel", REFERENCE_KERNELS.values(), ids=REFERENCE_KERNELS)
+def test_stencil_engine_matches_the_interpolating_engine(kernel, history, dt, t_end):
+    # 0.3 < r; 1/70 puts the lags 1.75 steps apart; the cosine history has
+    # x1(0) = 1 != x0 = 2
+    grid = SegmentGrid(0.5, 21)
+    if history == "e1":
+        x0, x1 = 1.0, np.zeros(21)
+    else:
+        x0, x1 = 2.0, np.cos(3 * grid.nodes)
+    problem = DelayODEProblem(-0.5, kernel, x0, x1, grid, t_end)
+    times, phi = solve_delay_ode(problem, dt)
+    ref_times, ref = interpolating_delay_ode(problem, dt)
+    np.testing.assert_array_equal(times, ref_times)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_stencil_engine_matches_the_interpolating_engine_at_bench_size():
+    # the exact route's a1 solve: 201 nodes, dt = 2.5e-4, a cosine history
+    grid = SegmentGrid(0.5, 201)
+    problem = DelayODEProblem(
+        -0.5, ExponentialKernel(-5.0, 1 / 6), 2.0, np.cos(3 * grid.nodes), grid, 1.0
+    )
+    _, phi = solve_delay_ode(problem, 2.5e-4)
+    _, ref = interpolating_delay_ode(problem, 2.5e-4)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "kernel", [ExponentialKernel(1e3, 0.1), PointDelay(1e3), ZeroKernel()],
+    ids=["exponential", "point", "zero"],
+)
+def test_stencil_engine_blows_up_at_the_interpolating_engines_step(kernel):
+    # a0 * dt = 10: RK4 multiplies phi by about 643 a step, so it overflows
+    # near step 110 of 200
+    grid = SegmentGrid(0.5, 21)
+    problem = DelayODEProblem(2000.0, kernel, 1.0, np.ones(21), grid, 1.0)
+    with pytest.raises(BlowupError) as ours:
+        solve_delay_ode(problem, 0.005)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError) as ref:
+            interpolating_delay_ode(problem, 0.005)
+    assert str(ours.value) == str(ref.value)
+    assert 50 < int(str(ref.value).rsplit(" ", 1)[1]) < 200
+
+
+def test_interp_calls_do_not_grow_with_the_step_count(monkeypatch):
+    # the lag stencils are built once per solve: np.interp runs once per lag
+    # and stage on the history, never once per step
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    real = np.interp
+    monkeypatch.setattr(np, "interp", counted)
+    grid = SegmentGrid(0.5, 201)
+    problem = DelayODEProblem(
+        -0.5, ExponentialKernel(-5.0, 1 / 6), 1.0, np.zeros(201), grid, 1.0
+    )
+    counts = []
+    for dt in (1e-3, 2.5e-4):
+        calls.clear()
+        solve_delay_ode(problem, dt)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3 * grid.n_nodes
+
+
+def test_delay_ode_peak_memory():
+    # 201 nodes at dt = 2.5e-4: a (steps x lags) temporary of the 2,000
+    # steps that reach back before t = 0 would be 3.2 MB alone; the solve
+    # keeps its trajectory, its stencils and the history term (measured
+    # peak 0.2 MiB)
+    grid = SegmentGrid(0.5, 201)
+    problem = DelayODEProblem(
+        -0.5, ExponentialKernel(-5.0, 1 / 6), 1.0, np.zeros(201), grid, 1.0
+    )
+    solve_delay_ode(problem, 2.5e-4)  # one-time set-up off the count
+    tracemalloc.start()
+    try:
+        solve_delay_ode(problem, 2.5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 # --- semigroups ---------------------------------------------------------------

@@ -204,55 +204,83 @@ def test_sampled_kernels_need_no_matching_step():
 
 
 def stepwise_costate(params, gamma, beta, dt):
-    """(w0, <B, w>, c) of an a1-free model, one call per step: Heun's loop
-    through a slope function, then the pairing through DelayWindow.sum and
-    advance. solve_costate must give these bits."""
+    """(w0, <B, w>, c), one call per step: Heun's loop through a slope
+    function that sums and advances the a1 DelayWindow, then the pairing
+    through DelayWindow.sum and advance. solve_costate must give these bits."""
     n, m = round(params.T / dt), round(params.r / dt)
+    xi = -params.r + dt * np.arange(m + 1)
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
 
+    def jump(values):
+        out = np.zeros(n + 1)
+        i = np.arange(1, min(m, n + 1))
+        out[i] = dt / 2 * values[m - i] * gamma
+        return out
+
+    win_a = None
+    if not isinstance(params.a1, ZeroKernel):
+        a1v = kernel_eval(params.a1, xi, params.r)
+        win_a, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v)
+
     def slope(i, phi_i):
-        return params.a0 * phi_i
+        if win_a is None:
+            return params.a0 * phi_i
+        return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a.item(i))
 
     for i in range(1, n + 1):
         prev = phi.item(m + i - 1)
         f1 = slope(i - 1, prev)
+        if win_a is not None:
+            win_a.advance(i - 1)
         f2 = slope(i, prev + dt * f1)
         phi[m + i] = prev + dt / 2 * (f1 + f2)
     bw = params.b0 * phi[m:]
     if not isinstance(params.b1, ZeroKernel):
-        b1v = kernel_eval(params.b1, -params.r + dt * np.arange(m + 1), params.r)
+        b1v = kernel_eval(params.b1, xi, params.r)
         win = DelayWindow(params.b1, b1v, dt, phi)
         pairing = np.empty(n + 1)
         for i in range(n + 1):
             pairing[i] = win.sum(i, phi.item(m + i))
             win.advance(i)
-        jump = np.zeros(n + 1)
-        i = np.arange(1, min(m, n + 1))
-        jump[i] = dt / 2 * b1v[m - i] * gamma
-        bw = bw + pairing - jump
+        bw = bw + pairing - jump(b1v)
     g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
     c = np.zeros(n + 1)
     c[1:] = np.cumsum(dt / 2 * (g[:-1] + g[1:]))
     return tuple(np.flip(v) for v in (phi[m:], bw, c))
 
 
+B1_KINDS = [
+    ZeroKernel(),
+    ConstantKernel(0.8),
+    ExponentialKernel(5.0, 0.5),
+    SampledKernel(np.abs(np.sin(np.linspace(0.0, 3.0, 37)))),
+]
+B1_IDS = ["zero", "constant", "exponential", "sampled"]
+
+
 @pytest.mark.parametrize("dt", [1e-3, 5e-5])
 @pytest.mark.parametrize("gamma", [1.0, 2.7])
-@pytest.mark.parametrize(
-    "b1",
-    [
-        ZeroKernel(),
-        ConstantKernel(0.8),
-        ExponentialKernel(5.0, 0.5),
-        SampledKernel(np.abs(np.sin(np.linspace(0.0, 3.0, 37)))),
-    ],
-    ids=["zero", "constant", "exponential", "sampled"],
-)
+@pytest.mark.parametrize("b1", B1_KINDS, ids=B1_IDS)
 def test_a1_free_costate_equals_the_step_by_step_solve(b1, gamma, dt):
     p = make_params(a0=-0.5, b1=b1)
     cs = solve_costate(p, gamma, 0.5, dt)
     for name, want in zip(("w0", "bw", "c"), stepwise_costate(p, gamma, 0.5, dt)):
+        np.testing.assert_array_equal(getattr(cs, name), want, err_msg=name)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-5])
+@pytest.mark.parametrize("b1", B1_KINDS, ids=B1_IDS)
+@pytest.mark.parametrize(
+    "a1",
+    [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-1.3)],
+    ids=["exponential", "constant"],
+)
+def test_a1_costate_equals_the_step_by_step_solve(a1, b1, dt):
+    # the float loop inlines DelayWindow.sum and advance in their order
+    p = make_params(a0=-0.5, a1=a1, b1=b1)
+    cs = solve_costate(p, 2.7, 0.5, dt)
+    for name, want in zip(("w0", "bw", "c"), stepwise_costate(p, 2.7, 0.5, dt)):
         np.testing.assert_array_equal(getattr(cs, name), want, err_msg=name)
 
 
