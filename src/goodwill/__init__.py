@@ -8,81 +8,7 @@ with common random numbers; feedback maps for the state-delay-only
 model; and the regularization schemes used in the approximation study.
 """
 
-from .hilbert import (
-    ConstantKernel,
-    DimensionError,
-    DomainError,
-    ExponentialKernel,
-    PointDelay,
-    ProfileX,
-    SampledKernel,
-    SegmentGrid,
-    ZeroKernel,
-    inner_product,
-    kernel_eval,
-    kernel_is_zero,
-    norm,
-    order_leq,
-    profile_from_callable,
-    zero_profile,
-)
-from .sdde import (
-    BlowupError,
-    ConfigurationError,
-    FeedbackPolicy,
-    GapEstimate,
-    HistoryPair,
-    LinearReward,
-    MCEstimate,
-    Memoryless,
-    ModelParams,
-    ObjectiveSpec,
-    OpenLoop,
-    PathEnsemble,
-    QuadraticCost,
-    evaluate_policy,
-    objective_estimate,
-    path_normals,
-    relative_gap,
-    simulate_paths,
-)
-from .lifting import (
-    DelayODEProblem,
-    adjoint_semigroup_apply,
-    lift_M,
-    solve_delay_ode,
-)
-from .lq import (
-    CostateSolution,
-    memoryless_policy,
-    optimal_policy_lq,
-    sensitivity_dV_dr,
-    solve_costate,
-    trajectory_mean,
-    trajectory_variance,
-    value_lq,
-)
-from .state_delay import (
-    ConditionReport,
-    HamiltonianSpec,
-    bangbang_feedback_policy,
-    bangbang_threshold,
-    feedback_bangbang,
-    feedback_quadratic,
-    hamiltonian_H,
-    hamiltonian_H0,
-    invariant_measure_condition,
-    quadratic_feedback_policy,
-    simulate_feedback,
-)
-from .approximation import (
-    ConvergenceRow,
-    LiftedEnsemble,
-    convergence_study,
-    mollify_h,
-    mollify_phi,
-    simulate_lifted_perturbed,
-    sup_inf_convolution,
-)
+from . import approximation, hilbert, lifting, lq, sdde, state_delay
+from .sdde import BlowupError, ConfigurationError
 
 __version__ = "0.1.0"

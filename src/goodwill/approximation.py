@@ -1,10 +1,9 @@
 """Regularization schemes for the value function approximation study.
 
 Mollified reward/cost (truncate-then-convolve for the reward, plain
-convolution for the cost), the Lasry-Lions sup-inf convolution, a
-finite-difference scheme for the lifted evolution with the rank-one
-perturbed diffusion, and the empirical convergence table for the
-regularized objective.
+convolution for the cost), a finite-difference scheme for the lifted
+evolution with the rank-one perturbed diffusion, and the empirical
+convergence table for the regularized objective.
 """
 
 from __future__ import annotations
@@ -80,27 +79,6 @@ def mollify_phi(phi0, eps2: float, eval_points):
 def mollify_h(h0, eps2: float, eval_points):
     """Mollify the cost at scale eps2 (no truncation)."""
     return _convolve(h0, eps2, eval_points)
-
-
-def sup_inf_convolution(
-    h_values: np.ndarray, grid_x: np.ndarray, eps: float, delta: float
-) -> np.ndarray:
-    """Lasry-Lions regularization on a bounded grid:
-
-        h_{eps,delta}(x) = sup_z inf_y (|z-y|^2/(2 eps) - |z-x|^2/(2 delta)
-                                        + h(y)),   0 < delta < eps.
-
-    Nested grid scans; the result is sandwiched between inf h and h.
-    """
-    if not 0 < delta < eps:
-        raise ConfigurationError(f"need 0 < delta < eps, got delta={delta}, eps={eps}")
-    h = np.asarray(h_values, dtype=float)
-    x = np.asarray(grid_x, dtype=float)
-    if h.shape != x.shape:
-        raise ConfigurationError("h_values and grid_x must have the same shape")
-    d2 = (x[:, None] - x[None, :]) ** 2
-    inner = np.min(d2 / (2.0 * eps) + h[None, :], axis=1)  # inf over y, per z
-    return np.max(inner[:, None] - d2 / (2.0 * delta), axis=0)  # sup over z, per x
 
 
 @dataclass(frozen=True)

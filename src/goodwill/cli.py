@@ -47,6 +47,10 @@ KNOWN_KEYS = REAL_KEYS | INT_KEYS | LIST_KEYS
 # nodes as at 201, but `approx` steps at most the grid spacing, so its step
 # count and its (paths x nodes) arrays still grow with n_nodes up to the cap
 MAX_NODES = 10**4
+# the most Monte Carlo paths a config may ask for, a sanity limit chosen the
+# same way (50x the shipped 20,000). The path simulators keep a few floats
+# per path, but `approx` keeps (paths x nodes) arrays: 80 GB at both caps
+MAX_PATHS = 10**6
 
 
 def load_defaults() -> dict:
@@ -59,6 +63,10 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
     if config_path:
         with open(config_path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigurationError(
+                f"config file must hold a JSON object, got {type(user).__name__}"
+            )
         unknown = set(user) - KNOWN_KEYS
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -88,6 +96,8 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
         raise ConfigurationError(
             f"n_nodes must be in [2, {MAX_NODES}], got {cfg['n_nodes']}"
         )
+    if "n_paths" in cfg and cfg["n_paths"] > MAX_PATHS:
+        raise ConfigurationError(f"n_paths must be at most {MAX_PATHS}")
     # the seed keys the Philox streams as a uint64: this range maps onto
     # the keys one to one, and a larger seed would alias, warn or overflow
     if "seed" in cfg and not -(2**63) <= cfg["seed"] < 2**63:
@@ -399,7 +409,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"unknown command {args.command}")
         _write(args.out, out)
         return 0
-    except (ConfigurationError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (ConfigurationError, ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BlowupError, FloatingPointError) as exc:

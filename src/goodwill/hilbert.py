@@ -7,7 +7,7 @@ sampled densities on [-r, 0], evaluated given only the horizon r whatever
 grid the caller samples them on, and the point lag amp * x(t - r). With
 them come DelayWindow, their trapezoid sum over a window that slides one
 time step at a time (the delay terms of the simulator and of the costate
-solve), and the partial order used by the monotonicity checks.
+solve).
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class ProfileX:
             raise DimensionError("profile component must be a 1-d array")
 
 
-def zero_profile(grid: SegmentGrid) -> ProfileX:
-    return ProfileX(0.0, np.zeros(grid.n_nodes))
-
-
-def profile_from_callable(x0: float, f, grid: SegmentGrid) -> ProfileX:
-    return ProfileX(x0, np.asarray(f(grid.nodes), dtype=float))
-
-
 def _check_same_grid(x: ProfileX, y: ProfileX, grid: SegmentGrid):
     if len(x.x1) != grid.n_nodes or len(y.x1) != grid.n_nodes:
         raise DimensionError(
@@ -88,13 +80,6 @@ def inner_product(x: ProfileX, y: ProfileX, grid: SegmentGrid) -> float:
 
 def norm(x: ProfileX, grid: SegmentGrid) -> float:
     return float(np.sqrt(inner_product(x, x, grid)))
-
-
-def order_leq(x: ProfileX, y: ProfileX) -> bool:
-    """Nodewise partial order: x <= y iff x0 <= y0 and x1 <= y1 at every node."""
-    if len(x.x1) != len(y.x1):
-        raise DimensionError("profiles on different grids are incomparable")
-    return bool(x.x0 <= y.x0 and np.all(x.x1 <= y.x1))
 
 
 # --- delay kernels -----------------------------------------------------------

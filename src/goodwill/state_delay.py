@@ -1,6 +1,6 @@
 """Feedback machinery for delay in the state only (b1 = 0, a point lag a1).
 
-Covers the scaled Hamiltonians of the goodwill model with forgetting,
+Covers the scaled Hamiltonian H0 of the goodwill model with forgetting,
 the quadratic-cost and bang-bang feedback maps, closed-loop simulation
 driven by an externally supplied gradient of the value function (run in
 path blocks, keeping y(T) only), and the transcendental parameter
@@ -29,7 +29,7 @@ from .sdde import (
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Control cost shape plus the scalings used by the scaled Hamiltonians.
+    """Control cost shape plus the scalings used by the scaled Hamiltonian H0.
 
     cost is "quadratic" (h0(z) = beta z^2) or "linear" (h0(z) = beta z);
     the control set is U = [0, R].
@@ -74,11 +74,6 @@ def hamiltonian_H0(p0, spec: HamiltonianSpec):
     return out if out.ndim else float(out)
 
 
-def hamiltonian_H(q0, spec: HamiltonianSpec):
-    """H(q0) = H0(q0 / sigma)."""
-    return hamiltonian_H0(np.asarray(q0, dtype=float) / spec.sigma, spec)
-
-
 def feedback_quadratic(d0v, spec: HamiltonianSpec):
     """Optimal control for quadratic cost given the value gradient d0v:
     0 below 0, b0*d0v/(2 beta) in between, R above 2 beta R / b0."""
@@ -109,14 +104,6 @@ def feedback_bangbang(d0v, spec: HamiltonianSpec, tie_value: float = 0.0):
 
 def quadratic_feedback_policy(spec: HamiltonianSpec, gradient_fn) -> FeedbackPolicy:
     return FeedbackPolicy(lambda t, y: feedback_quadratic(gradient_fn(t, y), spec))
-
-
-def bangbang_feedback_policy(
-    spec: HamiltonianSpec, gradient_fn, tie_value: float = 0.0
-) -> FeedbackPolicy:
-    return FeedbackPolicy(
-        lambda t, y: feedback_bangbang(gradient_fn(t, y), spec, tie_value)
-    )
 
 
 def simulate_feedback(
@@ -182,6 +169,8 @@ def invariant_measure_condition(
     """
     if not 0 < r < np.inf:
         raise ConfigurationError(f"r must be positive and finite, got {r}")
+    if not (math.isfinite(a0) and math.isfinite(a1_scalar)):
+        raise ConfigurationError(f"a0 and a1 must be finite, got {a0}, {a1_scalar}")
     a, b = a0 * r, a1_scalar * r
     if not a < 1.0:  # g*cot(g) decreases from 1 to -inf on ]0, pi[
         return ConditionReport(

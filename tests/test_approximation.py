@@ -11,7 +11,6 @@ from goodwill.approximation import (
     mollify_h,
     mollify_phi,
     simulate_lifted_perturbed,
-    sup_inf_convolution,
 )
 from goodwill.cli import merged_config, run_approx
 from goodwill.hilbert import ConstantKernel, ProfileX, SegmentGrid, ZeroKernel
@@ -130,48 +129,6 @@ def test_mollify_memory_does_not_grow_with_the_point_count():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-# --- sup-inf convolution ------------------------------------------------------
-
-
-def test_sup_inf_constant_is_fixed_point():
-    x = np.linspace(-1, 1, 41)
-    h = np.full_like(x, 2.5)
-    np.testing.assert_allclose(sup_inf_convolution(h, x, 0.1, 0.05), 2.5, atol=1e-12)
-
-
-def test_sup_inf_sandwich():
-    x = np.linspace(-2, 2, 81)
-    h = np.abs(np.sin(3 * x)) + 0.2 * x**2
-    out = sup_inf_convolution(h, x, 0.05, 0.02)
-    assert np.all(out >= h.min() - 1e-12)
-    assert np.all(out <= h.max() + 1e-12)
-
-
-def test_sup_inf_approximates_abs():
-    x = np.linspace(-1, 1, 201)
-    out = sup_inf_convolution(np.abs(x), x, 0.01, 0.005)
-    # away from the kink the regularization is tight at these scales
-    far = np.abs(x) > 0.2
-    np.testing.assert_allclose(out[far], np.abs(x)[far], atol=0.02)
-
-
-def test_sup_inf_grid_refinement_consistency():
-    coarse = np.linspace(-1, 1, 51)
-    fine = np.linspace(-1, 1, 401)
-    out_c = sup_inf_convolution(np.abs(coarse), coarse, 0.1, 0.04)
-    out_f = sup_inf_convolution(np.abs(fine), fine, 0.1, 0.04)
-    interp = np.interp(coarse, fine, out_f)
-    np.testing.assert_allclose(out_c, interp, atol=5e-3)
-
-
-def test_sup_inf_parameter_validation():
-    x = np.linspace(-1, 1, 11)
-    with pytest.raises(ConfigurationError):
-        sup_inf_convolution(np.abs(x), x, 0.05, 0.1)  # delta >= eps
-    with pytest.raises(ConfigurationError):
-        sup_inf_convolution(np.abs(x), x[:-1], 0.1, 0.05)
 
 
 # --- lifted evolution ---------------------------------------------------------

@@ -31,6 +31,23 @@ def write_config(tmp_path, extra=None, name="config.json"):
     return str(path)
 
 
+# --- package root -------------------------------------------------------------
+
+
+def test_package_root_exposes_the_modules_and_errors_only():
+    # a fresh interpreter: importing goodwill.cli here has bound `cli` on the
+    # package too
+    code = "import goodwill; print(*sorted(n for n in vars(goodwill) if n[0] != '_'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(goodwill.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.split() == [
+        "BlowupError", "ConfigurationError", "approximation", "hilbert",
+        "lifting", "lq", "sdde", "state_delay",
+    ]
+
+
 # --- config handling ----------------------------------------------------------
 
 
@@ -52,8 +69,30 @@ def test_cli_unknown_key_exit_code(tmp_path):
     assert main(["fig1", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_cli_missing_config_exit_code(tmp_path):
-    assert main(["fig1", "--config", str(tmp_path / "nope.json")]) == 2
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--config", "nope.json"), ("--config", "."), ("--out", ".")],
+    ids=["missing_config", "config_is_a_directory", "out_is_a_directory"],
+)
+def test_cli_unreadable_path_exit_code(tmp_path, capsys, flag, name):
+    config, out = write_config(tmp_path), str(tmp_path / "c.csv")
+    argv = ["costate", "--config", config, "--out", out]
+    argv[argv.index(flag) + 1] = str(tmp_path / name)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", '["a0"]'])
+def test_config_must_be_a_json_object(tmp_path, capsys, text):
+    # dict.update reads a list of strings as key-value pairs: ["a0"] is a = "0"
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="must hold a JSON object"):
+        merged_config(str(path), {})
+    assert main(["costate", "--config", str(path)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_override_precedence(tmp_path):
@@ -289,6 +328,19 @@ def test_feedback_check_json(capsys):
     assert "no root" in obj["diagnostic"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--a0", "nan", "--a1", "-2"], ["--a0=-inf", "--a1=-1"]],
+    ids=["a0_nan", "a0_minus_inf"],
+)
+def test_feedback_check_rejects_non_finite_input(capsys, argv):
+    # a report of them could hold "upper_bound": Infinity, which is not JSON
+    assert main(["feedback-check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: a0 and a1 must be finite")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 # --- failure modes ------------------------------------------------------------
 
 
@@ -351,6 +403,8 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ("evaluate", {"n_nodes": 100_000_000}, "n_nodes must be in [2, 10000]"),
         ("approx", {"n_nodes": 100_000_000}, "n_nodes must be in [2, 10000]"),
         ("evaluate", {"n_nodes": 1}, "n_nodes must be in [2, 10000], got 1"),
+        # refused before the 7 TiB array it would ask for
+        ("evaluate", {"n_paths": 10**12}, "n_paths must be at most 1000000"),
     ],
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
@@ -361,6 +415,7 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
         "u_min_inf", "list_entry_nan", "list_entry_inf", "sensitivity_n_nodes_huge",
         "evaluate_n_nodes_huge", "approx_n_nodes_huge", "n_nodes_one",
+        "n_paths_huge",
     ],
 )
 def test_bad_config_is_a_one_line_config_error(

@@ -17,9 +17,6 @@ from goodwill.hilbert import (
     kernel_eval,
     kernel_is_zero,
     norm,
-    order_leq,
-    profile_from_callable,
-    zero_profile,
 )
 
 
@@ -71,19 +68,19 @@ def test_inner_product_constant_ones():
 def test_inner_product_linear_profile():
     # <(1, xi), (1, xi)> = 1 + int_{-1}^0 xi^2 = 4/3, trapezoid error O(n^-2)
     g = grid1()
-    x = profile_from_callable(1.0, lambda xi: xi, g)
+    x = ProfileX(1.0, g.nodes)
     assert inner_product(x, x, g) == pytest.approx(4.0 / 3.0, abs=1e-4)
 
 
 def test_inner_product_grid_mismatch():
     g = grid1()
     with pytest.raises(DimensionError):
-        inner_product(ProfileX(0, np.zeros(5)), zero_profile(g), g)
+        inner_product(ProfileX(0, np.zeros(5)), ProfileX(0.0, np.zeros(g.n_nodes)), g)
 
 
 def test_norm_examples():
     g = grid1()
-    assert norm(zero_profile(g), g) == 0.0
+    assert norm(ProfileX(0.0, np.zeros(g.n_nodes)), g) == 0.0
     assert norm(ProfileX(3, np.zeros(201)), g) == 3.0
     assert norm(const_profile(0, 2, g), g) == pytest.approx(2.0, abs=1e-12)
 
@@ -134,43 +131,14 @@ def test_grid_refinement_second_order():
     # smooth profiles: doubling the node count shrinks the quadrature error 4x
     f = lambda xi: np.exp(xi) * np.cos(3 * xi)
     fine = SegmentGrid(1.0, 4001)
-    ref = inner_product(
-        profile_from_callable(0, f, fine), profile_from_callable(0, f, fine), fine
-    )
+    ref = inner_product(ProfileX(0, f(fine.nodes)), ProfileX(0, f(fine.nodes)), fine)
     errs = []
     for n in (51, 101, 201):
         g = SegmentGrid(1.0, n)
-        p = profile_from_callable(0, f, g)
+        p = ProfileX(0, f(g.nodes))
         errs.append(abs(inner_product(p, p, g) - ref))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-
-# --- partial order ------------------------------------------------------------
-
-
-def test_order_examples():
-    g = grid1(11)
-    zero = zero_profile(g)
-    one = const_profile(1, 1, g)
-    assert order_leq(zero, one)
-    assert not order_leq(ProfileX(1, np.zeros(11)), const_profile(0, 1, g))
-    assert order_leq(one, one)
-
-
-@settings(max_examples=120)
-@given(profiles(), profiles(), profiles())
-def test_order_is_partial_order(x, y, z):
-    assert order_leq(x, x)
-    if order_leq(x, y) and order_leq(y, x):
-        assert x.x0 == y.x0 and np.array_equal(x.x1, y.x1)
-    if order_leq(x, y) and order_leq(y, z):
-        assert order_leq(x, z)
-
-
-def test_order_grid_mismatch():
-    with pytest.raises(DimensionError):
-        order_leq(ProfileX(0, np.zeros(5)), ProfileX(0, np.zeros(7)))
 
 
 # --- kernels ------------------------------------------------------------------

@@ -13,8 +13,6 @@ from goodwill.hilbert import (
     ZeroKernel,
     inner_product,
     kernel_eval,
-    profile_from_callable,
-    zero_profile,
 )
 from goodwill.lifting import (
     DelayODEProblem,
@@ -350,7 +348,7 @@ def test_delay_ode_peak_memory():
 def test_adjoint_semigroup_identity_at_zero():
     grid = SegmentGrid(0.5, 21)
     p = make_params(a1=ConstantKernel(1.0))
-    x = profile_from_callable(2.0, lambda xi: np.cos(xi), grid)
+    x = ProfileX(2.0, np.cos(grid.nodes))
     out = adjoint_semigroup_apply(0.0, x, p, grid, 1e-2)
     assert out.x0 == x.x0
     np.testing.assert_array_equal(out.x1, x.x1)
@@ -370,7 +368,7 @@ def test_adjoint_semigroup_e1_no_delay():
 def test_adjoint_semigroup_composition():
     grid = SegmentGrid(0.5, 101)
     p = make_params(a1=ExponentialKernel(-2.0, 0.25))
-    x = profile_from_callable(1.0, lambda xi: 1.0 + xi, grid)
+    x = ProfileX(1.0, 1.0 + grid.nodes)
     once = adjoint_semigroup_apply(0.7, x, p, grid, 1e-3)
     twice = adjoint_semigroup_apply(0.4, once, p, grid, 1e-3)
     direct = adjoint_semigroup_apply(1.1, x, p, grid, 1e-3)
@@ -380,7 +378,7 @@ def test_adjoint_semigroup_composition():
 
 def test_state_semigroup_identity_and_no_delay():
     grid = SegmentGrid(0.5, 101)
-    x = profile_from_callable(1.0, lambda xi: np.exp(xi), grid)
+    x = ProfileX(1.0, np.exp(grid.nodes))
     out0 = adjoint_semigroup_apply(
         0.0, x, make_params(a1=PointDelay(0.5)), grid, 1e-3
     )
@@ -415,7 +413,7 @@ def test_state_semigroup_positivity(seed, a1s):
 
 def test_state_semigroup_law():
     grid = SegmentGrid(0.5, 101)
-    x = profile_from_callable(1.0, lambda xi: 1.0 + 0.5 * xi, grid)
+    x = ProfileX(1.0, 1.0 + 0.5 * grid.nodes)
     p = make_params(a0=-0.8, a1=PointDelay(0.4))
     once = adjoint_semigroup_apply(0.6, x, p, grid, 1e-3)
     twice = adjoint_semigroup_apply(0.5, once, p, grid, 1e-3)
@@ -434,8 +432,8 @@ def test_adjoint_duality_with_lifted_transport():
     t_end = 0.5
     p = make_params(a1=ExponentialKernel(-1.5, 0.25), b0=0.0, T=t_end)
 
-    x = profile_from_callable(1.0, lambda xi: 1.0 + np.sin(2 * xi), grid)
-    y = profile_from_callable(0.5, lambda xi: np.exp(xi), grid)
+    x = ProfileX(1.0, 1.0 + np.sin(2 * grid.nodes))
+    y = ProfileX(0.5, np.exp(grid.nodes))
 
     left_arg = adjoint_semigroup_apply(t_end, x, p, grid, 1e-3)
 

@@ -20,11 +20,9 @@ from goodwill.sdde import (
 )
 from goodwill.state_delay import (
     HamiltonianSpec,
-    bangbang_feedback_policy,
     bangbang_threshold,
     feedback_bangbang,
     feedback_quadratic,
-    hamiltonian_H,
     hamiltonian_H0,
     invariant_measure_condition,
     quadratic_feedback_policy,
@@ -73,12 +71,6 @@ def test_h0_linear_branches():
     s = lin_spec()  # beta_tilde = 0.5
     assert hamiltonian_H0(0.2, s) == 0.0
     assert hamiltonian_H0(2.0, s) == pytest.approx((2.0 - 0.5) * 10.0)
-
-
-def test_h_is_rescaled_h0():
-    s = quad_spec(sigma=2.0)
-    q = np.array([-1.0, 0.5, 3.0])
-    np.testing.assert_allclose(hamiltonian_H(q, s), hamiltonian_H0(q / 2.0, s))
 
 
 @settings(max_examples=120, deadline=None)
@@ -200,7 +192,7 @@ def test_saturated_feedback_matches_open_loop_exactly():
 def test_negative_gradient_switches_off_control():
     grid = SegmentGrid(0.5, 11)
     p = make_params()
-    pol = bangbang_feedback_policy(lin_spec(), lambda t, y: -1.0)
+    pol = FeedbackPolicy(lambda t, y: feedback_bangbang(-1.0, lin_spec()))
     fb = closed_loop(p, -0.5, make_history(grid), pol, 0.01, 4, 3)
     np.testing.assert_array_equal(fb.z, np.zeros_like(fb.z))
 
@@ -370,10 +362,22 @@ def test_condition_holds_at_the_shipped_delay_where_r1_fails():
     assert not invariant_measure_condition(-1.0, -2.5, r=1).holds
 
 
-@pytest.mark.parametrize("r", [0.0, -0.5, np.inf, np.nan])
-def test_condition_rejects_a_bad_delay(r):
-    with pytest.raises(ConfigurationError, match="r must be positive"):
-        invariant_measure_condition(-1.0, -2.0, r)
+@pytest.mark.parametrize(
+    "a0, a1, r, message",
+    [
+        (-1.0, -2.0, 0.0, "r must be positive"),
+        (-1.0, -2.0, -0.5, "r must be positive"),
+        (-1.0, -2.0, np.inf, "r must be positive"),
+        (-1.0, -2.0, np.nan, "r must be positive"),
+        (np.nan, -2.0, 0.5, "a0 and a1 must be finite"),
+        (-np.inf, -1.0, 0.5, "a0 and a1 must be finite"),
+        (-1.0, np.inf, 0.5, "a0 and a1 must be finite"),
+        (-1.0, np.nan, 0.5, "a0 and a1 must be finite"),
+    ],
+)
+def test_condition_rejects_a_bad_delay(a0, a1, r, message):
+    with pytest.raises(ConfigurationError, match=message):
+        invariant_measure_condition(a0, a1, r)
 
 
 def test_cot_root_bisection_matches_brentq():
