@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -151,6 +153,18 @@ def _write(path: str | None, text: str):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _check_out(path: str):
+    """Raise, before the run, the OSError that open(path, "w") would raise
+    for a directory or a missing or non-directory parent; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not path or not os.path.exists(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _table(cfg: dict, columns: dict) -> str:
@@ -389,6 +403,8 @@ def main(argv=None) -> int:
         if args.command == "feedback-check":
             sys.stdout.write(run_feedback_check(args.a0, args.a1))
             return 0
+        if args.out != "-":
+            _check_out(args.out)
         cfg = merged_config(
             args.config,
             {"seed": args.seed, "n_paths": args.paths, "dt": args.dt},

@@ -227,7 +227,8 @@ class DelayWindow:
     m past rows of step 0 are summed at construction. Once every row of a
     1-d array is filled, `sums` gives the sums of all steps in one pass:
     the end terms as two arrays, the recursion in one loop over Python
-    floats, with the operations of `sum` and `advance` in their order.
+    floats (a sampled kernel's re-sums as one list), with the operations
+    of `sum` and `advance` in their order.
     """
 
     def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
@@ -304,26 +305,25 @@ class DelayWindow:
         row k + m being the newest sample of step k (a point lag's window
         is its one row k): entry k equals `sum(k, samples[k + m])` followed
         by `advance(k)`, bit for bit, and the window is left where those
-        calls leave it. The recursion takes its end terms as two arrays and
-        runs in one float loop; a sampled kernel or a point lag goes step
-        by step."""
-        m = self.m
-        n = len(self.samples) - m
-        if self.point is not None or self.rho is None:
-            out = np.empty(n)
-            for k in range(n):
-                out[k] = self.sum(k, self.samples.item(k + m))
-                self.advance(k)
-            return out
-        e0 = self.first * self.samples[:n]
-        e1 = self.last * self.samples[m:]
-        raw = np.empty(n)
-        at = memoryview(raw)
+        calls leave it. A point lag is one product; else the end terms are
+        two arrays, and the raw sums are a sampled kernel's re-sums over its
+        past rows, or the recursion run in one float loop."""
+        if self.point is not None:
+            return self.samples * self.point
+        m, rows, head = self.m, self.samples, self.head
+        n = len(rows) - m
+        e0, e1 = self.first * rows[:n], self.last * rows[m:]
         h, rho = self.h, self.rho
-        for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
-            at[k] = h
-            h = rho * (h - a + b)
-        self.h, self.e0, self.e1 = h, a, b
+        if rho is None:
+            hs = [h] + [float(head @ rows[k : k + m]) for k in range(1, n + 1)]
+            raw, h = np.array(hs[:-1]), hs[-1]
+        else:
+            raw = np.empty(n)
+            at = memoryview(raw)
+            for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
+                at[k] = h
+                h = rho * (h - a + b)
+        self.h, self.e0, self.e1 = h, e0.item(n - 1), e1.item(n - 1)
         # dt * (h + 0.5 * (e1 - e0)) of `sum`, in place
         e1 -= e0
         e1 *= 0.5

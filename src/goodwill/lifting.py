@@ -97,7 +97,8 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
     for a lag that falls inside the current step (which keeps the
     integral well defined at the xi = 0 endpoint), and on the initial
     profile, taken as piecewise linear through x1 at nodes[:-1] and then
-    x0 at 0, for t < 0. A zero delay term gives RK4 on a0 * phi.
+    x0 at 0, for t < 0. A zero delay term builds no stencil and reads
+    nothing: its steps are RK4 on a0 * phi, in the same loop.
 
     On the uniform step the lag xi_j of stage c (0, 1/2 or 1) lands at
     grid position k + c + xi_j/dt, so its offset from step k and its
@@ -128,37 +129,27 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
         weights = grid.weights * kernel_eval(problem.delay, lags, r)
 
     a0, y = float(problem.a0), float(problem.x0)
-    if not np.any(weights):
-        # a zero delay term reads nothing
-        phi = np.empty(steps + 1)
-        phi[0] = y
-        rows = memoryview(phi)
-        for k in range(steps):
-            k1 = a0 * y
-            k2 = a0 * (y + dt * k1 / 2)
-            k3 = a0 * (y + dt * k2 / 2)
-            k4 = a0 * (y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not math.isfinite(y):
-                raise BlowupError(f"delay ODE blew up at step {k + 1}")
-            rows[k + 1] = y
-        return times, phi
-
-    offsets, coef, alpha, history = _lag_stencils(problem, lags, weights, dt, steps)
+    gather = bool(np.any(weights))  # a zero delay term reads nothing
+    if gather:
+        offsets, coef, alpha, history = _lag_stencils(problem, lags, weights, dt, steps)
+        pad = -int(offsets[0])
+        read, a_half, a_one = offsets + pad, a0 + alpha[1], a0 + alpha[2]
+    else:
+        pad, a_half, a_one, history = 0, a0, a0, ()
     # row pad + k holds phi(t_k); the zero rows ahead of it stand for t < 0,
     # whose values the history term carries
-    pad = -int(offsets[0])
     padded = np.zeros(pad + steps + 1)
     padded[pad] = y
-    rows, read, n_hist = memoryview(padded), offsets + pad, len(history)
-    a_half, a_one = a0 + alpha[1], a0 + alpha[2]
+    rows, n_hist = memoryview(padded), len(history)
+    d0 = d_half = d_one = 0.0
     # overflow shows as a non-finite step, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            d = np.dot(coef, padded[k:].take(read))
-            if k < n_hist:
-                d += history[k]
-            d0, d_half, d_one = d.tolist()
+            if gather:
+                d = np.dot(coef, padded[k:].take(read))
+                if k < n_hist:
+                    d += history[k]
+                d0, d_half, d_one = d.tolist()
             k1 = a0 * y + d0
             k2 = a_half * (y + dt * k1 / 2) + d_half
             k3 = a_half * (y + dt * k2 / 2) + d_half

@@ -14,10 +14,10 @@ to the delay horizon.
 The delay integral of the forward solve and the pairing <B, w> are
 trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi; for
 exponential and constant kernels they are updated in O(1) per step, and
-a sampled kernel is re-summed over its window. The two agree to 1e-12
-relative over 1e5 steps (tests compare them). The pairing is one pass
-over the filled phi rows. A costate that leaves the finite range raises
-sdde.BlowupError.
+a sampled kernel is re-summed over its window in the same float loop.
+The two agree to 1e-12 relative over 1e5 steps (tests compare them).
+The pairing is one pass over the filled phi rows. A costate that leaves
+the finite range raises sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .hilbert import (
     PointDelay,
     ProfileX,
     SegmentGrid,
+    inner_product,
     kernel_eval,
     kernel_is_zero,
 )
@@ -87,11 +88,11 @@ def solve_costate(
     positive part of <B, w> from c(T) = 0.
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
-    floats; an exponential or constant a1 runs on local floats too, with
-    the window's sum and advance written out inline, and a sampled a1
-    sums and advances its window at each step. The pairing comes after,
-    from the filled rows in one DelayWindow.sums pass. The bits are those
-    of a loop of sum/advance calls per step.
+    floats; with a1 it runs on local floats too, the window's sum and
+    advance written out inline: O(1) a step for an exponential or
+    constant a1, a re-sum of the m past rows for a sampled one. The
+    pairing comes after, from the filled rows in one DelayWindow.sums
+    pass. The bits are those of a loop of sum/advance calls per step.
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -120,42 +121,31 @@ def solve_costate(
     a0, half, prev, rows = float(params.a0), dt / 2, p(m), memoryview(phi)
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        win_a = None
-        if not kernel_is_zero(params.a1):
-            a1v = kernel_eval(params.a1, xi, params.r)
-            win_a = DelayWindow(params.a1, a1v, dt, phi)
-            jump_a = jump(a1v).item
-
-        if win_a is None:
+        if kernel_is_zero(params.a1):
             # the slope is a0 * phi: Heun's step on Python floats
             for i in range(m + 1, m + n + 1):
                 f1 = a0 * prev
                 prev = prev + half * (f1 + a0 * (prev + dt * f1))
                 rows[i] = prev
-        elif win_a.rho is not None:
+        else:
             # the window's sum and advance, inlined on Python floats: a, b
-            # are its end terms and h its raw sum
-            first, last, rho, h = win_a.first, win_a.last, win_a.rho, win_a.h
+            # are its end terms and h its raw sum, which a sampled kernel
+            # (no ratio rho) re-sums over its m past rows
+            a1v = kernel_eval(params.a1, xi, params.r)
+            win, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v).item
+            first, last, rho, h, head = win.first, win.last, win.rho, win.h, win.head
             for i in range(1, n + 1):
                 a, b = first * p(i - 1), last * prev
                 f1 = a0 * prev + (dt * (h + 0.5 * (b - a)) - jump_a(i - 1))
-                h = rho * (h - a + b)
+                if rho is None:
+                    h = float(head @ phi[i : i + m])
+                else:
+                    h = rho * (h - a + b)
                 pred = prev + dt * f1
                 a, b = first * p(i), last * pred
                 f2 = a0 * pred + (dt * (h + 0.5 * (b - a)) - jump_a(i))
                 prev = prev + half * (f1 + f2)
                 rows[m + i] = prev
-        else:
-
-            def slope(i: int, phi_i: float) -> float:
-                return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a(i))
-
-            for i in range(1, n + 1):
-                prev = p(m + i - 1)
-                f1 = slope(i - 1, prev)
-                win_a.advance(i - 1)
-                f2 = slope(i, prev + dt * f1)
-                phi[m + i] = prev + dt / 2 * (f1 + f2)
 
         bw = params.b0 * phi[m:]
         if not kernel_is_zero(params.b1):
@@ -286,7 +276,7 @@ def trajectory_mean(
     times, phi, q, tail = _e1_trajectory(params, grid, t, dt)
     if q is None:
         kernel_eval(params.b1, grid.nodes, params.r)  # refuses the point lag
-    term1 = y_init.x0 * float(phi[-1]) + float(np.dot(grid.weights, y_init.x1 * tail))
+    term1 = inner_product(y_init, ProfileX(float(phi[-1]), tail), grid)
     z = open_loop_controls(policy, params, times, "trajectory_mean")
     return term1 + float(np.trapezoid(z * q, times))
 

@@ -165,13 +165,15 @@ def invariant_measure_condition(
     Scaling time by r turns the delay r into 1 and the pair into
     (a, b) = (a0*r, a1*r), so the check is a < -b < sqrt(g^2 + a^2), where
     g solves g*cot(g) = a on ]0, pi[ (Hayes 1950 for delay 1); gamma_root
-    and upper_bound are g and sqrt(g^2 + a^2).
+    and upper_bound are g and sqrt(g^2 + a^2). A non-finite a or b raises
+    ConfigurationError.
     """
     if not 0 < r < np.inf:
         raise ConfigurationError(f"r must be positive and finite, got {r}")
-    if not (math.isfinite(a0) and math.isfinite(a1_scalar)):
-        raise ConfigurationError(f"a0 and a1 must be finite, got {a0}, {a1_scalar}")
     a, b = a0 * r, a1_scalar * r
+    if not (math.isfinite(a) and math.isfinite(b)):
+        msg = f"a0 and a1 must be finite, times r={r} too; got {a0}, {a1_scalar}"
+        raise ConfigurationError(msg)
     if not a < 1.0:  # g*cot(g) decreases from 1 to -inf on ]0, pi[
         return ConditionReport(
             holds=False,
@@ -180,7 +182,7 @@ def invariant_measure_condition(
             diagnostic=f"no root of the cot equation in ]0, pi[ for a0*r={a}",
         )
     g = _cot_root(a)
-    bound = float(np.sqrt(g * g + a * a))
+    bound = math.hypot(g, a)  # g*g + a*a would overflow for |a| near 1e308
     holds = bool(a < -b < bound)
     return ConditionReport(
         holds=holds, gamma_root=g, upper_bound=bound, diagnostic="ok"

@@ -71,17 +71,39 @@ def test_cli_unknown_key_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, name",
-    [("--config", "nope.json"), ("--config", "."), ("--out", ".")],
-    ids=["missing_config", "config_is_a_directory", "out_is_a_directory"],
+    [
+        ("--config", "nope.json"),
+        ("--config", "."),
+        ("--out", "."),
+        ("--out", "nope/v.json"),
+        ("--out", "config.json/v.json"),
+        ("--out", ""),
+    ],
+    ids=[
+        "missing_config",
+        "config_is_a_directory",
+        "out_is_a_directory",
+        "missing_parent",
+        "parent_is_a_file",
+        "empty_out",
+    ],
 )
-def test_cli_unreadable_path_exit_code(tmp_path, capsys, flag, name):
-    config, out = write_config(tmp_path), str(tmp_path / "c.csv")
-    argv = ["costate", "--config", config, "--out", out]
-    argv[argv.index(flag) + 1] = str(tmp_path / name)
+def test_cli_unreadable_path_exit_code(tmp_path, capsys, monkeypatch, flag, name):
+    # the one line that open() gives, before the Monte Carlo run
+    def no_run(*args, **kw):
+        raise AssertionError("the Monte Carlo run started")
+
+    monkeypatch.setattr(goodwill.sdde, "evaluate_policy", no_run)
+    config, out = write_config(tmp_path), str(tmp_path / "v.json")
+    argv = ["evaluate", "--config", config, "--out", out]
+    path = str(tmp_path / name) if name else ""
+    argv[argv.index(flag) + 1] = path
+    files = sorted(tmp_path.iterdir())
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert len(err.strip().splitlines()) == 1
+    with pytest.raises(OSError) as opened:
+        open(path, "w" if flag == "--out" else "r")
+    assert capsys.readouterr().err == f"config error: {opened.value}\n"
+    assert sorted(tmp_path.iterdir()) == files
 
 
 @pytest.mark.parametrize("text", ["5", "null", "true", '["a0"]'])
@@ -328,6 +350,18 @@ def test_feedback_check_json(capsys):
     assert "no root" in obj["diagnostic"]
 
 
+def test_feedback_check_near_the_float_limit_is_strict_json(capsys):
+    # g*g + a*a overflows here, so the bound falls back to math.hypot
+    assert main(["feedback-check", "--a0=-1e308", "--a1=-1e307"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    obj = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert obj["upper_bound"] == pytest.approx(5e307)
+    assert obj["holds"] is True
+
+
 @pytest.mark.parametrize(
     "argv", [["--a0", "nan", "--a1", "-2"], ["--a0=-inf", "--a1=-1"]],
     ids=["a0_nan", "a0_minus_inf"],
@@ -428,3 +462,4 @@ def test_bad_config_is_a_one_line_config_error(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert len(err.strip().splitlines()) == 1
+

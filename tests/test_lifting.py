@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goodwill import lifting
 from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
@@ -107,7 +108,9 @@ def test_lift_linear_in_history_and_control(seed, alpha, beta):
 # --- delay ODE engine ---------------------------------------------------------
 
 
-def test_delay_ode_no_delay_is_exponential():
+def test_delay_ode_no_delay_is_exponential(monkeypatch):
+    # RK4 on a0 * phi: nothing to gather, so no lag stencil is built
+    monkeypatch.setattr(lifting, "_lag_stencils", None)
     grid = SegmentGrid(0.5, 51)
     prob = DelayODEProblem(-1.3, ZeroKernel(), 2.0,
                            np.zeros(51), grid, t_end=1.0)
@@ -245,6 +248,7 @@ REFERENCE_KERNELS = {
     "constant": ConstantKernel(-1.3),
     "sampled": SampledKernel(np.sin(np.linspace(0.0, 3.0, 37)) - 0.4),
     "point": PointDelay(-0.8),
+    "zero": ZeroKernel(),
 }
 SPACING = 0.5 / 20  # of the 21-node grid below
 

@@ -273,11 +273,16 @@ def test_a1_free_costate_equals_the_step_by_step_solve(b1, gamma, dt):
 @pytest.mark.parametrize("b1", B1_KINDS, ids=B1_IDS)
 @pytest.mark.parametrize(
     "a1",
-    [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-1.3)],
-    ids=["exponential", "constant"],
+    [
+        ExponentialKernel(-5.0, 1 / 6),
+        ConstantKernel(-1.3),
+        SampledKernel(np.sin(np.linspace(0.0, 3.0, 37)) - 0.4),
+    ],
+    ids=["exponential", "constant", "sampled"],
 )
 def test_a1_costate_equals_the_step_by_step_solve(a1, b1, dt):
-    # the float loop inlines DelayWindow.sum and advance in their order
+    # the float loop inlines DelayWindow.sum and advance in their order,
+    # a sampled kernel's advance being a re-sum of its past rows
     p = make_params(a0=-0.5, a1=a1, b1=b1)
     cs = solve_costate(p, 2.7, 0.5, dt)
     for name, want in zip(("w0", "bw", "c"), stepwise_costate(p, 2.7, 0.5, dt)):

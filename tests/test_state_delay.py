@@ -373,6 +373,9 @@ def test_condition_holds_at_the_shipped_delay_where_r1_fails():
         (-np.inf, -1.0, 0.5, "a0 and a1 must be finite"),
         (-1.0, np.inf, 0.5, "a0 and a1 must be finite"),
         (-1.0, np.nan, 0.5, "a0 and a1 must be finite"),
+        # finite coefficients whose scaled pair a0*r, a1*r overflows
+        (-1e308, -1.0, 2.0, "a0 and a1 must be finite, times r=2.0 too"),
+        (-1.0, 1e308, 2.0, "a0 and a1 must be finite, times r=2.0 too"),
     ],
 )
 def test_condition_rejects_a_bad_delay(a0, a1, r, message):
