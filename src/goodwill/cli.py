@@ -330,15 +330,18 @@ def run_evaluate(cfg: dict) -> str:
     )
     xbar = lift_M(history.x0, history.x1, history.delta, params, grid)
     analytic = lq.value_lq(0.0, xbar, cs, grid)
+    # a one-path stderr is undefined (NaN), which JSON writes as null
+    stderr = None if math.isnan(est.stderr) else est.stderr
     return json.dumps(
         {
             "config_hash": config_hash(cfg),
             "mc": {
-                "mean": est.mean, "stderr": est.stderr,
+                "mean": est.mean, "stderr": stderr,
                 "n_paths": est.n_paths, "seed": est.seed,
             },
             "analytic_value": analytic,
-        }
+        },
+        allow_nan=False,
     ) + "\n"
 
 

@@ -2,12 +2,11 @@
 
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
-grid. Delay kernels live here too: zero, constant, exponential and
-sampled densities on [-r, 0], evaluated given only the horizon r whatever
-grid the caller samples them on, and the point lag amp * x(t - r). With
-them come DelayWindow, their trapezoid sum over a window that slides one
-time step at a time (the delay terms of the simulator and of the costate
-solve).
+grid. Delay kernels live here too: zero, constant and exponential
+densities on [-r, 0], evaluated at any lags in [-r, 0], and the point lag
+amp * x(t - r). With them comes DelayWindow, their trapezoid sum over a
+window that slides one time step at a time (the delay terms of the
+simulator and of the costate solve).
 """
 
 from __future__ import annotations
@@ -107,36 +106,6 @@ class ExponentialKernel:
             raise ValueError(f"decay_scale must be positive, got {self.decay_scale}")
 
 
-@dataclass(frozen=True, eq=False)
-class SampledKernel:
-    """Values at equally spaced lags from -r to 0, the first at -r.
-
-    The kernel keeps a read-only copy of the values, and compares and
-    hashes by their shape and bytes, so a model holding it can key a
-    cache like any other kernel.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or len(values) < 2:
-            raise DimensionError("a sampled kernel needs a 1-d array of 2+ values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if not isinstance(other, SampledKernel):
-            return NotImplemented
-        return (
-            self.values.shape == other.values.shape
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((self.values.shape, self.values.tobytes()))
-
-
 @dataclass(frozen=True)
 class PointDelay:
     """The point lag amp * x(t - r): all the weight at xi = -r, no density."""
@@ -144,15 +113,11 @@ class PointDelay:
     amp: float
 
 
-Kernel = PointDelay | ZeroKernel | ConstantKernel | ExponentialKernel | SampledKernel
+Kernel = PointDelay | ZeroKernel | ConstantKernel | ExponentialKernel
 
 
 def kernel_eval(k: Kernel, xi, r: float):
-    """Evaluate a kernel at lags xi in [-r, 0] (scalar or array).
-
-    A sampled kernel holds its values at len(values) equally spaced lags
-    from -r to 0 and is linearly interpolated between them.
-    """
+    """Evaluate a kernel at lags xi in [-r, 0] (scalar or array)."""
     if isinstance(k, PointDelay):
         raise ValueError("a point lag has no density: it needs a kernel with one")
     xi = np.asarray(xi, dtype=float)
@@ -164,8 +129,6 @@ def kernel_eval(k: Kernel, xi, r: float):
         out = np.full_like(xi, k.c)
     elif isinstance(k, ExponentialKernel):
         out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
-    elif isinstance(k, SampledKernel):
-        out = np.interp(xi, np.linspace(-r, 0.0, len(k.values)), k.values)
     else:
         raise TypeError(f"unknown kernel type {type(k).__name__}")
     return out if out.ndim else float(out)
@@ -178,8 +141,6 @@ def kernel_is_zero(k: Kernel) -> bool:
         return k.c == 0.0
     if isinstance(k, (ExponentialKernel, PointDelay)):
         return k.amp == 0.0
-    if isinstance(k, SampledKernel):
-        return bool(np.all(k.values == 0.0))
     return False
 
 
@@ -189,8 +150,6 @@ def check_kernel_nonneg(k: Kernel, name: str):
         raise ValueError(f"{name} must be non-negative")
     if isinstance(k, (ExponentialKernel, PointDelay)) and k.amp < 0:
         raise ValueError(f"{name} must be non-negative")
-    if isinstance(k, SampledKernel) and np.any(k.values < 0):
-        raise ValueError(f"{name} must be non-negative at every node")
 
 
 class DelayWindow:
@@ -205,15 +164,14 @@ class DelayWindow:
 
     kept as the raw sum h = sum_{j<m} a_j x_j of the m past rows; the
     caller passes the newest sample x_m to `sum`, so a predictor may stand
-    in for row k + m. When the node values have a fixed ratio
+    in for row k + m. The node values have a fixed ratio
     rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
-    1 for a constant one), `advance` moves the window on in O(1):
+    1 for a constant one), so `advance` moves the window on in O(1):
 
         h' = rho * (h - a_0 x_0 + a_m x_m)
 
     (the linear-chain recursion, with a tail term because the window is
-    finite), from the end terms of the last `sum`. A sampled kernel has
-    no such ratio and re-sums its window in lag order. A point lag is the
+    finite), from the end terms of the last `sum`. A point lag is the
     one-sample window amp * x_k (row k, at lag -r): it takes no node
     values (None) and has nothing to advance.
 
@@ -227,8 +185,7 @@ class DelayWindow:
     m past rows of step 0 are summed at construction. Once every row of a
     1-d array is filled, `sums` gives the sums of all steps in one pass:
     the end terms as two arrays, the recursion in one loop over Python
-    floats (a sampled kernel's re-sums as one list), with the operations
-    of `sum` and `advance` in their order.
+    floats, with the operations of `sum` and `advance` in their order.
     """
 
     def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
@@ -240,31 +197,25 @@ class DelayWindow:
             self.out = np.empty(samples.shape[1]) if self.columns else None
             return
         values = np.asarray(values, dtype=float)
-        self.head = values[:-1]
         self.first = float(values[0])
         self.last = float(values[-1])
         self.m = len(values) - 1
         self.dt = dt
         if isinstance(kernel, ExponentialKernel):
             self.rho = float(np.exp(-dt / kernel.decay_scale))
-        elif isinstance(kernel, ConstantKernel):
+        else:  # a constant kernel, or a zero one
             self.rho = 1.0
-        else:
-            self.rho = None
-        if self.columns:
-            n = samples.shape[1]
-            self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
-        self._resum(0)
-
-    def _resum(self, k: int):
-        """h of the window at step k, summed over its past rows."""
-        past = self.samples[k : k + self.m]
+        # h of step 0, summed over its m past rows
+        head, past = values[:-1], samples[: self.m]
         if not self.columns:
-            self.h = float(self.head @ past)
-        elif past.shape[1] == 1:
-            self.h[0] = np.cumsum(self.head * past[:, 0])[-1]
+            self.h = float(head @ past)
+            return
+        n = samples.shape[1]
+        self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
+        if n == 1:
+            self.h[0] = np.cumsum(head * past[:, 0])[-1]
         else:
-            np.einsum("j,ji->i", self.head, past, out=self.h)
+            np.einsum("j,ji->i", head, past, out=self.h)
 
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
@@ -286,14 +237,10 @@ class DelayWindow:
 
     def advance(self, k: int):
         """Move the window from step k to step k + 1: the oldest sample
-        leaves it and the newest given to the last `sum` joins its past,
-        so that sample must by now be row k + m (a sampled kernel reads it
-        from there)."""
+        leaves it and the newest given to the last `sum` joins its past."""
         if self.point is not None:
             return
-        if self.rho is None:
-            self._resum(k + 1)
-        elif not self.columns:
+        if not self.columns:
             self.h = self.rho * (self.h - self.e0 + self.e1)
         else:
             np.subtract(self.h, self.e0, out=self.h)
@@ -306,23 +253,18 @@ class DelayWindow:
         is its one row k): entry k equals `sum(k, samples[k + m])` followed
         by `advance(k)`, bit for bit, and the window is left where those
         calls leave it. A point lag is one product; else the end terms are
-        two arrays, and the raw sums are a sampled kernel's re-sums over its
-        past rows, or the recursion run in one float loop."""
+        two arrays and the raw sums the recursion, run in one float loop."""
         if self.point is not None:
             return self.samples * self.point
-        m, rows, head = self.m, self.samples, self.head
+        m, rows = self.m, self.samples
         n = len(rows) - m
         e0, e1 = self.first * rows[:n], self.last * rows[m:]
         h, rho = self.h, self.rho
-        if rho is None:
-            hs = [h] + [float(head @ rows[k : k + m]) for k in range(1, n + 1)]
-            raw, h = np.array(hs[:-1]), hs[-1]
-        else:
-            raw = np.empty(n)
-            at = memoryview(raw)
-            for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
-                at[k] = h
-                h = rho * (h - a + b)
+        raw = np.empty(n)
+        at = memoryview(raw)
+        for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
+            at[k] = h
+            h = rho * (h - a + b)
         self.h, self.e0, self.e1 = h, e0.item(n - 1), e1.item(n - 1)
         # dt * (h + 0.5 * (e1 - e0)) of `sum`, in place
         e1 -= e0

@@ -12,10 +12,9 @@ of the optimal trajectory, and the sensitivity of the value with respect
 to the delay horizon.
 
 The delay integral of the forward solve and the pairing <B, w> are
-trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi; for
-exponential and constant kernels they are updated in O(1) per step, and
-a sampled kernel is re-summed over its window in the same float loop.
-The two agree to 1e-12 relative over 1e5 steps (tests compare them).
+trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi,
+updated in O(1) per step; the recursion agrees with a full re-sum of the
+window to 1e-12 relative over 1e5 steps (tests compare them).
 The pairing is one pass over the filled phi rows. A costate that leaves
 the finite range raises sdde.BlowupError.
 """
@@ -89,10 +88,9 @@ def solve_costate(
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
     floats; with a1 it runs on local floats too, the window's sum and
-    advance written out inline: O(1) a step for an exponential or
-    constant a1, a re-sum of the m past rows for a sampled one. The
-    pairing comes after, from the filled rows in one DelayWindow.sums
-    pass. The bits are those of a loop of sum/advance calls per step.
+    advance written out inline, O(1) a step. The pairing comes after,
+    from the filled rows in one DelayWindow.sums pass. The bits are those
+    of a loop of sum/advance calls per step.
     """
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -129,18 +127,14 @@ def solve_costate(
                 rows[i] = prev
         else:
             # the window's sum and advance, inlined on Python floats: a, b
-            # are its end terms and h its raw sum, which a sampled kernel
-            # (no ratio rho) re-sums over its m past rows
+            # are its end terms and h its raw sum
             a1v = kernel_eval(params.a1, xi, params.r)
             win, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v).item
-            first, last, rho, h, head = win.first, win.last, win.rho, win.h, win.head
+            first, last, rho, h = win.first, win.last, win.rho, win.h
             for i in range(1, n + 1):
                 a, b = first * p(i - 1), last * prev
                 f1 = a0 * prev + (dt * (h + 0.5 * (b - a)) - jump_a(i - 1))
-                if rho is None:
-                    h = float(head @ phi[i : i + m])
-                else:
-                    h = rho * (h - a + b)
+                h = rho * (h - a + b)
                 pred = prev + dt * f1
                 a, b = first * p(i), last * pred
                 f2 = a0 * pred + (dt * (h + 0.5 * (b - a)) - jump_a(i))

@@ -10,17 +10,17 @@ delay integrals are trapezoid quadratures on the simulation time step,
 so every lookback lands on a stored sample. Each is a
 hilbert.DelayWindow sliding along the time-major state or control rows:
 for exponential and constant kernels it updates the a1 state window and
-the b1 control window in O(1) per step; a sampled kernel is re-summed
-over its m+1 samples (the two agree to 1e-12 relative; tests compare
-them), and a point lag reads its one sample at lag -r. Open-loop and
-feedback policies share one step loop over time-major rows (one row per
-step, one column per path); an open-loop control is one number per step,
-shared by every path. The loop and the windows fill preallocated per-path
-buffers in place; only a feedback policy's control and its clip count
-make per-step arrays. Each path draws its noise from a Philox stream
-keyed by (seed, path index), and every per-path sum runs in an order that
-does not depend on how many paths share an array, so a path's result is
-bit-identical whatever the path count, blocking or scheduling.
+the b1 control window in O(1) per step (the recursion agrees with a full
+re-sum to 1e-12 relative; tests compare them), and a point lag reads its
+one sample at lag -r. Open-loop and feedback policies share one step
+loop over time-major rows (one row per step, one column per path); an
+open-loop control is one number per step, shared by every path. The
+loop and the windows fill preallocated per-path buffers in place; only a
+feedback policy's control and its clip count make per-step arrays. Each
+path draws its noise from a Philox stream keyed by (seed, path index),
+and every per-path sum runs in an order that does not depend on how many
+paths share an array, so a path's result is bit-identical whatever the
+path count, blocking or scheduling.
 
 simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
 under feedback, plus the m = r/dt history rows below them only where a
@@ -494,9 +494,12 @@ def evaluate_policy(
 
 
 def relative_gap(v_opt: MCEstimate, v_base: MCEstimate) -> GapEstimate:
-    """(v_opt - v_base)/v_opt with first-order propagated standard error."""
+    """(v_opt - v_base)/v_opt with first-order propagated standard error;
+    ConfigurationError when v_opt is 0, which leaves the gap undefined."""
     if v_opt.mean == 0.0:
-        raise ZeroDivisionError("reference value is zero")
+        raise ConfigurationError(
+            "the relative gap is undefined: the reference value is 0"
+        )
     gap = (v_opt.mean - v_base.mean) / v_opt.mean
     se = np.hypot(
         v_base.mean / v_opt.mean**2 * v_opt.stderr, v_base.stderr / v_opt.mean

@@ -132,8 +132,8 @@ def test_fig1_layout_and_rerun_identical(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["fig1", "--config", path, "--out", out1]) == 0
     assert main(["fig1", "--config", path, "--out", out2]) == 0
-    text = open(out1).read()
-    assert text == open(out2).read()
+    text = Path(out1).read_text()
+    assert text == Path(out2).read_text()
 
     lines = text.strip().split("\n")
     assert lines[0].startswith("# config_hash=")
@@ -146,7 +146,7 @@ def test_fig1_no_churn_column_is_memoryless(tmp_path):
     path = write_config(tmp_path)
     out = str(tmp_path / "fig1.csv")
     assert main(["fig1", "--config", path, "--out", out]) == 0
-    rows = [l.split(",") for l in open(out).read().strip().split("\n")[2:]]
+    rows = [l.split(",") for l in Path(out).read_text().strip().split("\n")[2:]]
     t = np.array([float(r[0]) for r in rows])
     z = np.array([float(r[1]) for r in rows])
     cfg = load_defaults()
@@ -161,7 +161,7 @@ def test_fig2_zero_amplitude_gap_is_zero(tmp_path):
     path = write_config(tmp_path, {"amplitudes": [0.0]})
     out = str(tmp_path / "fig2.csv")
     assert main(["fig2", "--config", path, "--axis", "b1_amplitude", "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[1] == "amplitude,V_hat,V0_hat,gap,gap_stderr"
     amp, v, v0, gap, _ = (float(x) for x in lines[2].split(","))
     assert amp == 0.0
@@ -182,7 +182,7 @@ def test_empty_sweep_prints_the_header_alone(tmp_path, command, key, header):
     path = write_config(tmp_path, {key: []})
     out = str(tmp_path / "empty.csv")
     assert main([command, "--config", path, "--out", out]) == 0
-    lines = open(out).read().split("\n")
+    lines = Path(out).read_text().split("\n")
     assert lines[0].startswith("# config_hash=")
     assert lines[1:] == [header, ""]
 
@@ -193,7 +193,7 @@ def test_fig2_positive_gap_with_churn(tmp_path):
     )
     out = str(tmp_path / "fig2.csv")
     assert main(["fig2", "--config", path, "--axis", "b1_amplitude", "--out", out]) == 0
-    gap = float(open(out).read().strip().split("\n")[2].split(",")[3])
+    gap = float(Path(out).read_text().strip().split("\n")[2].split(",")[3])
     assert gap > 0.0
 
 
@@ -204,7 +204,7 @@ def test_sensitivity_formula_close_to_finite_difference(tmp_path):
     path = write_config(tmp_path, {"r_grid": [0.3, 0.4], "dt": 0.001})
     out = str(tmp_path / "sens.csv")
     assert main(["sensitivity", "--config", path, "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[1] == "r,dV_dr_formula,dV_dr_finite_difference,abs_diff"
     assert len(lines) == 2 + 2
     for line in lines[2:]:
@@ -219,7 +219,7 @@ def test_costate_output_columns(tmp_path):
     path = write_config(tmp_path)
     out = str(tmp_path / "costate.csv")
     assert main(["costate", "--config", path, "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[1] == "t,w0,c,z_star,z_memoryless"
     assert len(lines) == 2 + 101
     # each column is the library's array, to 10 significant digits
@@ -240,10 +240,23 @@ def test_evaluate_json_fields(tmp_path):
     path = write_config(tmp_path, {"n_paths": 200})
     out = str(tmp_path / "value.json")
     assert main(["evaluate", "--config", path, "--out", out]) == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert set(obj) == {"config_hash", "mc", "analytic_value"}
     est = obj["mc"]
     assert abs(est["mean"] - obj["analytic_value"]) <= 4 * est["stderr"] + 0.05
+
+
+def test_one_path_evaluate_writes_a_null_stderr(tmp_path):
+    # one path leaves the stderr undefined: JSON null, not the NaN token
+    out = tmp_path / "value.json"
+    assert main(["evaluate", "--paths", "1", "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    est = json.loads(out.read_text(), parse_constant=refuse)["mc"]
+    assert est["n_paths"] == 1 and est["stderr"] is None
+    assert np.isfinite(est["mean"])
 
 
 def test_approx_output_table(tmp_path):
@@ -253,7 +266,7 @@ def test_approx_output_table(tmp_path):
     )
     out = str(tmp_path / "approx.csv")
     assert main(["approx", "--config", path, "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[1] == "eps1,eps2,J_eps,stderr,gap"
     assert len(lines) == 2 + 2
     first = lines[2].split(",")
@@ -269,7 +282,7 @@ def test_approx_steps_fit_the_grid_spacing(tmp_path):
     })
     out = str(tmp_path / "approx.csv")
     assert main(["approx", "--config", path, "--out", out]) == 0
-    assert len(open(out).read().strip().split("\n")) == 2 + 1
+    assert len(Path(out).read_text().strip().split("\n")) == 2 + 1
 
 
 def test_approx_memory_stays_bounded_at_many_nodes(tmp_path):
@@ -414,6 +427,13 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
         ("evaluate", {"seed": 2**63 + 1}, "seed must be in [-2**63, 2**63)"),
         # the optimal value is 0 at gamma = 0, and the gap is relative to it
         ("fig2", {"gamma": 0}, "fig2 needs gamma != 0"),
+        # no goodwill, no advertising and no noise: the optimal value is
+        # exactly 0 at gamma != 0; this used to end in a ZeroDivisionError
+        (
+            "fig2",
+            {"x0": 0, "u_max": 0, "sigma": 0, "amplitudes": [0.0], "n_paths": 10},
+            "the relative gap is undefined: the reference value is 0",
+        ),
         # json reads NaN and Infinity; they used to run into nan rows or a
         # "numerical failure"
         ("sensitivity", {"x0": NAN}, "x0 must be finite, got nan"),
@@ -443,7 +463,7 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
         "dt_zero", "sigma_negative", "T_huge", "dt_tiny", "seed_huge",
-        "seed_float_key", "fig2_gamma_zero", "sensitivity_x0_nan",
+        "seed_float_key", "fig2_gamma_zero", "fig2_value_zero", "sensitivity_x0_nan",
         "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
         "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
         "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",

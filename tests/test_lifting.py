@@ -9,7 +9,6 @@ from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
     ProfileX,
-    SampledKernel,
     SegmentGrid,
     ZeroKernel,
     inner_product,
@@ -246,7 +245,7 @@ def interpolating_delay_ode(problem, dt):
 REFERENCE_KERNELS = {
     "exponential": ExponentialKernel(-5.0, 1 / 6),
     "constant": ConstantKernel(-1.3),
-    "sampled": SampledKernel(np.sin(np.linspace(0.0, 3.0, 37)) - 0.4),
+    "steep": ExponentialKernel(-40.0, 0.02),  # decays within one grid spacing
     "point": PointDelay(-0.8),
     "zero": ZeroKernel(),
 }

@@ -12,7 +12,6 @@ from goodwill.hilbert import (
     ExponentialKernel,
     PointDelay,
     ProfileX,
-    SampledKernel,
     SegmentGrid,
     ZeroKernel,
     kernel_eval,
@@ -159,54 +158,43 @@ def test_noiseless_sdde_agrees_with_costate_at_first_order(a1_amp):
     [
         (ExponentialKernel(1.2, 1 / 6), ExponentialKernel(2.0, 0.5)),
         (ConstantKernel(0.3), ConstantKernel(0.4)),
+        (ExponentialKernel(-30.0, 0.01), ExponentialKernel(40.0, 0.01)),
     ],
 )
 def test_costate_recursion_matches_window_sum(a1, b1):
     # 1e5 steps of the O(1) delay-sum recursion against the full-window
-    # quadrature of the same node values (a sampled kernel on m+1 nodes)
-    dt, r = 1e-3, 0.5
-    grid = SegmentGrid(r, round(r / dt) + 1)
-
-    def sampled(k):
-        return SampledKernel(kernel_eval(k, grid.nodes, grid.r))
-
-    common = dict(a0=-0.2, r=r, T=100.0)
-    rec = solve_costate(make_params(a1=a1, b1=b1, **common), 1.0, 0.5, dt)
-    win = solve_costate(
-        make_params(a1=sampled(a1), b1=sampled(b1), **common), 1.0, 0.5, dt
-    )
-    for name in ("w0", "bw", "c"):
-        got, want = getattr(rec, name), getattr(win, name)
+    # quadrature of the same node values, re-summed every step
+    dt = 1e-3
+    p = make_params(a1=a1, b1=b1, a0=-0.2, r=0.5, T=100.0)
+    rec = solve_costate(p, 1.0, 0.5, dt)
+    win = stepwise_costate(p, 1.0, 0.5, dt, window=ResummedWindow)
+    for name, want in zip(("w0", "bw", "c"), win):
+        got = getattr(rec, name)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def test_sampled_kernels_need_no_matching_step():
-    # 201-node kernels under a 1e-3 step (a 501-lag window): a sampled kernel
-    # is a function of the lag, read off its own nodes on [-r, 0]
-    r, dt = 0.5, 1e-3
-    nodes = np.linspace(-r, 0.0, 201)
-    a1, b1 = ExponentialKernel(-5.0, 1 / 6), ExponentialKernel(5.0, 0.5)
-    sampled = [SampledKernel(kernel_eval(k, nodes, r)) for k in (a1, b1)]
-    common = dict(a0=-0.5, r=r)
-    p_exp = make_params(a1=a1, b1=b1, **common)
-    p_smp = make_params(a1=sampled[0], b1=sampled[1], **common)
-    exp, smp = (solve_costate(p, 1.0, 0.5, dt) for p in (p_exp, p_smp))
-    for name in ("w0", "bw"):
-        got, want = getattr(smp, name), getattr(exp, name)
-        assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want)), name
-    # the delay sensitivity needs a1 = 0: compare the b1 kernels alone
-    x = ProfileX(1.0, np.ones(201))
-    s_exp, s_smp = (
-        sensitivity_dV_dr(0.0, x, make_params(b1=k, **common), 1.0, 0.5, dt)
-        for k in (b1, sampled[1])
-    )
-    assert s_smp == pytest.approx(s_exp, rel=1e-4)
+class ResummedWindow:
+    """DelayWindow's sum and advance with the sum taken over the whole
+    window every step, the newest sample standing in for row k + m: the
+    reference for the window's O(1) recursion."""
+
+    def __init__(self, kernel, values, dt, rows):
+        self.values, self.dt, self.rows, self.m = values, dt, rows, len(values) - 1
+
+    def sum(self, k, newest):
+        v, dt, x = self.values, self.dt, self.rows[k : k + self.m + 1].copy()
+        x[-1] = newest
+        return dt * (v @ x) - dt / 2 * (v[0] * x[0] + v[-1] * x[-1])
+
+    def advance(self, k):
+        pass
 
 
-def stepwise_costate(params, gamma, beta, dt):
+def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
     """(w0, <B, w>, c), one call per step: Heun's loop through a slope
-    function that sums and advances the a1 DelayWindow, then the pairing
-    through DelayWindow.sum and advance. solve_costate must give these bits."""
+    function that sums and advances the a1 window, then the pairing
+    through the b1 window's sum and advance. With the DelayWindow,
+    solve_costate must give these bits."""
     n, m = round(params.T / dt), round(params.r / dt)
     xi = -params.r + dt * np.arange(m + 1)
     phi = np.zeros(m + n + 1)
@@ -221,7 +209,7 @@ def stepwise_costate(params, gamma, beta, dt):
     win_a = None
     if not isinstance(params.a1, ZeroKernel):
         a1v = kernel_eval(params.a1, xi, params.r)
-        win_a, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v)
+        win_a, jump_a = window(params.a1, a1v, dt, phi), jump(a1v)
 
     def slope(i, phi_i):
         if win_a is None:
@@ -238,7 +226,7 @@ def stepwise_costate(params, gamma, beta, dt):
     bw = params.b0 * phi[m:]
     if not isinstance(params.b1, ZeroKernel):
         b1v = kernel_eval(params.b1, xi, params.r)
-        win = DelayWindow(params.b1, b1v, dt, phi)
+        win = window(params.b1, b1v, dt, phi)
         pairing = np.empty(n + 1)
         for i in range(n + 1):
             pairing[i] = win.sum(i, phi.item(m + i))
@@ -254,9 +242,9 @@ B1_KINDS = [
     ZeroKernel(),
     ConstantKernel(0.8),
     ExponentialKernel(5.0, 0.5),
-    SampledKernel(np.abs(np.sin(np.linspace(0.0, 3.0, 37)))),
+    ExponentialKernel(40.0, 0.01),  # decays within 1% of the window
 ]
-B1_IDS = ["zero", "constant", "exponential", "sampled"]
+B1_IDS = ["zero", "constant", "exponential", "steep"]
 
 
 @pytest.mark.parametrize("dt", [1e-3, 5e-5])
@@ -276,13 +264,12 @@ def test_a1_free_costate_equals_the_step_by_step_solve(b1, gamma, dt):
     [
         ExponentialKernel(-5.0, 1 / 6),
         ConstantKernel(-1.3),
-        SampledKernel(np.sin(np.linspace(0.0, 3.0, 37)) - 0.4),
+        ExponentialKernel(-30.0, 0.01),
     ],
-    ids=["exponential", "constant", "sampled"],
+    ids=["exponential", "constant", "steep"],
 )
 def test_a1_costate_equals_the_step_by_step_solve(a1, b1, dt):
-    # the float loop inlines DelayWindow.sum and advance in their order,
-    # a sampled kernel's advance being a re-sum of its past rows
+    # the float loop inlines DelayWindow.sum and advance in their order
     p = make_params(a0=-0.5, a1=a1, b1=b1)
     cs = solve_costate(p, 2.7, 0.5, dt)
     for name, want in zip(("w0", "bw", "c"), stepwise_costate(p, 2.7, 0.5, dt)):
@@ -581,22 +568,6 @@ def test_trajectory_variance_matches_monte_carlo():
     se = sample_var * np.sqrt(2 / (ens.n_paths - 1))
     got = trajectory_variance(1.0, p, grid, 1e-3)
     assert abs(got - sample_var) <= 3 * se
-
-
-def test_trajectory_mean_reads_a_sampled_a1_like_its_kernel():
-    # the sampled kernel keys the e1 memo like any other and gives the
-    # exponential kernel's mean within the sampled-costate tolerance
-    grid = SegmentGrid(0.5, 201)
-    a1 = ExponentialKernel(-5.0, 1 / 6)
-    sampled = SampledKernel(kernel_eval(a1, grid.nodes, grid.r))
-    x = ProfileX(2.0, 2.0 * np.ones(201))
-    pol = OpenLoop(t=np.linspace(0, 1, 11), z=np.linspace(1.0, 0.0, 11))
-    exp, smp = (
-        trajectory_mean(1.0, x, pol, make_params(a0=-0.5, a1=k, b1=ConstantKernel(1.0)),
-                        grid, 1e-3)
-        for k in (a1, sampled)
-    )
-    assert smp == pytest.approx(exp, rel=1e-4)
 
 
 @pytest.fixture

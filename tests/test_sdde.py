@@ -11,7 +11,6 @@ from goodwill.hilbert import (
     DelayWindow,
     ExponentialKernel,
     PointDelay,
-    SampledKernel,
     SegmentGrid,
     ZeroKernel,
     kernel_eval,
@@ -203,17 +202,12 @@ def test_weak_convergence_order_one():
     assert e1 / e2 == pytest.approx(2.0, rel=0.5)
 
 
-def _as_sampled(k, grid):
-    """The same kernel as node values, which simulate_paths sums by window."""
-    return SampledKernel(kernel_eval(k, grid.nodes, grid.r))
-
-
 def _rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-# (m+1)-node grid at dt = 1e-3, so the sampled kernels hold the exact
-# kernel values at every lag of the simulation's window
+# (m+1)-node grid at dt = 1e-3, so the histories hold their node values
+# at every lag of the simulation's window
 ORACLE_GRID = SegmentGrid(0.5, 501)
 ORACLE_HISTORY = HistoryPair(
     grid=ORACLE_GRID, x0=2.0, x1=2.0 * np.exp(ORACLE_GRID.nodes),
@@ -221,18 +215,19 @@ ORACLE_HISTORY = HistoryPair(
 )
 
 
-@pytest.mark.parametrize("a1", [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-0.8)])
+@pytest.mark.parametrize(
+    "a1",
+    [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-0.8), ExponentialKernel(-20.0, 0.01)],
+)
 def test_a1_recursion_matches_window_sum(a1):
     # the O(1) delay-sum recursion against the full-window quadrature
     dt, T = 1e-3, 5.0
     t = dt * np.arange(round(T / dt) + 1)
     pol = OpenLoop(t=t, z=1.0 + np.sin(t))
-    b1 = ExponentialKernel(2.0, 0.5)
-    rec = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, T=T)
-    win = make_params(a0=-0.5, a1=_as_sampled(a1, ORACLE_GRID), b1=b1, sigma=0.5, T=T)
-    a = simulate_paths(rec, ORACLE_HISTORY, pol, dt, 64, 3)
-    b = simulate_paths(win, ORACLE_HISTORY, pol, dt, 64, 3)
-    assert _rel_diff(a.y, b.y) <= 1e-12
+    p = make_params(a0=-0.5, a1=a1, b1=ExponentialKernel(2.0, 0.5), sigma=0.5, T=T)
+    a = simulate_paths(p, ORACLE_HISTORY, pol, dt, 64, 3)
+    y, _ = _padded_euler(p, ORACLE_HISTORY, pol, dt, 64, 3, window=ResummedWindow)
+    assert _rel_diff(a.y, y) <= 1e-12
 
 
 def _open_loop_wave(T, dt):
@@ -240,7 +235,9 @@ def _open_loop_wave(T, dt):
     return OpenLoop(t=t, z=1.5 + np.sin(t))
 
 
-@pytest.mark.parametrize("b1", [ExponentialKernel(2.0, 0.5), ConstantKernel(0.8)])
+@pytest.mark.parametrize(
+    "b1", [ExponentialKernel(2.0, 0.5), ConstantKernel(0.8), ExponentialKernel(30.0, 0.01)]
+)
 @pytest.mark.parametrize(
     "policy",
     [FeedbackPolicy(lambda t, y: 3.0 - 0.5 * y), _open_loop_wave(5.0, 1e-3)],
@@ -250,15 +247,12 @@ def test_b1_recursion_matches_window_sum(policy, b1):
     # the advertising window takes the same recursion under either policy
     dt, T = 1e-3, 5.0
     a1 = ExponentialKernel(-2.0, 1 / 6)
-    common = dict(a0=-0.5, a1=a1, sigma=0.5, T=T, u_max=2.1)
-    a = simulate_paths(make_params(b1=b1, **common), ORACLE_HISTORY, policy, dt, 64, 3)
-    b = simulate_paths(
-        make_params(b1=_as_sampled(b1, ORACLE_GRID), **common),
-        ORACLE_HISTORY, policy, dt, 64, 3,
-    )
-    assert a.clip_count == b.clip_count > 0
-    assert _rel_diff(a.y, b.y) <= 1e-12
-    assert _rel_diff(a.z, b.z) <= 1e-12
+    p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, T=T, u_max=2.1)
+    a = simulate_paths(p, ORACLE_HISTORY, policy, dt, 64, 3)
+    y, z = _padded_euler(p, ORACLE_HISTORY, policy, dt, 64, 3, window=ResummedWindow)
+    assert a.clip_count > 0
+    assert _rel_diff(a.y, y) <= 1e-12
+    assert _rel_diff(a.z, z) <= 1e-12
 
 
 def test_feedback_replaying_open_loop_is_bit_identical():
@@ -417,19 +411,16 @@ def test_path_normals_match_fresh_philox_generators():
 # --- path blocks and path-count stability -----------------------------------
 
 
-# the kernels of each case: exponential (O(1) recursion), sampled (window
-# re-summed every step) and a feedback policy with a sampled b1 (one
-# control per path, so the b1 window is per path too)
+# the kernels of each case: exponential kernels under an open-loop policy,
+# steep ones (three steps of decay, so the recursion's ratio is far from
+# 1) and a feedback policy (one control per path, so the b1 window is per
+# path too)
 BLOCK_CASES = {
     "exponential": (ExponentialKernel(-2.0, 0.2), ExponentialKernel(3.0, 0.5), None),
-    "sampled": (
-        SampledKernel(-np.linspace(0.5, 2.0, 7)),
-        SampledKernel([0.2, 1.0, 0.4, 2.0]),
-        None,
-    ),
+    "steep": (ExponentialKernel(-20.0, 0.03), ExponentialKernel(30.0, 0.03), None),
     "feedback": (
         ExponentialKernel(-2.0, 0.2),
-        SampledKernel([0.2, 1.0, 0.4, 2.0]),
+        ExponentialKernel(1.5, 0.3),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
 }
@@ -476,10 +467,10 @@ def test_first_path_rows_match_a_larger_run(case):
 
 
 @pytest.mark.parametrize("small, large", [(3, 64), (5, 512), (1, 9), (2, 9)])
-@pytest.mark.parametrize("case", ["sampled", "feedback"])
-def test_path_count_stable_with_sampled_kernels(case, small, large):
-    # a sampled kernel re-sums its window for every path at every step;
-    # that sum must not depend on how many paths share the array
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_path_count_stable_with_delay_windows(case, small, large):
+    # each path's window sums, the one at construction included, must not
+    # depend on how many paths share the array
     p, policy = _block_setup(case)
     a = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, small, 7)
     b = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, large, 7)
@@ -525,9 +516,29 @@ LAYOUT_CASES = dict(
 )
 
 
-def _padded_euler(p, history, policy, dt, n_paths, seed):
+class ResummedWindow:
+    """DelayWindow's sum and advance with the sum taken over the whole
+    window every step, the newest sample standing in for row k + m: the
+    reference for the window's O(1) recursion, over one column per path
+    or one shared row."""
+
+    def __init__(self, kernel, values, dt, rows):
+        self.values, self.dt, self.rows, self.m = values, dt, rows, len(values) - 1
+
+    def sum(self, k, newest):
+        v, dt, x = self.values, self.dt, self.rows[k : k + self.m + 1].copy()
+        x[-1] = newest
+        return dt * (v @ x) - dt / 2 * (v[0] * x[0] + v[-1] * x[-1])
+
+    def advance(self, k):
+        pass
+
+
+def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
     """Euler-Maruyama on rows that always hold the m history rows, with the
-    noise in its own array: the layout simulate_paths trims."""
+    noise in its own array: the layout simulate_paths trims. Its windows
+    are DelayWindows, or another class with their sum and advance, over
+    the rows whose row k + m is the newest sample of step k."""
     steps, m = round(p.T / dt), round(p.r / dt)
     t, xi = dt * np.arange(steps + 1), -p.r + dt * np.arange(m + 1)
     hist_y = np.interp(xi, history.grid.nodes, history.x1)
@@ -541,13 +552,13 @@ def _padded_euler(p, history, policy, dt, n_paths, seed):
     else:  # one control row shared by every path
         z = np.concatenate([hist_z[:m], np.clip(policy.sample(p, t), p.u_min, p.u_max)])
 
-    def window(kernel, rows):
+    def make_window(kernel, rows):
         if isinstance(kernel, ZeroKernel):
             return None
         values = None if isinstance(kernel, PointDelay) else kernel_eval(kernel, xi, p.r)
-        return DelayWindow(kernel, values, dt, rows)
+        return window(kernel, values, dt, rows)
 
-    win_a, win_b = window(p.a1, y), window(p.b1, z)
+    win_a, win_b = make_window(p.a1, y), make_window(p.b1, z)
     noise = np.stack([path_normals(seed, i, steps) for i in range(n_paths)])
     noise *= p.sigma * np.sqrt(dt)
     for k in range(steps + 1):
@@ -661,7 +672,7 @@ def test_relative_gap_examples():
     b = MCEstimate(mean=9.0, stderr=0.0, n_paths=1, seed=0)
     assert relative_gap(a, b).gap == pytest.approx(0.1)
     assert relative_gap(a, a).gap == 0.0
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ConfigurationError, match="reference value is 0"):
         relative_gap(MCEstimate(0.0, 0.0, 1, 0), b)
 
 
