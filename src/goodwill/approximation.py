@@ -220,27 +220,32 @@ def convergence_study(
         _check_eps1(eps1)
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
     z = open_loop_controls(policy, params, t, "convergence_study")
-    # the control is shared by every path, so its cost depends on eps2 alone
-    costs = [
-        np.sum(mollify_h(lambda x: beta * x**2, eps2, z[:-1])) * dt
-        for eps2 in eps2_seq
-    ]
-
     rows = []
-    for eps1 in eps1_seq:
-        ens = simulate_lifted_perturbed(
-            params, lifted_init, policy, eps1, grid, dt, n_paths, seed
-        )
-        for eps2, cost in zip(eps2_seq, costs):
-            terminal = mollify_phi(lambda x: gamma * x, eps2, ens.y0)
-            mean, se = _mean_stderr(terminal - cost)
-            rows.append(
-                ConvergenceRow(
-                    eps1=float(eps1),
-                    eps2=float(eps2),
-                    j_eps=mean,
-                    stderr=se,
-                    gap=abs(mean - baseline),
-                )
+    # overflow shows as a non-finite J_eps, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the control is shared by every path, so its cost depends on eps2 alone
+        costs = [
+            np.sum(mollify_h(lambda x: beta * x**2, eps2, z[:-1])) * dt
+            for eps2 in eps2_seq
+        ]
+        for eps1 in eps1_seq:
+            ens = simulate_lifted_perturbed(
+                params, lifted_init, policy, eps1, grid, dt, n_paths, seed
             )
+            for eps2, cost in zip(eps2_seq, costs):
+                terminal = mollify_phi(lambda x: gamma * x, eps2, ens.y0)
+                mean, se = _mean_stderr(terminal - cost)
+                if not np.isfinite(mean):
+                    raise BlowupError(
+                        f"J_eps left the finite range at eps1={eps1}, eps2={eps2}"
+                    )
+                rows.append(
+                    ConvergenceRow(
+                        eps1=float(eps1),
+                        eps2=float(eps2),
+                        j_eps=mean,
+                        stderr=se,
+                        gap=abs(mean - baseline),
+                    )
+                )
     return rows

@@ -6,7 +6,9 @@ grid. Delay kernels live here too: zero, constant and exponential
 densities on [-r, 0], evaluated at any lags in [-r, 0], and the point lag
 amp * x(t - r). With them comes DelayWindow, their trapezoid sum over a
 window that slides one time step at a time (the delay terms of the
-simulator and of the costate solve).
+simulator and of the costate solve). ConfigurationError, the one
+exception every module raises for invalid input, is defined here, at the
+bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Profiles or kernels defined on incompatible grids."""
-
-
-class DomainError(ValueError):
-    """Argument outside the interval the object is defined on."""
+class ConfigurationError(ValueError):
+    """Invalid input: a parameter outside its range, a step that does not
+    fit its span, profiles off the grid, ..."""
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,9 @@ class SegmentGrid:
 
     def __post_init__(self):
         if self.r <= 0:
-            raise ValueError(f"delay horizon must be positive, got {self.r}")
+            raise ConfigurationError(f"delay horizon must be positive, got {self.r}")
         if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
+            raise ConfigurationError(f"need at least 2 nodes, got {self.n_nodes}")
         nodes = np.linspace(-self.r, 0.0, self.n_nodes)
         h = self.r / (self.n_nodes - 1)
         weights = np.full(self.n_nodes, h)
@@ -60,20 +59,16 @@ class ProfileX:
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
         if self.x1.ndim != 1:
-            raise DimensionError("profile component must be a 1-d array")
-
-
-def _check_same_grid(x: ProfileX, y: ProfileX, grid: SegmentGrid):
-    if len(x.x1) != grid.n_nodes or len(y.x1) != grid.n_nodes:
-        raise DimensionError(
-            f"profile lengths {len(x.x1)}, {len(y.x1)} do not match grid "
-            f"with {grid.n_nodes} nodes"
-        )
+            raise ConfigurationError("profile component must be a 1-d array")
 
 
 def inner_product(x: ProfileX, y: ProfileX, grid: SegmentGrid) -> float:
     """<x,y> = x0*y0 + integral of x1*y1 over [-r,0] (trapezoid)."""
-    _check_same_grid(x, y, grid)
+    if len(x.x1) != grid.n_nodes or len(y.x1) != grid.n_nodes:
+        raise ConfigurationError(
+            f"profile lengths {len(x.x1)}, {len(y.x1)} do not match grid "
+            f"with {grid.n_nodes} nodes"
+        )
     return x.x0 * y.x0 + float(np.dot(grid.weights, x.x1 * y.x1))
 
 
@@ -103,7 +98,9 @@ class ExponentialKernel:
 
     def __post_init__(self):
         if self.decay_scale <= 0:
-            raise ValueError(f"decay_scale must be positive, got {self.decay_scale}")
+            raise ConfigurationError(
+                f"decay_scale must be positive, got {self.decay_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,12 @@ Kernel = PointDelay | ZeroKernel | ConstantKernel | ExponentialKernel
 def kernel_eval(k: Kernel, xi, r: float):
     """Evaluate a kernel at lags xi in [-r, 0] (scalar or array)."""
     if isinstance(k, PointDelay):
-        raise ValueError("a point lag has no density: it needs a kernel with one")
+        raise ConfigurationError(
+            "a point lag has no density: it needs a kernel with one"
+        )
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
-        raise DomainError(f"kernel argument outside [-{r}, 0]")
+        raise ConfigurationError(f"kernel argument outside [-{r}, 0]")
     if isinstance(k, ZeroKernel):
         out = np.zeros_like(xi)
     elif isinstance(k, ConstantKernel):
@@ -145,11 +144,11 @@ def kernel_is_zero(k: Kernel) -> bool:
 
 
 def check_kernel_nonneg(k: Kernel, name: str):
-    """Raise ValueError unless the kernel is non-negative on [-r, 0]."""
+    """Raise ConfigurationError unless the kernel is non-negative on [-r, 0]."""
     if isinstance(k, ConstantKernel) and k.c < 0:
-        raise ValueError(f"{name} must be non-negative")
+        raise ConfigurationError(f"{name} must be non-negative")
     if isinstance(k, (ExponentialKernel, PointDelay)) and k.amp < 0:
-        raise ValueError(f"{name} must be non-negative")
+        raise ConfigurationError(f"{name} must be non-negative")
 
 
 class DelayWindow:

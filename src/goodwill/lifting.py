@@ -48,8 +48,6 @@ class DelayODEProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.t_end < 0:
-            raise ValueError("horizon must be non-negative")
         if len(self.x1) != self.grid.n_nodes:
             raise ConfigurationError("initial profile must live on the grid")
 
@@ -223,8 +221,6 @@ def adjoint_semigroup_apply(
     """e^{tA*} x = (phi(t), phi(t + .)|[-r,0]), phi solving the delay ODE
     with kernel params.a1 from x; a point lag gives the state semigroup
     S(t) x of the state-delay-only model."""
-    if t < 0:
-        raise ValueError("semigroup time must be non-negative")
     _check_horizon(params, grid)
     problem = DelayODEProblem(params.a0, params.a1, x.x0, x.x1, grid, t_end=t)
     if t == 0:

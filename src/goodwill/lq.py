@@ -29,7 +29,6 @@ import numpy as np
 from .hilbert import (
     ConstantKernel,
     DelayWindow,
-    DomainError,
     PointDelay,
     ProfileX,
     SegmentGrid,
@@ -193,7 +192,7 @@ def value_lq(
     jump.
     """
     if t < -1e-12 or t > costate.T + 1e-12:
-        raise DomainError(f"t={t} outside [0, {costate.T}]")
+        raise ConfigurationError(f"t={t} outside [0, {costate.T}]")
     _check_horizon(costate.params, grid)
     xi = grid.nodes
     cut = t - costate.T
@@ -205,8 +204,13 @@ def value_lq(
         vals = np.concatenate(
             [[np.interp(cut, xi, xbar.x1)], np.asarray(xbar.x1)[mask]]
         )
-    pairing = float(np.trapezoid(costate.w0_at(t - pts) * vals, pts))
-    return float(costate.w0_at(t)) * float(xbar.x0) + pairing + float(costate.c_at(t))
+    # overflow shows as a non-finite value, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairing = float(np.trapezoid(costate.w0_at(t - pts) * vals, pts))
+    value = float(costate.w0_at(t)) * float(xbar.x0) + pairing + float(costate.c_at(t))
+    if not np.isfinite(value):
+        raise BlowupError(f"the value left the finite range at t={t:g}")
+    return value
 
 
 @functools.lru_cache(maxsize=1)
@@ -216,20 +220,17 @@ def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
     phi solves the distributed delay ODE from x0 = 1, x1 = 0. Returns the
     read-only arrays (times, phi, q, tail): q(s) = <B, e^{(t-s)A*} e1>
     at the times (None for a point b1, which has no density to pair
-    with) and tail = phi(t + xi) at the grid nodes. One entry is kept:
-    trajectory_mean for two policies and trajectory_variance on one
-    model share a solve, and nothing outlives the next model.
+    with) and tail = phi(t + xi) at the grid nodes. q is summed one lag
+    at a time, so the call holds a few arrays of steps + 1 floats, never
+    a (steps x nodes) one. One entry is kept: trajectory_mean for two
+    policies and trajectory_variance on one model share a solve, and
+    nothing outlives the next model.
     """
     prob = DelayODEProblem(params.a0, params.a1, 1.0, np.zeros(grid.n_nodes), grid, t)
     times, phi = solve_delay_ode(prob, dt)
 
     def phi_at(u):
-        # u is a fresh array, clipped at 0 in place: the (steps x nodes)
-        # argument of q then needs one temporary of its size, not three
-        before = ~(u >= 0)
-        out = np.interp(np.maximum(u, 0.0, out=u), times, phi)
-        out[before] = 0.0
-        return out
+        return np.where(u >= 0, np.interp(u, times, phi), 0.0)
 
     tail = phi_at(t + grid.nodes)
     q = None
@@ -237,8 +238,8 @@ def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
         b1v = kernel_eval(params.b1, grid.nodes, params.r)
         q = params.b0 * phi_at(t - times)
         if not kernel_is_zero(params.b1):
-            shifted = (t - times)[:, None] + grid.nodes[None, :]
-            q = q + phi_at(shifted) @ (grid.weights * b1v)
+            for xi, w in zip(grid.nodes, grid.weights * b1v):
+                q += w * phi_at(t - times + xi)
     for a in (times, phi, q, tail):
         if a is not None:
             a.setflags(write=False)
@@ -320,31 +321,39 @@ def sensitivity_dV_dr(
     if not kernel_is_zero(params.a1):
         raise ConfigurationError("the delay sensitivity needs a1 = 0")
     if t < -1e-12 or t > params.T + 1e-12:
-        raise DomainError(f"t={t} outside [0, {params.T}]")
+        raise ConfigurationError(f"t={t} outside [0, {params.T}]")
+    if beta <= 0:
+        raise ConfigurationError(f"beta must be positive, got {beta}")
     a0, b0, r, T = params.a0, params.b0, params.r, params.T
     x1_at_minus_r = float(x.x1[0])
+    constant = isinstance(params.b1, ConstantKernel)
 
     if t + r > T + 1e-12:
         return 0.0
 
-    if (isinstance(params.b1, ConstantKernel) or kernel_is_zero(params.b1)) and a0 < 0:
-        b1 = params.b1.c if isinstance(params.b1, ConstantKernel) else 0.0
-        term1 = gamma * np.exp(a0 * (T - t - r)) * x1_at_minus_r
-        term2 = (
-            b1
-            * gamma**2
-            / (4.0 * beta * a0)
-            * (b0 + b1 * (1.0 - np.exp(-a0 * r)) / a0)
-            * np.exp(-a0 * r)
-            * (np.exp(2.0 * a0 * (T - t)) - np.exp(2.0 * a0 * r))
-        )
-        return float(term1 + term2)
-
-    cs = solve_costate(params, gamma, beta, dt)
-    b1_at_minus_r = float(kernel_eval(params.b1, -r, r))
-    term1 = cs.w0_at(t + r) * x1_at_minus_r
-    mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
-    s = cs.t[mask]
-    integrand = cs.bw[mask] * cs.w0_at(s + r)
-    term2 = b1_at_minus_r / (2.0 * beta) * float(np.trapezoid(integrand, s))
-    return float(term1 + term2)
+    # overflow shows as a non-finite value, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (constant or kernel_is_zero(params.b1)) and a0 < 0:
+            b1 = params.b1.c if constant else 0.0
+            term1 = gamma * np.exp(a0 * (T - t - r)) * x1_at_minus_r
+            # 0 * inf would be nan; and a float's ** raises on overflow
+            term2 = 0.0 if b1 == 0.0 else (
+                b1
+                * np.float64(gamma) ** 2
+                / (4.0 * beta * a0)
+                * (b0 + b1 * (1.0 - np.exp(-a0 * r)) / a0)
+                * np.exp(-a0 * r)
+                * (np.exp(2.0 * a0 * (T - t)) - np.exp(2.0 * a0 * r))
+            )
+        else:
+            cs = solve_costate(params, gamma, beta, dt)
+            b1_at_minus_r = float(kernel_eval(params.b1, -r, r))
+            term1 = cs.w0_at(t + r) * x1_at_minus_r
+            mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
+            s = cs.t[mask]
+            integrand = cs.bw[mask] * cs.w0_at(s + r)
+            term2 = b1_at_minus_r / (2.0 * beta) * float(np.trapezoid(integrand, s))
+        value = float(term1 + term2)
+    if not np.isfinite(value):
+        raise BlowupError(f"the delay sensitivity left the finite range at t={t:g}")
+    return value

@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import (
+    ConfigurationError,
     DelayWindow,
     Kernel,
     PointDelay,
@@ -64,10 +65,6 @@ _NOISE_CHUNK = 64
 # the most time steps any solver takes over one span (T or r); checked
 # before anything is allocated
 MAX_STEPS = 10**7
-
-
-class ConfigurationError(ValueError):
-    """Inconsistent simulation configuration (step sizes, bounds, ...)."""
 
 
 class BlowupError(RuntimeError):
@@ -90,15 +87,15 @@ class ModelParams:
 
     def __post_init__(self):
         if self.a0 > 0:
-            raise ValueError(f"a0 must be <= 0, got {self.a0}")
+            raise ConfigurationError(f"a0 must be <= 0, got {self.a0}")
         if self.b0 < 0:
-            raise ValueError(f"b0 must be >= 0, got {self.b0}")
+            raise ConfigurationError(f"b0 must be >= 0, got {self.b0}")
         if self.r <= 0 or self.T <= 0:
-            raise ValueError("r and T must be positive")
+            raise ConfigurationError("r and T must be positive")
         if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
         if not 0 <= self.u_min <= self.u_max:
-            raise ValueError(
+            raise ConfigurationError(
                 f"need 0 <= u_min <= u_max, got [{self.u_min}, {self.u_max}]"
             )
         check_kernel_nonneg(self.b1, "b1")
@@ -121,9 +118,9 @@ class HistoryPair:
         if len(x1) != self.grid.n_nodes or len(delta) != self.grid.n_nodes:
             raise ConfigurationError("history profiles must live on the grid")
         if self.x0 < 0 or np.any(x1 < 0) or np.any(delta < 0):
-            raise ValueError("histories must be non-negative")
+            raise ConfigurationError("histories must be non-negative")
         if abs(x1[-1] - self.x0) > 1e-9 * (1.0 + abs(self.x0)):
-            raise ValueError("x1(0) must equal x0")
+            raise ConfigurationError("x1(0) must equal x0")
 
 
 # --- policies ---------------------------------------------------------------
@@ -148,10 +145,11 @@ class Memoryless:
     beta: float
 
     def sample(self, params: ModelParams, t: np.ndarray) -> np.ndarray:
-        return (
-            self.gamma * params.b0 * np.exp((params.T - t) * params.a0)
-            / (2.0 * self.beta)
-        )
+        with np.errstate(over="ignore"):  # +-inf past 1e308, which the bounds clip
+            return (
+                self.gamma * params.b0 * np.exp((params.T - t) * params.a0)
+                / (2.0 * self.beta)
+            )
 
 
 @dataclass(frozen=True)
@@ -266,10 +264,12 @@ def _check_horizon(params: ModelParams, grid: SegmentGrid):
 
 def _steps_of(span: float, dt: float, what: str) -> int:
     """The number of steps dt in span. Raises ConfigurationError unless
-    dt > 0 divides span into 1 to MAX_STEPS steps (a NaN or infinite count
-    fails too)."""
+    dt > 0 divides span > 0 into 1 to MAX_STEPS steps (a NaN or infinite
+    count fails too)."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if span <= 0:
+        raise ConfigurationError(f"{what} must be positive, got {span}")
     steps = span / dt
     if not steps <= MAX_STEPS:
         raise ConfigurationError(
@@ -335,8 +335,6 @@ def simulate_paths(
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if first_path < 0:
         raise ConfigurationError(f"first_path must be >= 0, got {first_path}")
-    if dt > params.r or dt > params.T:
-        raise ConfigurationError("dt must not exceed r or T")
     _check_horizon(params, history.grid)
     steps = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")
@@ -432,10 +430,15 @@ def simulate_paths(
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error. One value carries no spread
-    information, so its stderr is NaN, never a claim of certainty (0)."""
+    information, so its stderr is NaN, never a claim of certainty (0).
+    Values whose squared deviations overflow are scaled into range."""
     n = len(values)
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return float(np.mean(values)), stderr
+    with np.errstate(over="ignore"):
+        std = np.std(values, ddof=1) if n > 1 else np.nan
+    if np.isinf(std):  # finite values, so they scale into range
+        scale = np.max(np.abs(values))
+        std = np.std(values / scale, ddof=1) * scale
+    return float(np.mean(values)), float(std / np.sqrt(n))
 
 
 def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate:
@@ -495,10 +498,13 @@ def evaluate_policy(
 
 def relative_gap(v_opt: MCEstimate, v_base: MCEstimate) -> GapEstimate:
     """(v_opt - v_base)/v_opt with first-order propagated standard error;
-    ConfigurationError when v_opt is 0, which leaves the gap undefined."""
-    if v_opt.mean == 0.0:
+    ConfigurationError when v_opt is 0, which leaves the gap undefined, or
+    when v_opt squared, which the error divides by, is 0 or not finite."""
+    square = v_opt.mean * v_opt.mean  # ** would raise OverflowError instead
+    if square == 0.0 or not np.isfinite(square):
+        value = f"{v_opt.mean:g}, whose square is {square:g}" if v_opt.mean else "0"
         raise ConfigurationError(
-            "the relative gap is undefined: the reference value is 0"
+            f"the relative gap is undefined: the reference value is {value}"
         )
     gap = (v_opt.mean - v_base.mean) / v_opt.mean
     se = np.hypot(

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goodwill
 from goodwill import lq
 from goodwill.cli import (
+    KNOWN_KEYS,
     MAX_NODES,
     build_params,
     config_hash,
@@ -46,6 +51,9 @@ def test_package_root_exposes_the_modules_and_errors_only():
         "BlowupError", "ConfigurationError", "approximation", "hilbert",
         "lifting", "lq", "sdde", "state_delay",
     ]
+    # one class for refused input, whichever module it is reached through
+    assert goodwill.ConfigurationError is goodwill.hilbert.ConfigurationError
+    assert goodwill.ConfigurationError is goodwill.sdde.ConfigurationError
 
 
 # --- config handling ----------------------------------------------------------
@@ -104,6 +112,19 @@ def test_cli_unreadable_path_exit_code(tmp_path, capsys, monkeypatch, flag, name
         open(path, "w" if flag == "--out" else "r")
     assert capsys.readouterr().err == f"config error: {opened.value}\n"
     assert sorted(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize(
+    "data", [b"{a0", b"\xff"], ids=["not_json", "not_utf8"]
+)
+def test_config_that_is_not_json_is_a_config_error(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigurationError):
+        merged_config(str(path), {})
+    assert main(["costate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", ["5", "null", "true", '["a0"]'])
@@ -411,6 +432,70 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, extra, message",
     [
+        # gamma^2 overflows the quadrature of dV/dr's second term
+        (
+            "sensitivity",
+            {"gamma": -1e300, "r_grid": [0.5]},
+            "the delay sensitivity left the finite range at t=0",
+        ),
+        # the control cost beta * z^2 overflows: this wrote rows of nan
+        (
+            "approx",
+            {"u_min": 1e300, "u_max": 1e300, "sigma": 0},
+            "J_eps left the finite range at eps1=0.0, eps2=0.4",
+        ),
+        ("approx", {"a1_amp": -1e300, "gamma": 0}, "lifted evolution lost finiteness"),
+    ],
+    ids=["sensitivity_gamma_huge", "approx_cost_huge", "approx_a1_huge"],
+)
+def test_overflow_is_a_one_line_numerical_failure(
+    tmp_path, capsys, command, extra, message
+):
+    # numpy's overflow warnings used to print ahead of the message
+    path = write_config(tmp_path, extra)
+    out = tmp_path / "v.csv"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_huge_objective_values_keep_a_finite_stderr(tmp_path):
+    # the squared deviations of values near 1e300 overflow np.std; the
+    # stderr was inf, which strict JSON refused as a "config error"
+    path = write_config(tmp_path, {"gamma": -1e300})
+    out = tmp_path / "value.json"
+    assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
+    est = json.loads(out.read_text())["mc"]
+    assert est["mean"] < -1e299 and 0 < est["stderr"] < 1e300
+
+
+def test_sensitivity_closed_form_takes_a_huge_gamma(tmp_path):
+    # with b1 = 0 the gamma^2 term is 0; squaring gamma raised OverflowError
+    path = write_config(tmp_path, {"gamma": -1e300, "b1_amp": 0, "r_grid": [0.5]})
+    out = tmp_path / "sens.csv"
+    assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
+    formula = float(out.read_text().split("\n")[2].split(",")[1])
+    assert -1e302 < formula < -1e299
+
+
+def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch):
+    # main maps ConfigurationError, OSError and BlowupError alone: any other
+    # ValueError is a bug, and it propagates
+    def boom(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(goodwill.cli, "run_costate", boom)
+    out = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["costate", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
         ("evaluate", {"sigma": "x"}, "sigma must be a number"),
         ("evaluate", {"x1_decay": 0}, "x1_decay must be positive"),
         ("evaluate", {"n_paths": 0}, "n_paths must be at least 1"),
@@ -434,6 +519,12 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
             {"x0": 0, "u_max": 0, "sigma": 0, "amplitudes": [0.0], "n_paths": 10},
             "the relative gap is undefined: the reference value is 0",
         ),
+        # an optimal value whose square leaves the float range: these used to
+        # end in a ZeroDivisionError and an OverflowError
+        ("fig2", {"gamma": 1e-200}, "the relative gap is undefined: the reference"),
+        ("fig2", {"gamma": -1e300, "x0": 0}, "the relative gap is undefined: the"),
+        # the closed form of dV/dr (b1 = 0) divided by beta before any check
+        ("sensitivity", {"b1_amp": 0, "beta": 0}, "beta must be positive, got 0"),
         # json reads NaN and Infinity; they used to run into nan rows or a
         # "numerical failure"
         ("sensitivity", {"x0": NAN}, "x0 must be finite, got nan"),
@@ -463,7 +554,8 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
     ids=[
         "sigma_type", "x1_decay_zero", "no_paths", "list_entry_type", "list_type",
         "dt_zero", "sigma_negative", "T_huge", "dt_tiny", "seed_huge",
-        "seed_float_key", "fig2_gamma_zero", "fig2_value_zero", "sensitivity_x0_nan",
+        "seed_float_key", "fig2_gamma_zero", "fig2_value_zero", "fig2_value_tiny",
+        "fig2_value_huge", "sensitivity_closed_form_beta_zero", "sensitivity_x0_nan",
         "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
         "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
         "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
@@ -483,3 +575,46 @@ def test_bad_config_is_a_one_line_config_error(
     assert err.startswith(f"config error: {message}")
     assert len(err.strip().splitlines()) == 1
 
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+# cheap runs: few paths, a coarse step and grid, one-entry sweeps
+FUZZ_BASE = {
+    "n_paths": 4, "dt": 0.01, "n_nodes": 11,
+    "amplitudes": [2.0], "r_grid": [0.5], "eps1_list": [0.0], "eps2_list": [0.2],
+}
+# edge values of every JSON type; none of them is under its cap yet makes
+# the work grow
+FUZZ_POOL = [
+    0, -0.0, 1e-300, -1e-300, 1e300, -1e300, -1, 0.5, 2, NAN, INF, -INF, 2**63,
+    "x", True, None, [], ["a"], {},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["fig1", "costate", "sensitivity", "evaluate", "fig2", "approx"]
+    ),
+    extra=st.dictionaries(
+        st.sampled_from(sorted(KNOWN_KEYS)), st.sampled_from(FUZZ_POOL),
+        min_size=1, max_size=3,
+    ),
+)
+def test_fuzzed_config_exits_0_2_or_3_with_one_line(command, extra):
+    # no exception escapes main, and no warning either (the suite makes a
+    # RuntimeWarning an error); a refusal or a failure is one line
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump({**FUZZ_BASE, **extra}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+        assert code in (0, 2, 3)
+        assert os.path.exists(out) == (code == 0)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(("config error: ", "numerical failure: "))

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodwill.hilbert import (
+    ConfigurationError,
     ConstantKernel,
     DelayWindow,
-    DimensionError,
-    DomainError,
     ExponentialKernel,
     PointDelay,
     ProfileX,
@@ -44,9 +43,9 @@ def test_grid_weights_sum_to_r():
 
 
 def test_grid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SegmentGrid(-1.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SegmentGrid(1.0, 1)
 
 
@@ -73,7 +72,7 @@ def test_inner_product_linear_profile():
 
 def test_inner_product_grid_mismatch():
     g = grid1()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigurationError):
         inner_product(ProfileX(0, np.zeros(5)), ProfileX(0.0, np.zeros(g.n_nodes)), g)
 
 
@@ -158,9 +157,9 @@ def test_kernel_eval_exponential_decay():
 
 def test_kernel_eval_domain_error():
     g = SegmentGrid(0.5, 11)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         kernel_eval(ConstantKernel(1.0), -0.6, g.r)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         kernel_eval(ConstantKernel(1.0), 0.1, g.r)
 
 

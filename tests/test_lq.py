@@ -8,7 +8,6 @@ from goodwill.cli import build_params, merged_config, run_costate
 from goodwill.hilbert import (
     ConstantKernel,
     DelayWindow,
-    DomainError,
     ExponentialKernel,
     PointDelay,
     ProfileX,
@@ -407,7 +406,7 @@ def test_value_domain_error():
     grid = SegmentGrid(0.5, 11)
     p = make_params()
     cs = solve_costate(p, 1.0, 0.5, 1e-2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         value_lq(1.5, ProfileX(1.0, np.zeros(11)), cs, grid)
 
 
@@ -474,7 +473,7 @@ def _refusals():
 def test_density_consumers_refuse_a_point_lag(consumer):
     # each needs a kernel density on [-r, 0], which a point lag has not;
     # the one refusal is kernel_eval's
-    with pytest.raises(ValueError, match="^a point lag has no density"):
+    with pytest.raises(ConfigurationError, match="^a point lag has no density"):
         _refusals()[consumer]()
 
 
@@ -657,6 +656,58 @@ def test_memo_arrays_are_read_only(ode_solves):
             a[0] = 1.0
 
 
+def _broadcast_q(p, grid, t, times, phi):
+    """q as one (steps x nodes) read of phi, the form the lag loop replaced."""
+
+    def phi_at(u):
+        before = ~(u >= 0)
+        out = np.interp(np.maximum(u, 0.0), times, phi)
+        out[before] = 0.0
+        return out
+
+    b1v = kernel_eval(p.b1, grid.nodes, p.r)
+    shifted = (t - times)[:, None] + grid.nodes[None, :]
+    return p.b0 * phi_at(t - times) + phi_at(shifted) @ (grid.weights * b1v)
+
+
+@pytest.mark.parametrize("b1_amp", [1.0, 5.0])
+def test_lag_loop_q_matches_the_broadcast_form(b1_amp):
+    # exact_fine's b1 settings: a1 = 0, 201 nodes, t = T, dt = 2.5e-4
+    cfg = merged_config(None, {})
+    p = build_params(cfg, a1_amp=0.0, b1_amp=b1_amp)
+    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
+    xbar = lift_M(1.0, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), p, grid)
+    times, phi, q, _ = lq._e1_trajectory(p, grid, p.T, 2.5e-4)
+    want = _broadcast_q(p, grid, p.T, times, phi)
+    assert np.max(np.abs(q - want)) <= 1e-13 * np.max(np.abs(want))
+    gamma, beta = cfg["gamma"], cfg["beta"]
+    cs = solve_costate(p, gamma, beta, cfg["dt"])
+    for policy in (optimal_policy_lq(cs, p), memoryless_policy(p, gamma, beta)):
+        mean = trajectory_mean(p.T, xbar, policy, p, grid, 2.5e-4)
+        z = np.clip(policy.sample(p, times), p.u_min, p.u_max)
+        part = float(np.trapezoid(z * q, times))
+        ref = mean - part + float(np.trapezoid(z * want, times))
+        assert mean == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_lag_loop_q_peak_memory():
+    # one b1 solve at 201 nodes and dt = 2.5e-4 read phi through a
+    # (4001 x 201) array of lag times: 13.1 MiB under tracemalloc
+    cfg = merged_config(None, {})
+    p = build_params(cfg, a1_amp=0.0)
+    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
+    lq._e1_trajectory(p, grid, p.T, 2.5e-4)  # one-time set-up off the count
+    lq._e1_trajectory.cache_clear()
+    tracemalloc.start()
+    try:
+        lq._e1_trajectory(p, grid, p.T, 2.5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lq._e1_trajectory.cache_clear()
+    assert peak <= 2**20
+
+
 def test_variance_takes_a_point_b1(ode_solves):
     # b1 leaves the variance alone, so a point b1 is no refusal there
     p = make_params(**dict(MEMO_PARAMS, b1=PointDelay(1.0)))
@@ -739,5 +790,5 @@ def test_sensitivity_rejects_a1():
 
 def test_sensitivity_domain_error():
     p = make_params()
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         sensitivity_dV_dr(2.0, ProfileX(1.0, np.zeros(201)), p, 1.0, 0.5, 1e-3)

@@ -71,34 +71,34 @@ GRID = SegmentGrid(0.5, 51)
 
 
 def test_params_reject_positive_a0():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(a0=0.1)
 
 
 def test_params_reject_negative_b0_and_b1():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(b0=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(b1=ConstantKernel(-1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(b1=ExponentialKernel(-5.0, 0.5))
 
 
 def test_params_reject_a_negative_point_b1():
-    with pytest.raises(ValueError, match="b1 must be non-negative"):
+    with pytest.raises(ConfigurationError, match="b1 must be non-negative"):
         make_params(b1=PointDelay(-1.0))
     assert make_params(a1=PointDelay(-1.0), b1=PointDelay(0.0)).a1.amp == -1.0
 
 
 def test_params_reject_bad_control_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(u_min=2.0, u_max=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_params(u_min=-1.0)
 
 
 def test_params_reject_negative_sigma():
-    with pytest.raises(ValueError, match="sigma must be >= 0"):
+    with pytest.raises(ConfigurationError, match="sigma must be >= 0"):
         make_params(sigma=-1.0)
     assert make_params(sigma=0.0).sigma == 0.0  # noiseless models stay valid
 
@@ -106,12 +106,12 @@ def test_params_reject_negative_sigma():
 def test_history_requires_matching_endpoint():
     x1 = np.full(GRID.n_nodes, 1.0)
     x1[-1] = 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_history(GRID, x0=1.0, x1=x1)
 
 
 def test_history_rejects_negative_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         make_history(GRID, x0=-1.0, x1=np.full(GRID.n_nodes, -1.0))
 
 
