@@ -1,0 +1,113 @@
+"""Print one SHA-256 per group of goodwill's numerical outputs.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 scripts/bit_battery.py
+
+Each line is a group name and the hash of every float it covers, over a
+few kernel settings at the shipped defaults:
+
+    costate      lq.solve_costate: w0, <B, w> and c
+    delay_ode    lifting.solve_delay_ode: times and trajectory
+    paths        sdde.simulate_paths: a small ensemble's y and z
+    lifted       approximation.simulate_lifted_perturbed: y0 and y1
+    convergence  approximation.convergence_study: every row's fields
+
+A change that keeps the bits prints the same lines as its parent; two runs
+of one tree always print the same lines. The run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from goodwill import approximation, cli, lifting, lq, sdde
+from goodwill.hilbert import (
+    ConstantKernel,
+    ExponentialKernel,
+    PointDelay,
+    SegmentGrid,
+    ZeroKernel,
+)
+
+CFG = cli.load_defaults()
+GAMMA, BETA, SEED = CFG["gamma"], CFG["beta"], CFG["seed"]
+GRID = SegmentGrid(CFG["r"], 51)
+A1 = (ZeroKernel(), ConstantKernel(-1.0), ExponentialKernel(-5.0, 1 / 6))
+B1 = (ZeroKernel(), ConstantKernel(2.0), ExponentialKernel(5.0, 0.5))
+DT = 4e-3  # below the grid spacing 1e-2, as the lifted scheme needs
+
+
+def params(a1, b1) -> sdde.ModelParams:
+    return sdde.ModelParams(
+        a0=CFG["a0"], a1=a1, b0=CFG["b0"], b1=b1, sigma=CFG["sigma"],
+        r=CFG["r"], T=CFG["T"], u_min=CFG["u_min"], u_max=CFG["u_max"],
+    )
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def costate():
+    for a1 in A1:
+        for b1 in B1:
+            cs = lq.solve_costate(params(a1, b1), GAMMA, BETA, 1e-3)
+            yield from (cs.w0, cs.bw, cs.c)
+
+
+def delay_ode():
+    x1 = np.exp(GRID.nodes)
+    for delay in (*A1, PointDelay(-1.0)):
+        problem = lifting.DelayODEProblem(CFG["a0"], delay, 1.0, x1, GRID, CFG["T"])
+        yield from lifting.solve_delay_ode(problem, 1e-3)
+
+
+def paths():
+    history = cli.build_history(CFG, GRID)
+    for a1, b1 in zip(A1, B1):
+        p = params(a1, b1)
+        ens = sdde.simulate_paths(
+            p, history, lq.memoryless_policy(p, GAMMA, BETA), 0.01, 64, SEED
+        )
+        yield from (ens.y, ens.z)
+
+
+def lifted_inputs(a1, b1):
+    """Parameters, lifted initial state and optimal policy of one setting."""
+    p = params(a1, b1)
+    h = cli.build_history(CFG, GRID)
+    policy = lq.optimal_policy_lq(lq.solve_costate(p, GAMMA, BETA, DT), p)
+    return p, lifting.lift_M(h.x0, h.x1, h.delta, p, GRID), policy
+
+
+def lifted():
+    for a1 in A1:
+        for b1 in B1:
+            p, x, policy = lifted_inputs(a1, b1)
+            for eps1 in (0.0, 0.3):
+                ens = approximation.simulate_lifted_perturbed(
+                    p, x, policy, eps1, GRID, DT, 32, SEED
+                )
+                yield from (ens.y0, ens.y1)
+
+
+def convergence():
+    p, x, policy = lifted_inputs(A1[2], B1[2])
+    rows = approximation.convergence_study(
+        p, x, policy, GAMMA, BETA, 0.0, (0.0, 0.1), (0.4, 0.2, 0.1, 0.05),
+        GRID, DT, 64, SEED,
+    )
+    yield np.array([[r.eps1, r.eps2, r.j_eps, r.stderr, r.gap] for r in rows])
+
+
+if __name__ == "__main__":
+    for group in (costate, delay_ode, paths, lifted, convergence):
+        print(group.__name__, digest(group()))

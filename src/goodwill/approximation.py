@@ -4,6 +4,11 @@ Mollified reward/cost (truncate-then-convolve for the reward, plain
 convolution for the cost), a finite-difference scheme for the lifted
 evolution with the rank-one perturbed diffusion, and the empirical
 convergence table for the regularized objective.
+
+The lifted scheme keeps its state node-major, one row of paths per node,
+so the upwind difference is one contiguous operation and y1(0) one row;
+each step checks finiteness with one sum, and looks at every entry only
+when that sum is not finite.
 """
 
 from __future__ import annotations
@@ -110,6 +115,12 @@ def simulate_lifted_perturbed(
     Paths are stepped sdde.PATH_BLOCK at a time in preallocated buffers,
     so the noise takes O(PATH_BLOCK * steps) memory whatever the path
     count; a path's result does not depend on the count or the blocking.
+    A block's state is node-major, (n_nodes + 1, paths): one row per node
+    and a last row for y0, transposed once into y1 at the end. A step's
+    finiteness check is one sum of the new state; only a sum that is not
+    finite (a non-finite entry, or finite entries whose sum overflows) is
+    followed by the elementwise check, which decides. Every entry takes
+    the same operations in the same order as on path-major rows.
     """
     _check_eps1(eps1)
     dxi = grid.spacing
@@ -134,57 +145,69 @@ def simulate_lifted_perturbed(
     sig1 = eps1 * np.sqrt(dt)
     perturbed = sig1 > 0 and not kernel_is_zero(params.b1)
 
+    m = grid.n_nodes
     y0_out = np.empty(n_paths)
-    y1_out = np.empty((n_paths, grid.n_nodes))
+    y1_out = np.empty((n_paths, m))
     rows = min(PATH_BLOCK, n_paths)
-    # state and next state, double-buffered, and the step's temporaries
-    y0_buf, y0_new_buf, drift_buf, kick_buf = (np.empty(rows) for _ in range(4))
-    y1_buf, y1_new_buf, work_buf = (np.empty((rows, grid.n_nodes)) for _ in range(3))
-    b1z = np.empty(grid.n_nodes)
-    noise_buf = np.empty((2, steps, rows))  # time-major: a step reads one row
-    for first in range(0, n_paths, PATH_BLOCK):
-        n = min(PATH_BLOCK, n_paths - first)
-        y0, y0_new, drift, kick = (b[:n] for b in (y0_buf, y0_new_buf, drift_buf, kick_buf))
-        y1, y1_new, work = (b[:n] for b in (y1_buf, y1_new_buf, work_buf))
-        noise = noise_buf[:, :, :n]
-        for j in range(n):
-            noise[:, :, j] = path_normals(seed, first + j, (2, steps))
-        y0.fill(float(lifted_init.x0))
-        y1[:] = np.asarray(lifted_init.x1, dtype=float)
+    # node-major state, double-buffered: row i < m holds y1 at node i for
+    # every path (row m-1 is y1(0)), row m holds y0
+    state_buf, new_buf = (np.empty((m + 1, rows)) for _ in range(2))
+    work_buf = np.empty((m, rows))
+    drift_buf, kick_buf = (np.empty(rows) for _ in range(2))
+    b1z = np.empty(m)
+    # time-major: a step reads one row; an unperturbed run draws no y1 noise
+    noise_buf = np.empty((1 + perturbed, steps, rows))
+    # overflow shows as a non-finite state, which raises BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_paths, PATH_BLOCK):
+            n = min(PATH_BLOCK, n_paths - first)
+            state, new, work = (b[:, :n] for b in (state_buf, new_buf, work_buf))
+            drift, kick = drift_buf[:n], kick_buf[:n]
+            noise = noise_buf[:, :, :n]
+            for j in range(n):
+                noise[:, :, j] = path_normals(seed, first + j, noise.shape[:2])
+            state[m] = float(lifted_init.x0)
+            state[:m] = np.asarray(lifted_init.x1, dtype=float)[:, None]
 
-        for k in range(steps):
-            # y0_new = y0 + (a0 y0 + y1(0) + b0 z) dt + sig0 dW0
-            np.multiply(y0, params.a0, out=drift)
-            drift += y1[:, -1]
-            drift += params.b0 * z[k]
-            drift *= dt
-            np.add(y0, drift, out=y0_new)
-            np.multiply(noise[0, k], sig0, out=kick)
-            y0_new += kick
+            for k in range(steps):
+                y0, y1, y0_new, y1_new = state[m], state[:m], new[m], new[:m]
+                # y0_new = y0 + (a0 y0 + y1(0) + b0 z) dt + sig0 dW0
+                np.multiply(y0, params.a0, out=drift)
+                drift += y1[-1]
+                drift += params.b0 * z[k]
+                drift *= dt
+                np.add(y0, drift, out=y0_new)
+                np.multiply(noise[0, k], sig0, out=kick)
+                y0_new += kick
 
-            # y1_new = y1 - lam * upwind + dt * (a1 y0 + b1 z), the ghost
-            # value at xi = -r being 0
-            work[:, 0] = y1[:, 0]
-            np.subtract(y1[:, 1:], y1[:, :-1], out=work[:, 1:])
-            work *= lam
-            np.subtract(y1, work, out=y1_new)
-            np.multiply(y0[:, None], a1v[None, :], out=work)
-            np.multiply(b1v, z[k], out=b1z)
-            work += b1z
-            work *= dt
-            y1_new += work
-            if perturbed:
-                np.multiply(noise[1, k], sig1, out=kick)
-                np.multiply(kick[:, None], b1v[None, :], out=work)
+                # y1_new = y1 - lam * upwind + dt * (a1 y0 + b1 z), the
+                # ghost value at xi = -r being 0
+                work[0] = y1[0]
+                np.subtract(y1[1:], y1[:-1], out=work[1:])
+                work *= lam
+                np.subtract(y1, work, out=y1_new)
+                # one multiply per entry, as a broadcast product but faster;
+                # einsum's 0 + a*b drops only the sign of a zero product,
+                # which reaches the state only through an entry that is
+                # already -0.0, and the scheme makes none itself
+                np.einsum("i,j->ij", a1v, y0, out=work)
+                np.multiply(b1v, z[k], out=b1z)
+                work += b1z[:, None]
+                work *= dt
                 y1_new += work
+                if perturbed:
+                    np.multiply(noise[1, k], sig1, out=kick)
+                    np.einsum("i,j->ij", b1v, kick, out=work)
+                    y1_new += work
 
-            if not (np.isfinite(y0_new).all() and np.isfinite(y1_new).all()):
-                raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
-            y0, y0_new = y0_new, y0
-            y1, y1_new = y1_new, y1
+                # a finite sum has only finite terms; a non-finite one may
+                # be a sum of finite terms that overflows
+                if not (np.isfinite(new.sum()) or np.isfinite(new).all()):
+                    raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
+                state, new = new, state
 
-        y0_out[first : first + n] = y0
-        y1_out[first : first + n] = y1
+            y0_out[first : first + n] = state[m]
+            y1_out[first : first + n] = state[:m].T
 
     return LiftedEnsemble(y0=y0_out, y1=y1_out)
 

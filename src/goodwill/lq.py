@@ -298,12 +298,14 @@ def sensitivity_dV_dr(
     dt: float,
 ) -> float:
     """dV/dr(t, x; r) = w1(t,-r) x1(-r)
-                        + b1(-r)/(2 beta) * int_t^{T-r} <B,w(s)> w1(s,-r) ds,
+                        + b1(-r)/(2 beta) * int_t^{T-r} <B,w(s)>^+ w1(s,-r) ds,
 
     with w1(s,-r) = w0(s+r) chi{s+r <= T}: the value depends on r through
     the lower limit of the two segment integrals in <w(t),x> and <B,w>,
     and each boundary term carries the costate read r ahead of the
     current time. The sensitivity therefore vanishes once t + r > T.
+    The control z* = <B,w>^+ / (2 beta) acts only through the positive
+    part of <B,w>, so the second term pairs with that part alone.
 
     The formula needs a1 = 0, so that w0 does not itself depend on r; a
     non-zero a1 raises ConfigurationError (the formula would drop the
@@ -314,9 +316,10 @@ def sensitivity_dV_dr(
         + (b1 gamma^2 / (4 beta a0)) (b0 + b1 (1 - e^{-a0 r}) / a0)
           e^{-a0 r} (e^{2 a0 (T-t)} - e^{2 a0 r})
 
-    is used on t in [0, T-r]; it matches a central finite difference of
-    the costate value over re-solved delays to O(h^2). Otherwise the two
-    terms are quadratures of the costate, exact up to its discretization.
+    is used on t in [0, T-r], its second term being 0 for gamma < 0; it
+    matches a central finite difference of the costate value over
+    re-solved delays to O(h^2). Otherwise the two terms are quadratures
+    of the costate, exact up to its discretization.
     """
     if not kernel_is_zero(params.a1):
         raise ConfigurationError("the delay sensitivity needs a1 = 0")
@@ -336,8 +339,10 @@ def sensitivity_dV_dr(
         if (constant or kernel_is_zero(params.b1)) and a0 < 0:
             b1 = params.b1.c if constant else 0.0
             term1 = gamma * np.exp(a0 * (T - t - r)) * x1_at_minus_r
-            # 0 * inf would be nan; and a float's ** raises on overflow
-            term2 = 0.0 if b1 == 0.0 else (
+            # 0 * inf would be nan; and a float's ** raises on overflow.
+            # <B, w> has gamma's sign (a1 = 0, b0 >= 0, b1 >= 0), so for
+            # gamma < 0 its positive part, and with it this term, is 0
+            term2 = 0.0 if b1 == 0.0 or gamma < 0 else (
                 b1
                 * np.float64(gamma) ** 2
                 / (4.0 * beta * a0)
@@ -351,7 +356,7 @@ def sensitivity_dV_dr(
             term1 = cs.w0_at(t + r) * x1_at_minus_r
             mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
             s = cs.t[mask]
-            integrand = cs.bw[mask] * cs.w0_at(s + r)
+            integrand = np.maximum(cs.bw[mask], 0.0) * cs.w0_at(s + r)
             term2 = b1_at_minus_r / (2.0 * beta) * float(np.trapezoid(integrand, s))
         value = float(term1 + term2)
     if not np.isfinite(value):

@@ -7,22 +7,34 @@ from goodwill import approximation
 from goodwill.approximation import (
     BUMP_U,
     BUMP_ZETA,
+    LiftedEnsemble,
     convergence_study,
     mollify_h,
     mollify_phi,
     simulate_lifted_perturbed,
 )
 from goodwill.cli import merged_config, run_approx
-from goodwill.hilbert import ConstantKernel, ProfileX, SegmentGrid, ZeroKernel
+from goodwill.hilbert import (
+    ConstantKernel,
+    ExponentialKernel,
+    ProfileX,
+    SegmentGrid,
+    ZeroKernel,
+    kernel_eval,
+    kernel_is_zero,
+)
 from goodwill.lifting import adjoint_semigroup_apply, lift_M
 from goodwill.lq import solve_costate, trajectory_mean, trajectory_variance, value_lq
 from goodwill.sdde import (
+    PATH_BLOCK,
     BlowupError,
     ConfigurationError,
     FeedbackPolicy,
     HistoryPair,
     ModelParams,
     OpenLoop,
+    open_loop_controls,
+    path_normals,
     simulate_paths,
 )
 
@@ -327,6 +339,153 @@ def test_lifted_blocks_are_bit_identical(monkeypatch):
     assert blocked.y1.shape == (5, 21)
     assert blocked.y0.tobytes() == whole.y0.tobytes()
     assert blocked.y1.tobytes() == whole.y1.tobytes()
+
+
+def _path_major_reference(params, lifted_init, policy, eps1, grid, dt, n_paths, seed):
+    """The block loop as it ran on (paths, n_nodes) rows, kept verbatim:
+    broadcast rank-one products, a two-row noise draw whatever eps1, and an
+    elementwise finiteness check. The node-major scheme must match it bit
+    for bit."""
+    steps = round(params.T / dt)
+    t = dt * np.arange(steps + 1)
+    z = open_loop_controls(policy, params, t, "reference")
+    dxi = grid.spacing
+    a1v = kernel_eval(params.a1, grid.nodes, params.r)
+    b1v = kernel_eval(params.b1, grid.nodes, params.r)
+    lam = dt / dxi
+    sig0 = params.sigma * np.sqrt(dt)
+    sig1 = eps1 * np.sqrt(dt)
+    perturbed = sig1 > 0 and not kernel_is_zero(params.b1)
+
+    y0_out = np.empty(n_paths)
+    y1_out = np.empty((n_paths, grid.n_nodes))
+    rows = min(PATH_BLOCK, n_paths)
+    # state and next state, double-buffered, and the step's temporaries
+    y0_buf, y0_new_buf, drift_buf, kick_buf = (np.empty(rows) for _ in range(4))
+    y1_buf, y1_new_buf, work_buf = (np.empty((rows, grid.n_nodes)) for _ in range(3))
+    b1z = np.empty(grid.n_nodes)
+    noise_buf = np.empty((2, steps, rows))  # time-major: a step reads one row
+    for first in range(0, n_paths, PATH_BLOCK):
+        n = min(PATH_BLOCK, n_paths - first)
+        y0, y0_new, drift, kick = (b[:n] for b in (y0_buf, y0_new_buf, drift_buf, kick_buf))
+        y1, y1_new, work = (b[:n] for b in (y1_buf, y1_new_buf, work_buf))
+        noise = noise_buf[:, :, :n]
+        for j in range(n):
+            noise[:, :, j] = path_normals(seed, first + j, (2, steps))
+        y0.fill(float(lifted_init.x0))
+        y1[:] = np.asarray(lifted_init.x1, dtype=float)
+
+        for k in range(steps):
+            # y0_new = y0 + (a0 y0 + y1(0) + b0 z) dt + sig0 dW0
+            np.multiply(y0, params.a0, out=drift)
+            drift += y1[:, -1]
+            drift += params.b0 * z[k]
+            drift *= dt
+            np.add(y0, drift, out=y0_new)
+            np.multiply(noise[0, k], sig0, out=kick)
+            y0_new += kick
+
+            # y1_new = y1 - lam * upwind + dt * (a1 y0 + b1 z), the ghost
+            # value at xi = -r being 0
+            work[:, 0] = y1[:, 0]
+            np.subtract(y1[:, 1:], y1[:, :-1], out=work[:, 1:])
+            work *= lam
+            np.subtract(y1, work, out=y1_new)
+            np.multiply(y0[:, None], a1v[None, :], out=work)
+            np.multiply(b1v, z[k], out=b1z)
+            work += b1z
+            work *= dt
+            y1_new += work
+            if perturbed:
+                np.multiply(noise[1, k], sig1, out=kick)
+                np.multiply(kick[:, None], b1v[None, :], out=work)
+                y1_new += work
+
+            if not (np.isfinite(y0_new).all() and np.isfinite(y1_new).all()):
+                raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
+            y0, y0_new = y0_new, y0
+            y1, y1_new = y1_new, y1
+
+        y0_out[first : first + n] = y0
+        y1_out[first : first + n] = y1
+
+    return LiftedEnsemble(y0=y0_out, y1=y1_out)
+
+
+KERNELS_A1 = {
+    "zero": ZeroKernel(),
+    "constant": ConstantKernel(-0.5),
+    "exponential": ExponentialKernel(-5.0, 1 / 6),
+    "steep": ExponentialKernel(-40.0, 0.02),
+}
+KERNELS_B1 = {"zero": ZeroKernel(), "exponential": ExponentialKernel(5.0, 0.5)}
+BATTERY_BLOCK = 4
+
+
+def _battery_case(a1, b1):
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(a0=-0.5, sigma=0.4, a1=KERNELS_A1[a1], b1=KERNELS_B1[b1])
+    t = np.linspace(0.0, 1.0, 41)
+    pol = OpenLoop(t=t, z=np.linspace(1.0, 0.2, 41))
+    x = lift_M(2.0, np.exp(grid.nodes), np.linspace(0.0, 1.0, 21), p, grid)
+    return p, x, pol, grid, 0.01  # lam = dt / spacing = 0.4
+
+
+@pytest.mark.parametrize("eps1", [0.0, 0.3])
+@pytest.mark.parametrize("b1", sorted(KERNELS_B1))
+@pytest.mark.parametrize("a1", sorted(KERNELS_A1))
+def test_node_major_scheme_matches_the_path_major_loop(monkeypatch, a1, b1, eps1):
+    # node-major rows, einsum rank-one products, a one-row noise draw when
+    # unperturbed and the one-sum finiteness check change no bit of any
+    # path, across path blocks too
+    p, x, pol, grid, dt = _battery_case(a1, b1)
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    for n in (1, 5, BATTERY_BLOCK + 3):
+        got = simulate_lifted_perturbed(p, x, pol, eps1, grid, dt, n, 11)
+        ref = _path_major_reference(p, x, pol, eps1, grid, dt, n, 11)
+        assert got.y1.shape == (n, 21)
+        assert got.y0.tobytes() == ref.y0.tobytes()
+        assert got.y1.tobytes() == ref.y1.tobytes()
+
+
+def test_convergence_rows_match_the_path_major_loop(monkeypatch):
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    args = (p, x, pol, 1.0, 0.5, 0.3, [0.0, 0.3], [0.4, 0.1], grid, dt, 7, 5)
+    got = convergence_study(*args)
+    monkeypatch.setattr(approximation, "simulate_lifted_perturbed", _path_major_reference)
+    assert got == convergence_study(*args)
+
+
+def test_lifted_sum_overflow_with_finite_state_is_no_blowup():
+    # every entry near 1.5e307: the one-sum check overflows to inf, and the
+    # elementwise check it falls back to finds every entry finite
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(a0=-1.0, sigma=0.4)
+    pol = OpenLoop(t=np.linspace(0.0, 1.0, 41), z=np.zeros(41))
+    x = ProfileX(1.5e307, np.full(21, 1.5e307))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.full((22, 3), 1.5e307).sum())
+    got = simulate_lifted_perturbed(p, x, pol, 0.3, grid, 0.025, 3, 2)
+    ref = _path_major_reference(p, x, pol, 0.3, grid, 0.025, 3, 2)
+    assert np.isfinite(got.y1).all()
+    assert got.y0.tobytes() == ref.y0.tobytes()
+    assert got.y1.tobytes() == ref.y1.tobytes()
+
+
+def test_lifted_blowup_names_the_reference_step():
+    # the state overflows; the step loop keeps numpy's warnings to itself
+    # and names the step the elementwise check names
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(a0=0.0, a1=ConstantKernel(1e60))
+    pol = OpenLoop(t=np.linspace(0.0, 1.0, 41), z=np.zeros(41))
+    x = ProfileX(1.0, np.zeros(21))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError) as ref:
+            _path_major_reference(p, x, pol, 0.0, grid, 0.025, 3, 0)
+    with pytest.raises(BlowupError) as got:
+        simulate_lifted_perturbed(p, x, pol, 0.0, grid, 0.025, 3, 0)
+    assert str(got.value) == str(ref.value)
+    assert int(str(got.value).rsplit(" ", 1)[1]) > 1
 
 
 # --- convergence table --------------------------------------------------------

@@ -432,10 +432,10 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, extra, message",
     [
-        # gamma^2 overflows the quadrature of dV/dr's second term
+        # gamma * x1(-r) overflows dV/dr's boundary term
         (
             "sensitivity",
-            {"gamma": -1e300, "r_grid": [0.5]},
+            {"gamma": -1e300, "x0": 1e10, "r_grid": [0.5]},
             "the delay sensitivity left the finite range at t=0",
         ),
         # the control cost beta * z^2 overflows: this wrote rows of nan
@@ -469,6 +469,17 @@ def test_huge_objective_values_keep_a_finite_stderr(tmp_path):
     assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
     est = json.loads(out.read_text())["mc"]
     assert est["mean"] < -1e299 and 0 < est["stderr"] < 1e300
+
+
+def test_sensitivity_quadrature_takes_a_huge_negative_gamma(tmp_path):
+    # gamma < 0 gives z* = 0, so the second term is 0 and squares nothing;
+    # pairing it with <B, w> itself overflowed at gamma^2
+    path = write_config(tmp_path, {"gamma": -1e300, "r_grid": [0.5]})
+    out = tmp_path / "sens.csv"
+    assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
+    formula, fd = map(float, out.read_text().split("\n")[2].split(",")[1:3])
+    assert -1e302 < formula < -1e299
+    assert formula == pytest.approx(fd, rel=1e-4)
 
 
 def test_sensitivity_closed_form_takes_a_huge_gamma(tmp_path):

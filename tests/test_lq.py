@@ -780,6 +780,28 @@ def test_sensitivity_quadrature_route_against_finite_difference():
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
 
 
+@pytest.mark.parametrize(
+    "b1", [ConstantKernel(2.0), ExponentialKernel(3.0, 0.4)],
+    ids=["closed_form", "quadrature"],
+)
+def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
+    # gamma < 0 makes <B, w> negative, so z* = 0 and r moves the value only
+    # through the boundary term: the second term pairs with <B, w>^+ = 0
+    p = make_params(a0=-0.5, b1=b1, r=0.5)
+    grid = SegmentGrid(0.5, 201)
+    x1 = 10.0 * np.exp(-np.abs(grid.nodes))
+    t = 0.1
+    got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, -1.0, 0.5, 1e-3)
+    h = 0.005
+    fd = (
+        _value_at_r(0.5 + h, t, b1, ZeroKernel(), gamma=-1.0)
+        - _value_at_r(0.5 - h, t, b1, ZeroKernel(), gamma=-1.0)
+    ) / (2 * h)
+    assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
+    # the boundary term alone, -e^{a0 (T-t-r)} x1(-r), up to the costate step
+    assert got == pytest.approx(-np.exp(-0.5 * (1.0 - t - 0.5)) * x1[0], rel=1e-7)
+
+
 def test_sensitivity_rejects_a1():
     # with a1 != 0 the costate depends on r, a term the formula leaves out
     p = make_params(a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ConstantKernel(1.0))
