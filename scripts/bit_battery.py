@@ -12,6 +12,8 @@ few kernel settings at the shipped defaults:
     paths        sdde.simulate_paths: a small ensemble's y and z
     lifted       approximation.simulate_lifted_perturbed: y0 and y1
     convergence  approximation.convergence_study: every row's fields
+    bounded      lq.solve_costate and lq.optimal_policy_lq with a control
+                 bound that binds: w0, <B, w>, c and z*
 
 A change that keeps the bits prints the same lines as its parent; two runs
 of one tree always print the same lines. The run takes a few seconds.
@@ -40,10 +42,11 @@ B1 = (ZeroKernel(), ConstantKernel(2.0), ExponentialKernel(5.0, 0.5))
 DT = 4e-3  # below the grid spacing 1e-2, as the lifted scheme needs
 
 
-def params(a1, b1) -> sdde.ModelParams:
+def params(a1, b1, **bounds) -> sdde.ModelParams:
+    bounds = {"u_min": CFG["u_min"], "u_max": CFG["u_max"], **bounds}
     return sdde.ModelParams(
         a0=CFG["a0"], a1=a1, b0=CFG["b0"], b1=b1, sigma=CFG["sigma"],
-        r=CFG["r"], T=CFG["T"], u_min=CFG["u_min"], u_max=CFG["u_max"],
+        r=CFG["r"], T=CFG["T"], **bounds,
     )
 
 
@@ -108,6 +111,15 @@ def convergence():
     yield np.array([[r.eps1, r.eps2, r.j_eps, r.stderr, r.gap] for r in rows])
 
 
+def bounded():
+    for bounds in ({"u_max": 0.5}, {"u_max": 1.2}, {"u_min": 2.5}):
+        for a1 in A1:
+            for b1 in B1:
+                p = params(a1, b1, **bounds)
+                cs = lq.solve_costate(p, GAMMA, BETA, 1e-3)
+                yield from (cs.w0, cs.bw, cs.c, lq.optimal_policy_lq(cs, p).z)
+
+
 if __name__ == "__main__":
-    for group in (costate, delay_ode, paths, lifted, convergence):
+    for group in (costate, delay_ode, paths, lifted, convergence, bounded):
         print(group.__name__, digest(group()))

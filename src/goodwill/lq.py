@@ -3,7 +3,9 @@
 The value function is v(t,x) = <w(t), x> + c(t), where the costate
 w = (w0, w1) solves an advanced ODE ending at w0(T) = gamma, w1 is the
 shifted read-off w1(t,xi) = w0(t-xi) on [0,T] (zero beyond T), and c
-accumulates the squared positive part of <B, w>. The costate is the e1
+accumulates the running term max over z in [u_min, u_max] of
+<B, w> z - beta z^2, the squared positive part of <B, w> over 4 beta
+wherever no control bound binds. The costate is the e1
 trajectory phi (the state's delay equation from phi(0) = 1 over a zero
 history) run backward: w0(t) = gamma * phi(T - t), so solve_costate
 integrates gamma * phi forward. From the costate we obtain the
@@ -15,13 +17,16 @@ The delay integral of the forward solve and the pairing <B, w> are
 trapezoid sums over a hilbert.DelayWindow of m+1 samples of phi,
 updated in O(1) per step; the recursion agrees with a full re-sum of the
 window to 1e-12 relative over 1e5 steps (tests compare them).
-The pairing is one pass over the filled phi rows. A costate that leaves
-the finite range raises sdde.BlowupError.
+The pairing is one pass over the filled phi rows. Without a1 those rows
+depend on neither r nor b1, so a one-entry memo lets the solves of an r
+or b1 sweep share them. A costate that leaves the finite range raises
+sdde.BlowupError.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,13 @@ class CostateSolution:
         return np.interp(t, self.t, self.c)
 
 
+# The filled rows phi[m:] of the last a1-free solve, read-only, keyed on the
+# exact bits of (a0, gamma, dt) and the step count n (bits, not values:
+# 0.0 == -0.0 and nan != nan). Those rows do not depend on r or b1, so the
+# solves of a sweep over either share one Heun loop. One entry is kept.
+_A1_FREE_ROWS: dict = {}
+
+
 def solve_costate(
     params: ModelParams, gamma: float, beta: float, dt: float
 ) -> CostateSolution:
@@ -82,12 +94,18 @@ def solve_costate(
     history, by Heun's predictor-corrector on the layout of
     sdde.simulate_paths: m history rows, then one row per step, with the
     delay integral a trapezoid DelayWindow over the rows. <B, w> is a
-    second window over the same rows, and c accumulates the squared
-    positive part of <B, w> from c(T) = 0.
+    second window over the same rows, and c accumulates the running term
+    <B, w> z* - beta z*^2 from c(T) = 0, z* = clip(<B, w> / (2 beta),
+    u_min, u_max); where no bound binds that is the squared positive part
+    of <B, w> over 4 beta, computed as such.
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
-    floats; with a1 it runs on local floats too, the window's sum and
-    advance written out inline, O(1) a step. The pairing comes after,
+    floats. Its rows depend on (a0, gamma, dt) and the step count alone,
+    so the last such solve's rows are kept, read-only, and a solve with
+    the same bits of those copies them instead (sensitivity sweeps over r
+    and b1 repeat them). With a1 the loop runs on local floats too, the
+    window's sum and advance written out inline, O(1) a step, the rows
+    and jump terms streamed through memoryviews. The pairing comes after,
     from the filled rows in one DelayWindow.sums pass. The bits are those
     of a loop of sum/advance calls per step.
     """
@@ -96,13 +114,15 @@ def solve_costate(
     n = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")
 
-    t = dt * np.arange(n + 1)
-    xi = -params.r + dt * np.arange(m + 1)
-
     # row m + i holds gamma * phi(u_i), u_i = i*dt, that is w0(T - u_i);
-    # the zero history rows below it stand for w0 = 0 beyond T
+    # the zero history rows below it stand for w0 = 0 beyond T. phi is
+    # allocated first, so rows the memo keeps sit below the call's
+    # temporaries on the heap, not between them (about 0.3 MB less peak
+    # RSS in the exact_fine benchmark)
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
+    t = dt * np.arange(n + 1)
+    xi = -params.r + dt * np.arange(m + 1)
     p = phi.item  # samples as Python floats: scalar arithmetic is faster
 
     # the rows jump from 0 to gamma at u = 0 (row m), which the window at
@@ -119,26 +139,46 @@ def solve_costate(
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
         if kernel_is_zero(params.a1):
-            # the slope is a0 * phi: Heun's step on Python floats
-            for i in range(m + 1, m + n + 1):
-                f1 = a0 * prev
-                prev = prev + half * (f1 + a0 * (prev + dt * f1))
-                rows[i] = prev
+            # the slope is a0 * phi, so rows m.. depend on (a0, gamma, dt, n)
+            # alone: a solve that repeats the last one's copies its rows
+            key = (struct.pack("3d", a0, gamma, dt), n)
+            memo = _A1_FREE_ROWS.get(key)
+            if memo is not None:
+                phi[m:] = memo
+            else:
+                # Heun's step on Python floats
+                for i in range(m + 1, m + n + 1):
+                    f1 = a0 * prev
+                    prev = prev + half * (f1 + a0 * (prev + dt * f1))
+                    rows[i] = prev
+                # the memo keeps this call's own rows, not a copy of them:
+                # nothing writes to phi after this point
+                memo = phi[m:]
+                memo.setflags(write=False)
+                _A1_FREE_ROWS.clear()
+                _A1_FREE_ROWS[key] = memo
         else:
             # the window's sum and advance, inlined on Python floats: a, b
-            # are its end terms and h its raw sum
+            # are its end terms and h its raw sum; rows 0..n and the jump
+            # terms stream through memoryviews, each step's newest row and
+            # jump being the next step's oldest (row i is read at step i,
+            # after step i - m wrote it)
             a1v = kernel_eval(params.a1, xi, params.r)
-            win, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v).item
+            win, jump_a = DelayWindow(params.a1, a1v, dt, phi), jump(a1v)
             first, last, rho, h = win.first, win.last, win.rho, win.h
-            for i in range(1, n + 1):
-                a, b = first * p(i - 1), last * prev
-                f1 = a0 * prev + (dt * (h + 0.5 * (b - a)) - jump_a(i - 1))
+            a, old_jump = first * p(0), jump_a.item(0)
+            for k, x, new_jump in zip(
+                range(m + 1, m + n + 1), rows[1 : n + 1], memoryview(jump_a)[1:]
+            ):
+                b = last * prev
+                f1 = a0 * prev + (dt * (h + 0.5 * (b - a)) - old_jump)
                 h = rho * (h - a + b)
                 pred = prev + dt * f1
-                a, b = first * p(i), last * pred
-                f2 = a0 * pred + (dt * (h + 0.5 * (b - a)) - jump_a(i))
+                a, b = first * x, last * pred
+                f2 = a0 * pred + (dt * (h + 0.5 * (b - a)) - new_jump)
                 prev = prev + half * (f1 + f2)
-                rows[m + i] = prev
+                rows[k] = prev
+                old_jump = new_jump
 
         bw = params.b0 * phi[m:]
         if not kernel_is_zero(params.b1):
@@ -146,11 +186,23 @@ def solve_costate(
             b1v = kernel_eval(params.b1, xi, params.r)
             bw = bw + DelayWindow(params.b1, b1v, dt, phi).sums() - jump(b1v)
 
-        # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order
+        # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order,
+        # g = max over z in [u_min, u_max] of bw z - beta z^2, attained at z*;
+        # the sums run straight into c(t), reversed, and each array is freed
+        # once read, which keeps the solve's peak memory down
         g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
+        binding = _binding(bw, beta, params)
+        if binding is not None:
+            bound, z = binding
+            g[bound] = bw[bound] * z - beta * z**2
+        steps = g[:-1] + g[1:]
+        del g
+        steps *= dt / 2
         c = np.zeros(n + 1)
-        c[1:] = np.cumsum(dt / 2 * (g[:-1] + g[1:]))
-        w0, bw, c = (np.flip(v).copy() for v in (phi[m:], bw, c))
+        np.cumsum(steps, out=c[-2::-1])
+        del steps
+        w0 = np.flip(phi[m:]).copy()
+        bw = np.flip(bw).copy()
         _check_finite(w0, t, "w0")
         _check_finite(bw, t, "<B, w>")
         _check_finite(c, t, "c")
@@ -168,9 +220,31 @@ def _check_finite(values: np.ndarray, t: np.ndarray, name: str):
         )
 
 
+def _binding(bw: np.ndarray, beta: float, params: ModelParams):
+    """Where a control bound binds: the maximiser of bw z - beta z^2 over
+    [u_min, u_max] is z* = clip(bw / (2 beta), u_min, u_max), which is
+    bw^+ / (2 beta) except at the samples of the returned mask, where it
+    is the second array returned. None if no bound binds anywhere:
+    bw^+ / (2 beta) is monotone in bw, so the extremes of bw decide that
+    without an array of it (fmin/fmax pass over a nan)."""
+    lo, hi = params.u_min, params.u_max
+    least = max(np.fmin.reduce(bw, initial=np.inf), 0.0) / (2.0 * beta)
+    most = max(np.fmax.reduce(bw, initial=-np.inf), 0.0) / (2.0 * beta)
+    if not (least < lo or most > hi):
+        return None
+    z = np.maximum(bw, 0.0) / (2.0 * beta)
+    bound = (z < lo) | (z > hi)
+    return bound, np.clip(z[bound], lo, hi)
+
+
 def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> OpenLoop:
-    """Open-loop optimal control z*(t) = <B, w(t)>^+ / (2 beta)."""
+    """Open-loop optimal control z*(t) = clip(<B, w(t)> / (2 beta), u_min,
+    u_max), which is <B, w(t)>^+ / (2 beta) wherever no bound binds."""
     z = np.maximum(costate.bw, 0.0) / (2.0 * costate.beta)
+    binding = _binding(costate.bw, costate.beta, params)
+    if binding is not None:
+        bound, z_bound = binding
+        z[bound] = z_bound
     return OpenLoop(t=costate.t, z=z)
 
 
@@ -298,19 +372,23 @@ def sensitivity_dV_dr(
     dt: float,
 ) -> float:
     """dV/dr(t, x; r) = w1(t,-r) x1(-r)
-                        + b1(-r)/(2 beta) * int_t^{T-r} <B,w(s)>^+ w1(s,-r) ds,
+                        + b1(-r) * int_t^{T-r} z*(s) w1(s,-r) ds,
 
     with w1(s,-r) = w0(s+r) chi{s+r <= T}: the value depends on r through
     the lower limit of the two segment integrals in <w(t),x> and <B,w>,
     and each boundary term carries the costate read r ahead of the
     current time. The sensitivity therefore vanishes once t + r > T.
-    The control z* = <B,w>^+ / (2 beta) acts only through the positive
-    part of <B,w>, so the second term pairs with that part alone.
+    The running term max over z in [u_min, u_max] of <B,w> z - beta z^2
+    has derivative z* = clip(<B,w> / (2 beta), u_min, u_max) in <B,w>,
+    so the second term pairs z* with the boundary term of <B,w>; where no
+    bound binds, z* = <B,w>^+ / (2 beta).
 
     The formula needs a1 = 0, so that w0 does not itself depend on r; a
     non-zero a1 raises ConfigurationError (the formula would drop the
     d(w0)/dr terms: 29% off a finite difference at a1 = -5 e^{-|xi|/(1/6)}).
-    When b1 is also constant (b0, b1-hat below) the closed form
+    When b1 is also constant (b0, b1-hat below) and no bound binds
+    (u_min = 0 and u_max >= gamma (b0 + b1 r) / (2 beta), the largest
+    <B,w> / (2 beta) can be) the closed form
 
         gamma e^{a0(T-t-r)} x1(-r)
         + (b1 gamma^2 / (4 beta a0)) (b0 + b1 (1 - e^{-a0 r}) / a0)
@@ -336,8 +414,11 @@ def sensitivity_dV_dr(
 
     # overflow shows as a non-finite value, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        if (constant or kernel_is_zero(params.b1)) and a0 < 0:
-            b1 = params.b1.c if constant else 0.0
+        b1 = params.b1.c if constant else 0.0
+        # <B, w> / (2 beta) lies in [0, gamma (b0 + b1 r) / (2 beta)]
+        binds = params.u_min > 0 or params.u_max < gamma * (b0 + b1 * r) / (2.0 * beta)
+        closed = (constant or kernel_is_zero(params.b1)) and a0 < 0
+        if closed and (b1 == 0.0 or not binds):
             term1 = gamma * np.exp(a0 * (T - t - r)) * x1_at_minus_r
             # 0 * inf would be nan; and a float's ** raises on overflow.
             # <B, w> has gamma's sign (a1 = 0, b0 >= 0, b1 >= 0), so for
@@ -355,8 +436,14 @@ def sensitivity_dV_dr(
             b1_at_minus_r = float(kernel_eval(params.b1, -r, r))
             term1 = cs.w0_at(t + r) * x1_at_minus_r
             mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
-            s = cs.t[mask]
-            integrand = np.maximum(cs.bw[mask], 0.0) * cs.w0_at(s + r)
+            s, bw = cs.t[mask], cs.bw[mask]
+            # 2 beta z*, which is <B, w>^+ (and has its bits) where no bound binds
+            pos = np.maximum(bw, 0.0)
+            binding = _binding(bw, beta, params)
+            if binding is not None:
+                bound, z = binding
+                pos[bound] = 2.0 * beta * z
+            integrand = pos * cs.w0_at(s + r)
             term2 = b1_at_minus_r / (2.0 * beta) * float(np.trapezoid(integrand, s))
         value = float(term1 + term2)
     if not np.isfinite(value):

@@ -531,6 +531,21 @@ def test_convergence_one_path_stderr_is_nan():
     assert all(np.isfinite(r.j_eps) and np.isnan(r.stderr) for r in rows)
 
 
+def test_convergence_cost_overflow_is_a_blowup():
+    # a control of 1e300 makes beta * z^2 overflow: a numerical failure
+    # named after the row, not rows of nan
+    grid = SegmentGrid(0.5, 101)
+    dt = grid.spacing
+    t = dt * np.arange(round(1.0 / dt) + 1)
+    pol = OpenLoop(t=t, z=np.full_like(t, 1e300))
+    message = r"^J_eps left the finite range at eps1=0.0, eps2=0.4$"
+    with pytest.raises(BlowupError, match=message):
+        convergence_study(
+            make_params(), ProfileX(1.0, np.zeros(101)), pol, 1.0, 0.5, 0.0,
+            [0.0], [0.4], grid, dt, 2, 5,
+        )
+
+
 def test_convergence_csv_layout():
     # the convergence table is written by the CLI's column writer
     cfg = merged_config(

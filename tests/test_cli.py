@@ -438,11 +438,13 @@ def test_costate_overflow_exit_code(tmp_path, capsys):
             {"gamma": -1e300, "x0": 1e10, "r_grid": [0.5]},
             "the delay sensitivity left the finite range at t=0",
         ),
-        # the control cost beta * z^2 overflows: this wrote rows of nan
+        # the control cost beta * z^2 overflows: this wrote rows of nan;
+        # the costate's running term -beta z*^2 now meets it first
+        # (test_convergence_cost_overflow_is_a_blowup covers J_eps's check)
         (
             "approx",
             {"u_min": 1e300, "u_max": 1e300, "sigma": 0},
-            "J_eps left the finite range at eps1=0.0, eps2=0.4",
+            "costate c left the finite range at t=0.99",
         ),
         ("approx", {"a1_amp": -1e300, "gamma": 0}, "lifted evolution lost finiteness"),
     ],

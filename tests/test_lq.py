@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from goodwill import lq
-from goodwill.cli import build_params, merged_config, run_costate
+from goodwill.cli import build_params, merged_config, run_costate, run_evaluate
 from goodwill.hilbert import (
     ConstantKernel,
     DelayWindow,
@@ -275,17 +276,102 @@ def test_a1_costate_equals_the_step_by_step_solve(a1, b1, dt):
         np.testing.assert_array_equal(getattr(cs, name), want, err_msg=name)
 
 
+def _assert_bits(cs, want):
+    for name, w in zip(("w0", "bw", "c"), want):
+        assert getattr(cs, name).tobytes() == np.ascontiguousarray(w).tobytes(), name
+
+
+def test_a1_free_rows_are_shared_bit_for_bit():
+    # interleaved keys: a solve that repeats the last (a0, gamma, dt) at
+    # another r or b1 copies the memo's rows, any other solve re-runs the
+    # loop, and both give the step-by-step bits
+    memo, hits = lq._A1_FREE_ROWS, []
+    memo.clear()
+    for dt in (1e-3, 5e-4):
+        for gamma in (1.0, 2.7):
+            for a0 in (-0.5, -1.3):
+                for r, b1 in ((0.5, ZeroKernel()), (0.25, ExponentialKernel(5.0, 0.5))):
+                    p = make_params(a0=a0, r=r, b1=b1)
+                    before = list(memo.values())
+                    cs = solve_costate(p, gamma, 0.5, dt)
+                    hits.append(any(v is w for v in before for w in memo.values()))
+                    _assert_bits(cs, stepwise_costate(p, gamma, 0.5, dt))
+    assert hits == [False, True] * 8
+
+
 @pytest.mark.parametrize(
-    "a1_amp, limit_mib", [(0.0, 1.61), (None, 1.84)], ids=["b1_only", "both_churns"]
+    "a0, gamma, a0_before, gamma_before",
+    [
+        (-0.0, 0.0, 0.0, 0.0),
+        (0.0, -0.0, 0.0, 0.0),
+        (-0.0, -0.0, 0.0, 0.0),
+        (0.0, 0.0, -0.0, -0.0),
+        (-0.5, -0.0, -0.5, 0.0),
+        (-0.5, 0.0, -0.5, -0.0),
+    ],
 )
-def test_costate_peak_memory(a1_amp, limit_mib):
+def test_a1_free_rows_keep_the_sign_of_zero(a0, gamma, a0_before, gamma_before):
+    # 0.0 == -0.0, but w0(T) = gamma keeps its sign: the memo is keyed on
+    # bits, so the solve just before, equal in value, does not stand in
+    solve_costate(make_params(a0=a0_before), gamma_before, 0.5, 1e-3)
+    p = make_params(a0=a0, b1=ConstantKernel(0.8))
+    want = stepwise_costate(p, gamma, 0.5, 1e-3)
+    _assert_bits(solve_costate(p, gamma, 0.5, 1e-3), want)
+
+
+BLOWUP_AT_T = r"^costate w0 left the finite range at t=1$"
+
+
+def test_a1_free_nan_gamma_raises_on_a_miss_and_a_hit():
+    p = make_params(a0=-0.5, b1=ExponentialKernel(5.0, 0.5))
+    lq._A1_FREE_ROWS.clear()
+    for _ in range(2):
+        with pytest.raises(BlowupError, match=BLOWUP_AT_T):
+            solve_costate(p, float("nan"), 0.5, 1e-3)
+    _assert_bits(solve_costate(p, 1.0, 0.5, 1e-3), stepwise_costate(p, 1.0, 0.5, 1e-3))
+
+
+def test_mutating_a_solution_leaves_the_next_solve_alone():
+    p = make_params(a0=-0.5, b1=ExponentialKernel(5.0, 0.5))
+    cs = solve_costate(p, 1.0, 0.5, 1e-3)
+    for name in ("w0", "bw", "c"):
+        getattr(cs, name)[:] = 7.0
+    _assert_bits(solve_costate(p, 1.0, 0.5, 1e-3), stepwise_costate(p, 1.0, 0.5, 1e-3))
+
+
+@pytest.mark.parametrize("lag_steps", [1, 2])
+@pytest.mark.parametrize(
+    "a1, b1",
+    [
+        (ExponentialKernel(-5.0, 1 / 6), ExponentialKernel(5.0, 0.5)),
+        (ConstantKernel(-1.3), ZeroKernel()),
+    ],
+    ids=["exponential", "constant"],
+)
+def test_a1_costate_with_the_shortest_windows(a1, b1, lag_steps):
+    # m = 1 and 2: the streamed loop reads row i at step i, one or two
+    # steps after it was written
+    dt = 1e-3
+    p = make_params(a0=-0.5, a1=a1, b1=b1, r=lag_steps * dt)
+    _assert_bits(solve_costate(p, 2.7, 0.5, dt), stepwise_costate(p, 2.7, 0.5, dt))
+
+
+@pytest.mark.parametrize(
+    "a1_amp, limit_mib, miss",
+    [(0.0, 1.30, False), (0.0, 1.30, True), (None, 1.53, False)],
+    ids=["b1_only", "b1_only_memo_miss", "both_churns"],
+)
+def test_costate_peak_memory(a1_amp, limit_mib, miss):
     # the tracemalloc peak of one fine-step solve at the shipped model: a
     # few arrays of the 20,001 steps, no Python list of a float per step
-    # (that alone would add about 0.6 MiB); the limits are the measured
-    # peaks of the same solve with a per-step sum/advance pairing loop
+    # (that alone would add about 0.6 MiB); the peaks are 1.22 and 1.45
+    # MiB. A miss of the a1-free memo keeps the solve's own rows, no copy
+    # of them, so it peaks where a hit does
     cfg = merged_config(None, {})
     p = build_params(cfg, a1_amp=a1_amp)
     solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)  # one-time set-up off the count
+    if miss:
+        lq._A1_FREE_ROWS.clear()
     tracemalloc.start()
     try:
         solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)
@@ -372,6 +458,54 @@ def test_memoryless_coincides_with_optimal_without_delay():
     z_opt = optimal_policy_lq(cs, p).z
     z_mem = memoryless_policy(p, 1.0, 0.5).sample(p, cs.t)
     np.testing.assert_allclose(z_opt, z_mem, atol=1e-8)
+
+
+BOUNDS = [{"u_max": 0.5}, {"u_max": 1.2}, {"u_min": 2.5}]
+BOUND_IDS = ["u_max_0.5", "u_max_1.2", "u_min_2.5"]
+
+
+def _bounded_costate(**bounds):
+    p = make_params(
+        a0=-0.5, a1=ExponentialKernel(-5.0, 1 / 6), b1=ExponentialKernel(5.0, 0.5),
+        **bounds,
+    )
+    return p, solve_costate(p, 1.0, 0.5, 1e-3)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=BOUND_IDS)
+def test_policy_and_running_term_honour_the_control_bounds(bounds):
+    # z* = clip(<B, w> / (2 beta), u_min, u_max) and c accumulates the
+    # running term <B, w> z* - beta z*^2, its maximum on the bounds
+    p, cs = _bounded_costate(**bounds)
+    z = optimal_policy_lq(cs, p).z
+    want = np.clip(cs.bw / (2 * 0.5), p.u_min, p.u_max)
+    np.testing.assert_array_equal(z, want)
+    assert np.any(want != np.maximum(cs.bw, 0.0))  # a bound binds
+    g = cs.bw * z - 0.5 * z**2
+    np.testing.assert_allclose(cs.c[0], np.trapezoid(g, cs.t), rtol=1e-12)
+
+
+def test_bounds_that_do_not_bind_keep_the_unbounded_bits():
+    # u_max at the largest z* and u_min = 0 move no sample, so the policy
+    # and c are those of u_max = inf, bit for bit
+    _, free = _bounded_costate()
+    u_max = float(np.max(free.bw)) / (2 * 0.5)
+    p, cs = _bounded_costate(u_max=u_max)
+    assert cs.c.tobytes() == free.c.tobytes()
+    z, z_free = optimal_policy_lq(cs, p).z, optimal_policy_lq(free, p).z
+    assert z.tobytes() == z_free.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"u_max": 0.5}, {"u_min": 2.5}], ids=["u_max", "u_min"]
+)
+def test_bounded_value_matches_monte_carlo(bounds):
+    # the shipped model with a bound that binds: the unbounded running term
+    # put the analytic value 93 and 124 standard errors off at 4000 paths
+    cfg = merged_config(None, dict(bounds, n_paths=4000))
+    out = json.loads(run_evaluate(cfg))
+    mc = out["mc"]
+    assert abs(out["analytic_value"] - mc["mean"]) <= 3 * mc["stderr"]
 
 
 # --- value function -----------------------------------------------------------
@@ -720,8 +854,8 @@ def test_variance_takes_a_point_b1(ode_solves):
 # --- delay sensitivity --------------------------------------------------------
 
 
-def _value_at_r(r, t, b1, a1, gamma=1.0, beta=0.5):
-    p = make_params(a0=-0.5, a1=a1, b1=b1, r=r)
+def _value_at_r(r, t, b1, a1, gamma=1.0, beta=0.5, **bounds):
+    p = make_params(a0=-0.5, a1=a1, b1=b1, r=r, **bounds)
     grid = SegmentGrid(r, 201)
     x1 = 10.0 * np.exp(-np.abs(grid.nodes))
     cs = solve_costate(p, gamma, beta, 1e-3)
@@ -800,6 +934,31 @@ def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
     # the boundary term alone, -e^{a0 (T-t-r)} x1(-r), up to the costate step
     assert got == pytest.approx(-np.exp(-0.5 * (1.0 - t - 0.5)) * x1[0], rel=1e-7)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=BOUND_IDS)
+@pytest.mark.parametrize(
+    "b1", [ConstantKernel(2.0), ExponentialKernel(3.0, 0.4)],
+    ids=["constant", "exponential"],
+)
+def test_sensitivity_with_a_binding_bound_against_finite_difference(b1, bounds):
+    # the second term pairs the clipped z* with w0(s + r); a constant b1
+    # leaves its closed form, which assumes no bound binds
+    p = make_params(a0=-0.5, b1=b1, r=0.5, **bounds)
+    grid = SegmentGrid(0.5, 201)
+    x = ProfileX(10.0, 10.0 * np.exp(-np.abs(grid.nodes)))
+    t = 0.1
+    got = sensitivity_dV_dr(t, x, p, 1.0, 0.5, 1e-3)
+    errors = []
+    for h in (0.04, 0.02):
+        fd = (
+            _value_at_r(0.5 + h, t, b1, ZeroKernel(), **bounds)
+            - _value_at_r(0.5 - h, t, b1, ZeroKernel(), **bounds)
+        ) / (2 * h)
+        errors.append(abs(fd - got))
+    # O(h^2): 3.7 to 4.1 per halving, while h is well above the costate step
+    assert errors[1] <= 2e-4 * (1 + abs(got))
+    assert 3.3 <= errors[0] / errors[1] <= 4.7
 
 
 def test_sensitivity_rejects_a1():
