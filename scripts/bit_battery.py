@@ -14,6 +14,11 @@ few kernel settings at the shipped defaults:
     convergence  approximation.convergence_study: every row's fields
     bounded      lq.solve_costate and lq.optimal_policy_lq with a control
                  bound that binds: w0, <B, w>, c and z*
+    feedback     state_delay.feedback_quadratic and feedback_bangbang over
+                 a d0v grid through 0 and the switch point beta/b0 for
+                 three specs, the bang-bang tie_value at that point, and a
+                 64-path state_delay.simulate_feedback ensemble's y(T),
+                 z(T) and clip count
 
 A change that keeps the bits prints the same lines as its parent; two runs
 of one tree always print the same lines. The run takes a few seconds.
@@ -25,7 +30,7 @@ import hashlib
 
 import numpy as np
 
-from goodwill import approximation, cli, lifting, lq, sdde
+from goodwill import approximation, cli, lifting, lq, sdde, state_delay
 from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
@@ -120,6 +125,33 @@ def bounded():
                 yield from (cs.w0, cs.bw, cs.c, lq.optimal_policy_lq(cs, p).z)
 
 
+def feedback():
+    # (beta, b0, sigma, R): the shipped model; one where beta/b0 and
+    # beta * (1/b0) differ in the last bit (0.6, 0.7); a tight control set
+    specs = (
+        (BETA, CFG["b0"], CFG["sigma"], CFG["u_max"]), (0.6, 0.7, 0.3, 2.0),
+        (2.0, 1.5, 1.0, 0.25),
+    )
+    for beta, b0, sigma, R in specs:
+        quad = state_delay.HamiltonianSpec("quadratic", beta, b0, sigma, R)
+        lin = state_delay.HamiltonianSpec("linear", beta, b0, sigma, R)
+        switch = beta / b0
+        d0v = np.concatenate(
+            [np.linspace(-3.0, 3.0, 61) * switch, [0.0, switch, 2 * beta * R / b0]]
+        )
+        yield state_delay.feedback_quadratic(d0v, quad)
+        yield state_delay.feedback_bangbang(d0v, lin, tie_value=0.5 * R)
+        yield state_delay.feedback_bangbang(switch, lin, tie_value=0.25 * R)
+    p = params(ZeroKernel(), ZeroKernel())
+    spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
+    policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
+    ens = state_delay.simulate_feedback(
+        p, -1.0, cli.build_history(CFG, GRID), policy, 0.01, 64, SEED
+    )
+    yield from (ens.y, ens.z, [ens.clip_count])
+
+
 if __name__ == "__main__":
-    for group in (costate, delay_ode, paths, lifted, convergence, bounded):
+    groups = (costate, delay_ode, paths, lifted, convergence, bounded, feedback)
+    for group in groups:
         print(group.__name__, digest(group()))

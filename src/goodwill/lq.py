@@ -3,9 +3,11 @@
 The value function is v(t,x) = <w(t), x> + c(t), where the costate
 w = (w0, w1) solves an advanced ODE ending at w0(T) = gamma, w1 is the
 shifted read-off w1(t,xi) = w0(t-xi) on [0,T] (zero beyond T), and c
-accumulates the running term max over z in [u_min, u_max] of
-<B, w> z - beta z^2, the squared positive part of <B, w> over 4 beta
-wherever no control bound binds. The costate is the e1
+accumulates the running term H(<B, w>), the control Hamiltonian
+H(p) = sup over z in [u_min, u_max] of p z - beta z^2. H and its
+argmax, written once here (hamiltonian, hamiltonian_argmax), also give
+the optimal policy, the envelope term of the delay sensitivity and the
+feedback maps of state_delay. The costate is the e1
 trajectory phi (the state's delay equation from phi(0) = 1 over a zero
 history) run backward: w0(t) = gamma * phi(T - t), so solve_costate
 integrates gamma * phi forward. From the costate we obtain the
@@ -95,9 +97,7 @@ def solve_costate(
     sdde.simulate_paths: m history rows, then one row per step, with the
     delay integral a trapezoid DelayWindow over the rows. <B, w> is a
     second window over the same rows, and c accumulates the running term
-    <B, w> z* - beta z*^2 from c(T) = 0, z* = clip(<B, w> / (2 beta),
-    u_min, u_max); where no bound binds that is the squared positive part
-    of <B, w> over 4 beta, computed as such.
+    H(<B, w>) from c(T) = 0 (see hamiltonian).
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
     floats. Its rows depend on (a0, gamma, dt) and the step count alone,
@@ -187,14 +187,9 @@ def solve_costate(
             bw = bw + DelayWindow(params.b1, b1v, dt, phi).sums() - jump(b1v)
 
         # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order,
-        # g = max over z in [u_min, u_max] of bw z - beta z^2, attained at z*;
-        # the sums run straight into c(t), reversed, and each array is freed
-        # once read, which keeps the solve's peak memory down
-        g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
-        binding = _binding(bw, beta, params)
-        if binding is not None:
-            bound, z = binding
-            g[bound] = bw[bound] * z - beta * z**2
+        # g = H(bw); the sums run straight into c(t), reversed, and each
+        # array is freed once read, which keeps the solve's peak memory down
+        g = hamiltonian(bw, beta, params.u_min, params.u_max)
         steps = g[:-1] + g[1:]
         del g
         steps *= dt / 2
@@ -220,31 +215,50 @@ def _check_finite(values: np.ndarray, t: np.ndarray, name: str):
         )
 
 
-def _binding(bw: np.ndarray, beta: float, params: ModelParams):
-    """Where a control bound binds: the maximiser of bw z - beta z^2 over
-    [u_min, u_max] is z* = clip(bw / (2 beta), u_min, u_max), which is
-    bw^+ / (2 beta) except at the samples of the returned mask, where it
-    is the second array returned. None if no bound binds anywhere:
-    bw^+ / (2 beta) is monotone in bw, so the extremes of bw decide that
-    without an array of it (fmin/fmax pass over a nan)."""
-    lo, hi = params.u_min, params.u_max
-    least = max(np.fmin.reduce(bw, initial=np.inf), 0.0) / (2.0 * beta)
-    most = max(np.fmax.reduce(bw, initial=-np.inf), 0.0) / (2.0 * beta)
-    if not (least < lo or most > hi):
-        return None
-    z = np.maximum(bw, 0.0) / (2.0 * beta)
-    bound = (z < lo) | (z > hi)
-    return bound, np.clip(z[bound], lo, hi)
+def hamiltonian(p, beta: float, lo: float, hi: float, cost: str = "quadratic"):
+    """H(p) = sup over z in [lo, hi] of p z - h0(z), 0 <= lo <= hi <= inf,
+    for h0(z) = beta z^2 ("quadratic") or beta z ("linear").
+
+    The quadratic sup is p^+^2 / (4 beta), computed as such, wherever no
+    bound binds, and p z* - beta z*^2 at the samples where one does. That
+    z* = p^+ / (2 beta) is monotone in p, so the extremes of p decide
+    whether any bound binds (fmin/fmax pass over a nan), and a call where
+    none does builds no array beyond its result. The linear sup is
+    z* (p - beta), which is hi (p - beta)^+ for lo = 0.
+    """
+    p = np.asarray(p, dtype=float)
+    if cost == "linear":
+        out = hamiltonian_argmax(p, beta, lo, hi, cost) * (p - beta)
+    else:
+        out = np.maximum(p, 0.0) ** 2 / (4.0 * beta)
+        least = max(np.fmin.reduce(p, axis=None, initial=np.inf), 0.0) / (2.0 * beta)
+        most = max(np.fmax.reduce(p, axis=None, initial=-np.inf), 0.0) / (2.0 * beta)
+        if least < lo or most > hi:
+            z = np.maximum(p, 0.0) / (2.0 * beta)
+            bound = (z < lo) | (z > hi)
+            z = np.clip(z, lo, hi)
+            out = np.where(bound, p * z - beta * z**2, out)
+    return out if out.ndim else float(out)
+
+
+def hamiltonian_argmax(
+    p, beta: float, lo: float, hi: float, cost: str = "quadratic", tie=None
+):
+    """The z* in [lo, hi] that attains H(p): clip(p^+ / (2 beta), lo, hi)
+    for the quadratic cost; for the linear one lo below p = beta, hi above
+    it and tie (default lo) at it."""
+    p = np.asarray(p, dtype=float)
+    if cost == "linear":
+        out = np.where(p < beta, lo, np.where(p > beta, hi, lo if tie is None else tie))
+    else:
+        out = np.clip(np.maximum(p, 0.0) / (2.0 * beta), lo, hi)
+    return out if out.ndim else float(out)
 
 
 def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> OpenLoop:
-    """Open-loop optimal control z*(t) = clip(<B, w(t)> / (2 beta), u_min,
-    u_max), which is <B, w(t)>^+ / (2 beta) wherever no bound binds."""
-    z = np.maximum(costate.bw, 0.0) / (2.0 * costate.beta)
-    binding = _binding(costate.bw, costate.beta, params)
-    if binding is not None:
-        bound, z_bound = binding
-        z[bound] = z_bound
+    """Open-loop optimal control z*(t) = clip(<B, w(t)>^+ / (2 beta), u_min,
+    u_max), the argmax of H(<B, w(t)>)."""
+    z = hamiltonian_argmax(costate.bw, costate.beta, params.u_min, params.u_max)
     return OpenLoop(t=costate.t, z=z)
 
 
@@ -378,10 +392,8 @@ def sensitivity_dV_dr(
     the lower limit of the two segment integrals in <w(t),x> and <B,w>,
     and each boundary term carries the costate read r ahead of the
     current time. The sensitivity therefore vanishes once t + r > T.
-    The running term max over z in [u_min, u_max] of <B,w> z - beta z^2
-    has derivative z* = clip(<B,w> / (2 beta), u_min, u_max) in <B,w>,
-    so the second term pairs z* with the boundary term of <B,w>; where no
-    bound binds, z* = <B,w>^+ / (2 beta).
+    The running term H(<B,w>) has derivative z* (hamiltonian_argmax) in
+    <B,w>, so the second term pairs z* with the boundary term of <B,w>.
 
     The formula needs a1 = 0, so that w0 does not itself depend on r; a
     non-zero a1 raises ConfigurationError (the formula would drop the
@@ -437,13 +449,11 @@ def sensitivity_dV_dr(
             term1 = cs.w0_at(t + r) * x1_at_minus_r
             mask = (cs.t >= t - 1e-12) & (cs.t <= T - r + 1e-12)
             s, bw = cs.t[mask], cs.bw[mask]
-            # 2 beta z*, which is <B, w>^+ (and has its bits) where no bound binds
-            pos = np.maximum(bw, 0.0)
-            binding = _binding(bw, beta, params)
-            if binding is not None:
-                bound, z = binding
-                pos[bound] = 2.0 * beta * z
-            integrand = pos * cs.w0_at(s + r)
+            # 2 beta z*: in y = 2 beta z the running term is
+            # (<B, w> y - y^2 / 2) / (2 beta), whose argmax over 2 beta [u_min,
+            # u_max] is <B, w>^+ itself (with its bits) where no bound binds
+            lo, hi = 2.0 * beta * params.u_min, 2.0 * beta * params.u_max
+            integrand = hamiltonian_argmax(bw, 0.5, lo, hi) * cs.w0_at(s + r)
             term2 = b1_at_minus_r / (2.0 * beta) * float(np.trapezoid(integrand, s))
         value = float(term1 + term2)
     if not np.isfinite(value):

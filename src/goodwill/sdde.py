@@ -86,13 +86,14 @@ class ModelParams:
     u_max: float = np.inf
 
     def __post_init__(self):
-        if self.a0 > 0:
+        # each check is written so that a nan fails it
+        if not self.a0 <= 0:
             raise ConfigurationError(f"a0 must be <= 0, got {self.a0}")
-        if self.b0 < 0:
+        if not self.b0 >= 0:
             raise ConfigurationError(f"b0 must be >= 0, got {self.b0}")
-        if self.r <= 0 or self.T <= 0:
+        if not (self.r > 0 and self.T > 0):
             raise ConfigurationError("r and T must be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
         if not 0 <= self.u_min <= self.u_max:
             raise ConfigurationError(

@@ -1,7 +1,7 @@
 """Feedback machinery for delay in the state only (b1 = 0, a point lag a1).
 
-Covers the scaled Hamiltonian H0 of the goodwill model with forgetting,
-the quadratic-cost and bang-bang feedback maps, closed-loop simulation
+Covers the quadratic-cost and bang-bang feedback maps, the argmax of
+lq's control Hamiltonian at p = b0 * d0v, closed-loop simulation
 driven by an externally supplied gradient of the value function (run in
 path blocks, keeping y(T) only), and the transcendental parameter
 condition, at the model's delay r, for the invariant measure of the
@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import PointDelay, kernel_is_zero
+from .lq import hamiltonian_argmax
 from .sdde import (
     PATH_BLOCK,
     ConfigurationError,
@@ -29,10 +30,12 @@ from .sdde import (
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Control cost shape plus the scalings used by the scaled Hamiltonian H0.
+    """Control cost shape and the control set U = [0, R] of the feedback maps.
 
-    cost is "quadratic" (h0(z) = beta z^2) or "linear" (h0(z) = beta z);
-    the control set is U = [0, R].
+    cost is "quadratic" (h0(z) = beta z^2) or "linear" (h0(z) = beta z).
+    No map reads sigma: it stays a field so that the five positional
+    arguments (cost, beta, b0, sigma, R) that perfbench/workloads.py
+    passes keep their meaning.
     """
 
     cost: str
@@ -44,62 +47,32 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.cost not in ("quadratic", "linear"):
             raise ConfigurationError(f"unknown cost form {self.cost!r}")
-        if min(self.beta, self.b0, self.sigma, self.R) <= 0:
+        # a nan fails every comparison, so it fails this one too
+        if not all(v > 0 for v in (self.beta, self.b0, self.sigma, self.R)):
             raise ConfigurationError("beta, b0, sigma, R must all be positive")
-
-    @property
-    def R_tilde(self) -> float:
-        return self.b0 * self.R / self.sigma
-
-    @property
-    def beta_tilde(self) -> float:
-        # quadratic cost composes h0 with the sigma/b0 rescaling twice,
-        # the linear cost only once
-        if self.cost == "quadratic":
-            return self.sigma**2 * self.beta / self.b0**2
-        return self.sigma * self.beta / self.b0
-
-
-def hamiltonian_H0(p0, spec: HamiltonianSpec):
-    """H0(p0) = sup over scaled controls z0 in [0, R~] of
-    sigma*z0*p0 - h0(sigma*z0/b0)."""
-    p0 = np.asarray(p0, dtype=float)
-    s, bt, Rt = spec.sigma, spec.beta_tilde, spec.R_tilde
-    if spec.cost == "quadratic":
-        interior = (s * p0) ** 2 / (4.0 * bt)
-        upper = s * p0 * Rt - bt * Rt**2
-        out = np.where(p0 < 0, 0.0, np.where(p0 <= 2 * bt * Rt / s, interior, upper))
-    else:
-        out = np.where(p0 > bt / s, (s * p0 - bt) * Rt, 0.0)
-    return out if out.ndim else float(out)
 
 
 def feedback_quadratic(d0v, spec: HamiltonianSpec):
-    """Optimal control for quadratic cost given the value gradient d0v:
-    0 below 0, b0*d0v/(2 beta) in between, R above 2 beta R / b0."""
+    """Optimal control for quadratic cost given the value gradient d0v, the
+    argmax over [0, R] of b0 d0v z - beta z^2: 0 below 0, b0*d0v/(2 beta)
+    in between, R above 2 beta R / b0."""
     if spec.cost != "quadratic":
         raise ConfigurationError("feedback_quadratic needs a quadratic cost spec")
-    d0v = np.asarray(d0v, dtype=float)
-    out = np.clip(spec.b0 * d0v / (2.0 * spec.beta), 0.0, spec.R)
-    return out if out.ndim else float(out)
-
-
-def bangbang_threshold(spec: HamiltonianSpec) -> float:
-    # argmax over [0, R] of b0*z*d0v - beta*z switches at d0v = beta/b0
-    return spec.beta / spec.b0
+    p = spec.b0 * np.asarray(d0v, dtype=float)
+    return hamiltonian_argmax(p, spec.beta, 0.0, spec.R)
 
 
 def feedback_bangbang(d0v, spec: HamiltonianSpec, tie_value: float = 0.0):
-    """Bang-bang control for linear cost: 0 below the threshold, R above,
-    tie_value exactly at it."""
+    """Bang-bang control for linear cost: 0 below the threshold beta/b0, R
+    above, tie_value exactly at it. The argmax over [0, R] of
+    b0 d0v z - beta z is that of d0v z - (beta/b0) z, so d0v itself is
+    compared with beta/b0."""
     if spec.cost != "linear":
         raise ConfigurationError("feedback_bangbang needs a linear cost spec")
     if not 0.0 <= tie_value <= spec.R:
         raise ConfigurationError(f"tie_value {tie_value} outside [0, {spec.R}]")
-    d0v = np.asarray(d0v, dtype=float)
-    thr = bangbang_threshold(spec)
-    out = np.where(d0v < thr, 0.0, np.where(d0v > thr, spec.R, tie_value))
-    return out if out.ndim else float(out)
+    threshold = spec.beta / spec.b0
+    return hamiltonian_argmax(d0v, threshold, 0.0, spec.R, "linear", tie_value)
 
 
 def quadratic_feedback_policy(spec: HamiltonianSpec, gradient_fn) -> FeedbackPolicy:

@@ -24,6 +24,8 @@ from goodwill.hilbert import (
 )
 from goodwill.lifting import lift_M
 from goodwill.lq import (
+    hamiltonian,
+    hamiltonian_argmax,
     memoryless_policy,
     optimal_policy_lq,
     sensitivity_dV_dr,
@@ -44,7 +46,6 @@ from goodwill.sdde import (
 )
 from goodwill.state_delay import (
     HamiltonianSpec,
-    bangbang_threshold,
     feedback_bangbang,
     feedback_quadratic,
 )
@@ -257,10 +258,32 @@ def test_a7_feedback_argmax_oracle():
             z_grid = zg[np.argmax(b0 * zg * d0v - beta * zg**2)]
             if abs(feedback_quadratic(d0v, spec_q) - z_grid) > res + 1e-12:
                 failures += 1
-            thr = bangbang_threshold(spec_l)
-            if abs(d0v - thr) > 10 * res:  # skip the switching point
+            if abs(d0v - beta / b0) > 10 * res:  # skip the switching point
                 z_grid = zg[np.argmax(b0 * zg * d0v - beta * zg)]
                 if abs(feedback_bangbang(d0v, spec_l) - z_grid) > res + 1e-12:
+                    failures += 1
+        # the shared pair lq.hamiltonian / hamiltonian_argmax over a random
+        # [lo, hi] with lo > 0: p reaches below 0 and above 2 beta hi, so
+        # both bounds bind in some draws
+        lo = rng.uniform(0.01, 2.0)
+        hi = lo + rng.uniform(0.1, 5.0)
+        zb = np.linspace(lo, hi, n_grid)
+        res_b = (hi - lo) / (n_grid - 1)
+        for p in rng.uniform(-1.0, 4.0 * beta * hi, 3):
+            for cost, h0, slope in (
+                ("quadratic", beta * zb**2, abs(p) + 2 * beta * hi),
+                ("linear", beta * zb, abs(p - beta)),
+            ):
+                f = p * zb - h0
+                if cost == "linear" and abs(p - beta) <= 10 * res_b:
+                    continue  # the switching point
+                z = hamiltonian_argmax(p, beta, lo, hi, cost)
+                sup = hamiltonian(p, beta, lo, hi, cost)
+                best = f.max()
+                tol = 1e-12 * (1.0 + abs(best))
+                if abs(z - zb[np.argmax(f)]) > res_b + 1e-12:
+                    failures += 1
+                if not best - tol <= sup <= best + slope * res_b + tol:
                     failures += 1
     ok = failures == 0
     _report("A7 feedback argmax oracle", ok, f"failures={failures}/100 specs")

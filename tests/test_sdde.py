@@ -103,6 +103,23 @@ def test_params_reject_negative_sigma():
     assert make_params(sigma=0.0).sigma == 0.0  # noiseless models stay valid
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("a0", "a0 must be <= 0"),
+        ("b0", "b0 must be >= 0"),
+        ("sigma", "sigma must be >= 0"),
+        ("r", "r and T must be positive"),
+        ("T", "r and T must be positive"),
+    ],
+)
+def test_params_reject_nan(field, message):
+    # a nan fails every comparison, so a check written as `x > 0 -> refuse`
+    # would let it through to the solvers
+    with pytest.raises(ConfigurationError, match=message):
+        make_params(**{field: float("nan")})
+
+
 def test_history_requires_matching_endpoint():
     x1 = np.full(GRID.n_nodes, 1.0)
     x1[-1] = 2.0

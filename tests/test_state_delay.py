@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodwill import sdde
 from goodwill.hilbert import ConstantKernel, PointDelay, SegmentGrid, ZeroKernel
-from goodwill.lq import trajectory_variance
+from goodwill.lq import hamiltonian, trajectory_variance
 from goodwill.sdde import (
     PATH_BLOCK,
     BlowupError,
@@ -20,10 +20,8 @@ from goodwill.sdde import (
 )
 from goodwill.state_delay import (
     HamiltonianSpec,
-    bangbang_threshold,
     feedback_bangbang,
     feedback_quadratic,
-    hamiltonian_H0,
     invariant_measure_condition,
     quadratic_feedback_policy,
     simulate_feedback,
@@ -50,47 +48,50 @@ def test_spec_validation():
         HamiltonianSpec("cubic", 0.5, 1.0, 1.0, 10.0)
     with pytest.raises(ConfigurationError):
         quad_spec(sigma=0.0)
+    for field in ("beta", "b0", "sigma", "R"):
+        with pytest.raises(ConfigurationError, match="must all be positive"):
+            quad_spec(**{field: float("nan")})
+    assert quad_spec(R=np.inf).R == np.inf  # an unbounded control set is fine
 
 
-def test_scalings():
-    s = quad_spec(sigma=2.0, b0=4.0, beta=0.5, R=3.0)
-    assert s.R_tilde == 6.0
-    assert s.beta_tilde == pytest.approx(4.0 * 0.5 / 16.0)
-    assert lin_spec(sigma=2.0, b0=4.0).beta_tilde == pytest.approx(0.25)
+def H(p0, s):
+    """The shared control Hamiltonian at p = b0 * p0 over U = [0, R]: the
+    gain of the state equation's control, b0 z, priced by h0."""
+    return hamiltonian(s.b0 * p0, s.beta, 0.0, s.R, s.cost)
 
 
 def test_h0_quadratic_branches():
-    s = quad_spec()  # beta_tilde = 0.5, R_tilde = 10
-    assert hamiltonian_H0(-1.0, s) == 0.0
-    assert hamiltonian_H0(1.0, s) == pytest.approx(0.5)  # p^2/(4*bt)
-    # saturation above 2*bt*Rt = 10
-    assert hamiltonian_H0(20.0, s) == pytest.approx(20.0 * 10.0 - 0.5 * 100.0)
+    s = quad_spec()  # beta = 0.5, b0 = 1, R = 10
+    assert H(-1.0, s) == 0.0
+    assert H(1.0, s) == pytest.approx(0.5)  # p^2/(4 beta)
+    # saturation above 2 beta R / b0 = 10
+    assert H(20.0, s) == pytest.approx(20.0 * 10.0 - 0.5 * 100.0)
 
 
 def test_h0_linear_branches():
-    s = lin_spec()  # beta_tilde = 0.5
-    assert hamiltonian_H0(0.2, s) == 0.0
-    assert hamiltonian_H0(2.0, s) == pytest.approx((2.0 - 0.5) * 10.0)
+    s = lin_spec()  # beta = 0.5, b0 = 1
+    assert H(0.2, s) == 0.0
+    assert H(2.0, s) == pytest.approx((2.0 - 0.5) * 10.0)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.floats(-20, 20), st.floats(-20, 20), st.sampled_from(["quadratic", "linear"]))
 def test_h0_convex_and_monotone(p, q, cost):
     s = quad_spec() if cost == "quadratic" else lin_spec()
-    mid = hamiltonian_H0(0.5 * (p + q), s)
-    avg = 0.5 * (hamiltonian_H0(p, s) + hamiltonian_H0(q, s))
+    mid = H(0.5 * (p + q), s)
+    avg = 0.5 * (H(p, s) + H(q, s))
     assert mid <= avg + 1e-9 * (1 + abs(avg))
     if p <= q:
-        assert hamiltonian_H0(p, s) <= hamiltonian_H0(q, s) + 1e-12
+        assert H(p, s) <= H(q, s) + 1e-12
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50))
 def test_h0_lipschitz_bounded_by_control_range(p, q):
-    # sup of the gradient is sigma * R_tilde
-    s = quad_spec(sigma=1.5)
-    lhs = abs(hamiltonian_H0(p, s) - hamiltonian_H0(q, s))
-    assert lhs <= s.sigma * s.R_tilde * abs(p - q) + 1e-9
+    # the gradient in p0 is b0 z*, so its sup is b0 R
+    s = quad_spec(b0=1.5)
+    lhs = abs(H(p, s) - H(q, s))
+    assert lhs <= s.b0 * s.R * abs(p - q) + 1e-9
 
 
 # --- feedback maps ------------------------------------------------------------
@@ -110,8 +111,7 @@ def test_quadratic_feedback_examples():
 
 def test_bangbang_examples():
     s = lin_spec()
-    thr = bangbang_threshold(s)
-    assert thr == pytest.approx(0.5)
+    thr = s.beta / s.b0
     assert feedback_bangbang(thr - 0.01, s) == 0.0
     assert feedback_bangbang(thr + 0.01, s) == 10.0
     assert feedback_bangbang(thr, s, tie_value=3.0) == 3.0
@@ -119,6 +119,14 @@ def test_bangbang_examples():
         feedback_bangbang(1.0, s, tie_value=-1.0)
     with pytest.raises(ConfigurationError):
         feedback_bangbang(1.0, quad_spec())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.floats(0.01, 10), st.floats(0.01, 10), st.floats(0, 10))
+def test_bangbang_ties_at_beta_over_b0(beta, b0, tie):
+    # d0v is compared with beta / b0 itself, not b0 * d0v with beta
+    s = lin_spec(beta=beta, b0=b0)
+    assert feedback_bangbang(s.beta / s.b0, s, tie_value=tie) == tie
 
 
 @settings(max_examples=120, deadline=None)
