@@ -19,6 +19,9 @@ few kernel settings at the shipped defaults:
                  three specs, the bang-bang tie_value at that point, and a
                  64-path state_delay.simulate_feedback ensemble's y(T),
                  z(T) and clip count
+    lags         sdde.simulate_paths with a point a1, a point b1 and both:
+                 64-path ensembles' y, z and clip count under the memoryless
+                 open-loop policy and under a feedback policy that clips
 
 A change that keeps the bits prints the same lines as its parent; two runs
 of one tree always print the same lines. The run takes a few seconds.
@@ -36,14 +39,13 @@ from goodwill.hilbert import (
     ExponentialKernel,
     PointDelay,
     SegmentGrid,
-    ZeroKernel,
 )
 
 CFG = cli.load_defaults()
 GAMMA, BETA, SEED = CFG["gamma"], CFG["beta"], CFG["seed"]
 GRID = SegmentGrid(CFG["r"], 51)
-A1 = (ZeroKernel(), ConstantKernel(-1.0), ExponentialKernel(-5.0, 1 / 6))
-B1 = (ZeroKernel(), ConstantKernel(2.0), ExponentialKernel(5.0, 0.5))
+A1 = (ConstantKernel(0.0), ConstantKernel(-1.0), ExponentialKernel(-5.0, 1 / 6))
+B1 = (ConstantKernel(0.0), ConstantKernel(2.0), ExponentialKernel(5.0, 0.5))
 DT = 4e-3  # below the grid spacing 1e-2, as the lifted scheme needs
 
 
@@ -142,7 +144,7 @@ def feedback():
         yield state_delay.feedback_quadratic(d0v, quad)
         yield state_delay.feedback_bangbang(d0v, lin, tie_value=0.5 * R)
         yield state_delay.feedback_bangbang(switch, lin, tie_value=0.25 * R)
-    p = params(ZeroKernel(), ZeroKernel())
+    p = params(ConstantKernel(0.0), ConstantKernel(0.0))
     spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
     policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
     ens = state_delay.simulate_feedback(
@@ -151,7 +153,19 @@ def feedback():
     yield from (ens.y, ens.z, [ens.clip_count])
 
 
+def lags():
+    history = cli.build_history(CFG, GRID)
+    zero, a1, b1 = ConstantKernel(0.0), PointDelay(-1.0), PointDelay(2.0)
+    # clips below at 0 and above at u_max, path by path
+    clipping = sdde.FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y))
+    for pair in ((a1, zero), (zero, b1), (a1, b1)):
+        p = params(*pair, u_max=2.5)
+        for policy in (lq.memoryless_policy(p, GAMMA, BETA), clipping):
+            ens = sdde.simulate_paths(p, history, policy, 0.01, 64, SEED)
+            yield from (ens.y, ens.z, [ens.clip_count])
+
+
 if __name__ == "__main__":
-    groups = (costate, delay_ode, paths, lifted, convergence, bounded, feedback)
+    groups = (costate, delay_ode, paths, lifted, convergence, bounded, feedback, lags)
     for group in groups:
         print(group.__name__, digest(group()))

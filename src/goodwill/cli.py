@@ -31,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from . import approximation, lq, sdde, state_delay
-from .hilbert import ExponentialKernel, ProfileX, SegmentGrid, ZeroKernel
+from .hilbert import ConstantKernel, ExponentialKernel, ProfileX, SegmentGrid
 from .lifting import lift_M
 from .sdde import BlowupError, ConfigurationError, HistoryPair, ModelParams
 
@@ -117,7 +117,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def _kernel(amp: float, delta: float):
-    return ZeroKernel() if amp == 0.0 else ExponentialKernel(amp, delta)
+    return ConstantKernel(0.0) if amp == 0.0 else ExponentialKernel(amp, delta)
 
 
 def build_params(cfg: dict, a1_amp=None, b1_amp=None) -> ModelParams:

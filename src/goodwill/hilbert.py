@@ -2,13 +2,13 @@
 
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
-grid. Delay kernels live here too: zero, constant and exponential
-densities on [-r, 0], evaluated at any lags in [-r, 0], and the point lag
-amp * x(t - r). With them comes DelayWindow, their trapezoid sum over a
-window that slides one time step at a time (the delay terms of the
-simulator and of the costate solve). ConfigurationError, the one
-exception every module raises for invalid input, is defined here, at the
-bottom of the import graph.
+grid. Delay kernels live here too, each with an amplitude amp (0 for the
+zero kernel): constant and exponential densities on [-r, 0], evaluated at
+any lags in [-r, 0], and the point lag amp * x(t - r). With them comes
+DelayWindow, the trapezoid sum of a density over a window that slides one
+time step at a time (the delay terms of the simulator and of the costate
+solve). ConfigurationError, the one exception every module raises for
+invalid input, is defined here, at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class SegmentGrid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ConfigurationError(f"delay horizon must be positive, got {self.r}")
-        if self.n_nodes < 2:
+        if not 0 < self.r < np.inf:  # a nan fails it
+            raise ConfigurationError(f"delay horizon must be finite positive, got {self.r}")
+        if not self.n_nodes >= 2:
             raise ConfigurationError(f"need at least 2 nodes, got {self.n_nodes}")
         nodes = np.linspace(-self.r, 0.0, self.n_nodes)
         h = self.r / (self.n_nodes - 1)
@@ -80,37 +80,41 @@ def norm(x: ProfileX, grid: SegmentGrid) -> float:
 
 
 @dataclass(frozen=True)
-class ZeroKernel:
-    pass
-
-
-@dataclass(frozen=True)
-class ConstantKernel:
-    c: float
-
-
-@dataclass(frozen=True)
-class ExponentialKernel:
-    """amp * exp(-|xi| / decay_scale)."""
+class _Amplitude:
+    """The amplitude amp every kernel carries; a finite one."""
 
     amp: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.amp):
+            raise ConfigurationError(f"kernel amplitude must be finite, got {self.amp}")
+
+
+@dataclass(frozen=True)
+class ConstantKernel(_Amplitude):
+    """The density amp on [-r, 0]; ConstantKernel(0.0) is the zero kernel."""
+
+
+@dataclass(frozen=True)
+class ExponentialKernel(_Amplitude):
+    """amp * exp(-|xi| / decay_scale)."""
+
     decay_scale: float
 
     def __post_init__(self):
-        if self.decay_scale <= 0:
+        super().__post_init__()
+        if not self.decay_scale > 0:  # a nan fails it
             raise ConfigurationError(
                 f"decay_scale must be positive, got {self.decay_scale}"
             )
 
 
 @dataclass(frozen=True)
-class PointDelay:
+class PointDelay(_Amplitude):
     """The point lag amp * x(t - r): all the weight at xi = -r, no density."""
 
-    amp: float
 
-
-Kernel = PointDelay | ZeroKernel | ConstantKernel | ExponentialKernel
+Kernel = PointDelay | ConstantKernel | ExponentialKernel
 
 
 def kernel_eval(k: Kernel, xi, r: float):
@@ -122,10 +126,8 @@ def kernel_eval(k: Kernel, xi, r: float):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
         raise ConfigurationError(f"kernel argument outside [-{r}, 0]")
-    if isinstance(k, ZeroKernel):
-        out = np.zeros_like(xi)
-    elif isinstance(k, ConstantKernel):
-        out = np.full_like(xi, k.c)
+    if isinstance(k, ConstantKernel):
+        out = np.full_like(xi, k.amp)
     elif isinstance(k, ExponentialKernel):
         out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
     else:
@@ -134,26 +136,19 @@ def kernel_eval(k: Kernel, xi, r: float):
 
 
 def kernel_is_zero(k: Kernel) -> bool:
-    if isinstance(k, ZeroKernel):
-        return True
-    if isinstance(k, ConstantKernel):
-        return k.c == 0.0
-    if isinstance(k, (ExponentialKernel, PointDelay)):
-        return k.amp == 0.0
-    return False
+    return k.amp == 0.0
 
 
 def check_kernel_nonneg(k: Kernel, name: str):
     """Raise ConfigurationError unless the kernel is non-negative on [-r, 0]."""
-    if isinstance(k, ConstantKernel) and k.c < 0:
-        raise ConfigurationError(f"{name} must be non-negative")
-    if isinstance(k, (ExponentialKernel, PointDelay)) and k.amp < 0:
+    if k.amp < 0:
         raise ConfigurationError(f"{name} must be non-negative")
 
 
 class DelayWindow:
-    """Trapezoid sum of a kernel over a window that slides along samples
-    one time step apart.
+    """Trapezoid sum of a density kernel over a window that slides along
+    samples one time step apart (a point lag has no window: its delay
+    term is the one sample amp * x_k).
 
     `samples` is time-major: rows k..k+m form the window at step k, row
     k + j sitting at the lag xi_j = -r + j*dt, and `values` are a(xi_j).
@@ -170,9 +165,7 @@ class DelayWindow:
         h' = rho * (h - a_0 x_0 + a_m x_m)
 
     (the linear-chain recursion, with a tail term because the window is
-    finite), from the end terms of the last `sum`. A point lag is the
-    one-sample window amp * x_k (row k, at lag -r): it takes no node
-    values (None) and has nothing to advance.
+    finite), from the end terms of the last `sum`.
 
     A 1-d sample array is summed in Python floats. A 2-d array holds one
     column per path and is summed in place, each column in lag order, so
@@ -188,13 +181,10 @@ class DelayWindow:
     """
 
     def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
+        if isinstance(kernel, PointDelay):
+            raise ConfigurationError("a point lag has no density to sum")
         self.samples = samples
         self.columns = samples.ndim == 2
-        self.point = kernel.amp if isinstance(kernel, PointDelay) else None
-        if self.point is not None:
-            self.m = 0  # no past rows: the window is the one row k
-            self.out = np.empty(samples.shape[1]) if self.columns else None
-            return
         values = np.asarray(values, dtype=float)
         self.first = float(values[0])
         self.last = float(values[-1])
@@ -202,7 +192,7 @@ class DelayWindow:
         self.dt = dt
         if isinstance(kernel, ExponentialKernel):
             self.rho = float(np.exp(-dt / kernel.decay_scale))
-        else:  # a constant kernel, or a zero one
+        else:  # a constant kernel
             self.rho = 1.0
         # h of step 0, summed over its m past rows
         head, past = values[:-1], samples[: self.m]
@@ -219,8 +209,6 @@ class DelayWindow:
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
-        if self.point is not None:
-            return np.multiply(self.samples[k], self.point, out=self.out)
         if not self.columns:
             self.e0 = self.first * self.samples.item(k)
             self.e1 = self.last * newest
@@ -237,8 +225,6 @@ class DelayWindow:
     def advance(self, k: int):
         """Move the window from step k to step k + 1: the oldest sample
         leaves it and the newest given to the last `sum` joins its past."""
-        if self.point is not None:
-            return
         if not self.columns:
             self.h = self.rho * (self.h - self.e0 + self.e1)
         else:
@@ -248,13 +234,10 @@ class DelayWindow:
 
     def sums(self) -> np.ndarray:
         """The sum of every step of a 1-d window whose rows are all filled,
-        row k + m being the newest sample of step k (a point lag's window
-        is its one row k): entry k equals `sum(k, samples[k + m])` followed
-        by `advance(k)`, bit for bit, and the window is left where those
-        calls leave it. A point lag is one product; else the end terms are
+        row k + m being the newest sample of step k: entry k equals
+        `sum(k, samples[k + m])` followed by `advance(k)`, bit for bit, and
+        the window is left where those calls leave it. The end terms are
         two arrays and the raw sums the recursion, run in one float loop."""
-        if self.point is not None:
-            return self.samples * self.point
         m, rows = self.m, self.samples
         n = len(rows) - m
         e0, e1 = self.first * rows[:n], self.last * rows[m:]

@@ -426,7 +426,7 @@ def sensitivity_dV_dr(
 
     # overflow shows as a non-finite value, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        b1 = params.b1.c if constant else 0.0
+        b1 = params.b1.amp if constant else 0.0
         # <B, w> / (2 beta) lies in [0, gamma (b0 + b1 r) / (2 beta)]
         binds = params.u_min > 0 or params.u_max < gamma * (b0 + b1 * r) / (2.0 * beta)
         closed = (constant or kernel_is_zero(params.b1)) and a0 < 0

@@ -5,26 +5,26 @@ The goodwill stock follows
     dy(t) = [a0 y(t) + int a1(xi) y(t+xi) dxi + b0 z(t)
              + int b1(xi) z(t+xi) dxi] dt + sigma dW(t),
 
-with prescribed goodwill and advertising histories on [-r, 0]. The
-delay integrals are trapezoid quadratures on the simulation time step,
-so every lookback lands on a stored sample. Each is a
-hilbert.DelayWindow sliding along the time-major state or control rows:
-for exponential and constant kernels it updates the a1 state window and
-the b1 control window in O(1) per step (the recursion agrees with a full
-re-sum to 1e-12 relative; tests compare them), and a point lag reads its
-one sample at lag -r. Open-loop and feedback policies share one step
-loop over time-major rows (one row per step, one column per path); an
-open-loop control is one number per step, shared by every path. The
-loop and the windows fill preallocated per-path buffers in place; only a
-feedback policy's control and its clip count make per-step arrays. Each
-path draws its noise from a Philox stream keyed by (seed, path index),
-and every per-path sum runs in an order that does not depend on how many
-paths share an array, so a path's result is bit-identical whatever the
-path count, blocking or scheduling.
+with prescribed goodwill and advertising histories on [-r, 0]. The delay
+integrals are trapezoid quadratures on the simulation time step, so
+every lookback lands on a stored sample. A density kernel's integral is
+a hilbert.DelayWindow sliding along the time-major state or control
+rows: for exponential and constant kernels it updates the a1 state
+window and the b1 control window in O(1) per step (the recursion agrees
+with a full re-sum to 1e-12 relative; tests compare them). A point lag
+is amp * x(t - r), one multiply of the row r behind. Open-loop and
+feedback policies share one step loop over time-major rows (one row per
+step, one column per path); an open-loop control is one number per step,
+shared by every path. The loop and the windows fill preallocated
+per-path buffers in place; only a feedback policy's control and its clip
+count make per-step arrays. Each path draws its noise from a Philox
+stream keyed by (seed, path index), and every per-path sum runs in an
+order that does not depend on how many paths share an array, so a path's
+result is bit-identical whatever the path count, blocking or scheduling.
 
 simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
 under feedback, plus the m = r/dt history rows below them only where a
-delay window reads them. Each path's noise substream is drawn whole (the
+delay term reads them. Each path's noise substream is drawn whole (the
 ziggurat takes a variable number of Philox words per normal, so a later
 time chunk has no known counter to start from) and copied into the
 state rows it perturbs, so the noise needs no array of its own beyond a
@@ -118,8 +118,8 @@ class HistoryPair:
         object.__setattr__(self, "delta", delta)
         if len(x1) != self.grid.n_nodes or len(delta) != self.grid.n_nodes:
             raise ConfigurationError("history profiles must live on the grid")
-        if self.x0 < 0 or np.any(x1 < 0) or np.any(delta < 0):
-            raise ConfigurationError("histories must be non-negative")
+        if not all(np.all((0 <= v) & (v < np.inf)) for v in (self.x0, x1, delta)):
+            raise ConfigurationError("histories must be non-negative and finite")
         if abs(x1[-1] - self.x0) > 1e-9 * (1.0 + abs(self.x0)):
             raise ConfigurationError("x1(0) must equal x0")
 
@@ -328,7 +328,7 @@ def simulate_paths(
 
     Each path keeps its steps + 1 states (and controls, under feedback),
     O(n_paths * steps) memory, plus the m = r/dt history rows only where a
-    delay window reads them: under a nonzero a1 for y, a nonzero b1 for z.
+    delay term reads them: under a nonzero a1 for y, a nonzero b1 for z.
     The noise is copied into the state rows it perturbs, so it takes no
     (n_paths, steps) array of its own.
     """
@@ -346,7 +346,7 @@ def simulate_paths(
     hist_z = np.interp(xi, grid.nodes, history.delta)
 
     # time-major rows, one column per path: row hy + k holds time t_k and
-    # the hy rows below it the history a delay window reads (none without)
+    # the hy rows below it the history a delay term reads (none without)
     hy = 0 if kernel_is_zero(params.a1) else m
     y = np.empty((hy + steps + 1, n_paths))
     y[:hy] = hist_y[:hy, None]
@@ -379,14 +379,17 @@ def simulate_paths(
         hz = m
         z = np.concatenate([hist_z[:m], clipped])
 
-    def window(kernel: Kernel, samples: np.ndarray) -> DelayWindow | None:
-        if kernel_is_zero(kernel):
-            return None
-        if isinstance(kernel, PointDelay):  # one sample, no node values
-            return DelayWindow(kernel, None, dt, samples)
-        return DelayWindow(kernel, kernel_eval(kernel, xi, params.r), dt, samples)
-
-    win_a, win_b = window(params.a1, y), window(params.b1, z)
+    # a density kernel's integral is a DelayWindow along its rows; a nonzero
+    # point lag's term amp * x(t_k - r) is amp times row k, m behind row m + k
+    win_a, win_b = (
+        None if kernel_is_zero(k) or isinstance(k, PointDelay)
+        else DelayWindow(k, kernel_eval(k, xi, params.r), dt, rows)
+        for k, rows in ((params.a1, y), (params.b1, z))
+    )
+    lag_a, lag_b = (
+        k.amp if isinstance(k, PointDelay) and not kernel_is_zero(k) else None
+        for k in (params.a1, params.b1)
+    )
 
     # per-step buffers, filled in place; the control terms of an open-loop
     # policy are scalars, shared by every path
@@ -405,10 +408,14 @@ def simulate_paths(
         np.multiply(ycur, params.a0, out=drift)
         if win_a is not None:
             drift += win_a.sum(k, ycur)
+        elif lag_a is not None:
+            drift += np.multiply(y[k], lag_a, out=term)
         drift += np.multiply(zcur, params.b0, out=zterm)
         if win_b is not None:
             drift += win_b.sum(k, zcur)
             win_b.advance(k)
+        elif lag_b is not None:
+            drift += np.multiply(z[k], lag_b, out=zterm)
         drift *= dt
         drift += ycur
         # the noise already in the new row joins y + drift (+ commutes,

@@ -19,7 +19,6 @@ from goodwill.hilbert import (
     ExponentialKernel,
     ProfileX,
     SegmentGrid,
-    ZeroKernel,
     kernel_eval,
     kernel_is_zero,
 )
@@ -41,7 +40,8 @@ from goodwill.sdde import (
 
 def make_params(**kw):
     base = dict(
-        a0=-1.0, a1=ZeroKernel(), b0=1.0, b1=ZeroKernel(), sigma=0.0, r=0.5, T=1.0
+        a0=-1.0, a1=ConstantKernel(0.0), b0=1.0, b1=ConstantKernel(0.0), sigma=0.0,
+        r=0.5, T=1.0,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -302,7 +302,7 @@ def _lifted_reference(p, x, pol, eps1, grid, dt, n_paths, seed):
     """The upwind scheme on every path at once, one fresh array per term."""
     steps = round(p.T / dt)
     z = pol.sample(p, dt * np.arange(steps + 1))
-    a1v, b1v = (np.full(grid.n_nodes, k.c) for k in (p.a1, p.b1))
+    a1v, b1v = (np.full(grid.n_nodes, k.amp) for k in (p.a1, p.b1))
     y0 = np.full(n_paths, x.x0)
     y1 = np.tile(x.x1, (n_paths, 1))
     noise = np.array([approximation.path_normals(seed, i, (2, steps)) for i in range(n_paths)])
@@ -413,12 +413,12 @@ def _path_major_reference(params, lifted_init, policy, eps1, grid, dt, n_paths, 
 
 
 KERNELS_A1 = {
-    "zero": ZeroKernel(),
+    "zero": ConstantKernel(0.0),
     "constant": ConstantKernel(-0.5),
     "exponential": ExponentialKernel(-5.0, 1 / 6),
     "steep": ExponentialKernel(-40.0, 0.02),
 }
-KERNELS_B1 = {"zero": ZeroKernel(), "exponential": ExponentialKernel(5.0, 0.5)}
+KERNELS_B1 = {"zero": ConstantKernel(0.0), "exponential": ExponentialKernel(5.0, 0.5)}
 BATTERY_BLOCK = 4
 
 

@@ -10,7 +10,6 @@ from goodwill.hilbert import (
     PointDelay,
     ProfileX,
     SegmentGrid,
-    ZeroKernel,
     inner_product,
     kernel_eval,
     kernel_is_zero,
@@ -43,10 +42,12 @@ def test_grid_weights_sum_to_r():
 
 
 def test_grid_rejects_bad_arguments():
-    with pytest.raises(ConfigurationError):
-        SegmentGrid(-1.0, 10)
-    with pytest.raises(ConfigurationError):
-        SegmentGrid(1.0, 1)
+    # a nan or an infinity is refused before any node is computed, so numpy
+    # warns of nothing
+    bad = [(-1.0, 10), (1.0, 1), (np.nan, 201), (np.inf, 5), (-np.inf, 5), (1.0, np.nan)]
+    for r, n_nodes in bad:
+        with pytest.raises(ConfigurationError):
+            SegmentGrid(r, n_nodes)
 
 
 # --- inner product and norm ---------------------------------------------------
@@ -146,7 +147,7 @@ def test_kernel_eval_examples():
     g = SegmentGrid(0.5, 51)
     assert kernel_eval(ExponentialKernel(5.0, 1 / 6), 0.0, g.r) == 5.0
     assert kernel_eval(ConstantKernel(2.5), -0.3, g.r) == 2.5
-    assert kernel_eval(ZeroKernel(), -0.1, g.r) == 0.0
+    assert kernel_eval(ConstantKernel(0.0), -0.1, g.r) == 0.0
 
 
 def test_kernel_eval_exponential_decay():
@@ -164,8 +165,9 @@ def test_kernel_eval_domain_error():
 
 
 def test_kernel_is_zero():
-    assert kernel_is_zero(ZeroKernel())
     assert kernel_is_zero(ConstantKernel(0.0))
+    assert kernel_is_zero(ConstantKernel(-0.0))
+    assert not kernel_is_zero(ConstantKernel(0.5))
     assert not kernel_is_zero(ExponentialKernel(1.0, 1.0))
 
 
@@ -174,23 +176,36 @@ def test_point_lag_is_zero_at_zero_amplitude():
     assert not kernel_is_zero(PointDelay(-1.0))
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: ConstantKernel(np.nan), "amplitude must be finite"),
+        (lambda: ConstantKernel(-np.inf), "amplitude must be finite"),
+        (lambda: ExponentialKernel(np.nan, 0.5), "amplitude must be finite"),
+        (lambda: ExponentialKernel(np.inf, 0.5), "amplitude must be finite"),
+        (lambda: ExponentialKernel(-1.0, np.nan), "decay_scale must be positive"),
+        (lambda: ExponentialKernel(-1.0, 0.0), "decay_scale must be positive"),
+        (lambda: PointDelay(np.inf), "amplitude must be finite"),
+        (lambda: PointDelay(np.nan), "amplitude must be finite"),
+    ],
+    ids=[
+        "constant_nan", "constant_-inf", "exponential_amp_nan", "exponential_amp_inf",
+        "exponential_scale_nan", "exponential_scale_0", "point_inf", "point_nan",
+    ],
+)
+def test_kernels_refuse_non_finite_parameters(make, match):
+    # refused at construction, not later as a costate blowup
+    with pytest.raises(ConfigurationError, match=match):
+        make()
+
+
 # --- window sums ----------------------------------------------------------------
 
 
-def test_point_lag_window_reads_the_oldest_row():
-    # the one-sample window amp * x_k, over path columns and over one column
-    rng = np.random.default_rng(7)
-    m, steps = 5, 6
-    samples = rng.standard_normal((m + steps + 1, 3))
-    k = PointDelay(-0.7)
-    paths = DelayWindow(k, None, 1e-3, samples)
-    col = DelayWindow(k, None, 1e-3, samples[:, 1].copy())
-    for step in range(steps):
-        newest = samples[step + m]
-        np.testing.assert_array_equal(paths.sum(step, newest), -0.7 * samples[step])
-        assert col.sum(step, float(newest[1])) == -0.7 * samples[step, 1]
-        paths.advance(step)
-        col.advance(step)
+def test_window_refuses_a_point_lag():
+    # a point lag is one row read by its caller, not a window sum
+    with pytest.raises(ConfigurationError, match="no density"):
+        DelayWindow(PointDelay(-0.7), [1.0, 1.0], 1e-3, np.zeros(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 513])
@@ -239,9 +254,8 @@ def test_window_sum_in_place_forms_match_scalar_forms():
         ExponentialKernel(-2.0, 0.3),
         ConstantKernel(0.7),
         ExponentialKernel(5.0, 3e-3),  # ratio exp(-dt / 3e-3), far from 1
-        PointDelay(-0.7),
     ],
-    ids=["exponential", "constant", "steep", "point"],
+    ids=["exponential", "constant", "steep"],
 )
 def test_window_sums_equal_the_step_by_step_sums(kernel, m):
     # the costate's layout: m zero rows, a jump, then a rough run, every
@@ -250,16 +264,11 @@ def test_window_sums_equal_the_step_by_step_sums(kernel, m):
     dt = 1e-3
     samples = np.zeros(m + 300)
     samples[m:] = 2.7 + rng.standard_normal(300)
-    values = (
-        None if isinstance(kernel, PointDelay)
-        else kernel_eval(kernel, -m * dt + dt * np.arange(m + 1), m * dt)
-    )
+    values = kernel_eval(kernel, -m * dt + dt * np.arange(m + 1), m * dt)
     stepped, whole = (DelayWindow(kernel, values, dt, samples) for _ in range(2))
-    past = 0 if values is None else m  # a point lag's window is its one row
-    want = np.empty(len(samples) - past)
+    want = np.empty(len(samples) - m)
     for k in range(len(want)):
-        want[k] = stepped.sum(k, samples.item(k + past))
+        want[k] = stepped.sum(k, samples.item(k + m))
         stepped.advance(k)
     np.testing.assert_array_equal(whole.sums(), want)
-    if values is not None:
-        assert whole.h == stepped.h
+    assert whole.h == stepped.h

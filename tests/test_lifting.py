@@ -10,7 +10,6 @@ from goodwill.hilbert import (
     ExponentialKernel,
     ProfileX,
     SegmentGrid,
-    ZeroKernel,
     inner_product,
     kernel_eval,
 )
@@ -34,9 +33,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ZeroKernel(),
+        a1=ConstantKernel(0.0),
         b0=1.0,
-        b1=ZeroKernel(),
+        b1=ConstantKernel(0.0),
         sigma=0.0,
         r=0.5,
         T=1.0,
@@ -111,7 +110,7 @@ def test_delay_ode_no_delay_is_exponential(monkeypatch):
     # RK4 on a0 * phi: nothing to gather, so no lag stencil is built
     monkeypatch.setattr(lifting, "_lag_stencils", None)
     grid = SegmentGrid(0.5, 51)
-    prob = DelayODEProblem(-1.3, ZeroKernel(), 2.0,
+    prob = DelayODEProblem(-1.3, ConstantKernel(0.0), 2.0,
                            np.zeros(51), grid, t_end=1.0)
     times, vals = solve_delay_ode(prob, 1e-2)
     np.testing.assert_allclose(vals, 2.0 * np.exp(-1.3 * times), atol=1e-8)
@@ -247,7 +246,7 @@ REFERENCE_KERNELS = {
     "constant": ConstantKernel(-1.3),
     "steep": ExponentialKernel(-40.0, 0.02),  # decays within one grid spacing
     "point": PointDelay(-0.8),
-    "zero": ZeroKernel(),
+    "zero": ConstantKernel(0.0),
 }
 SPACING = 0.5 / 20  # of the 21-node grid below
 
@@ -286,7 +285,7 @@ def test_stencil_engine_matches_the_interpolating_engine_at_bench_size():
 
 
 @pytest.mark.parametrize(
-    "kernel", [ExponentialKernel(1e3, 0.1), PointDelay(1e3), ZeroKernel()],
+    "kernel", [ExponentialKernel(1e3, 0.1), PointDelay(1e3), ConstantKernel(0.0)],
     ids=["exponential", "point", "zero"],
 )
 def test_stencil_engine_blows_up_at_the_interpolating_engines_step(kernel):

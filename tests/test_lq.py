@@ -13,7 +13,6 @@ from goodwill.hilbert import (
     PointDelay,
     ProfileX,
     SegmentGrid,
-    ZeroKernel,
     kernel_eval,
 )
 from goodwill.lifting import DelayODEProblem, lift_M, solve_delay_ode
@@ -42,9 +41,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ZeroKernel(),
+        a1=ConstantKernel(0.0),
         b0=1.0,
-        b1=ZeroKernel(),
+        b1=ConstantKernel(0.0),
         sigma=0.5,
         r=0.5,
         T=1.0,
@@ -207,7 +206,7 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
         return out
 
     win_a = None
-    if not isinstance(params.a1, ZeroKernel):
+    if params.a1.amp != 0.0:
         a1v = kernel_eval(params.a1, xi, params.r)
         win_a, jump_a = window(params.a1, a1v, dt, phi), jump(a1v)
 
@@ -224,7 +223,7 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
         f2 = slope(i, prev + dt * f1)
         phi[m + i] = prev + dt / 2 * (f1 + f2)
     bw = params.b0 * phi[m:]
-    if not isinstance(params.b1, ZeroKernel):
+    if params.b1.amp != 0.0:
         b1v = kernel_eval(params.b1, xi, params.r)
         win = window(params.b1, b1v, dt, phi)
         pairing = np.empty(n + 1)
@@ -239,7 +238,7 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
 
 
 B1_KINDS = [
-    ZeroKernel(),
+    ConstantKernel(0.0),
     ConstantKernel(0.8),
     ExponentialKernel(5.0, 0.5),
     ExponentialKernel(40.0, 0.01),  # decays within 1% of the window
@@ -290,7 +289,9 @@ def test_a1_free_rows_are_shared_bit_for_bit():
     for dt in (1e-3, 5e-4):
         for gamma in (1.0, 2.7):
             for a0 in (-0.5, -1.3):
-                for r, b1 in ((0.5, ZeroKernel()), (0.25, ExponentialKernel(5.0, 0.5))):
+                for r, b1 in (
+                    (0.5, ConstantKernel(0.0)), (0.25, ExponentialKernel(5.0, 0.5))
+                ):
                     p = make_params(a0=a0, r=r, b1=b1)
                     before = list(memo.values())
                     cs = solve_costate(p, gamma, 0.5, dt)
@@ -344,7 +345,7 @@ def test_mutating_a_solution_leaves_the_next_solve_alone():
     "a1, b1",
     [
         (ExponentialKernel(-5.0, 1 / 6), ExponentialKernel(5.0, 0.5)),
-        (ConstantKernel(-1.3), ZeroKernel()),
+        (ConstantKernel(-1.3), ConstantKernel(0.0)),
     ],
     ids=["exponential", "constant"],
 )
@@ -845,7 +846,7 @@ def test_lag_loop_q_peak_memory():
 def test_variance_takes_a_point_b1(ode_solves):
     # b1 leaves the variance alone, so a point b1 is no refusal there
     p = make_params(**dict(MEMO_PARAMS, b1=PointDelay(1.0)))
-    q = make_params(**dict(MEMO_PARAMS, b1=ZeroKernel()))
+    q = make_params(**dict(MEMO_PARAMS, b1=ConstantKernel(0.0)))
     assert trajectory_variance(1.0, p, MEMO_GRID, 1e-2) == trajectory_variance(
         1.0, q, MEMO_GRID, 1e-2
     )
@@ -893,8 +894,8 @@ def test_sensitivity_closed_form_against_finite_difference(t):
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, 1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ZeroKernel())
-        - _value_at_r(0.5 - h, t, b1, ZeroKernel())
+        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0))
+        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0))
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
 
@@ -908,8 +909,8 @@ def test_sensitivity_quadrature_route_against_finite_difference():
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, 1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ZeroKernel())
-        - _value_at_r(0.5 - h, t, b1, ZeroKernel())
+        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0))
+        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0))
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
 
@@ -928,8 +929,8 @@ def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, -1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ZeroKernel(), gamma=-1.0)
-        - _value_at_r(0.5 - h, t, b1, ZeroKernel(), gamma=-1.0)
+        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0), gamma=-1.0)
+        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0), gamma=-1.0)
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
     # the boundary term alone, -e^{a0 (T-t-r)} x1(-r), up to the costate step
@@ -952,8 +953,8 @@ def test_sensitivity_with_a_binding_bound_against_finite_difference(b1, bounds):
     errors = []
     for h in (0.04, 0.02):
         fd = (
-            _value_at_r(0.5 + h, t, b1, ZeroKernel(), **bounds)
-            - _value_at_r(0.5 - h, t, b1, ZeroKernel(), **bounds)
+            _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0), **bounds)
+            - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0), **bounds)
         ) / (2 * h)
         errors.append(abs(fd - got))
     # O(h^2): 3.7 to 4.1 per halving, while h is well above the costate step

@@ -12,7 +12,6 @@ from goodwill.hilbert import (
     ExponentialKernel,
     PointDelay,
     SegmentGrid,
-    ZeroKernel,
     kernel_eval,
 )
 from goodwill.sdde import (
@@ -39,9 +38,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ZeroKernel(),
+        a1=ConstantKernel(0.0),
         b0=1.0,
-        b1=ZeroKernel(),
+        b1=ConstantKernel(0.0),
         sigma=0.0,
         r=0.5,
         T=1.0,
@@ -130,6 +129,20 @@ def test_history_requires_matching_endpoint():
 def test_history_rejects_negative_values():
     with pytest.raises(ConfigurationError):
         make_history(GRID, x0=-1.0, x1=np.full(GRID.n_nodes, -1.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["x0", "x1", "delta"])
+def test_history_refuses_non_finite_values(where, value):
+    # a nan or an infinite x0 with x1(0) equal to it passes both `< 0` and
+    # the endpoint check (inf - inf is nan), so each needs its own refusal
+    x1, delta = np.ones(GRID.n_nodes), np.zeros(GRID.n_nodes)
+    if where == "x0":
+        x1[-1] = value
+    else:
+        {"x1": x1, "delta": delta}[where][3] = value
+    with pytest.raises(ConfigurationError, match="non-negative and finite"):
+        make_history(GRID, x0=float(x1[-1]), x1=x1, delta=delta)
 
 
 # --- deterministic simulation oracles ----------------------------------------
@@ -525,9 +538,10 @@ LAYOUT_CASES = dict(
         PointDelay(1.5),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
+    point_open_loop=(PointDelay(-0.8), PointDelay(1.5), None),
     no_window_feedback=(
-        ZeroKernel(),
-        ZeroKernel(),
+        ConstantKernel(0.0),
+        ConstantKernel(0.0),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
 )
@@ -551,11 +565,26 @@ class ResummedWindow:
         pass
 
 
+class PointRead:
+    """The point lag amp * x(t_k - r): row k of rows that keep their m
+    history rows, with nothing to advance."""
+
+    def __init__(self, amp, rows):
+        self.amp, self.rows = amp, rows
+
+    def sum(self, k, newest):
+        return self.amp * self.rows[k]
+
+    def advance(self, k):
+        pass
+
+
 def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
     """Euler-Maruyama on rows that always hold the m history rows, with the
     noise in its own array: the layout simulate_paths trims. Its windows
     are DelayWindows, or another class with their sum and advance, over
-    the rows whose row k + m is the newest sample of step k."""
+    the rows whose row k + m is the newest sample of step k; a point lag
+    reads row k through PointRead."""
     steps, m = round(p.T / dt), round(p.r / dt)
     t, xi = dt * np.arange(steps + 1), -p.r + dt * np.arange(m + 1)
     hist_y = np.interp(xi, history.grid.nodes, history.x1)
@@ -570,10 +599,11 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
         z = np.concatenate([hist_z[:m], np.clip(policy.sample(p, t), p.u_min, p.u_max)])
 
     def make_window(kernel, rows):
-        if isinstance(kernel, ZeroKernel):
+        if kernel.amp == 0.0:
             return None
-        values = None if isinstance(kernel, PointDelay) else kernel_eval(kernel, xi, p.r)
-        return window(kernel, values, dt, rows)
+        if isinstance(kernel, PointDelay):
+            return PointRead(kernel.amp, rows)
+        return window(kernel, kernel_eval(kernel, xi, p.r), dt, rows)
 
     win_a, win_b = make_window(p.a1, y), make_window(p.b1, z)
     noise = np.stack([path_normals(seed, i, steps) for i in range(n_paths)])
