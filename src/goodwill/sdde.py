@@ -28,7 +28,12 @@ delay term reads them. Each path's noise substream is drawn whole (the
 ziggurat takes a variable number of Philox words per normal, so a later
 time chunk has no known counter to start from) and copied into the
 state rows it perturbs, so the noise needs no array of its own beyond a
-buffer of 64 paths.
+buffer of 64 paths. The draw runs on one thread per CPU the process may
+use, the caller's among them, at most one per 64-path chunk and 8 in all:
+numpy's normal draw releases the GIL, and each thread fills the columns
+it claims through its share of the 64-path buffer, so neither the bits
+nor the memory depend on the CPU count. There is no option for it; with
+one CPU, or 64 paths or fewer, the caller's thread draws alone.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
 whatever the path count; state_delay.simulate_feedback blocks the same
@@ -39,6 +44,7 @@ path may depend on that path's state only.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,8 +66,11 @@ BLOWUP_LIMIT = 1e12
 # evaluate_policy and state_delay.simulate_feedback simulate this many
 # paths at a time
 PATH_BLOCK = 2048
-# simulate_paths draws the noise of this many paths at a time
+# simulate_paths draws the noise of at most this many paths at a time,
+# split among its threads, each of which takes at least _NOISE_LINE
+# paths (one 64-byte cache line of a state row)
 _NOISE_CHUNK = 64
+_NOISE_LINE = 8
 # the most time steps any solver takes over one span (T or r); checked
 # before anything is allocated
 MAX_STEPS = 10**7
@@ -282,17 +291,24 @@ def _steps_of(span: float, dt: float, what: str) -> int:
     return n
 
 
-# One generator serves every path: path_normals resets its Philox state
-# to counter 0 and key [seed, path_index] before each draw, which gives
-# the same bits as a fresh Generator(Philox(key=[seed, path_index]))
-# without seeding a new bit generator (from OS entropy) for every path.
-_PATH_GENERATOR = np.random.Generator(np.random.Philox(0))
-_PATH_GENERATOR_LOCK = threading.Lock()
+class _ThreadGenerator(threading.local):
+    """One generator per thread serves every path that thread draws:
+    path_normals resets its Philox state to counter 0 and key
+    [seed, path_index] before each draw, which gives the same bits as a
+    fresh Generator(Philox(key=[seed, path_index])) without seeding a new
+    bit generator for every path."""
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.Philox(0))
+
+
+_THREAD_GENERATOR = _ThreadGenerator()
 
 
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
     """Noise increments for one path from a counter-based substream."""
-    state = {
+    generator = _THREAD_GENERATOR.generator
+    generator.bit_generator.state = {
         "bit_generator": "Philox",
         # the key conversion Philox(key=[...]) applies to a list
         "state": {
@@ -304,9 +320,73 @@ def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    with _PATH_GENERATOR_LOCK:
-        _PATH_GENERATOR.bit_generator.state = state
-        return _PATH_GENERATOR.standard_normal(shape)
+    return generator.standard_normal(shape)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_noise(rows, seed, first_path, scale, starts, width):
+    """Put scale * path_normals(seed, first_path + j, steps) into column j
+    of rows (time-major, one row per step) for the width columns from each
+    start that starts yields.
+
+    Each path's draw goes through a path-major buffer of width paths,
+    copied in a chunk at a time: a column at a time would write one cache
+    line per number."""
+    steps, n_paths = rows.shape
+    buffer = np.empty((width, steps))
+    for first in starts:
+        chunk = buffer[: n_paths - first]
+        for i, row in enumerate(chunk):
+            row[:] = path_normals(seed, first_path + first + i, steps)
+        chunk *= scale
+        rows[:, first : first + len(chunk)] = chunk.T
+
+
+def _fill_noise(rows, seed, first_path, scale):
+    """_draw_noise over every column of rows, on one thread per usable CPU,
+    at most one per _NOISE_CHUNK paths and _NOISE_CHUNK // _NOISE_LINE in
+    all, the calling thread among them. The threads share _NOISE_CHUNK
+    paths of buffer (a multiple of _NOISE_LINE each), so memory does not
+    grow with the CPU count, and each takes the next unclaimed run of
+    columns until none is left, so a thread slowed by a busy CPU takes
+    fewer. Every number is drawn, scaled and copied as on one thread, with
+    the same bits."""
+    n_paths = rows.shape[1]
+    workers = min(
+        _usable_cpus(), -(-n_paths // _NOISE_CHUNK), _NOISE_CHUNK // _NOISE_LINE
+    )
+    width = min(_NOISE_CHUNK // workers // _NOISE_LINE * _NOISE_LINE, n_paths)
+    if workers == 1:
+        _draw_noise(rows, seed, first_path, scale, range(0, n_paths, width), width)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    unclaimed, lock = iter(range(0, n_paths, width)), threading.Lock()
+
+    def starts():
+        while True:
+            with lock:
+                first = next(unclaimed, None)
+            if first is None:
+                return
+            yield first
+
+    # leaving the with block joins every thread, after a failure too
+    with ThreadPoolExecutor(workers - 1) as pool:
+        tasks = [
+            pool.submit(_draw_noise, rows, seed, first_path, scale, starts(), width)
+            for _ in range(workers - 1)
+        ]
+        _draw_noise(rows, seed, first_path, scale, starts(), width)
+        for task in tasks:
+            task.result()  # re-raises a task's exception
 
 
 def simulate_paths(
@@ -352,17 +432,8 @@ def simulate_paths(
     y[:hy] = hist_y[:hy, None]
     y[hy] = history.x0
     # row hy + k + 1 holds sigma*dW of step k until that step adds the
-    # drift. Each path's draw goes through a path-major buffer of
-    # _NOISE_CHUNK paths, copied in a chunk at a time: a column at a time
-    # would write one cache line per number.
-    noise = np.empty((min(_NOISE_CHUNK, n_paths), steps))
-    for first in range(0, n_paths, len(noise)):
-        chunk = noise[: n_paths - first]
-        for i, row in enumerate(chunk):
-            row[:] = path_normals(seed, first_path + first + i, steps)
-        chunk *= params.sigma * np.sqrt(dt)
-        y[hy + 1 :, first : first + len(chunk)] = chunk.T
-    del noise
+    # drift
+    _fill_noise(y[hy + 1 :], seed, first_path, params.sigma * np.sqrt(dt))
 
     # an open-loop control is one number per step, a feedback control one
     # per path

@@ -1,10 +1,12 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goodwill import lq, sdde
+from goodwill import lq, sdde, state_delay
 
 from goodwill.hilbert import (
     ConstantKernel,
@@ -525,6 +527,158 @@ def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
         evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 10, 2)
 
 
+# --- the noise threads ----------------------------------------------------------
+
+# enough 64-path chunks for 8 noise threads, and not a whole number of them
+THREAD_PATHS = 8 * 64 + 5
+
+
+def _force_cpus(monkeypatch, cpus):
+    """Make simulate_paths see cpus usable CPUs; never more than 32, so no
+    test asks for more threads than that."""
+    assert 1 <= cpus <= 32
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+
+
+def _clipping_point_lags():
+    # z = 3 - y leaves [0, 1] on both sides for states starting at 2
+    p = make_params(a0=-0.5, a1=PointDelay(-0.8), b1=PointDelay(1.5), sigma=0.5, u_max=1.0)
+    return p, FeedbackPolicy(lambda t, y: 3.0 - y)
+
+
+def _open_loop_run():
+    p, policy = _block_setup("exponential")  # nonzero a1 and b1 windows
+    ens = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, THREAD_PATHS, 5)
+    return ens.y, ens.z, ens.clip_count
+
+
+def _point_lag_feedback_run():
+    p, policy = _clipping_point_lags()
+    ens = simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, THREAD_PATHS, 5)
+    assert ens.clip_count > 0
+    return ens.y, ens.z, ens.clip_count
+
+
+def _first_path_run():
+    p, policy = _block_setup("feedback")
+    ens = simulate_paths(
+        p, BLOCK_HISTORY, policy, BLOCK_DT, THREAD_PATHS, 5, first_path=70
+    )
+    return ens.y, ens.z, ens.clip_count
+
+
+def _evaluate_run():
+    p, policy = _block_setup("exponential")
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    est = evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 3, 5)
+    return est.values, est.mean, est.stderr
+
+
+def _state_delay_run():
+    p = make_params(a0=-0.5, sigma=0.5, u_max=1.0)
+    policy = _clipping_point_lags()[1]
+    ens = state_delay.simulate_feedback(
+        p, -0.8, BLOCK_HISTORY, policy, BLOCK_DT, PATH_BLOCK + 3, 5
+    )
+    assert ens.clip_count > 0
+    return ens.y, ens.z, ens.clip_count
+
+
+THREAD_RUNS = {
+    "open_loop": _open_loop_run,
+    "point_lag_feedback": _point_lag_feedback_run,
+    "first_path": _first_path_run,
+    "evaluate": _evaluate_run,
+    "state_delay": _state_delay_run,
+}
+
+
+@pytest.mark.parametrize("run", list(THREAD_RUNS))
+def test_bits_do_not_depend_on_the_cpu_count(monkeypatch, run):
+    # every thread draws, scales and copies its own columns as one thread
+    # would, so y, z and the clip count keep their bits; no thread
+    # outlives a run
+    before = threading.active_count()
+    results = []
+    for cpus in (1, 2, 3, 8):
+        _force_cpus(monkeypatch, cpus)
+        results.append(THREAD_RUNS[run]())
+        assert threading.active_count() == before
+    for got in results[1:]:
+        for g, want in zip(got, results[0]):
+            np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize(
+    "cpus, n_paths, threads",
+    [(1, THREAD_PATHS, 1), (2, 64, 1), (2, 65, 2), (3, THREAD_PATHS, 3),
+     (8, 200, 4), (8, THREAD_PATHS, 8), (32, THREAD_PATHS, 8)],
+)
+def test_noise_threads_share_the_columns(monkeypatch, cpus, n_paths, threads):
+    # one thread per usable CPU, at most one per 64-path chunk and 8 in
+    # all; their buffers are whole cache lines (8 paths) and hold 64 paths
+    # at most, and every path is drawn once
+    _force_cpus(monkeypatch, cpus)
+    widths, drawn = [], []
+    draw, normals = sdde._draw_noise, sdde.path_normals
+
+    def recorded_draw(rows, seed, first_path, scale, starts, width):
+        widths.append(width)
+        return draw(rows, seed, first_path, scale, starts, width)
+
+    def recorded_normals(seed, path_index, shape):
+        drawn.append(path_index)
+        return normals(seed, path_index, shape)
+
+    monkeypatch.setattr(sdde, "_draw_noise", recorded_draw)
+    monkeypatch.setattr(sdde, "path_normals", recorded_normals)
+    p, policy = _block_setup("exponential")
+    simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 5, first_path=3)
+    assert len(widths) == threads and sorted(drawn) == list(range(3, 3 + n_paths))
+    if threads > 1:
+        assert len(set(widths)) == 1 and widths[0] % 8 == 0
+        assert threads * widths[0] <= 64
+
+
+def test_path_normals_are_thread_safe():
+    # 4 threads draw at once on different (seed, path) keys; each draw is
+    # that of a fresh generator for its key
+    barrier = threading.Barrier(4)
+
+    def draws(thread):
+        barrier.wait(timeout=30)
+        return [path_normals(7 + thread, path, 300) for path in range(50)]
+
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(draws, range(4)))
+    for thread, got in enumerate(results):
+        for path, normals in enumerate(got):
+            fresh = np.random.Generator(np.random.Philox(key=[7 + thread, path]))
+            np.testing.assert_array_equal(normals, fresh.standard_normal(300))
+
+
+class _DrawFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_failed_draw_reaches_the_caller_and_ends_every_thread(monkeypatch, cpus):
+    _force_cpus(monkeypatch, cpus)
+    normals = sdde.path_normals
+
+    def failing(seed, path_index, shape):
+        if path_index == 300:
+            raise _DrawFailed(f"path {path_index}")
+        return normals(seed, path_index, shape)
+
+    monkeypatch.setattr(sdde, "path_normals", failing)
+    p, policy = _block_setup("exponential")
+    before = threading.active_count()
+    with pytest.raises(_DrawFailed, match="^path 300$"):
+        simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, THREAD_PATHS, 5)
+    assert threading.active_count() == before
+
+
 # --- the rows a run keeps -----------------------------------------------------
 
 # r = 0.5 and dt = 0.01, so m = 50: T = 0.3 ends while the windows still
@@ -678,6 +832,20 @@ def test_one_block_holds_states_and_controls_only():
         lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
     )
     assert peak <= 1.1 * 8 * PATH_BLOCK * 2 * (m + steps + 1)
+
+
+@pytest.mark.parametrize("cpus", [8, 32])
+@pytest.mark.parametrize(
+    "check",
+    [test_evaluate_peak_memory_does_not_grow_with_paths,
+     test_one_block_holds_states_and_controls_only],
+    ids=["peak_does_not_grow", "one_block"],
+)
+def test_memory_bounds_hold_at_many_cpus(monkeypatch, check, cpus):
+    # the noise threads share one 64-path buffer, so the bounds above hold
+    # unchanged with 8 threads (32 CPUs still make 8)
+    _force_cpus(monkeypatch, cpus)
+    check()
 
 
 def test_memoryless_equals_lq_without_delay():

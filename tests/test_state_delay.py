@@ -308,6 +308,20 @@ def test_feedback_block_holds_states_and_controls_only():
     assert peak <= 1.1 * 8 * PATH_BLOCK * ((m + steps + 1) + (steps + 1))
 
 
+@pytest.mark.parametrize("cpus", [8, 32])
+@pytest.mark.parametrize(
+    "check",
+    [test_feedback_peak_memory_does_not_grow_with_paths,
+     test_feedback_block_holds_states_and_controls_only],
+    ids=["peak_does_not_grow", "one_block"],
+)
+def test_feedback_memory_bounds_hold_at_many_cpus(monkeypatch, check, cpus):
+    # the noise threads share one 64-path buffer, so the bounds above hold
+    # unchanged with 8 threads (32 CPUs still make 8)
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    check()
+
+
 # --- invariant measure condition ----------------------------------------------
 
 
