@@ -103,10 +103,8 @@ def merged_config(config_path: str | None, overrides: dict) -> dict:
         )
     if "n_paths" in cfg and cfg["n_paths"] > MAX_PATHS:
         raise ConfigurationError(f"n_paths must be at most {MAX_PATHS}")
-    # the seed keys the Philox streams as a uint64: this range maps onto
-    # the keys one to one, and a larger seed would alias, warn or overflow
-    if "seed" in cfg and not -(2**63) <= cfg["seed"] < 2**63:
-        raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {cfg['seed']}")
+    if "seed" in cfg:
+        sdde._check_seed(cfg["seed"])
     return cfg
 
 
@@ -381,21 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
         sp.add_argument("--dt", type=float, default=None)
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
+        return sp
+
+    def monte_carlo(sp):  # the subcommands that read the seed and path count
+        common(sp)
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--paths", type=int, default=None)
+        return sp
 
     common(sub.add_parser("fig1", help="optimal policies in four churn settings"))
-    fig2 = sub.add_parser("fig2", help="memoryless-policy performance gap")
-    common(fig2)
+    fig2 = monte_carlo(sub.add_parser("fig2", help="memoryless-policy performance gap"))
     fig2.add_argument(
         "--axis", choices=["a1_amplitude", "b1_amplitude"], default="a1_amplitude"
     )
     common(sub.add_parser("sensitivity", help="delay-sensitivity table"))
     common(sub.add_parser("costate", help="export the costate solution"))
-    common(sub.add_parser("evaluate", help="MC value of the optimal policy"))
-    common(sub.add_parser("approx", help="regularization convergence table"))
+    monte_carlo(sub.add_parser("evaluate", help="MC value of the optimal policy"))
+    monte_carlo(sub.add_parser("approx", help="regularization convergence table"))
     fc = sub.add_parser("feedback-check", help="invariant-measure condition")
     fc.add_argument("--a0", type=float, required=True)
     fc.add_argument("--a1", type=float, required=True)
@@ -412,7 +414,11 @@ def main(argv=None) -> int:
             _check_out(args.out)
         cfg = merged_config(
             args.config,
-            {"seed": args.seed, "n_paths": args.paths, "dt": args.dt},
+            {
+                "seed": getattr(args, "seed", None),
+                "n_paths": getattr(args, "paths", None),
+                "dt": args.dt,
+            },
         )
         if args.command == "fig1":
             out = run_fig1(cfg)

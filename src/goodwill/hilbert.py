@@ -72,10 +72,6 @@ def inner_product(x: ProfileX, y: ProfileX, grid: SegmentGrid) -> float:
     return x.x0 * y.x0 + float(np.dot(grid.weights, x.x1 * y.x1))
 
 
-def norm(x: ProfileX, grid: SegmentGrid) -> float:
-    return float(np.sqrt(inner_product(x, x, grid)))
-
-
 # --- delay kernels -----------------------------------------------------------
 
 

@@ -28,12 +28,12 @@ delay term reads them. Each path's noise substream is drawn whole (the
 ziggurat takes a variable number of Philox words per normal, so a later
 time chunk has no known counter to start from) and copied into the
 state rows it perturbs, so the noise needs no array of its own beyond a
-buffer of 64 paths. The draw runs on one thread per CPU the process may
-use, the caller's among them, at most one per 64-path chunk and 8 in all:
-numpy's normal draw releases the GIL, and each thread fills the columns
-it claims through its share of the 64-path buffer, so neither the bits
-nor the memory depend on the CPU count. There is no option for it; with
-one CPU, or 64 paths or fewer, the caller's thread draws alone.
+buffer of 64 paths. One fill function draws it on one thread per usable
+CPU, the caller's among them, at most one per 64-path chunk and 8 in all
+(numpy's normal draw releases the GIL); each thread fills the columns it
+claims through its share of that buffer and re-keys one generator per
+path, so neither the bits nor the memory depend on the CPU count. There
+is no option for it.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
 whatever the path count; state_delay.simulate_feedback blocks the same
@@ -292,35 +292,34 @@ def _steps_of(span: float, dt: float, what: str) -> int:
 
 
 class _ThreadGenerator(threading.local):
-    """One generator per thread serves every path that thread draws:
-    path_normals resets its Philox state to counter 0 and key
-    [seed, path_index] before each draw, which gives the same bits as a
-    fresh Generator(Philox(key=[seed, path_index])) without seeding a new
-    bit generator for every path."""
+    """One generator per thread, kept with the state of its Philox(0) at
+    counter 0: path_normals re-keys that state to [seed, path_index] and
+    hands it back, which gives the bits of a fresh Generator(Philox(key=
+    [seed, path_index])) and builds no generator or state per path."""
 
     def __init__(self):
         self.generator = np.random.Generator(np.random.Philox(0))
+        self.state = self.generator.bit_generator.state
 
 
 _THREAD_GENERATOR = _ThreadGenerator()
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [-2**63, 2**63): the Philox key holds it as a
+    uint64, onto which this range maps one to one."""
+    if not -(2**63) <= seed < 2**63:
+        raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {seed}")
+
+
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
     """Noise increments for one path from a counter-based substream."""
-    generator = _THREAD_GENERATOR.generator
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        # the key conversion Philox(key=[...]) applies to a list
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.asarray([seed, path_index]).astype(np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator.standard_normal(shape)
+    _check_seed(seed)
+    own = _THREAD_GENERATOR
+    # the key conversion Philox(key=[...]) applies to a list
+    own.state["state"]["key"] = np.asarray([seed, path_index]).astype(np.uint64)
+    own.generator.bit_generator.state = own.state  # copied, so it stays at 0
+    return own.generator.standard_normal(shape)
 
 
 def _usable_cpus() -> int:
@@ -331,60 +330,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_noise(rows, seed, first_path, scale, starts, width):
-    """Put scale * path_normals(seed, first_path + j, steps) into column j
-    of rows (time-major, one row per step) for the width columns from each
-    start that starts yields.
-
-    Each path's draw goes through a path-major buffer of width paths,
-    copied in a chunk at a time: a column at a time would write one cache
-    line per number."""
-    steps, n_paths = rows.shape
-    buffer = np.empty((width, steps))
-    for first in starts:
-        chunk = buffer[: n_paths - first]
-        for i, row in enumerate(chunk):
-            row[:] = path_normals(seed, first_path + first + i, steps)
-        chunk *= scale
-        rows[:, first : first + len(chunk)] = chunk.T
-
-
 def _fill_noise(rows, seed, first_path, scale):
-    """_draw_noise over every column of rows, on one thread per usable CPU,
-    at most one per _NOISE_CHUNK paths and _NOISE_CHUNK // _NOISE_LINE in
-    all, the calling thread among them. The threads share _NOISE_CHUNK
-    paths of buffer (a multiple of _NOISE_LINE each), so memory does not
-    grow with the CPU count, and each takes the next unclaimed run of
-    columns until none is left, so a thread slowed by a busy CPU takes
-    fewer. Every number is drawn, scaled and copied as on one thread, with
-    the same bits."""
-    n_paths = rows.shape[1]
+    """Put scale * path_normals(seed, first_path + j, steps) into column j
+    of rows (time-major), on one thread per usable CPU, the caller's among
+    them, at most one per _NOISE_CHUNK paths and 8 in all. Each thread
+    claims the next run of columns until none is left, so a thread slowed
+    by a busy CPU takes fewer, and draws it into its own path-major buffer
+    before one copy (a column at a time would write a cache line per
+    number). The buffers share _NOISE_CHUNK paths, a multiple of
+    _NOISE_LINE each, so memory does not grow with the CPU count."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    steps, n_paths = rows.shape
     workers = min(
         _usable_cpus(), -(-n_paths // _NOISE_CHUNK), _NOISE_CHUNK // _NOISE_LINE
     )
     width = min(_NOISE_CHUNK // workers // _NOISE_LINE * _NOISE_LINE, n_paths)
-    if workers == 1:
-        _draw_noise(rows, seed, first_path, scale, range(0, n_paths, width), width)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
     unclaimed, lock = iter(range(0, n_paths, width)), threading.Lock()
 
-    def starts():
+    def draw():
+        buffer = np.empty((width, steps))
         while True:
             with lock:
                 first = next(unclaimed, None)
             if first is None:
                 return
-            yield first
+            chunk = buffer[: n_paths - first]
+            for i, row in enumerate(chunk):
+                row[:] = path_normals(seed, first_path + first + i, steps)
+            chunk *= scale
+            rows[:, first : first + len(chunk)] = chunk.T
 
-    # leaving the with block joins every thread, after a failure too
-    with ThreadPoolExecutor(workers - 1) as pool:
-        tasks = [
-            pool.submit(_draw_noise, rows, seed, first_path, scale, starts(), width)
-            for _ in range(workers - 1)
-        ]
-        _draw_noise(rows, seed, first_path, scale, starts(), width)
+    # threads start per task, and leaving the block joins them, failed or not
+    with ThreadPoolExecutor(workers) as pool:
+        tasks = [pool.submit(draw) for _ in range(workers - 1)]
+        draw()
         for task in tasks:
             task.result()  # re-raises a task's exception
 

@@ -20,7 +20,6 @@ from goodwill.hilbert import (
     ProfileX,
     SegmentGrid,
     inner_product,
-    norm,
 )
 from goodwill.lifting import lift_M
 from goodwill.lq import (
@@ -336,7 +335,7 @@ def test_a9_property_suites():
             - b * inner_product(y, z, g)
         )
         sym = abs(inner_product(x, y, g) - inner_product(y, x, g))
-        if lin > 1e-9 * (1 + abs(a) + abs(b)) * 100 or sym > 0 or norm(x, g) < 0:
+        if lin > 1e-9 * (1 + abs(a) + abs(b)) * 100 or sym > 0:
             fails += 1
     counts["inner_product"] = fails
 

@@ -409,6 +409,15 @@ def test_feedback_check_rejects_non_finite_input(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["fig1", "costate", "sensitivity"])
+def test_deterministic_subcommands_refuse_the_path_count(capsys, command):
+    # they draw no noise, so --paths (and --seed) would only move the hash
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--paths", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --paths 5" in capsys.readouterr().err
+
+
 # --- failure modes ------------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from goodwill.hilbert import (
     inner_product,
     kernel_eval,
     kernel_is_zero,
-    norm,
 )
 
 
@@ -50,7 +49,7 @@ def test_grid_rejects_bad_arguments():
             SegmentGrid(r, n_nodes)
 
 
-# --- inner product and norm ---------------------------------------------------
+# --- inner product ------------------------------------------------------------
 
 
 def test_inner_product_scalar_only():
@@ -75,13 +74,6 @@ def test_inner_product_grid_mismatch():
     g = grid1()
     with pytest.raises(ConfigurationError):
         inner_product(ProfileX(0, np.zeros(5)), ProfileX(0.0, np.zeros(g.n_nodes)), g)
-
-
-def test_norm_examples():
-    g = grid1()
-    assert norm(ProfileX(0.0, np.zeros(g.n_nodes)), g) == 0.0
-    assert norm(ProfileX(3, np.zeros(201)), g) == 3.0
-    assert norm(const_profile(0, 2, g), g) == pytest.approx(2.0, abs=1e-12)
 
 
 @st.composite
@@ -120,10 +112,9 @@ def test_inner_product_bilinear(x, z, y, a, b):
 
 @settings(max_examples=120)
 @given(profiles())
-def test_norm_squared_is_self_inner_product(x):
-    g = SegmentGrid(1.0, 31)
-    ip = inner_product(x, x, g)
-    assert norm(x, g) ** 2 == pytest.approx(ip, rel=1e-12, abs=1e-12)
+def test_self_inner_product_is_nonnegative(x):
+    # the trapezoid weights are positive, so <x, x> >= 0
+    assert inner_product(x, x, SegmentGrid(1.0, 31)) >= 0.0
 
 
 def test_grid_refinement_second_order():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -431,13 +432,25 @@ def test_path_prefix_stable_in_path_count():
 
 
 def test_path_normals_match_fresh_philox_generators():
-    # one re-keyed generator gives the bits of a new generator per path
-    for seed in (0, 7, 12345, 2**32 - 1, 2**63 + 5):
+    # one re-keyed generator gives the bits of a new generator per path; a
+    # seed keys Philox as the uint64 it is congruent to. The shapes are
+    # drawn in turn on this thread, so each draw follows one that left the
+    # generator's state elsewhere
+    for seed in (0, 7, 12345, 2**32 - 1, 2**63 - 1, -1, -(2**63)):
         for path in (0, 1, 513):
             for shape in (1, 1000, (2, 37)):
-                fresh = np.random.Generator(np.random.Philox(key=[seed, path]))
+                key = np.array([seed % 2**64, path], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=key))
                 want = fresh.standard_normal(shape)
                 assert np.array_equal(path_normals(seed, path, shape), want)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 5, 2**64 + 7, -(2**63) - 1])
+def test_path_normals_refuse_seeds_the_key_cannot_hold(seed):
+    # past int64 the key conversion went through float64, so neighbouring
+    # seeds shared a stream, or overflowed
+    with pytest.raises(ConfigurationError, match=r"^seed must be in \[-2\*\*63, "):
+        path_normals(seed, 0, 5)
 
 
 # --- path blocks and path-count stability -----------------------------------
@@ -609,6 +622,15 @@ def test_bits_do_not_depend_on_the_cpu_count(monkeypatch, run):
             np.testing.assert_array_equal(g, want)
 
 
+class _RecordedRows(np.ndarray):
+    """Rows that record each column run copied into them, with the thread
+    that copied it."""
+
+    def __setitem__(self, key, value):
+        self.copies.append((key[1], threading.get_ident()))
+        super().__setitem__(key, value)
+
+
 @pytest.mark.parametrize(
     "cpus, n_paths, threads",
     [(1, THREAD_PATHS, 1), (2, 64, 1), (2, 65, 2), (3, THREAD_PATHS, 3),
@@ -616,28 +638,47 @@ def test_bits_do_not_depend_on_the_cpu_count(monkeypatch, run):
 )
 def test_noise_threads_share_the_columns(monkeypatch, cpus, n_paths, threads):
     # one thread per usable CPU, at most one per 64-path chunk and 8 in
-    # all; their buffers are whole cache lines (8 paths) and hold 64 paths
-    # at most, and every path is drawn once
+    # all: a pool of that many, given one task fewer, since the caller
+    # draws too; their buffers are whole cache lines (8 paths) and hold 64
+    # paths at most, every path is drawn once, and one thread draws alone
     _force_cpus(monkeypatch, cpus)
-    widths, drawn = [], []
-    draw, normals = sdde._draw_noise, sdde.path_normals
+    pools, drawn, normals = [], [], sdde.path_normals
 
-    def recorded_draw(rows, seed, first_path, scale, starts, width):
-        widths.append(width)
-        return draw(rows, seed, first_path, scale, starts, width)
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers, self.submits = max_workers, 0
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            return super().submit(*args, **kwargs)
 
     def recorded_normals(seed, path_index, shape):
-        drawn.append(path_index)
+        drawn.append((path_index, threading.get_ident()))
         return normals(seed, path_index, shape)
 
-    monkeypatch.setattr(sdde, "_draw_noise", recorded_draw)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
     monkeypatch.setattr(sdde, "path_normals", recorded_normals)
-    p, policy = _block_setup("exponential")
-    simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 5, first_path=3)
-    assert len(widths) == threads and sorted(drawn) == list(range(3, 3 + n_paths))
-    if threads > 1:
-        assert len(set(widths)) == 1 and widths[0] % 8 == 0
-        assert threads * widths[0] <= 64
+    steps, scale = 30, 0.25
+    rows = np.zeros((steps, n_paths)).view(_RecordedRows)
+    rows.copies = []
+    sdde._fill_noise(rows, 5, 3, scale)
+    [pool] = pools
+    assert (pool.workers, pool.submits) == (threads, threads - 1)
+    assert sorted(path for path, _ in drawn) == list(range(3, 3 + n_paths))
+    runs = sorted((cols.start, cols.stop) for cols, _ in rows.copies)
+    assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
+    assert runs[0][0] == 0 and runs[-1][1] == n_paths
+    width = runs[0][1]  # every run but the last is one buffer wide
+    assert all(b - a == width for a, b in runs[:-1])
+    assert runs[-1][1] - runs[-1][0] <= width
+    assert threads * width <= 64 and (threads == 1 or width % 8 == 0)
+    if threads == 1:
+        caller = {threading.get_ident()}
+        assert {t for _, t in drawn} == caller == {t for _, t in rows.copies}
+    for j in range(n_paths):
+        np.testing.assert_array_equal(rows[:, j], scale * normals(5, 3 + j, steps))
 
 
 def test_path_normals_are_thread_safe():

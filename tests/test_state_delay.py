@@ -419,7 +419,8 @@ def test_cot_root_bisection_matches_brentq():
 
 
 def test_import_leaves_scipy_unloaded():
-    # goodwill needs numpy only, the stability condition included
+    # goodwill needs numpy only, the stability condition included; the
+    # noise threads' pool is imported at the first draw, never at import
     import os
     import subprocess
     import sys
@@ -428,15 +429,15 @@ def test_import_leaves_scipy_unloaded():
     import goodwill
 
     code = (
-        "import sys, goodwill; "
+        "import sys, goodwill, goodwill.cli; "
         "goodwill.state_delay.invariant_measure_condition(-1.0, -2.0, 0.5); "
-        "print('scipy' in sys.modules)"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(goodwill.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 # --- stationary variance --------------------------------------------------------
