@@ -1,11 +1,8 @@
 """Structural lifting of the delay dynamics to R x L2([-r,0]).
 
 Contains the structural map M that turns (initial goodwill, goodwill
-history, advertising history) into the lifted initial state, an RK4
-engine for linear delay ODEs, and the delay semigroup realized through
-that engine: the adjoint semigroup of the full model, which with a point
-lag a1 = hilbert.PointDelay(a) is the state semigroup of the
-state-delay-only model.
+history, advertising history) into the lifted initial state, and an RK4
+engine for linear delay ODEs.
 
 The engine is the method of steps on a uniform time grid (Bellman and
 Cooke, Differential-Difference Equations, 1963): each RK4 stage reads
@@ -86,7 +83,7 @@ def lift_M(
 
 def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the linear delay ODE on [0, t_end], in steps dt
-    that divide t_end (ConfigurationError otherwise).
+    that divide t_end > 0 (ConfigurationError otherwise).
 
     The delay term is one lag quadrature: the segment grid's trapezoid
     rule against a1 for a kernel, the single lag -r for a point delay.
@@ -112,8 +109,6 @@ def solve_delay_ode(problem: DelayODEProblem, dt: float) -> tuple[np.ndarray, np
 
     Returns (times on [0, t_end], trajectory values).
     """
-    if problem.t_end == 0 and dt > 0:
-        return np.zeros(1), np.array([problem.x0], dtype=float)
     steps = _steps_of(problem.t_end, dt, "t_end")
     dt = problem.t_end / steps
     grid = problem.grid
@@ -214,22 +209,3 @@ def _lag_stencils(problem: DelayODEProblem, lags, weights, dt: float, steps: int
     np.add.at(coef, at, np.concatenate(wts))
     return offsets, coef, alpha, history
 
-
-def adjoint_semigroup_apply(
-    t: float, x: ProfileX, params: ModelParams, grid: SegmentGrid, dt: float
-) -> ProfileX:
-    """e^{tA*} x = (phi(t), phi(t + .)|[-r,0]), phi solving the delay ODE
-    with kernel params.a1 from x; a point lag gives the state semigroup
-    S(t) x of the state-delay-only model."""
-    _check_horizon(params, grid)
-    problem = DelayODEProblem(params.a0, params.a1, x.x0, x.x1, grid, t_end=t)
-    if t == 0:
-        return ProfileX(problem.x0, problem.x1.copy())
-    times, phi = solve_delay_ode(problem, dt)
-    shifted = t + grid.nodes
-    out = np.where(
-        shifted >= 0,
-        np.interp(np.maximum(shifted, 0.0), times, phi),
-        np.interp(np.minimum(shifted, 0.0), grid.nodes, problem.x1),
-    )
-    return ProfileX(float(phi[-1]), out)

@@ -313,8 +313,12 @@ def _check_seed(seed: int) -> None:
 
 
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
-    """Noise increments for one path from a counter-based substream."""
+    """Noise increments for one path from a counter-based substream. The
+    key passes through an int64 array, which holds path indices in
+    [0, 2**63) one to one (a larger one would go through float64)."""
     _check_seed(seed)
+    if not 0 <= path_index < 2**63:
+        raise ConfigurationError(f"path_index must be in [0, 2**63), got {path_index}")
     own = _THREAD_GENERATOR
     # the key conversion Philox(key=[...]) applies to a list
     own.state["state"]["key"] = np.asarray([seed, path_index]).astype(np.uint64)
@@ -396,6 +400,10 @@ def simulate_paths(
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     if first_path < 0:
         raise ConfigurationError(f"first_path must be >= 0, got {first_path}")
+    if first_path + n_paths > 2**63:  # path_normals refuses the index 2**63
+        raise ConfigurationError(
+            f"first_path + n_paths must be at most 2**63, got {first_path + n_paths}"
+        )
     _check_horizon(params, history.grid)
     steps = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")

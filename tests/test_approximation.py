@@ -22,7 +22,7 @@ from goodwill.hilbert import (
     kernel_eval,
     kernel_is_zero,
 )
-from goodwill.lifting import adjoint_semigroup_apply, lift_M
+from goodwill.lifting import lift_M
 from goodwill.lq import solve_costate, trajectory_mean, trajectory_variance, value_lq
 from goodwill.sdde import (
     PATH_BLOCK,
@@ -218,7 +218,6 @@ POL = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
         lambda p: trajectory_mean(1.0, X_R1, POL, p, GRID_R1, 0.05),
         lambda p: trajectory_variance(1.0, p, GRID_R1, 0.05),
         lambda p: value_lq(0.0, X_R1, solve_costate(p, 1.0, 0.5, 0.05), GRID_R1),
-        lambda p: adjoint_semigroup_apply(0.5, X_R1, p, GRID_R1, 0.05),
         lambda p: simulate_lifted_perturbed(p, X_R1, POL, 0.0, GRID_R1, 0.05, 1, 0),
         lambda p: convergence_study(
             p, X_R1, POL, 1.0, 0.5, 0.0, [0.0], [0.1], GRID_R1, 0.05, 2, 0
@@ -226,7 +225,7 @@ POL = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
     ],
     ids=[
         "simulate_paths", "lift_M", "trajectory_mean", "trajectory_variance",
-        "value_lq", "adjoint_semigroup_apply", "simulate_lifted_perturbed",
+        "value_lq", "simulate_lifted_perturbed",
         "convergence_study",
     ],
 )

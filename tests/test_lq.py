@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import e1_trajectory
 
 from goodwill import lq
 from goodwill.cli import build_params, merged_config, run_costate, run_evaluate
@@ -99,6 +100,27 @@ def test_costate_richardson_ratio():
     w = {dt: solve_costate(p, 1.0, 0.5, dt).w0[0] for dt in (2e-3, 1e-3, 5e-4)}
     ratio = (w[2e-3] - w[1e-3]) / (w[1e-3] - w[5e-4])
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize(
+    "a1", [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-1.3), ConstantKernel(0.0)],
+    ids=["exponential", "constant", "zero"],
+)
+def test_costate_converges_to_the_exact_solution_at_second_order(a1):
+    # w0(s) = gamma * phi(T - s) against the method-of-steps oracle. Measured
+    # max errors at gamma = 1 for the exponential kernel: 4.98e-6, 1.25e-6,
+    # 3.12e-7, 7.81e-8 at dt = 2e-3 ... 2.5e-4 (ratios 3.99-4.00); constant
+    # 1.30e-6 and zero 5.06e-8 at 2e-3, ratios 4.00
+    p = make_params(a0=-0.5, a1=a1, b1=ExponentialKernel(5.0, 0.5))
+    gamma = 2.7
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
+        cs = solve_costate(p, gamma, 0.5, dt)
+        phi = e1_trajectory(p.a0, a1, p.r, p.T, round(p.T / dt))
+        errors.append(np.max(np.abs(cs.w0 - gamma * phi[::-1])))
+    assert errors[0] <= 2e-5
+    ratios = np.divide(errors[:-1], errors[1:])
+    assert np.all((3.6 <= ratios) & (ratios <= 4.4)), ratios
 
 
 def test_costate_agrees_with_delay_ode_at_first_order():

@@ -437,7 +437,7 @@ def test_path_normals_match_fresh_philox_generators():
     # drawn in turn on this thread, so each draw follows one that left the
     # generator's state elsewhere
     for seed in (0, 7, 12345, 2**32 - 1, 2**63 - 1, -1, -(2**63)):
-        for path in (0, 1, 513):
+        for path in (0, 1, 513, 2**63 - 1):
             for shape in (1, 1000, (2, 37)):
                 key = np.array([seed % 2**64, path], dtype=np.uint64)
                 fresh = np.random.Generator(np.random.Philox(key=key))
@@ -451,6 +451,33 @@ def test_path_normals_refuse_seeds_the_key_cannot_hold(seed):
     # seeds shared a stream, or overflowed
     with pytest.raises(ConfigurationError, match=r"^seed must be in \[-2\*\*63, "):
         path_normals(seed, 0, 5)
+
+
+@pytest.mark.parametrize("path", [2**63, 2**63 + 5, 2**64 + 1, -1])
+def test_path_normals_refuse_path_indices_the_key_cannot_hold(path):
+    # past int64 the key conversion went through float64, so neighbouring
+    # paths shared a stream, or overflowed; -1 keyed the path 2**64 - 1
+    with pytest.raises(ConfigurationError, match=r"^path_index must be in \[0, 2"):
+        path_normals(0, path, 3)
+
+
+@pytest.mark.parametrize(
+    "first_path, n_paths", [(2**63 - 1, 2), (2**63, 1), (0, 2**63 + 1)]
+)
+def test_simulate_paths_refuses_path_indices_past_the_key(first_path, n_paths):
+    # refused before the state rows are allocated: the last case would ask
+    # numpy for 2**63 + 1 columns
+    p = make_params(sigma=0.5)
+    hist, pol = make_history(GRID), zero_policy(p.T, 0.01)
+    with pytest.raises(ConfigurationError, match=r"^first_path \+ n_paths must be at"):
+        simulate_paths(p, hist, pol, 0.01, n_paths, 7, first_path)
+
+
+def test_simulate_paths_draws_the_last_path_index():
+    p = make_params(sigma=0.5)
+    hist, pol = make_history(GRID), zero_policy(p.T, 0.01)
+    last = simulate_paths(p, hist, pol, 0.01, 1, 7, 2**63 - 1)
+    assert np.all(np.isfinite(last.y))
 
 
 # --- path blocks and path-count stability -----------------------------------
