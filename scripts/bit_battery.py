@@ -22,9 +22,38 @@ few kernel settings at the shipped defaults:
     lags         sdde.simulate_paths with a point a1, a point b1 and both:
                  64-path ensembles' y, z and clip count under the memoryless
                  open-loop policy and under a feedback policy that clips
+    exact        the shipped model with no Monte Carlo: lq.trajectory_mean
+                 under the memoryless policy and lq.trajectory_variance for
+                 each single churn, lq.value_lq at the lifted default state,
+                 and cli._sensitivity_at over the shipped r-grid at a1 = 0
+    blocks       PATH_BLOCK + 3 paths, so the first block's noise is drawn
+                 on up to 8 threads and a second block follows:
+                 sdde.evaluate_policy's per-path values under z* and the
+                 memoryless policy, and state_delay.simulate_feedback's
+                 y(T), z(T) and clip count
 
 A change that keeps the bits prints the same lines as its parent; two runs
-of one tree always print the same lines. The run takes a few seconds.
+of one tree always print the same lines, on any number of CPUs. The run
+takes about a second on a 2-vCPU host.
+
+Golden bits: scripts/bit_battery.txt holds the lines that this script
+prints with numpy's dispatched SIMD kernels and OpenBLAS's kernel pinned,
+
+    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
+    OPENBLAS_CORETYPE=Prescott OPENBLAS_NUM_THREADS=1 \
+        PYTHONPATH=src python3 scripts/bit_battery.py
+
+under the numpy, Python and glibc that the file's first line names. Both
+pins matter: costate, paths, bounded, feedback, lags and blocks follow
+numpy's dispatch, and lifted, convergence and exact also follow the BLAS
+kernel, because lift_M's np.convolve sums through OpenBLAS ddot;
+delay_ode follows neither. To check
+a tree, diff the pinned run against the file's lines after the first:
+
+    diff <(tail -n +2 scripts/bit_battery.txt) <(pinned run as above)
+
+A change that moves bits on purpose regenerates the file in the same
+change (the first line, then the pinned run's lines) and says why.
 """
 
 from __future__ import annotations
@@ -165,7 +194,44 @@ def lags():
             yield from (ens.y, ens.z, [ens.clip_count])
 
 
+def exact():
+    # the shipped model, as the CLI builds it: no Monte Carlo anywhere
+    grid = SegmentGrid(CFG["r"], CFG["n_nodes"])
+    h, dt = cli.build_history(CFG, grid), CFG["dt"]
+    for a1_amp, b1_amp in ((CFG["a1_amp"], 0.0), (0.0, CFG["b1_amp"])):
+        p = cli.build_params(CFG, a1_amp=a1_amp, b1_amp=b1_amp)
+        x = lifting.lift_M(h.x0, h.x1, h.delta, p, grid)
+        zmem = lq.memoryless_policy(p, GAMMA, BETA)
+        yield [lq.trajectory_mean(p.T, x, zmem, p, grid, dt)]
+        yield [lq.trajectory_variance(p.T, p, grid, dt)]
+    p = cli.build_params(CFG)
+    cs = lq.solve_costate(p, GAMMA, BETA, dt)
+    yield [lq.value_lq(0.0, lifting.lift_M(h.x0, h.x1, h.delta, p, grid), cs, grid)]
+    cfg = dict(CFG, a1_amp=0.0)  # as the sensitivity subcommand runs
+    yield [cli._sensitivity_at(cfg, round(0.25 + 0.05 * i, 10), 0.0) for i in range(10)]
+
+
+def blocks():
+    # one path past a block: the first block's noise is drawn on up to 8
+    # threads, and the second block starts at path PATH_BLOCK
+    n_paths = sdde.PATH_BLOCK + 3
+    history, obj = cli.build_history(CFG, GRID), cli.build_objective(CFG)
+    p = params(A1[2], B1[2])
+    zstar = lq.optimal_policy_lq(lq.solve_costate(p, GAMMA, BETA, 0.01), p)
+    for policy in (zstar, lq.memoryless_policy(p, GAMMA, BETA)):
+        est = sdde.evaluate_policy(p, history, policy, obj, 0.01, n_paths, SEED)
+        yield est.values
+    p = params(ConstantKernel(0.0), ConstantKernel(0.0))
+    spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
+    policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
+    ens = state_delay.simulate_feedback(p, -1.0, history, policy, 0.01, n_paths, SEED)
+    yield from (ens.y, ens.z, [ens.clip_count])
+
+
 if __name__ == "__main__":
-    groups = (costate, delay_ode, paths, lifted, convergence, bounded, feedback, lags)
+    groups = (
+        costate, delay_ode, paths, lifted, convergence, bounded, feedback, lags,
+        exact, blocks,
+    )
     for group in groups:
         print(group.__name__, digest(group()))

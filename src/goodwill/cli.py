@@ -149,8 +149,8 @@ def build_objective(cfg: dict) -> sdde.ObjectiveSpec:
     )
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
+def _write(path: str, text: str):
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -377,27 +377,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="goodwill", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def config_command(name, run, help, monte_carlo=False):
+        # a subcommand that runs on the merged config; only the Monte Carlo
+        # ones take a seed and a path count
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run, seed=None, paths=None)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--dt", type=float, default=None)
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
+        if monte_carlo:
+            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--paths", type=int, default=None)
         return sp
 
-    def monte_carlo(sp):  # the subcommands that read the seed and path count
-        common(sp)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        return sp
-
-    common(sub.add_parser("fig1", help="optimal policies in four churn settings"))
-    fig2 = monte_carlo(sub.add_parser("fig2", help="memoryless-policy performance gap"))
+    config_command("fig1", run_fig1, "optimal policies in four churn settings")
+    fig2 = config_command("fig2", run_fig2, "memoryless-policy performance gap", True)
     fig2.add_argument(
         "--axis", choices=["a1_amplitude", "b1_amplitude"], default="a1_amplitude"
     )
-    common(sub.add_parser("sensitivity", help="delay-sensitivity table"))
-    common(sub.add_parser("costate", help="export the costate solution"))
-    monte_carlo(sub.add_parser("evaluate", help="MC value of the optimal policy"))
-    monte_carlo(sub.add_parser("approx", help="regularization convergence table"))
+    config_command("sensitivity", run_sensitivity, "delay-sensitivity table")
+    config_command("costate", run_costate, "export the costate solution")
+    config_command("evaluate", run_evaluate, "MC value of the optimal policy", True)
+    config_command("approx", run_approx, "regularization convergence table", True)
     fc = sub.add_parser("feedback-check", help="invariant-measure condition")
     fc.add_argument("--a0", type=float, required=True)
     fc.add_argument("--a1", type=float, required=True)
@@ -413,25 +414,10 @@ def main(argv=None) -> int:
         if args.out != "-":
             _check_out(args.out)
         cfg = merged_config(
-            args.config,
-            {
-                "seed": getattr(args, "seed", None),
-                "n_paths": getattr(args, "paths", None),
-                "dt": args.dt,
-            },
+            args.config, {"seed": args.seed, "n_paths": args.paths, "dt": args.dt}
         )
-        if args.command == "fig1":
-            out = run_fig1(cfg)
-        elif args.command == "fig2":
-            out = run_fig2(cfg, args.axis)
-        elif args.command == "sensitivity":
-            out = run_sensitivity(cfg)
-        elif args.command == "costate":
-            out = run_costate(cfg)
-        elif args.command == "evaluate":
-            out = run_evaluate(cfg)
-        elif args.command == "approx":
-            out = run_approx(cfg)
+        # fig2's runner also takes its --axis
+        out = args.run(cfg, args.axis) if "axis" in args else args.run(cfg)
         _write(args.out, out)
         return 0
     except (ConfigurationError, OSError) as exc:

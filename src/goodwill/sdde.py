@@ -424,10 +424,10 @@ def simulate_paths(
     _fill_noise(y[hy + 1 :], seed, first_path, params.sigma * np.sqrt(dt))
 
     # an open-loop control is one number per step, a feedback control one
-    # per path
+    # per path; as with y, the hz history rows are kept only for a b1 term
+    hz = 0 if kernel_is_zero(params.b1) else m
     feedback = isinstance(policy, FeedbackPolicy)
     if feedback:
-        hz = 0 if kernel_is_zero(params.b1) else m
         z = np.empty((hz + steps + 1, n_paths))
         z[:hz] = hist_z[:hz, None]
         clip_count = 0
@@ -435,8 +435,7 @@ def simulate_paths(
         z_open = policy.sample(params, t)
         clipped = np.clip(z_open, params.u_min, params.u_max)
         clip_count = int(np.count_nonzero(clipped != z_open))
-        hz = m
-        z = np.concatenate([hist_z[:m], clipped])
+        z = np.concatenate([hist_z[:hz], clipped])
 
     # a density kernel's integral is a DelayWindow along its rows; a nonzero
     # point lag's term amp * x(t_k - r) is amp times row k, m behind row m + k

@@ -502,16 +502,20 @@ def test_sensitivity_closed_form_takes_a_huge_gamma(tmp_path):
     assert -1e302 < formula < -1e299
 
 
-def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command", ["fig1", "fig2", "sensitivity", "costate", "evaluate", "approx"]
+)
+def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command):
     # main maps ConfigurationError, OSError and BlowupError alone: any other
-    # ValueError is a bug, and it propagates
-    def boom(cfg):
-        raise ValueError("boom")
+    # ValueError is a bug, and it propagates. Each subcommand reaches its own
+    # runner: the patched one raises, and no output file is written
+    def boom(cfg, *axis):
+        raise ValueError(f"boom {command}")
 
-    monkeypatch.setattr(goodwill.cli, "run_costate", boom)
+    monkeypatch.setattr(goodwill.cli, f"run_{command}", boom)
     out = tmp_path / "c.csv"
-    with pytest.raises(ValueError, match="^boom$"):
-        main(["costate", "--out", str(out)])
+    with pytest.raises(ValueError, match=f"^boom {command}$"):
+        main([command, "--out", str(out)])
     assert not out.exists()
 
 
