@@ -34,6 +34,9 @@ from .sdde import (
 _MOLLIFIER_POINTS = 2001
 # evaluation points per (points x _MOLLIFIER_POINTS) temporary of _convolve
 _CONVOLVE_ROWS = 64
+# the lifted scheme's CFL bound: a step may exceed the grid spacing by at
+# most this relative round-off
+CFL_RTOL = 1e-12
 
 
 def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +127,7 @@ def simulate_lifted_perturbed(
     """
     _check_eps1(eps1)
     dxi = grid.spacing
-    if dt > dxi + 1e-15:
+    if dt > dxi * (1 + CFL_RTOL):
         raise ConfigurationError(
             f"CFL violation: dt={dt} exceeds grid spacing {dxi:.6g}"
         )

@@ -53,6 +53,12 @@ MAX_NODES = 10**4
 # same way (50x the shipped 20,000). The path simulators keep a few floats
 # per path, but `approx` keeps (paths x nodes) arrays: 80 GB at both caps
 MAX_PATHS = 10**6
+# fig2's --axis choices: the config key each sweep sets (the other churn
+# amplitude is 0) and the amplitudes it sweeps when the config has none
+AXES = {
+    "a1_amplitude": ("a1_amp", [0.0, -1.0, -2.0, -3.0, -4.0, -5.0]),
+    "b1_amplitude": ("b1_amp", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+}
 
 
 def load_defaults() -> dict:
@@ -142,6 +148,19 @@ def build_history(cfg: dict, grid: SegmentGrid) -> HistoryPair:
     return HistoryPair(grid=grid, x0=cfg["x0"], x1=x1, delta=np.zeros(grid.n_nodes))
 
 
+def _model(cfg: dict, **changes) -> tuple[ModelParams, SegmentGrid, HistoryPair]:
+    """Parameters, segment grid and initial history of the config with the
+    given keys changed."""
+    cfg = dict(cfg, **changes)
+    params = build_params(cfg)
+    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
+    return params, grid, build_history(cfg, grid)
+
+
+def _costate(cfg: dict, params: ModelParams) -> lq.CostateSolution:
+    return lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+
+
 def build_objective(cfg: dict) -> sdde.ObjectiveSpec:
     return sdde.ObjectiveSpec(
         phi0=sdde.LinearReward(cfg["gamma"]),
@@ -194,21 +213,18 @@ def run_fig1(cfg: dict) -> str:
     ]
     columns = {}
     for name, a_amp, b_amp in settings:
-        params = build_params(cfg, a1_amp=a_amp, b1_amp=b_amp)
-        cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+        params, _, _ = _model(cfg, a1_amp=a_amp, b1_amp=b_amp)
+        cs = _costate(cfg, params)
         columns[name] = lq.optimal_policy_lq(cs, params).z
     return _table(cfg, {"t": cs.t, **columns})
 
 
-def churn_gap(
-    cfg: dict, a1_amp: float, b1_amp: float
-) -> tuple[sdde.MCEstimate, sdde.MCEstimate, sdde.GapEstimate]:
-    """Optimal and memoryless policy values on common random numbers at one
-    churn setting, and the relative gap between them."""
-    params = build_params(cfg, a1_amp=a1_amp, b1_amp=b1_amp)
-    history = build_history(cfg, SegmentGrid(cfg["r"], cfg["n_nodes"]))
+def churn_gap(cfg: dict) -> tuple[sdde.MCEstimate, sdde.MCEstimate, sdde.GapEstimate]:
+    """Optimal and memoryless policy values on common random numbers at the
+    config's churn amplitudes, and the relative gap between them."""
+    params, _, history = _model(cfg)
     obj = build_objective(cfg)
-    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+    cs = _costate(cfg, params)
     zstar = lq.optimal_policy_lq(cs, params)
     zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
     v_opt = sdde.evaluate_policy(
@@ -227,17 +243,10 @@ def run_fig2(cfg: dict, axis: str) -> str:
             "fig2 needs gamma != 0: the gap is relative to the optimal value, "
             "which is 0 at gamma = 0"
         )
-    amplitudes = cfg.get("amplitudes")
-    if amplitudes is None:
-        amplitudes = (
-            [0.0, -1.0, -2.0, -3.0, -4.0, -5.0]
-            if axis == "a1_amplitude"
-            else [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        )
+    key, default = AXES[axis]
+    amplitudes = cfg.get("amplitudes", default)
     results = [
-        churn_gap(cfg, a1_amp=amp, b1_amp=0.0)
-        if axis == "a1_amplitude"
-        else churn_gap(cfg, a1_amp=0.0, b1_amp=amp)
+        churn_gap({**cfg, "a1_amp": 0.0, "b1_amp": 0.0, key: amp})
         for amp in amplitudes
     ]
     return _table(cfg, {
@@ -257,9 +266,7 @@ def run_sensitivity(cfg: dict) -> str:
     independent of r), so the finite-difference check is meaningful.
     """
     cfg = dict(cfg, a1_amp=0.0)
-    r_grid = cfg.get("r_grid")
-    if r_grid is None:
-        r_grid = [round(0.25 + 0.05 * i, 10) for i in range(10)]
+    r_grid = cfg.get("r_grid", [round(0.25 + 0.05 * i, 10) for i in range(10)])
     t_eval = cfg.get("t_eval", 0.0)
     formula, fd = [], []
     for r in r_grid:
@@ -276,25 +283,16 @@ def run_sensitivity(cfg: dict) -> str:
     })
 
 
-def _at_delay(cfg: dict, r: float) -> tuple[ModelParams, SegmentGrid, ProfileX]:
-    """Parameters, segment grid and initial state with the delay set to r."""
-    params = build_params(dict(cfg, r=r))
-    grid = SegmentGrid(r, cfg["n_nodes"])
-    history = build_history(cfg, grid)
-    return params, grid, ProfileX(history.x0, history.x1)
-
-
 def _sensitivity_at(cfg: dict, r: float, t_eval: float) -> float:
-    params, _, x = _at_delay(cfg, r)
+    params, _, h = _model(cfg, r=r)
     return lq.sensitivity_dV_dr(
-        t_eval, x, params, cfg["gamma"], cfg["beta"], cfg["dt"]
+        t_eval, ProfileX(h.x0, h.x1), params, cfg["gamma"], cfg["beta"], cfg["dt"]
     )
 
 
 def _value_at(cfg: dict, r: float, t_eval: float) -> float:
-    params, grid, x = _at_delay(cfg, r)
-    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
-    return lq.value_lq(t_eval, x, cs, grid)
+    params, grid, h = _model(cfg, r=r)
+    return lq.value_lq(t_eval, ProfileX(h.x0, h.x1), _costate(cfg, params), grid)
 
 
 def run_feedback_check(a0: float, a1: float) -> str:
@@ -305,24 +303,21 @@ def run_feedback_check(a0: float, a1: float) -> str:
 
 
 def run_costate(cfg: dict) -> str:
-    params = build_params(cfg)
-    gamma, beta = cfg["gamma"], cfg["beta"]
-    cs = lq.solve_costate(params, gamma, beta, cfg["dt"])
-    zmem = lq.memoryless_policy(params, gamma, beta)
+    params, _, _ = _model(cfg)
+    cs = _costate(cfg, params)
+    zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
     return _table(cfg, {
         "t": cs.t,
         "w0": cs.w0,
         "c": cs.c,
         "z_star": lq.optimal_policy_lq(cs, params).z,
-        "z_memoryless": zmem.sample(params, cs.t),
+        "z_memoryless": sdde.open_loop_controls(zmem, params, cs.t, "costate"),
     })
 
 
 def run_evaluate(cfg: dict) -> str:
-    params = build_params(cfg)
-    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
-    history = build_history(cfg, grid)
-    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+    params, grid, history = _model(cfg)
+    cs = _costate(cfg, params)
     policy = lq.optimal_policy_lq(cs, params)
     est = sdde.evaluate_policy(
         params, history, policy, build_objective(cfg),
@@ -346,16 +341,14 @@ def run_evaluate(cfg: dict) -> str:
 
 
 def run_approx(cfg: dict) -> str:
-    params = build_params(cfg)
-    grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
-    history = build_history(cfg, grid)
-    cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
+    params, grid, history = _model(cfg)
+    cs = _costate(cfg, params)
     policy = lq.optimal_policy_lq(cs, params)
     xbar = lift_M(history.x0, history.x1, history.delta, params, grid)
     baseline = lq.value_lq(0.0, xbar, cs, grid)
     # the fewest steps that divide T and pass the lifted scheme's CFL check
     steps = max(1, round(params.T / min(cfg["dt"], grid.spacing)))
-    if params.T / steps > grid.spacing + 1e-15:
+    if params.T / steps > grid.spacing * (1 + approximation.CFL_RTOL):
         steps += 1
     dt = params.T / steps
     rows = approximation.convergence_study(
@@ -392,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_command("fig1", run_fig1, "optimal policies in four churn settings")
     fig2 = config_command("fig2", run_fig2, "memoryless-policy performance gap", True)
-    fig2.add_argument(
-        "--axis", choices=["a1_amplitude", "b1_amplitude"], default="a1_amplitude"
-    )
+    fig2.add_argument("--axis", choices=list(AXES), default="a1_amplitude")
     config_command("sensitivity", run_sensitivity, "delay-sensitivity table")
     config_command("costate", run_costate, "export the costate solution")
     config_command("evaluate", run_evaluate, "MC value of the optimal policy", True)

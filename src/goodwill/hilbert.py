@@ -135,12 +135,6 @@ def kernel_is_zero(k: Kernel) -> bool:
     return k.amp == 0.0
 
 
-def check_kernel_nonneg(k: Kernel, name: str):
-    """Raise ConfigurationError unless the kernel is non-negative on [-r, 0]."""
-    if k.amp < 0:
-        raise ConfigurationError(f"{name} must be non-negative")
-
-
 class DelayWindow:
     """Trapezoid sum of a density kernel over a window that slides along
     samples one time step apart (a point lag has no window: its delay

@@ -282,16 +282,12 @@ def value_lq(
     if t < -1e-12 or t > costate.T + 1e-12:
         raise ConfigurationError(f"t={t} outside [0, {costate.T}]")
     _check_horizon(costate.params, grid)
-    xi = grid.nodes
-    cut = t - costate.T
-    if cut <= xi[0] + 1e-15:
-        pts, vals = xi, np.asarray(xbar.x1, dtype=float)
-    else:
-        mask = xi > cut
-        pts = np.concatenate([[cut], xi[mask]])
-        vals = np.concatenate(
-            [[np.interp(cut, xi, xbar.x1)], np.asarray(xbar.x1)[mask]]
-        )
+    xi, x1 = grid.nodes, np.asarray(xbar.x1, dtype=float)
+    # a cut at or below -r is -r, where the points and values are the grid's own
+    cut = t - costate.T if t - costate.T > xi[0] + 1e-15 else xi[0]
+    mask = xi > cut
+    pts = np.concatenate([[cut], xi[mask]])
+    vals = np.concatenate([[np.interp(cut, xi, x1)], x1[mask]])
     # overflow shows as a non-finite value, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
         pairing = float(np.trapezoid(costate.w0_at(t - pts) * vals, pts))

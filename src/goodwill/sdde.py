@@ -57,7 +57,6 @@ from .hilbert import (
     Kernel,
     PointDelay,
     SegmentGrid,
-    check_kernel_nonneg,
     kernel_eval,
     kernel_is_zero,
 )
@@ -108,7 +107,8 @@ class ModelParams:
             raise ConfigurationError(
                 f"need 0 <= u_min <= u_max, got [{self.u_min}, {self.u_max}]"
             )
-        check_kernel_nonneg(self.b1, "b1")
+        if self.b1.amp < 0:  # the b1 sign rule: advertising carryover adds goodwill
+            raise ConfigurationError("b1 must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,20 @@ def test_mollify_memory_does_not_grow_with_the_point_count():
 # --- lifted evolution ---------------------------------------------------------
 
 
+def test_cfl_bound_is_relative_to_the_spacing():
+    # spacing 1e-16: an absolute slack of 1e-15 let dt = 1e-15 (lambda = 10)
+    # through, and the upwind scheme ran off to 1e126 with no error
+    grid = SegmentGrid(2e-14, 201)
+    p = make_params(a1=ConstantKernel(-1.0), sigma=0.5, r=2e-14, T=1e-13)
+    t = np.linspace(0.0, 1e-13, 11)
+    pol = OpenLoop(t=t, z=np.ones_like(t))
+    x = ProfileX(1.0, np.ones(201))
+    with pytest.raises(ConfigurationError, match="CFL violation"):
+        simulate_lifted_perturbed(p, x, pol, 0.0, grid, 1e-15, 2, 0)
+    ens = simulate_lifted_perturbed(p, x, pol, 0.0, grid, grid.spacing, 2, 0)
+    assert np.all(np.isfinite(ens.y1)) and np.all(np.abs(ens.y1) <= 1.0)
+
+
 def test_lifted_pure_decay():
     grid = SegmentGrid(0.5, 101)
     p = make_params(a0=-0.8)

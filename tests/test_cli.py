@@ -208,6 +208,17 @@ def test_empty_sweep_prints_the_header_alone(tmp_path, command, key, header):
     assert lines[1:] == [header, ""]
 
 
+@pytest.mark.parametrize(
+    "axis, amplitudes",
+    [("a1_amplitude", [0, -1, -2, -3, -4, -5]), ("b1_amplitude", [0, 1, 2, 3, 4, 5])],
+)
+def test_fig2_default_sweeps(tmp_path, axis, amplitudes):
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--axis", axis, "--paths", "2", "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=2)
+    assert table[:, 0].tolist() == amplitudes
+
+
 def test_fig2_positive_gap_with_churn(tmp_path):
     path = write_config(
         tmp_path, {"amplitudes": [3.0], "n_paths": 400}
@@ -236,21 +247,27 @@ def test_sensitivity_formula_close_to_finite_difference(tmp_path):
 # --- costate / evaluate / approx ----------------------------------------------
 
 
-def test_costate_output_columns(tmp_path):
-    path = write_config(tmp_path)
+@pytest.mark.parametrize(
+    "extra", [{}, {"u_min": 2.5}, {"u_max": 0.5}], ids=["defaults", "u_min", "u_max"]
+)
+def test_costate_output_columns(tmp_path, extra):
+    path = write_config(tmp_path, extra)
     out = str(tmp_path / "costate.csv")
     assert main(["costate", "--config", path, "--out", out]) == 0
     lines = Path(out).read_text().strip().split("\n")
     assert lines[1] == "t,w0,c,z_star,z_memoryless"
     assert len(lines) == 2 + 101
-    # each column is the library's array, to 10 significant digits
+    # each column is the library's array, to 10 significant digits; both
+    # controls are clipped to [u_min, u_max], the memoryless one as fig2
+    # simulates it (it used to be printed unclipped, 0.61 to 1 under either
+    # bound)
     cfg = merged_config(path, {})
     params = build_params(cfg)
     cs = lq.solve_costate(params, cfg["gamma"], cfg["beta"], cfg["dt"])
     zmem = lq.memoryless_policy(params, cfg["gamma"], cfg["beta"])
     expect = [
         cs.t, cs.w0, cs.c, lq.optimal_policy_lq(cs, params).z,
-        zmem.sample(params, cs.t),
+        np.clip(zmem.sample(params, cs.t), cfg["u_min"], cfg["u_max"]),
     ]
     got = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
     for column, want in zip(got.T, expect):
@@ -566,6 +583,9 @@ def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command)
         ("costate", {"gamma": INF}, "gamma must be finite, got inf"),
         ("costate", {"u_max": -INF}, "u_max must be finite, got -inf"),
         ("costate", {"u_min": INF}, "u_min must be finite"),
+        # costate builds the whole model, history included, though it uses
+        # none of the history
+        ("costate", {"x0": -1}, "histories must be non-negative and finite"),
         ("fig2", {"amplitudes": [1.0, NAN]}, "amplitudes entries must be finite"),
         ("sensitivity", {"r_grid": [INF]}, "r_grid entries must be finite"),
         # a grid past MAX_NODES is refused before it is built; these used to
@@ -585,8 +605,8 @@ def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command)
         "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
         "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
         "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
-        "u_min_inf", "list_entry_nan", "list_entry_inf", "sensitivity_n_nodes_huge",
-        "evaluate_n_nodes_huge", "approx_n_nodes_huge", "n_nodes_one",
+        "u_min_inf", "costate_x0_negative", "list_entry_nan", "list_entry_inf",
+        "sensitivity_n_nodes_huge", "evaluate_n_nodes_huge", "approx_n_nodes_huge", "n_nodes_one",
         "n_paths_huge",
     ],
 )
