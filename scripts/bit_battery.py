@@ -31,6 +31,10 @@ few kernel settings at the shipped defaults:
                  sdde.evaluate_policy's per-path values under z* and the
                  memoryless policy, and state_delay.simulate_feedback's
                  y(T), z(T) and clip count
+    windows      sdde.simulate_paths for every pair of the density kernels
+                 a1 and b1 under lags' clipping feedback policy, so the b1
+                 window runs over one control column per path: 64-path
+                 ensembles' y, z and clip count
 
 A change that keeps the bits prints the same lines as its parent; two runs
 of one tree always print the same lines, on any number of CPUs. The run
@@ -44,11 +48,11 @@ prints with numpy's dispatched SIMD kernels and OpenBLAS's kernel pinned,
         PYTHONPATH=src python3 scripts/bit_battery.py
 
 under the numpy, Python and glibc that the file's first line names. Both
-pins matter: costate, paths, bounded, feedback, lags and blocks follow
-numpy's dispatch, and lifted, convergence and exact also follow the BLAS
-kernel, because lift_M's np.convolve sums through OpenBLAS ddot;
-delay_ode follows neither. To check
-a tree, diff the pinned run against the file's lines after the first:
+pins matter: costate, paths, bounded, feedback, lags, blocks and windows
+follow numpy's dispatch, and lifted, convergence and exact also follow the
+BLAS kernel, because lift_M's np.convolve sums through OpenBLAS ddot;
+delay_ode follows neither. To check a tree, diff the pinned run against
+the file's lines after the first:
 
     diff <(tail -n +2 scripts/bit_battery.txt) <(pinned run as above)
 
@@ -182,15 +186,26 @@ def feedback():
     yield from (ens.y, ens.z, [ens.clip_count])
 
 
+# clips below at 0 and above at u_max = 2.5, path by path
+CLIPPING = sdde.FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y))
+
+
 def lags():
     history = cli.build_history(CFG, GRID)
     zero, a1, b1 = ConstantKernel(0.0), PointDelay(-1.0), PointDelay(2.0)
-    # clips below at 0 and above at u_max, path by path
-    clipping = sdde.FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y))
     for pair in ((a1, zero), (zero, b1), (a1, b1)):
         p = params(*pair, u_max=2.5)
-        for policy in (lq.memoryless_policy(p, GAMMA, BETA), clipping):
+        for policy in (lq.memoryless_policy(p, GAMMA, BETA), CLIPPING):
             ens = sdde.simulate_paths(p, history, policy, 0.01, 64, SEED)
+            yield from (ens.y, ens.z, [ens.clip_count])
+
+
+def windows():
+    history = cli.build_history(CFG, GRID)
+    for a1 in A1:
+        for b1 in B1:
+            p = params(a1, b1, u_max=2.5)
+            ens = sdde.simulate_paths(p, history, CLIPPING, 0.01, 64, SEED)
             yield from (ens.y, ens.z, [ens.clip_count])
 
 
@@ -231,7 +246,7 @@ def blocks():
 if __name__ == "__main__":
     groups = (
         costate, delay_ode, paths, lifted, convergence, bounded, feedback, lags,
-        exact, blocks,
+        exact, blocks, windows,
     )
     for group in groups:
         print(group.__name__, digest(group()))

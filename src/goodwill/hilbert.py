@@ -140,15 +140,14 @@ class DelayWindow:
     samples one time step apart (a point lag has no window: its delay
     term is the one sample amp * x_k).
 
-    `samples` is time-major: rows k..k+m form the window at step k, row
-    k + j sitting at the lag xi_j = -r + j*dt, and `values` are a(xi_j).
-    The sum at step k is
+    The window at step k holds m + 1 samples x_0..x_m, x_j sitting at the
+    lag xi_j = -r + j*dt, and `values` are a(xi_j). Its sum is
 
         dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m),
 
-    kept as the raw sum h = sum_{j<m} a_j x_j of the m past rows; the
+    kept as the raw sum h = sum_{j<m} a_j x_j of the m past samples; the
     caller passes the newest sample x_m to `sum`, so a predictor may stand
-    in for row k + m. The node values have a fixed ratio
+    in for it. The node values have a fixed ratio
     rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
     1 for a constant one), so `advance` moves the window on in O(1):
 
@@ -157,23 +156,38 @@ class DelayWindow:
     (the linear-chain recursion, with a tail term because the window is
     finite), from the end terms of the last `sum`.
 
+    `samples` is time-major. Without `history`, rows k..k+m form the
+    window at step k: the m past samples of step 0 are its first rows.
+    With a 1-d `history` of at least m samples, row k is the sample at
+    step k, and the m past samples of step 0 are the history, shared by
+    every column: the window's oldest sample at step k is history[k]
+    while k < m, and row k - m after.
+
     A 1-d sample array is summed in Python floats. A 2-d array holds one
     column per path and is summed in place, each column in lag order, so
-    a path's sums do not depend on how many columns share the array: a
-    BLAS gemv regroups its sums by the column count, and einsum sums a
-    lone column as a SIMD dot, so that column goes through a running sum
-    instead. `sum` then returns a buffer that the next `sum` overwrites.
-    The rows the window reads must be filled before it reaches them; the
-    m past rows of step 0 are summed at construction. Once every row of a
-    1-d array is filled, `sums` gives the sums of all steps in one pass:
-    the end terms as two arrays, the recursion in one loop over Python
-    floats, with the operations of `sum` and `advance` in their order.
+    a path's sums do not depend on how many columns share the array (a
+    BLAS gemv or an einsum regroups its sums by the column count). Over a
+    shared history, step 0's raw sum is one running sum, the same for
+    every column. `sum` then returns a buffer that the next `sum`
+    overwrites. The rows the window reads must be filled before it
+    reaches them; the m past samples of step 0 are summed at
+    construction. Once every row of a 1-d array without history is
+    filled, `sums` gives the sums of all steps in one pass: the end terms
+    as two arrays, the recursion in one loop over Python floats, with the
+    operations of `sum` and `advance` in their order.
     """
 
-    def __init__(self, kernel: Kernel, values, dt: float, samples: np.ndarray):
+    def __init__(
+        self,
+        kernel: Kernel,
+        values,
+        dt: float,
+        samples: np.ndarray,
+        history: np.ndarray | None = None,
+    ):
         if isinstance(kernel, PointDelay):
             raise ConfigurationError("a point lag has no density to sum")
-        self.samples = samples
+        self.samples, self.history = samples, history
         self.columns = samples.ndim == 2
         values = np.asarray(values, dtype=float)
         self.first = float(values[0])
@@ -184,27 +198,32 @@ class DelayWindow:
             self.rho = float(np.exp(-dt / kernel.decay_scale))
         else:  # a constant kernel
             self.rho = 1.0
-        # h of step 0, summed over its m past rows
-        head, past = values[:-1], samples[: self.m]
+        # h of step 0, summed over its m past samples
+        head = values[:-1]
+        past = samples[: self.m] if history is None else history[: self.m]
         if not self.columns:
             self.h = float(head @ past)
             return
         n = samples.shape[1]
         self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
-        if n == 1:
-            self.h[0] = np.cumsum(head * past[:, 0])[-1]
-        else:
-            np.einsum("j,ji->i", head, past, out=self.h)
+        # a running sum in lag order per column, or one for a shared history
+        self.h[:] = np.cumsum(head * past.T, axis=-1)[..., -1]
+
+    def _oldest(self, k: int):
+        """The oldest sample of the window at step k."""
+        if self.history is None:
+            return self.samples[k]
+        return self.history[k] if k < self.m else self.samples[k - self.m]
 
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
         if not self.columns:
-            self.e0 = self.first * self.samples.item(k)
+            self.e0 = self.first * float(self._oldest(k))
             self.e1 = self.last * newest
             return self.dt * (self.h + 0.5 * (self.e1 - self.e0))
         out = self.out
-        np.multiply(self.samples[k], self.first, out=self.e0)
+        np.multiply(self._oldest(k), self.first, out=self.e0)
         np.multiply(newest, self.last, out=self.e1)
         np.subtract(self.e1, self.e0, out=out)
         out *= 0.5
@@ -223,11 +242,12 @@ class DelayWindow:
             self.h *= self.rho
 
     def sums(self) -> np.ndarray:
-        """The sum of every step of a 1-d window whose rows are all filled,
-        row k + m being the newest sample of step k: entry k equals
-        `sum(k, samples[k + m])` followed by `advance(k)`, bit for bit, and
-        the window is left where those calls leave it. The end terms are
-        two arrays and the raw sums the recursion, run in one float loop."""
+        """The sum of every step of a 1-d window without history whose rows
+        are all filled, row k + m being the newest sample of step k: entry
+        k equals `sum(k, samples[k + m])` followed by `advance(k)`, bit for
+        bit, and the window is left where those calls leave it. The end
+        terms are two arrays and the raw sums the recursion, run in one
+        float loop."""
         m, rows = self.m, self.samples
         n = len(rows) - m
         e0, e1 = self.first * rows[:n], self.last * rows[m:]

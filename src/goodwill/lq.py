@@ -93,11 +93,11 @@ def solve_costate(
 
     gamma * phi solves the delay equation
     x' = a0 x + int a1(xi) x(u + xi) dxi forward from gamma over a zero
-    history, by Heun's predictor-corrector on the layout of
-    sdde.simulate_paths: m history rows, then one row per step, with the
-    delay integral a trapezoid DelayWindow over the rows. <B, w> is a
-    second window over the same rows, and c accumulates the running term
-    H(<B, w>) from c(T) = 0 (see hamiltonian).
+    history, by Heun's predictor-corrector on one array: m zero history
+    rows, then one row per step (a DelayWindow's layout without a separate
+    history), with the delay integral a trapezoid DelayWindow over the
+    rows. <B, w> is a second window over the same rows, and c accumulates
+    the running term H(<B, w>) from c(T) = 0 (see hamiltonian).
 
     With a1 = 0 the slope is a0 * phi and the Heun loop runs on local
     floats. Its rows depend on (a0, gamma, dt) and the step count alone,

@@ -7,12 +7,13 @@ The goodwill stock follows
 
 with prescribed goodwill and advertising histories on [-r, 0]. The delay
 integrals are trapezoid quadratures on the simulation time step, so
-every lookback lands on a stored sample. A density kernel's integral is
-a hilbert.DelayWindow sliding along the time-major state or control
-rows: for exponential and constant kernels it updates the a1 state
-window and the b1 control window in O(1) per step (the recursion agrees
-with a full re-sum to 1e-12 relative; tests compare them). A point lag
-is amp * x(t - r), one multiply of the row r behind. Open-loop and
+every lookback lands on a stored or a history sample. A density kernel's
+integral is a hilbert.DelayWindow sliding along the time-major state or
+control rows and their history: for exponential and constant kernels it
+updates the a1 state window and the b1 control window in O(1) per step
+(the recursion agrees with a full re-sum to 1e-12 relative; tests
+compare them). A point lag is amp * x(t - r), one multiply of the row r
+behind, or of the history sample while t < r. Open-loop and
 feedback policies share one step loop over time-major rows (one row per
 step, one column per path); an open-loop control is one number per step,
 shared by every path. The loop and the windows fill preallocated
@@ -23,19 +24,20 @@ order that does not depend on how many paths share an array, so a path's
 result is bit-identical whatever the path count, blocking or scheduling.
 
 simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
-under feedback, plus the m = r/dt history rows below them only where a
-delay term reads them. Each path's noise substream is drawn whole (the
-ziggurat takes a variable number of Philox words per normal, so a later
-time chunk has no known counter to start from) and copied into the
-state rows it perturbs, so the noise needs no array of its own beyond a
-buffer of 64 paths. One fill function draws it on one thread per usable
-CPU, the caller's among them, at most one per 64-path chunk and 8 in all
-(numpy's normal draw releases the GIL); each thread fills the columns it
-claims through its share of that buffer and re-keys one generator per
-path, so neither the bits nor the memory depend on the CPU count. There
-is no option for it.
+under feedback. The initial datum is the same for every path, so the
+m = r/dt history samples a delay term reads before t = r are one array,
+shared by every path, not rows copied into each path. Each path's noise
+substream is drawn whole (the ziggurat takes a variable number of Philox
+words per normal, so a later time chunk has no known counter to start
+from) and copied into the state rows it perturbs, so the noise needs no
+array of its own beyond a buffer of 64 paths. One fill function draws it
+on one thread per usable CPU, the caller's among them, at most one per
+64-path chunk and 8 in all (numpy's normal draw releases the GIL); each
+thread fills the columns it claims through its share of that buffer and
+re-keys one generator per path, so neither the bits nor the memory
+depend on the CPU count. There is no option for it.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
-only each path's objective, so its memory is O(PATH_BLOCK * (m + steps))
+only each path's objective, so its memory is O(PATH_BLOCK * steps + m)
 whatever the path count; state_delay.simulate_feedback blocks the same
 way and keeps y(T). A feedback policy's control_fn is then called on one
 block of states at a time, so it must act path-wise: the control of a
@@ -391,8 +393,8 @@ def simulate_paths(
     paths s.. of one run equal the rows s.. of a larger run.
 
     Each path keeps its steps + 1 states (and controls, under feedback),
-    O(n_paths * steps) memory, plus the m = r/dt history rows only where a
-    delay term reads them: under a nonzero a1 for y, a nonzero b1 for z.
+    O(n_paths * steps + m) memory: a delay term reads the m = r/dt history
+    samples, the same for every path, from one array of m + 1 numbers.
     The noise is copied into the state rows it perturbs, so it takes no
     (n_paths, steps) array of its own.
     """
@@ -413,49 +415,48 @@ def simulate_paths(
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
 
-    # time-major rows, one column per path: row hy + k holds time t_k and
-    # the hy rows below it the history a delay term reads (none without)
-    hy = 0 if kernel_is_zero(params.a1) else m
-    y = np.empty((hy + steps + 1, n_paths))
-    y[:hy] = hist_y[:hy, None]
-    y[hy] = history.x0
-    # row hy + k + 1 holds sigma*dW of step k until that step adds the
-    # drift
-    _fill_noise(y[hy + 1 :], seed, first_path, params.sigma * np.sqrt(dt))
+    # time-major rows, one column per path: row k holds time t_k. The
+    # history is the same for every path, so a delay term reads its sample
+    # k, one number shared by every column, while k < m
+    y = np.empty((steps + 1, n_paths))
+    y[0] = history.x0
+    # row k + 1 holds sigma*dW of step k until that step adds the drift
+    _fill_noise(y[1:], seed, first_path, params.sigma * np.sqrt(dt))
 
     # an open-loop control is one number per step, a feedback control one
-    # per path; as with y, the hz history rows are kept only for a b1 term
-    hz = 0 if kernel_is_zero(params.b1) else m
+    # per path
     feedback = isinstance(policy, FeedbackPolicy)
     if feedback:
-        z = np.empty((hz + steps + 1, n_paths))
-        z[:hz] = hist_z[:hz, None]
+        z = np.empty((steps + 1, n_paths))
         clip_count = 0
     else:
         z_open = policy.sample(params, t)
-        clipped = np.clip(z_open, params.u_min, params.u_max)
-        clip_count = int(np.count_nonzero(clipped != z_open))
-        z = np.concatenate([hist_z[:hz], clipped])
+        z = np.clip(z_open, params.u_min, params.u_max)
+        clip_count = int(np.count_nonzero(z != z_open))
 
-    # a density kernel's integral is a DelayWindow along its rows; a nonzero
-    # point lag's term amp * x(t_k - r) is amp times row k, m behind row m + k
+    # a density kernel's integral is a DelayWindow along its rows and
+    # history; a nonzero point lag's term is amp * x(t_k - r)
     win_a, win_b = (
         None if kernel_is_zero(k) or isinstance(k, PointDelay)
-        else DelayWindow(k, kernel_eval(k, xi, params.r), dt, rows)
-        for k, rows in ((params.a1, y), (params.b1, z))
+        else DelayWindow(k, kernel_eval(k, xi, params.r), dt, rows, hist)
+        for k, rows, hist in ((params.a1, y, hist_y), (params.b1, z, hist_z))
     )
     lag_a, lag_b = (
         k.amp if isinstance(k, PointDelay) and not kernel_is_zero(k) else None
         for k in (params.a1, params.b1)
     )
 
+    def lagged(rows, hist, k):
+        """x(t_k - r): the history's sample k while k < m, then row k - m."""
+        return hist[k] if k < m else rows[k - m]
+
     # per-step buffers, filled in place; the control terms of an open-loop
     # policy are scalars, shared by every path
     drift, term = np.empty(n_paths), np.empty(n_paths)
     zterm = term if feedback else None
     for k in range(steps + 1):
-        ycur = y[hy + k]
-        zcur = z[hz + k]
+        ycur = y[k]
+        zcur = z[k]
         if feedback:
             zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
             zk = np.broadcast_to(zk, (n_paths,))
@@ -467,18 +468,18 @@ def simulate_paths(
         if win_a is not None:
             drift += win_a.sum(k, ycur)
         elif lag_a is not None:
-            drift += np.multiply(y[k], lag_a, out=term)
+            drift += np.multiply(lagged(y, hist_y, k), lag_a, out=term)
         drift += np.multiply(zcur, params.b0, out=zterm)
         if win_b is not None:
             drift += win_b.sum(k, zcur)
             win_b.advance(k)
         elif lag_b is not None:
-            drift += np.multiply(z[k], lag_b, out=zterm)
+            drift += np.multiply(lagged(z, hist_z, k), lag_b, out=zterm)
         drift *= dt
         drift += ycur
         # the noise already in the new row joins y + drift (+ commutes,
         # so the bits are those of (y + drift) + noise)
-        ynew = y[hy + k + 1]
+        ynew = y[k + 1]
         ynew += drift
         # maximum propagates NaN, so this also catches a non-finite state
         if not np.maximum.reduce(np.abs(ynew, out=term)) <= BLOWUP_LIMIT:
@@ -490,8 +491,8 @@ def simulate_paths(
         if win_a is not None:
             win_a.advance(k)
 
-    z = z[hz:].T if feedback else z[hz:]
-    return PathEnsemble(t=t, y=y[hy:].T, z=z, dt=dt, seed=seed, clip_count=clip_count)
+    # .T leaves an open-loop control row as it is
+    return PathEnsemble(t=t, y=y.T, z=z.T, dt=dt, seed=seed, clip_count=clip_count)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -546,7 +547,7 @@ def evaluate_policy(
     """objective_estimate over n_paths paths, simulated PATH_BLOCK at a time.
 
     Only each path's objective outlives its block, so memory is
-    O(PATH_BLOCK * (m + steps)) whatever n_paths is. The mean and stderr
+    O(PATH_BLOCK * steps + m) whatever n_paths is. The mean and stderr
     come from the whole per-path vector, so they equal those of a single
     simulate_paths over every path, bit for bit.
     """

@@ -94,13 +94,13 @@ def simulate_feedback(
     The control at each step is the feedback policy applied to the
     current state; params must carry zero a1/b1 kernels, and the lag is
     simulated as the point lag params.a1 = PointDelay(a1_scalar). The
-    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * (m + steps))
+    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * steps + m)
     for m = r/dt and steps = T/dt, whatever n_paths is: one block's states
-    (its noise copied into them) with the m history rows the lag reads, and
-    its controls. The ensemble holds t = [T], y(T) and z(T) as (n_paths, 1)
-    columns, and the clip count of every step of every path; each path's
-    numbers equal those of one simulate_paths pass over all of them, bit
-    for bit.
+    (its noise copied into them) and its controls, the lag reading the m
+    history samples from one array shared by every path. The ensemble
+    holds t = [T], y(T) and z(T) as (n_paths, 1) columns, and the clip
+    count of every step of every path; each path's numbers equal those of
+    one simulate_paths pass over all of them, bit for bit.
     """
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(

@@ -215,6 +215,38 @@ def test_window_sum_per_column_independent_of_column_count(n):
     np.testing.assert_array_equal(wide.h[:n], want)
 
 
+@pytest.mark.parametrize("n", [None, 1, 2, 3, 9, 64, 513])
+def test_window_over_a_shared_history_equals_padded_rows(n):
+    # a 1-d history shared by every column stands for the m past rows of
+    # step 0: each column's first raw sum is one running sum in lag order,
+    # and sum/advance read history[k] while k < m and row k - m after, with
+    # the bits of a window over rows padded with the history (n = None: a
+    # 1-d sample array, summed in Python floats). Random node values make
+    # any regrouping show in the bits.
+    rng = np.random.default_rng(7)
+    dt, m, steps = 1e-3, 500, 600  # the window leaves the history at step m
+    k, values = ExponentialKernel(-2.0, 0.3), rng.standard_normal(m + 1)
+    history = rng.standard_normal(m + 1)
+    if n is None:
+        rows = rng.standard_normal(steps + 1)
+        padded = np.concatenate([history[:m], rows])
+    else:
+        rows = rng.standard_normal((steps + 1, n))
+        padded = np.concatenate([np.tile(history[:m, None], (1, n)), rows])
+    shared = DelayWindow(k, values, dt, rows, history)
+    window = DelayWindow(k, values, dt, padded)
+    if n is not None:
+        want = np.cumsum(values[:-1] * history[:m])[-1]
+        np.testing.assert_array_equal(shared.h, [want] * n)
+    np.testing.assert_array_equal(shared.h, window.h)
+    for step in range(steps):
+        got = np.copy(shared.sum(step, rows[step]))
+        np.testing.assert_array_equal(got, window.sum(step, padded[step + m]))
+        shared.advance(step)
+        window.advance(step)
+        np.testing.assert_array_equal(shared.h, window.h)
+
+
 def test_window_sum_in_place_forms_match_scalar_forms():
     # a window over path columns, summed and moved on in place, gives each
     # column the bits of a window over that column alone, in Python floats
@@ -226,8 +258,8 @@ def test_window_sum_in_place_forms_match_scalar_forms():
         paths = DelayWindow(k, values, dt, samples)
         cols = [DelayWindow(k, values, dt, samples[:, i].copy()) for i in range(8)]
         for i, col in enumerate(cols):
-            # the first raw sums differ in their grouping (einsum against a
-            # dot), so the recursion starts from the same one
+            # the first raw sums differ in their grouping (a running sum
+            # against a dot), so the recursion starts from the same one
             col.h = float(paths.h[i])
         for step in range(steps):
             got = paths.sum(step, samples[step + m])

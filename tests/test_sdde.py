@@ -851,9 +851,9 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
 @pytest.mark.parametrize("T", LAYOUT_T)
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
 def test_trimmed_rows_equal_the_padded_layout(case, T):
-    # simulate_paths copies the noise into the state rows and keeps history
-    # rows only where a window reads them; the paths are those of the
-    # padded layout bit for bit, one column or several
+    # simulate_paths copies the noise into the state rows and reads one
+    # history shared by every path instead of history rows; the paths are
+    # those of the padded layout bit for bit, one column or several
     a1, b1, policy = LAYOUT_CASES[case]
     p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
     if policy is None:
@@ -888,25 +888,35 @@ def test_evaluate_peak_memory_does_not_grow_with_paths():
     assert peak(8 * PATH_BLOCK) <= 1.2 * peak(2 * PATH_BLOCK)
 
 
-def test_one_block_holds_states_and_controls_only():
-    # sizes, not timing: one feedback block holds m + steps + 1 rows of
-    # states (the noise copied into them) and of controls (the b1 window
-    # reads their history); no noise array and no (paths, steps) costs
-    dt, T, m, steps = 0.005, 2.0, 100, 400  # steps = 4m
-    a1, b1, policy = BLOCK_CASES["feedback"]
-    p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
-    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
-    peak = _peak_bytes(
-        lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
-    )
-    assert peak <= 1.1 * 8 * PATH_BLOCK * 2 * (m + steps + 1)
+@pytest.mark.parametrize("case", ["feedback", "exponential", "point_lag_feedback"])
+def test_one_block_holds_states_and_controls_only(case):
+    # sizes, not timing: one block holds steps + 1 rows of states (the
+    # noise copied into them) and, under feedback, of controls; its delay
+    # terms read one history shared by every path, so it keeps no history
+    # rows, no noise array and no (paths, steps) costs
+    dt, T, steps = 0.005, 2.0, 400  # m = 100, so steps = 4m
+    if case == "point_lag_feedback":  # state_delay's point lag a1
+        p = make_params(a0=-0.5, sigma=0.5, u_max=2.5, T=T)
+        policy = BLOCK_CASES["feedback"][2]
+        run = lambda: state_delay.simulate_feedback(
+            p, -0.8, BLOCK_HISTORY, policy, dt, PATH_BLOCK, 1
+        )
+    else:
+        a1, b1, policy = BLOCK_CASES[case]
+        p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
+        if policy is None:
+            policy = _open_loop_wave(T, dt)
+        obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+        run = lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
+    rows = 2 if isinstance(policy, FeedbackPolicy) else 1  # an open-loop z is shared
+    assert _peak_bytes(run) <= 1.1 * 8 * PATH_BLOCK * rows * (steps + 1)
 
 
 @pytest.mark.parametrize("cpus", [8, 32])
 @pytest.mark.parametrize(
     "check",
     [test_evaluate_peak_memory_does_not_grow_with_paths,
-     test_one_block_holds_states_and_controls_only],
+     lambda: test_one_block_holds_states_and_controls_only("feedback")],
     ids=["peak_does_not_grow", "one_block"],
 )
 def test_memory_bounds_hold_at_many_cpus(monkeypatch, check, cpus):
