@@ -24,24 +24,27 @@ order that does not depend on how many paths share an array, so a path's
 result is bit-identical whatever the path count, blocking or scheduling.
 
 simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
-under feedback. The initial datum is the same for every path, so the
-m = r/dt history samples a delay term reads before t = r are one array,
-shared by every path, not rows copied into each path. Each path's noise
-substream is drawn whole (the ziggurat takes a variable number of Philox
-words per normal, so a later time chunk has no known counter to start
-from) and copied into the state rows it perturbs, so the noise needs no
-array of its own beyond a buffer of 64 paths. One fill function draws it
-on one thread per usable CPU, the caller's among them, at most one per
-64-path chunk and 8 in all (numpy's normal draw releases the GIL); each
-thread fills the columns it claims through its share of that buffer and
-re-keys one generator per path, so neither the bits nor the memory
-depend on the CPU count. There is no option for it.
+under feedback; asked for the terminal record only, a feedback run whose
+b1 is zero keeps one control row, reused every step. The initial datum is
+the same for every path, so the m = r/dt history samples a delay term
+reads before t = r are one array, shared by every path, not rows copied
+into each path. Each path's noise substream is drawn whole (the ziggurat
+takes a variable number of Philox words per normal, so a later time chunk
+has no known counter to start from) and copied into the state rows it
+perturbs, so the noise needs no array of its own beyond a buffer of 64
+paths. One fill function draws it on one thread per usable CPU, the
+caller's among them, at most one per 64-path chunk and 8 in all (numpy's
+normal draw releases the GIL); each thread fills the columns it claims
+through its share of that buffer and re-keys one generator per path, so
+neither the bits nor the memory depend on the CPU count. There is no
+option for it.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * steps + m)
 whatever the path count; state_delay.simulate_feedback blocks the same
-way and keeps y(T). A feedback policy's control_fn is then called on one
-block of states at a time, so it must act path-wise: the control of a
-path may depend on that path's state only.
+way with terminal records, so it keeps y(T), z(T) and the clip count,
+and one control row per block. A feedback policy's control_fn is then
+called on one block of states at a time, so it must act path-wise: the
+control of a path may depend on that path's state only.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def open_loop_controls(
 @dataclass(frozen=True)
 class PathEnsemble:
     """Paths sampled at the times t: whole paths from simulate_paths, or
-    the terminal time alone (t = [T]) from state_delay.simulate_feedback."""
+    the terminal time alone (t = [T]) from simulate_paths(terminal=True)
+    and state_delay.simulate_feedback."""
 
     t: np.ndarray
     y: np.ndarray  # (n_paths, len(t))
@@ -383,6 +387,8 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     first_path: int = 0,
+    *,
+    terminal: bool = False,
 ) -> PathEnsemble:
     """Explicit Euler-Maruyama over [0, T] for n_paths independent paths.
 
@@ -397,6 +403,13 @@ def simulate_paths(
     samples, the same for every path, from one array of m + 1 numbers.
     The noise is copied into the state rows it perturbs, so it takes no
     (n_paths, steps) array of its own.
+
+    With terminal=True the ensemble is the terminal record: t = [T], y(T)
+    as an (n_paths, 1) copy, z(T) likewise (or its one shared number
+    under an open-loop policy) and the clip count of every step, each
+    equal to the last column of the whole paths bit for bit. A feedback
+    run then keeps one control row, reused every step, unless a b1 term
+    reads past controls.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
@@ -427,7 +440,10 @@ def simulate_paths(
     # per path
     feedback = isinstance(policy, FeedbackPolicy)
     if feedback:
-        z = np.empty((steps + 1, n_paths))
+        # step k writes row k % len(z): a terminal record without b1 reads
+        # no past control, so one row serves every step
+        keep = 1 if terminal and kernel_is_zero(params.b1) else steps + 1
+        z = np.empty((keep, n_paths))
         clip_count = 0
     else:
         z_open = policy.sample(params, t)
@@ -456,10 +472,10 @@ def simulate_paths(
     zterm = term if feedback else None
     for k in range(steps + 1):
         ycur = y[k]
-        zcur = z[k]
+        zcur = z[k % len(z)]
         if feedback:
+            # clip and != broadcast one number for every path themselves
             zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
-            zk = np.broadcast_to(zk, (n_paths,))
             np.clip(zk, params.u_min, params.u_max, out=zcur)
             clip_count += int(np.count_nonzero(zcur != zk))
         if k == steps:
@@ -491,6 +507,8 @@ def simulate_paths(
         if win_a is not None:
             win_a.advance(k)
 
+    if terminal:  # copies, so the block's rows can go
+        t, y, z = t[-1:].copy(), y[-1:].copy(), z[-1:].copy()
     # .T leaves an open-loop control row as it is
     return PathEnsemble(t=t, y=y.T, z=z.T, dt=dt, seed=seed, clip_count=clip_count)
 
@@ -513,7 +531,7 @@ def objective_estimate(ensemble: PathEnsemble, obj: ObjectiveSpec) -> MCEstimate
     if ensemble.n_paths == 0:
         raise ConfigurationError("ensemble is empty")
     if len(ensemble.t) < 2:
-        # a terminal-only record (simulate_feedback's) has no running cost
+        # a terminal record (simulate_feedback's) has no running cost
         raise ConfigurationError(
             "objective_estimate needs whole paths, got an ensemble with "
             f"{len(ensemble.t)} time point(s)"

@@ -3,9 +3,9 @@
 Covers the quadratic-cost and bang-bang feedback maps, the argmax of
 lq's control Hamiltonian at p = b0 * d0v, closed-loop simulation
 driven by an externally supplied gradient of the value function (run in
-path blocks, keeping y(T) only), and the transcendental parameter
-condition, at the model's delay r, for the invariant measure of the
-uncontrolled dynamics.
+path blocks, keeping y(T), z(T) and the clip count only), and the
+transcendental parameter condition, at the model's delay r, for the
+invariant measure of the uncontrolled dynamics.
 """
 
 from __future__ import annotations
@@ -94,13 +94,15 @@ def simulate_feedback(
     The control at each step is the feedback policy applied to the
     current state; params must carry zero a1/b1 kernels, and the lag is
     simulated as the point lag params.a1 = PointDelay(a1_scalar). The
-    paths run PATH_BLOCK at a time, so memory is O(PATH_BLOCK * steps + m)
-    for m = r/dt and steps = T/dt, whatever n_paths is: one block's states
-    (its noise copied into them) and its controls, the lag reading the m
-    history samples from one array shared by every path. The ensemble
-    holds t = [T], y(T) and z(T) as (n_paths, 1) columns, and the clip
-    count of every step of every path; each path's numbers equal those of
-    one simulate_paths pass over all of them, bit for bit.
+    paths run PATH_BLOCK at a time through simulate_paths(terminal=True),
+    so memory is O(PATH_BLOCK * steps + m) for m = r/dt and steps = T/dt,
+    whatever n_paths is: one block's states (its noise copied into them)
+    and one row of controls, reused every step since b1 = 0 reads no past
+    control, the lag reading the m history samples from one array shared
+    by every path. The ensemble holds t = [T], y(T) and z(T) as
+    (n_paths, 1) columns, and the clip count of every step of every path;
+    each path's numbers equal those of one simulate_paths pass over all
+    of them, bit for bit.
     """
     if not kernel_is_zero(params.b1) or not kernel_is_zero(params.a1):
         raise ConfigurationError(
@@ -110,16 +112,21 @@ def simulate_feedback(
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths}")
     params = replace(params, a1=PointDelay(a1_scalar))
-    y, z, clip_count = np.empty((n_paths, 1)), np.empty((n_paths, 1)), 0
-    for first in range(0, n_paths, PATH_BLOCK):
-        n = min(PATH_BLOCK, n_paths - first)
-        ens = simulate_paths(params, history, policy, dt, n, seed, first_path=first)
-        y[first : first + n] = ens.y[:, -1:]
-        z[first : first + n] = ens.z[:, -1:]
-        clip_count += ens.clip_count
-        t = ens.t[-1:].copy()
-        del ens  # free the block before the next one is built
-    return PathEnsemble(t=t, y=y, z=z, dt=dt, seed=seed, clip_count=clip_count)
+    blocks = [
+        simulate_paths(
+            params, history, policy, dt, min(PATH_BLOCK, n_paths - first), seed,
+            first_path=first, terminal=True,
+        )
+        for first in range(0, n_paths, PATH_BLOCK)
+    ]
+    return PathEnsemble(
+        t=blocks[0].t,
+        y=np.concatenate([b.y for b in blocks]),
+        z=np.concatenate([b.z for b in blocks]),
+        dt=dt,
+        seed=seed,
+        clip_count=sum(b.clip_count for b in blocks),
+    )
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,16 @@ def test_feedback_replaying_open_loop_is_bit_identical():
     np.testing.assert_array_equal(fb.z, np.broadcast_to(ol.z, fb.z.shape))
 
 
+@pytest.mark.parametrize("terminal", [False, True])
+def test_feedback_control_of_a_wrong_shape_is_refused(terminal):
+    # one number per step broadcasts to every path, one per path too many
+    # does not, whether the run keeps every control row or one
+    bad = FeedbackPolicy(lambda t, y: np.zeros(len(y) + 1))
+    with pytest.raises(ValueError):
+        simulate_paths(make_params(), make_history(GRID), bad, 0.05, 4, 0,
+                       terminal=terminal)
+
+
 def test_step_size_errors():
     p = make_params()
     hist = make_history(GRID)
@@ -766,6 +776,13 @@ LAYOUT_CASES = dict(
         ConstantKernel(0.0),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
+    # both bounds clip from step 0 (u_max = 2.5), and b1 = 0, so a
+    # terminal record keeps one control row
+    clipping_feedback=(
+        ExponentialKernel(-2.0, 0.2),
+        ConstantKernel(0.0),
+        FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y)),
+    ),
 )
 
 
@@ -853,7 +870,9 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
 def test_trimmed_rows_equal_the_padded_layout(case, T):
     # simulate_paths copies the noise into the state rows and reads one
     # history shared by every path instead of history rows; the paths are
-    # those of the padded layout bit for bit, one column or several
+    # those of the padded layout bit for bit, one column or several. Its
+    # terminal record (one control row under a b1-free feedback, every
+    # row under a b1 term, the shared row open-loop) is their last column
     a1, b1, policy = LAYOUT_CASES[case]
     p = make_params(a0=-0.5, a1=a1, b1=b1, sigma=0.5, u_max=2.5, T=T)
     if policy is None:
@@ -863,6 +882,15 @@ def test_trimmed_rows_equal_the_padded_layout(case, T):
         y, z = _padded_euler(p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 3)
         np.testing.assert_array_equal(ens.y, y)
         np.testing.assert_array_equal(ens.z, z)
+        last = simulate_paths(
+            p, BLOCK_HISTORY, policy, BLOCK_DT, n_paths, 3, terminal=True
+        )
+        np.testing.assert_array_equal(last.t, ens.t[-1:])
+        np.testing.assert_array_equal(last.y, ens.y[:, -1:])
+        np.testing.assert_array_equal(last.z, ens.z[..., -1:])
+        assert last.clip_count == ens.clip_count
+        if case == "clipping_feedback":
+            assert last.clip_count > 0
 
 
 def _peak_bytes(fn) -> int:
@@ -891,9 +919,10 @@ def test_evaluate_peak_memory_does_not_grow_with_paths():
 @pytest.mark.parametrize("case", ["feedback", "exponential", "point_lag_feedback"])
 def test_one_block_holds_states_and_controls_only(case):
     # sizes, not timing: one block holds steps + 1 rows of states (the
-    # noise copied into them) and, under feedback, of controls; its delay
-    # terms read one history shared by every path, so it keeps no history
-    # rows, no noise array and no (paths, steps) costs
+    # noise copied into them) and, under evaluate_policy's feedback, of
+    # controls; simulate_feedback's terminal record keeps one control row.
+    # Its delay terms read one history shared by every path, so it keeps
+    # no history rows, no noise array and no (paths, steps) costs
     dt, T, steps = 0.005, 2.0, 400  # m = 100, so steps = 4m
     if case == "point_lag_feedback":  # state_delay's point lag a1
         p = make_params(a0=-0.5, sigma=0.5, u_max=2.5, T=T)
@@ -908,7 +937,8 @@ def test_one_block_holds_states_and_controls_only(case):
             policy = _open_loop_wave(T, dt)
         obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
         run = lambda: evaluate_policy(p, BLOCK_HISTORY, policy, obj, dt, PATH_BLOCK, 1)
-    rows = 2 if isinstance(policy, FeedbackPolicy) else 1  # an open-loop z is shared
+    # an open-loop z is shared, and b1 = 0 reads no past control
+    rows = 2 if case == "feedback" else 1
     assert _peak_bytes(run) <= 1.1 * 8 * PATH_BLOCK * rows * (steps + 1)
 
 

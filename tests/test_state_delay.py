@@ -294,18 +294,20 @@ def test_feedback_equals_whole_paths_before_and_after_the_history(T):
 
 
 def test_feedback_block_holds_states_and_controls_only():
-    # sizes, not timing: one block holds its m + steps + 1 state rows, the
-    # noise copied into them, and steps + 1 control rows (b1 = 0 reads no
-    # control history); no noise array and no per-path cost array
+    # sizes, not timing: one block holds its steps + 1 state rows, the
+    # noise copied into them, and one control row, reused every step (b1
+    # = 0 reads no past control); its lag reads one history shared by
+    # every path, so it keeps no history rows, no noise array and no
+    # per-path cost array
     p, history, policy = clipping_setup()
-    dt, m, steps = 0.005, 100, 400  # steps = 4m
+    dt, steps = 0.005, 400  # m = 100, so steps = 4m
     tracemalloc.start()
     try:
         simulate_feedback(replace(p, T=2.0), -0.5, history, policy, dt, PATH_BLOCK, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 8 * PATH_BLOCK * ((m + steps + 1) + (steps + 1))
+    assert peak <= 1.1 * 8 * PATH_BLOCK * ((steps + 1) + 1)
 
 
 @pytest.mark.parametrize("cpus", [8, 32])
