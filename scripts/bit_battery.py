@@ -214,7 +214,7 @@ def exact():
     grid = SegmentGrid(CFG["r"], CFG["n_nodes"])
     h, dt = cli.build_history(CFG, grid), CFG["dt"]
     for a1_amp, b1_amp in ((CFG["a1_amp"], 0.0), (0.0, CFG["b1_amp"])):
-        p = cli.build_params(CFG, a1_amp=a1_amp, b1_amp=b1_amp)
+        p = cli.build_params(dict(CFG, a1_amp=a1_amp, b1_amp=b1_amp))
         x = lifting.lift_M(h.x0, h.x1, h.delta, p, grid)
         zmem = lq.memoryless_policy(p, GAMMA, BETA)
         yield [lq.trajectory_mean(p.T, x, zmem, p, grid, dt)]

@@ -31,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from . import approximation, lq, sdde, state_delay
-from .hilbert import ConstantKernel, ExponentialKernel, ProfileX, SegmentGrid
+from .hilbert import ExponentialKernel, ProfileX, SegmentGrid
 from .lifting import lift_M
 from .sdde import BlowupError, ConfigurationError, HistoryPair, ModelParams
 
@@ -120,18 +120,14 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _kernel(amp: float, delta: float):
-    return ConstantKernel(0.0) if amp == 0.0 else ExponentialKernel(amp, delta)
-
-
 def build_params(cfg: dict, a1_amp=None, b1_amp=None) -> ModelParams:
     a1_amp = cfg["a1_amp"] if a1_amp is None else a1_amp
     b1_amp = cfg["b1_amp"] if b1_amp is None else b1_amp
     return ModelParams(
         a0=cfg["a0"],
-        a1=_kernel(a1_amp, cfg["delta_a"]),
+        a1=ExponentialKernel(a1_amp, cfg["delta_a"]),
         b0=cfg["b0"],
-        b1=_kernel(b1_amp, cfg["delta_b"]),
+        b1=ExponentialKernel(b1_amp, cfg["delta_b"]),
         sigma=cfg["sigma"],
         r=cfg["r"],
         T=cfg["T"],
@@ -141,7 +137,7 @@ def build_params(cfg: dict, a1_amp=None, b1_amp=None) -> ModelParams:
 
 
 def build_history(cfg: dict, grid: SegmentGrid) -> HistoryPair:
-    if cfg["x1_decay"] <= 0:
+    if not cfg["x1_decay"] > 0:
         raise ConfigurationError(f"x1_decay must be positive, got {cfg['x1_decay']}")
     with np.errstate(over="ignore"):  # a lag over the decay past 1e308: exp(-inf) = 0
         x1 = cfg["x0"] * np.exp(-np.abs(grid.nodes) / cfg["x1_decay"])

@@ -2,13 +2,14 @@
 
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
-grid. Delay kernels live here too, each with an amplitude amp (0 for the
-zero kernel): constant and exponential densities on [-r, 0], evaluated at
-any lags in [-r, 0], and the point lag amp * x(t - r). With them comes
-DelayWindow, the trapezoid sum of a density over a window that slides one
-time step at a time (the delay terms of the simulator and of the costate
-solve). ConfigurationError, the one exception every module raises for
-invalid input, is defined here, at the bottom of the import graph.
+grid. Delay kernels live here too, each with an amplitude amp (any kernel
+whose amp is 0 is the zero kernel): constant and exponential densities on
+[-r, 0], evaluated at any lags in [-r, 0], and the point lag
+amp * x(t - r). With them comes DelayWindow, the trapezoid sum of a
+density over a window that slides one time step at a time (the delay
+terms of the simulator and of the costate solve). ConfigurationError,
+the one exception every module raises for invalid input, is defined
+here, at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class _Amplitude:
 
 @dataclass(frozen=True)
 class ConstantKernel(_Amplitude):
-    """The density amp on [-r, 0]; ConstantKernel(0.0) is the zero kernel."""
+    """The density amp on [-r, 0]; any kernel whose amp is 0 is the zero kernel."""
 
 
 @dataclass(frozen=True)
@@ -163,15 +164,15 @@ class DelayWindow:
     every column: the window's oldest sample at step k is history[k]
     while k < m, and row k - m after.
 
-    A 1-d sample array is summed in Python floats. A 2-d array holds one
-    column per path and is summed in place, each column in lag order, so
-    a path's sums do not depend on how many columns share the array (a
-    BLAS gemv or an einsum regroups its sums by the column count). Over a
-    shared history, step 0's raw sum is one running sum, the same for
-    every column. `sum` then returns a buffer that the next `sum`
+    Step 0's raw sum is taken at construction as one running sum in lag
+    order per column, over the m past samples of step 0 (which must be
+    filled by then): a 1-d array or a shared history has one such sum, so
+    a 1-d window equals a one-column window bit for bit, and a path's sums
+    do not depend on how many columns share the array. After that a 1-d
+    sample array is summed in Python floats, and a 2-d array, one column
+    per path, in place: `sum` returns a buffer that the next `sum`
     overwrites. The rows the window reads must be filled before it
-    reaches them; the m past samples of step 0 are summed at
-    construction. Once every row of a 1-d array without history is
+    reaches them. Once every row of a 1-d array without history is
     filled, `sums` gives the sums of all steps in one pass: the end terms
     as two arrays, the recursion in one loop over Python floats, with the
     operations of `sum` and `advance` in their order.
@@ -198,16 +199,16 @@ class DelayWindow:
             self.rho = float(np.exp(-dt / kernel.decay_scale))
         else:  # a constant kernel
             self.rho = 1.0
-        # h of step 0, summed over its m past samples
+        # h of step 0: a running sum of its m past samples in lag order
         head = values[:-1]
         past = samples[: self.m] if history is None else history[: self.m]
+        h = np.cumsum(head * past.T, axis=-1)[..., -1]
         if not self.columns:
-            self.h = float(head @ past)
+            self.h = float(h)
             return
         n = samples.shape[1]
         self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
-        # a running sum in lag order per column, or one for a shared history
-        self.h[:] = np.cumsum(head * past.T, axis=-1)[..., -1]
+        self.h[:] = h
 
     def _oldest(self, k: int):
         """The oldest sample of the window at step k."""

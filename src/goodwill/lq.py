@@ -109,7 +109,7 @@ def solve_costate(
     from the filled rows in one DelayWindow.sums pass. The bits are those
     of a loop of sum/advance calls per step.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     n = _steps_of(params.T, dt, "T")
     m = _steps_of(params.r, dt, "r")
@@ -264,7 +264,7 @@ def optimal_policy_lq(costate: CostateSolution, params: ModelParams) -> OpenLoop
 
 def memoryless_policy(params: ModelParams, gamma: float, beta: float) -> Policy:
     """Baseline z0(t) = gamma*b0*exp((T-t)a0)/(2 beta), optimal for a1=b1=0."""
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     return Memoryless(gamma=gamma, beta=beta)
 
@@ -279,7 +279,7 @@ def value_lq(
     that cutoff placed exactly rather than by a nodewise rule across the
     jump.
     """
-    if t < -1e-12 or t > costate.T + 1e-12:
+    if not -1e-12 <= t <= costate.T + 1e-12:
         raise ConfigurationError(f"t={t} outside [0, {costate.T}]")
     _check_horizon(costate.params, grid)
     xi, x1 = grid.nodes, np.asarray(xbar.x1, dtype=float)
@@ -409,9 +409,9 @@ def sensitivity_dV_dr(
     """
     if not kernel_is_zero(params.a1):
         raise ConfigurationError("the delay sensitivity needs a1 = 0")
-    if t < -1e-12 or t > params.T + 1e-12:
+    if not -1e-12 <= t <= params.T + 1e-12:
         raise ConfigurationError(f"t={t} outside [0, {params.T}]")
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     a0, b0, r, T = params.a0, params.b0, params.r, params.T
     x1_at_minus_r = float(x.x1[0])

@@ -284,7 +284,7 @@ def _steps_of(span: float, dt: float, what: str) -> int:
     count fails too)."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if span <= 0:
+    if not span > 0:
         raise ConfigurationError(f"{what} must be positive, got {span}")
     steps = span / dt
     if not steps <= MAX_STEPS:

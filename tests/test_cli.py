@@ -580,6 +580,9 @@ def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command)
         ("costate", {"beta": NAN}, "beta must be finite"),
         ("costate", {"gamma": NAN}, "gamma must be finite"),
         ("costate", {"delta_a": NAN}, "delta_a must be finite"),
+        # the delta keys are checked at every amplitude, 0 included
+        ("costate", {"a1_amp": 0, "delta_a": -1}, "decay_scale must be positive"),
+        ("costate", {"b1_amp": 0, "delta_b": 0}, "decay_scale must be positive"),
         ("costate", {"gamma": INF}, "gamma must be finite, got inf"),
         ("costate", {"u_max": -INF}, "u_max must be finite, got -inf"),
         ("costate", {"u_min": INF}, "u_min must be finite"),
@@ -604,7 +607,8 @@ def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command)
         "fig2_value_huge", "sensitivity_closed_form_beta_zero", "sensitivity_x0_nan",
         "sensitivity_t_eval_nan", "sensitivity_x1_decay_nan", "evaluate_sigma_nan",
         "fig2_x0_nan", "fig2_x1_decay_nan", "costate_a0_nan", "costate_beta_nan",
-        "costate_gamma_nan", "costate_delta_a_nan", "gamma_inf", "u_max_minus_inf",
+        "costate_gamma_nan", "costate_delta_a_nan", "costate_a1_zero_delta_a_negative",
+        "costate_b1_zero_delta_b_zero", "gamma_inf", "u_max_minus_inf",
         "u_min_inf", "costate_x0_negative", "list_entry_nan", "list_entry_inf",
         "sensitivity_n_nodes_huge", "evaluate_n_nodes_huge", "approx_n_nodes_huge", "n_nodes_one",
         "n_paths_huge",

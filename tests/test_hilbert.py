@@ -218,11 +218,11 @@ def test_window_sum_per_column_independent_of_column_count(n):
 @pytest.mark.parametrize("n", [None, 1, 2, 3, 9, 64, 513])
 def test_window_over_a_shared_history_equals_padded_rows(n):
     # a 1-d history shared by every column stands for the m past rows of
-    # step 0: each column's first raw sum is one running sum in lag order,
-    # and sum/advance read history[k] while k < m and row k - m after, with
-    # the bits of a window over rows padded with the history (n = None: a
-    # 1-d sample array, summed in Python floats). Random node values make
-    # any regrouping show in the bits.
+    # step 0: each column's first raw sum is one running sum in lag order
+    # (n = None: a 1-d sample array, summed in Python floats, starts from
+    # the same one), and sum/advance read history[k] while k < m and row
+    # k - m after, with the bits of a window over rows padded with the
+    # history. Random node values make any regrouping show in the bits.
     rng = np.random.default_rng(7)
     dt, m, steps = 1e-3, 500, 600  # the window leaves the history at step m
     k, values = ExponentialKernel(-2.0, 0.3), rng.standard_normal(m + 1)
@@ -235,9 +235,7 @@ def test_window_over_a_shared_history_equals_padded_rows(n):
         padded = np.concatenate([np.tile(history[:m, None], (1, n)), rows])
     shared = DelayWindow(k, values, dt, rows, history)
     window = DelayWindow(k, values, dt, padded)
-    if n is not None:
-        want = np.cumsum(values[:-1] * history[:m])[-1]
-        np.testing.assert_array_equal(shared.h, [want] * n)
+    np.testing.assert_array_equal(shared.h, np.cumsum(values[:-1] * history[:m])[-1])
     np.testing.assert_array_equal(shared.h, window.h)
     for step in range(steps):
         got = np.copy(shared.sum(step, rows[step]))
@@ -249,18 +247,15 @@ def test_window_over_a_shared_history_equals_padded_rows(n):
 
 def test_window_sum_in_place_forms_match_scalar_forms():
     # a window over path columns, summed and moved on in place, gives each
-    # column the bits of a window over that column alone, in Python floats
+    # column the bits of a window over that column alone, in Python floats,
+    # from the first raw sum on (at m = 500 a dot's grouping would differ)
     rng = np.random.default_rng(6)
-    dt, m, steps = 1e-3, 50, 8
+    dt, m, steps = 1e-3, 500, 8
     for k in (ExponentialKernel(-2.0, 0.3), ConstantKernel(0.7)):
-        values = kernel_eval(k, -0.05 + dt * np.arange(m + 1), 0.05)
+        values = kernel_eval(k, -m * dt + dt * np.arange(m + 1), m * dt)
         samples = rng.standard_normal((m + steps + 1, 8))
         paths = DelayWindow(k, values, dt, samples)
         cols = [DelayWindow(k, values, dt, samples[:, i].copy()) for i in range(8)]
-        for i, col in enumerate(cols):
-            # the first raw sums differ in their grouping (a running sum
-            # against a dot), so the recursion starts from the same one
-            col.h = float(paths.h[i])
         for step in range(steps):
             got = paths.sum(step, samples[step + m])
             paths.advance(step)

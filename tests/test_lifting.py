@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import e1_trajectory
 
-from goodwill import lifting
+from goodwill import lifting, lq
+from goodwill.approximation import simulate_lifted_perturbed
 from goodwill.hilbert import (
     ConstantKernel,
     ExponentialKernel,
@@ -47,12 +48,41 @@ def make_params(**kw):
 # --- structural map M ---------------------------------------------------------
 
 
-def test_lift_zero_kernels():
+def _zero_kernel_bytes(zero):
+    """The bytes of the lift, the costate, the paths, the mean and the
+    lifted paths of a model whose a1 and b1 are both `zero`."""
     grid = SegmentGrid(0.5, 21)
-    p = make_params()
+    p = make_params(a1=zero, b1=zero, sigma=0.5)
+    t = np.linspace(0.0, 1.0, 41)
+    pol = OpenLoop(t=t, z=1.0 + t)
+    hist = HistoryPair(grid=grid, x0=1.0, x1=np.ones(21), delta=np.ones(21))
+    cs = lq.solve_costate(p, 1.0, 0.5, 0.025)
+    ens = simulate_paths(p, hist, pol, 0.025, 3, 5)
+    lifted = lift_M(3.0, np.ones(21), np.ones(21), p, grid)
+    init = ProfileX(1.0, np.ones(21))
+    approx = simulate_lifted_perturbed(p, init, pol, 0.5, grid, 0.025, 3, 5)
+    return [
+        a.tobytes()
+        for a in (
+            cs.w0, cs.c, cs.bw, ens.y, ens.z, lifted.x1, approx.y0, approx.y1,
+            np.float64(lq.trajectory_mean(0.8, init, pol, p, grid, 0.025)),
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "zero",
+    [ConstantKernel(0.0), ExponentialKernel(0.0, 0.2), ExponentialKernel(-0.0, 0.2)],
+    ids=["constant", "exponential", "exponential_minus_zero"],
+)
+def test_lift_zero_kernels(zero):
+    # any kernel whose amplitude is 0 is the zero kernel, bit for bit
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(a1=zero, b1=zero)
     out = lift_M(3.0, np.ones(21), np.ones(21), p, grid)
     assert out.x0 == 3.0
     np.testing.assert_array_equal(out.x1, np.zeros(21))
+    assert _zero_kernel_bytes(zero) == _zero_kernel_bytes(ConstantKernel(0.0))
 
 
 def test_lift_constant_b1_unit_control():
@@ -141,8 +171,12 @@ def test_delay_ode_rejects_a_step_that_does_not_divide_the_span():
 
 
 def test_delay_ode_zero_span_rejects_nonpositive_step():
-    # a zero span is refused as by every other solver, the step checked first
+    # a zero span is refused as by every other solver, the step checked
+    # first; a nan span is refused as a zero one
     grid = SegmentGrid(1.0, 51)
+    nan = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=np.nan)
+    with pytest.raises(ConfigurationError, match="^t_end must be positive, got nan$"):
+        solve_delay_ode(nan, 1e-3)
     prob = DelayODEProblem(-1.0, PointDelay(0.5), 1.0, np.ones(51), grid, t_end=0.0)
     with pytest.raises(ConfigurationError, match="t_end must be positive"):
         solve_delay_ode(prob, 1e-3)

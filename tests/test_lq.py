@@ -93,6 +93,11 @@ def test_costate_rejects_bad_config():
         solve_costate(p, 1.0, -0.5, 1e-3)
     with pytest.raises(ConfigurationError):
         solve_costate(p, 1.0, 0.5, 0.3)  # does not divide r
+    # a nan beta is a config error, not a costate that leaves the finite range
+    with pytest.raises(ConfigurationError, match="^beta must be positive, got nan$"):
+        solve_costate(p, 1.0, np.nan, 1e-3)
+    with pytest.raises(ConfigurationError, match="^beta must be positive, got nan$"):
+        memoryless_policy(p, 1.0, np.nan)
 
 
 def test_costate_richardson_ratio():
@@ -380,18 +385,18 @@ def test_a1_costate_with_the_shortest_windows(a1, b1, lag_steps):
 
 
 @pytest.mark.parametrize(
-    "a1_amp, limit_mib, miss",
-    [(0.0, 1.30, False), (0.0, 1.30, True), (None, 1.53, False)],
+    "changes, limit_mib, miss",
+    [({"a1_amp": 0.0}, 1.30, False), ({"a1_amp": 0.0}, 1.30, True), ({}, 1.53, False)],
     ids=["b1_only", "b1_only_memo_miss", "both_churns"],
 )
-def test_costate_peak_memory(a1_amp, limit_mib, miss):
+def test_costate_peak_memory(changes, limit_mib, miss):
     # the tracemalloc peak of one fine-step solve at the shipped model: a
     # few arrays of the 20,001 steps, no Python list of a float per step
     # (that alone would add about 0.6 MiB); the peaks are 1.22 and 1.45
     # MiB. A miss of the a1-free memo keeps the solve's own rows, no copy
     # of them, so it peaks where a hit does
     cfg = merged_config(None, {})
-    p = build_params(cfg, a1_amp=a1_amp)
+    p = build_params(dict(cfg, **changes))
     solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)  # one-time set-up off the count
     if miss:
         lq._A1_FREE_ROWS.clear()
@@ -565,6 +570,8 @@ def test_value_domain_error():
     cs = solve_costate(p, 1.0, 0.5, 1e-2)
     with pytest.raises(ConfigurationError):
         value_lq(1.5, ProfileX(1.0, np.zeros(11)), cs, grid)
+    with pytest.raises(ConfigurationError, match=r"^t=nan outside \[0, 1.0\]$"):
+        value_lq(np.nan, ProfileX(1.0, np.zeros(11)), cs, grid)
 
 
 def test_value_matches_monte_carlo():
@@ -831,7 +838,7 @@ def _broadcast_q(p, grid, t, times, phi):
 def test_lag_loop_q_matches_the_broadcast_form(b1_amp):
     # exact_fine's b1 settings: a1 = 0, 201 nodes, t = T, dt = 2.5e-4
     cfg = merged_config(None, {})
-    p = build_params(cfg, a1_amp=0.0, b1_amp=b1_amp)
+    p = build_params(dict(cfg, a1_amp=0.0, b1_amp=b1_amp))
     grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
     xbar = lift_M(1.0, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), p, grid)
     times, phi, q, _ = lq._e1_trajectory(p, grid, p.T, 2.5e-4)
@@ -851,7 +858,7 @@ def test_lag_loop_q_peak_memory():
     # one b1 solve at 201 nodes and dt = 2.5e-4 read phi through a
     # (4001 x 201) array of lag times: 13.1 MiB under tracemalloc
     cfg = merged_config(None, {})
-    p = build_params(cfg, a1_amp=0.0)
+    p = build_params(dict(cfg, a1_amp=0.0))
     grid = SegmentGrid(cfg["r"], cfg["n_nodes"])
     lq._e1_trajectory(p, grid, p.T, 2.5e-4)  # one-time set-up off the count
     lq._e1_trajectory.cache_clear()
@@ -994,5 +1001,10 @@ def test_sensitivity_rejects_a1():
 
 def test_sensitivity_domain_error():
     p = make_params()
+    x = ProfileX(1.0, np.zeros(201))
     with pytest.raises(ConfigurationError):
-        sensitivity_dV_dr(2.0, ProfileX(1.0, np.zeros(201)), p, 1.0, 0.5, 1e-3)
+        sensitivity_dV_dr(2.0, x, p, 1.0, 0.5, 1e-3)
+    with pytest.raises(ConfigurationError, match=r"^t=nan outside \[0, 1.0\]$"):
+        sensitivity_dV_dr(np.nan, x, p, 1.0, 0.5, 1e-3)
+    with pytest.raises(ConfigurationError, match="^beta must be positive, got nan$"):
+        sensitivity_dV_dr(0.0, x, p, 1.0, np.nan, 1e-3)
