@@ -63,12 +63,12 @@ change (the first line, then the pinned run's lines) and says why.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 from goodwill import approximation, cli, lifting, lq, sdde, state_delay
 from goodwill.hilbert import (
-    ConstantKernel,
     ExponentialKernel,
     PointDelay,
     SegmentGrid,
@@ -77,8 +77,17 @@ from goodwill.hilbert import (
 CFG = cli.load_defaults()
 GAMMA, BETA, SEED = CFG["gamma"], CFG["beta"], CFG["seed"]
 GRID = SegmentGrid(CFG["r"], 51)
-A1 = (ConstantKernel(0.0), ConstantKernel(-1.0), ExponentialKernel(-5.0, 1 / 6))
-B1 = (ConstantKernel(0.0), ConstantKernel(2.0), ExponentialKernel(5.0, 0.5))
+# zero, a constant density (decay scale inf) and an exponential one
+A1 = (
+    ExponentialKernel(0.0, math.inf),
+    ExponentialKernel(-1.0, math.inf),
+    ExponentialKernel(-5.0, 1 / 6),
+)
+B1 = (
+    ExponentialKernel(0.0, math.inf),
+    ExponentialKernel(2.0, math.inf),
+    ExponentialKernel(5.0, 0.5),
+)
 DT = 4e-3  # below the grid spacing 1e-2, as the lifted scheme needs
 
 
@@ -177,7 +186,7 @@ def feedback():
         yield state_delay.feedback_quadratic(d0v, quad)
         yield state_delay.feedback_bangbang(d0v, lin, tie_value=0.5 * R)
         yield state_delay.feedback_bangbang(switch, lin, tie_value=0.25 * R)
-    p = params(ConstantKernel(0.0), ConstantKernel(0.0))
+    p = params(ExponentialKernel(0.0, math.inf), ExponentialKernel(0.0, math.inf))
     spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
     policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
     ens = state_delay.simulate_feedback(
@@ -192,7 +201,7 @@ CLIPPING = sdde.FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y))
 
 def lags():
     history = cli.build_history(CFG, GRID)
-    zero, a1, b1 = ConstantKernel(0.0), PointDelay(-1.0), PointDelay(2.0)
+    zero, a1, b1 = ExponentialKernel(0.0, math.inf), PointDelay(-1.0), PointDelay(2.0)
     for pair in ((a1, zero), (zero, b1), (a1, b1)):
         p = params(*pair, u_max=2.5)
         for policy in (lq.memoryless_policy(p, GAMMA, BETA), CLIPPING):
@@ -236,7 +245,7 @@ def blocks():
     for policy in (zstar, lq.memoryless_policy(p, GAMMA, BETA)):
         est = sdde.evaluate_policy(p, history, policy, obj, 0.01, n_paths, SEED)
         yield est.values
-    p = params(ConstantKernel(0.0), ConstantKernel(0.0))
+    p = params(ExponentialKernel(0.0, math.inf), ExponentialKernel(0.0, math.inf))
     spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
     policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
     ens = state_delay.simulate_feedback(p, -1.0, history, policy, 0.01, n_paths, SEED)

@@ -121,6 +121,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_params(cfg: dict, a1_amp=None, b1_amp=None) -> ModelParams:
+    for key in ("delta_a", "delta_b"):  # an error that names the key to fix
+        if not cfg[key] > 0:
+            raise ConfigurationError(f"{key} must be positive, got {cfg[key]}")
     a1_amp = cfg["a1_amp"] if a1_amp is None else a1_amp
     b1_amp = cfg["b1_amp"] if b1_amp is None else b1_amp
     return ModelParams(

@@ -3,13 +3,13 @@
 A point of the space is a scalar plus a sampled segment profile on a
 uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
 grid. Delay kernels live here too, each with an amplitude amp (any kernel
-whose amp is 0 is the zero kernel): constant and exponential densities on
-[-r, 0], evaluated at any lags in [-r, 0], and the point lag
-amp * x(t - r). With them comes DelayWindow, the trapezoid sum of a
-density over a window that slides one time step at a time (the delay
-terms of the simulator and of the costate solve). ConfigurationError,
-the one exception every module raises for invalid input, is defined
-here, at the bottom of the import graph.
+whose amp is 0 is the zero kernel): the exponential density on [-r, 0],
+evaluated at any lags in [-r, 0], whose infinite decay scale is the
+constant density, and the point lag amp * x(t - r). With them comes
+DelayWindow, the trapezoid sum of a density over a window that slides one
+time step at a time (the delay terms of the simulator and of the costate
+solve). ConfigurationError, the one exception every module raises for
+invalid input, is defined here, at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -88,13 +88,9 @@ class _Amplitude:
 
 
 @dataclass(frozen=True)
-class ConstantKernel(_Amplitude):
-    """The density amp on [-r, 0]; any kernel whose amp is 0 is the zero kernel."""
-
-
-@dataclass(frozen=True)
 class ExponentialKernel(_Amplitude):
-    """amp * exp(-|xi| / decay_scale)."""
+    """amp * exp(-|xi| / decay_scale); decay_scale = inf is the constant
+    density amp, bit for bit, since exp(-0.0) = 1 exactly."""
 
     decay_scale: float
 
@@ -111,7 +107,7 @@ class PointDelay(_Amplitude):
     """The point lag amp * x(t - r): all the weight at xi = -r, no density."""
 
 
-Kernel = PointDelay | ConstantKernel | ExponentialKernel
+Kernel = PointDelay | ExponentialKernel
 
 
 def kernel_eval(k: Kernel, xi, r: float):
@@ -123,12 +119,9 @@ def kernel_eval(k: Kernel, xi, r: float):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
         raise ConfigurationError(f"kernel argument outside [-{r}, 0]")
-    if isinstance(k, ConstantKernel):
-        out = np.full_like(xi, k.amp)
-    elif isinstance(k, ExponentialKernel):
-        out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
-    else:
+    if not isinstance(k, ExponentialKernel):
         raise TypeError(f"unknown kernel type {type(k).__name__}")
+    out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
     return out if out.ndim else float(out)
 
 
@@ -149,8 +142,8 @@ class DelayWindow:
     kept as the raw sum h = sum_{j<m} a_j x_j of the m past samples; the
     caller passes the newest sample x_m to `sum`, so a predictor may stand
     in for it. The node values have a fixed ratio
-    rho = a_j / a_{j+1} (rho = exp(-dt/delta) for an exponential kernel,
-    1 for a constant one), so `advance` moves the window on in O(1):
+    rho = a_j / a_{j+1} = exp(-dt/delta) (1 at delta = inf), so `advance`
+    moves the window on in O(1):
 
         h' = rho * (h - a_0 x_0 + a_m x_m)
 
@@ -195,10 +188,7 @@ class DelayWindow:
         self.last = float(values[-1])
         self.m = len(values) - 1
         self.dt = dt
-        if isinstance(kernel, ExponentialKernel):
-            self.rho = float(np.exp(-dt / kernel.decay_scale))
-        else:  # a constant kernel
-            self.rho = 1.0
+        self.rho = float(np.exp(-dt / kernel.decay_scale))
         # h of step 0: a running sum of its m past samples in lag order
         head = values[:-1]
         past = samples[: self.m] if history is None else history[: self.m]

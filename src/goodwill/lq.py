@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    ConstantKernel,
     DelayWindow,
     PointDelay,
     ProfileX,
@@ -282,6 +281,8 @@ def value_lq(
     if not -1e-12 <= t <= costate.T + 1e-12:
         raise ConfigurationError(f"t={t} outside [0, {costate.T}]")
     _check_horizon(costate.params, grid)
+    if len(xbar.x1) != grid.n_nodes:
+        raise ConfigurationError("the profile must live on the grid")
     xi, x1 = grid.nodes, np.asarray(xbar.x1, dtype=float)
     # a cut at or below -r is -r, where the points and values are the grid's own
     cut = t - costate.T if t - costate.T > xi[0] + 1e-15 else xi[0]
@@ -394,9 +395,9 @@ def sensitivity_dV_dr(
     The formula needs a1 = 0, so that w0 does not itself depend on r; a
     non-zero a1 raises ConfigurationError (the formula would drop the
     d(w0)/dr terms: 29% off a finite difference at a1 = -5 e^{-|xi|/(1/6)}).
-    When b1 is also constant (b0, b1-hat below) and no bound binds
-    (u_min = 0 and u_max >= gamma (b0 + b1 r) / (2 beta), the largest
-    <B,w> / (2 beta) can be) the closed form
+    When b1 is also constant (decay_scale = inf; b0, b1-hat below) and
+    no bound binds (u_min = 0 and u_max >= gamma (b0 + b1 r) / (2 beta),
+    the largest <B,w> / (2 beta) can be) the closed form
 
         gamma e^{a0(T-t-r)} x1(-r)
         + (b1 gamma^2 / (4 beta a0)) (b0 + b1 (1 - e^{-a0 r}) / a0)
@@ -415,7 +416,7 @@ def sensitivity_dV_dr(
         raise ConfigurationError(f"beta must be positive, got {beta}")
     a0, b0, r, T = params.a0, params.b0, params.r, params.T
     x1_at_minus_r = float(x.x1[0])
-    constant = isinstance(params.b1, ConstantKernel)
+    constant = getattr(params.b1, "decay_scale", None) == np.inf  # a point lag has none
 
     if t + r > T + 1e-12:
         return 0.0

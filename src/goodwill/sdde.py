@@ -130,8 +130,8 @@ class HistoryPair:
         delta = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "delta", delta)
-        if len(x1) != self.grid.n_nodes or len(delta) != self.grid.n_nodes:
-            raise ConfigurationError("history profiles must live on the grid")
+        if x1.shape != delta.shape or x1.shape != (self.grid.n_nodes,):
+            raise ConfigurationError("history profiles must be 1-d and live on the grid")
         if not all(np.all((0 <= v) & (v < np.inf)) for v in (self.x0, x1, delta)):
             raise ConfigurationError("histories must be non-negative and finite")
         if abs(x1[-1] - self.x0) > 1e-9 * (1.0 + abs(self.x0)):

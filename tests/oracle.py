@@ -1,4 +1,5 @@
-"""The exact e1 trajectory of the scalar linear delay equation, for tests.
+"""Reference computations for tests: the exact e1 trajectory of the scalar
+linear delay equation, and a delay window re-summed every step.
 
     phi'(t) = a0 phi(t) + D(t),   phi = 0 on [-r, 0), phi(0) = 1,
 
@@ -15,7 +16,7 @@ a1(xi) = A e^{xi/delta} (ExponentialKernel),
 
     D'(t) = A phi(t) - D(t)/delta - A e^{-r/delta} phi(t - r),
 
-and a constant kernel is the limit delta -> inf. A point lag needs no D.
+and a constant density is delta = inf, where 1/delta = 0. A point lag needs no D.
 The matrix exponential of that ODE over one sample step (scipy.linalg.expm;
 Van Loan, IEEE Trans. Automatic Control 23, 1978) is the interval's
 propagator, so a trajectory costs one expm per interval, not one per sample.
@@ -28,7 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from goodwill.hilbert import ExponentialKernel, Kernel, PointDelay
+from goodwill.hilbert import Kernel, PointDelay
 
 
 def _generator(a0: float, a1: Kernel, r: float, k: int) -> np.ndarray:
@@ -37,7 +38,7 @@ def _generator(a0: float, a1: Kernel, r: float, k: int) -> np.ndarray:
     for a density."""
     if isinstance(a1, PointDelay):
         return a0 * np.eye(k + 1) + a1.amp * np.eye(k + 1, k=-1)
-    decay = 1 / a1.decay_scale if isinstance(a1, ExponentialKernel) else 0.0
+    decay = 1 / a1.decay_scale
     g = np.zeros((2 * (k + 1), 2 * (k + 1)))
     for j in range(k + 1):
         p, d = 2 * j, 2 * j + 1
@@ -70,3 +71,21 @@ def e1_trajectory(a0: float, a1: Kernel, r: float, t_end: float, n: int) -> np.n
                 state = step @ state
         end = state
     return phi
+
+
+class ResummedWindow:
+    """DelayWindow's sum and advance with the sum taken over the whole
+    window every step, the newest sample standing in for row k + m: the
+    reference for the window's O(1) recursion, over one column per path
+    or one shared row."""
+
+    def __init__(self, kernel, values, dt, rows):
+        self.values, self.dt, self.rows, self.m = values, dt, rows, len(values) - 1
+
+    def sum(self, k, newest):
+        v, dt, x = self.values, self.dt, self.rows[k : k + self.m + 1].copy()
+        x[-1] = newest
+        return dt * (v @ x) - dt / 2 * (v[0] * x[0] + v[-1] * x[-1])
+
+    def advance(self, k):
+        pass

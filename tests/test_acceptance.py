@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with pytest -s or in
 the captured output of a failing run) and asserts the same condition.
 """
 
+import math
 import time
 
 import numpy as np
@@ -14,7 +15,6 @@ from goodwill.approximation import (
     simulate_lifted_perturbed,
 )
 from goodwill.hilbert import (
-    ConstantKernel,
     ExponentialKernel,
     PointDelay,
     ProfileX,
@@ -66,10 +66,10 @@ def default_params(a1_amp=None, b1_amp=None, sigma=None):
     b1_amp = d["b1_amp"] if b1_amp is None else b1_amp
     return ModelParams(
         a0=d["a0"],
-        a1=(ConstantKernel(0.0) if a1_amp == 0
+        a1=(ExponentialKernel(0.0, math.inf) if a1_amp == 0
             else ExponentialKernel(a1_amp, d["delta_a"])),
         b0=d["b0"],
-        b1=(ConstantKernel(0.0) if b1_amp == 0
+        b1=(ExponentialKernel(0.0, math.inf) if b1_amp == 0
             else ExponentialKernel(b1_amp, d["delta_b"])),
         sigma=d["sigma"] if sigma is None else sigma,
         r=d["r"],
@@ -222,7 +222,8 @@ def test_a6_sensitivity_oracle():
         x = ProfileX(10.0, x1)
         p = default_params(a1_amp=0.0)
         p = ModelParams(
-            a0=p.a0, a1=ConstantKernel(0.0), b0=p.b0, b1=p.b1, sigma=p.sigma, r=r, T=p.T
+            a0=p.a0, a1=ExponentialKernel(0.0, math.inf), b0=p.b0, b1=p.b1,
+            sigma=p.sigma, r=r, T=p.T,
         )
         formula = sensitivity_dV_dr(0.0, x, p, gamma, beta, dt)
 
@@ -230,7 +231,7 @@ def test_a6_sensitivity_oracle():
         vals = []
         for rr in (r + h, r - h):
             pp = ModelParams(
-                a0=p.a0, a1=ConstantKernel(0.0), b0=p.b0, b1=p.b1, sigma=p.sigma,
+                a0=p.a0, a1=ExponentialKernel(0.0, math.inf), b0=p.b0, b1=p.b1, sigma=p.sigma,
                 r=rr, T=p.T,
             )
             gg = SegmentGrid(rr, 201)
@@ -347,7 +348,7 @@ def test_a9_property_suites():
         a0 = -rng.uniform(0, 2)
         a1p = rng.uniform(0, 1)
         p = ModelParams(
-            a0=a0, a1=PointDelay(a1p), b0=1.0, b1=ConstantKernel(0.0),
+            a0=a0, a1=PointDelay(a1p), b0=1.0, b1=ExponentialKernel(0.0, math.inf),
             sigma=rng.uniform(0, 0.5), r=0.5, T=1.0,
         )
         lo = rng.uniform(0, 1, 11)

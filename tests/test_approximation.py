@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from goodwill.approximation import (
 )
 from goodwill.cli import merged_config, run_approx
 from goodwill.hilbert import (
-    ConstantKernel,
     ExponentialKernel,
     ProfileX,
     SegmentGrid,
@@ -40,8 +40,8 @@ from goodwill.sdde import (
 
 def make_params(**kw):
     base = dict(
-        a0=-1.0, a1=ConstantKernel(0.0), b0=1.0, b1=ConstantKernel(0.0), sigma=0.0,
-        r=0.5, T=1.0,
+        a0=-1.0, a1=ExponentialKernel(0.0, math.inf), b0=1.0,
+        b1=ExponentialKernel(0.0, math.inf), sigma=0.0, r=0.5, T=1.0,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -150,7 +150,7 @@ def test_cfl_bound_is_relative_to_the_spacing():
     # spacing 1e-16: an absolute slack of 1e-15 let dt = 1e-15 (lambda = 10)
     # through, and the upwind scheme ran off to 1e126 with no error
     grid = SegmentGrid(2e-14, 201)
-    p = make_params(a1=ConstantKernel(-1.0), sigma=0.5, r=2e-14, T=1e-13)
+    p = make_params(a1=ExponentialKernel(-1.0, math.inf), sigma=0.5, r=2e-14, T=1e-13)
     t = np.linspace(0.0, 1e-13, 11)
     pol = OpenLoop(t=t, z=np.ones_like(t))
     x = ProfileX(1.0, np.ones(201))
@@ -245,7 +245,9 @@ POL = OpenLoop(t=np.linspace(0, 1, 21), z=np.zeros(21))
 )
 def test_grid_horizon_must_match_the_model(run):
     with pytest.raises(ConfigurationError, match="segment grid has r=1"):
-        run(make_params(a1=ConstantKernel(0.5), b1=ConstantKernel(0.5)))
+        run(make_params(
+            a1=ExponentialKernel(0.5, math.inf), b1=ExponentialKernel(0.5, math.inf)
+        ))
 
 
 def _no_noise_draw(*args):
@@ -266,14 +268,14 @@ def test_negative_eps1_raises_before_simulating(monkeypatch, run):
     # a negative eps1 would silently drop the rank-one perturbation
     monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
     with pytest.raises(ConfigurationError, match="eps1 must be non-negative"):
-        run(make_params(b1=ConstantKernel(1.0)))
+        run(make_params(b1=ExponentialKernel(1.0, math.inf)))
 
 
 def test_lifted_blowup_is_a_numerical_failure():
     # an explosive forgetting kernel overflows the scheme: that is a
     # numerical failure (exit 3), not a configuration error (exit 2)
     grid = SegmentGrid(0.5, 201)
-    p = make_params(a0=0.0, a1=ConstantKernel(1e8))
+    p = make_params(a0=0.0, a1=ExponentialKernel(1e8, math.inf))
     t = grid.spacing * np.arange(round(1.0 / grid.spacing) + 1)
     pol = OpenLoop(t=t, z=np.zeros_like(t))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,7 +303,7 @@ def test_lifted_rank_one_noise_needs_b1():
 
 def test_lifted_determinism():
     grid = SegmentGrid(0.5, 51)
-    p = make_params(sigma=0.4, b1=ConstantKernel(1.0))
+    p = make_params(sigma=0.4, b1=ExponentialKernel(1.0, math.inf))
     t = grid.spacing * np.arange(round(1.0 / grid.spacing) + 1)
     pol = OpenLoop(t=t, z=np.ones_like(t))
     x = ProfileX(1.0, np.linspace(0, 1, 51))
@@ -335,7 +337,9 @@ def test_lifted_blocks_are_bit_identical(monkeypatch):
     # path blocks and in-place buffers change no bit: against the plain
     # scheme, across a block boundary, and for any path count
     grid = SegmentGrid(0.5, 21)
-    p = make_params(sigma=0.4, a1=ConstantKernel(-0.5), b1=ConstantKernel(1.0))
+    p = make_params(
+        sigma=0.4, a1=ExponentialKernel(-0.5, math.inf), b1=ExponentialKernel(1.0, math.inf)
+    )
     t = np.linspace(0.0, 1.0, 11)
     pol = OpenLoop(t=t, z=np.linspace(1.0, 0.2, 11))
     x = ProfileX(1.0, np.linspace(0, 1, 21))
@@ -426,12 +430,15 @@ def _path_major_reference(params, lifted_init, policy, eps1, grid, dt, n_paths, 
 
 
 KERNELS_A1 = {
-    "zero": ConstantKernel(0.0),
-    "constant": ConstantKernel(-0.5),
+    "zero": ExponentialKernel(0.0, math.inf),
+    "constant": ExponentialKernel(-0.5, math.inf),
     "exponential": ExponentialKernel(-5.0, 1 / 6),
     "steep": ExponentialKernel(-40.0, 0.02),
 }
-KERNELS_B1 = {"zero": ConstantKernel(0.0), "exponential": ExponentialKernel(5.0, 0.5)}
+KERNELS_B1 = {
+    "zero": ExponentialKernel(0.0, math.inf),
+    "exponential": ExponentialKernel(5.0, 0.5),
+}
 BATTERY_BLOCK = 4
 
 
@@ -489,7 +496,7 @@ def test_lifted_blowup_names_the_reference_step():
     # the state overflows; the step loop keeps numpy's warnings to itself
     # and names the step the elementwise check names
     grid = SegmentGrid(0.5, 21)
-    p = make_params(a0=0.0, a1=ConstantKernel(1e60))
+    p = make_params(a0=0.0, a1=ExponentialKernel(1e60, math.inf))
     pol = OpenLoop(t=np.linspace(0.0, 1.0, 41), z=np.zeros(41))
     x = ProfileX(1.0, np.zeros(21))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -506,7 +513,7 @@ def test_lifted_blowup_names_the_reference_step():
 
 def _study(eps1_seq, eps2_seq, n_paths=2000):
     grid = SegmentGrid(0.5, 101)
-    p = make_params(sigma=0.3, b1=ConstantKernel(1.0))
+    p = make_params(sigma=0.3, b1=ExponentialKernel(1.0, math.inf))
     dt = grid.spacing
     t = dt * np.arange(round(1.0 / dt) + 1)
     zc = 0.5

@@ -581,8 +581,8 @@ def test_a_bug_is_a_traceback_not_a_config_error(tmp_path, monkeypatch, command)
         ("costate", {"gamma": NAN}, "gamma must be finite"),
         ("costate", {"delta_a": NAN}, "delta_a must be finite"),
         # the delta keys are checked at every amplitude, 0 included
-        ("costate", {"a1_amp": 0, "delta_a": -1}, "decay_scale must be positive"),
-        ("costate", {"b1_amp": 0, "delta_b": 0}, "decay_scale must be positive"),
+        ("costate", {"a1_amp": 0, "delta_a": -1}, "delta_a must be positive, got -1"),
+        ("costate", {"b1_amp": 0, "delta_b": 0}, "delta_b must be positive, got 0"),
         ("costate", {"gamma": INF}, "gamma must be finite, got inf"),
         ("costate", {"u_max": -INF}, "u_max must be finite, got -inf"),
         ("costate", {"u_min": INF}, "u_min must be finite"),

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodwill.hilbert import (
     ConfigurationError,
-    ConstantKernel,
     DelayWindow,
     ExponentialKernel,
     PointDelay,
@@ -137,8 +138,22 @@ def test_grid_refinement_second_order():
 def test_kernel_eval_examples():
     g = SegmentGrid(0.5, 51)
     assert kernel_eval(ExponentialKernel(5.0, 1 / 6), 0.0, g.r) == 5.0
-    assert kernel_eval(ConstantKernel(2.5), -0.3, g.r) == 2.5
-    assert kernel_eval(ConstantKernel(0.0), -0.1, g.r) == 0.0
+    assert kernel_eval(ExponentialKernel(2.5, math.inf), -0.3, g.r) == 2.5
+    assert kernel_eval(ExponentialKernel(0.0, math.inf), -0.1, g.r) == 0.0
+
+
+@pytest.mark.parametrize("amp", [2.5, -1.3, 0.0, -0.0, 1e-300, 1e300])
+def test_infinite_decay_scale_is_the_constant_density(amp):
+    # exp(-|xi| / inf) = exp(-0.0) = 1 exactly: every node, xi = -r and
+    # xi = 0 among them, reads the amplitude's own bits, and the window's
+    # node ratio is 1
+    g = SegmentGrid(0.5, 51)
+    k = ExponentialKernel(amp, math.inf)
+    values = kernel_eval(k, g.nodes, g.r)
+    assert values.tobytes() == np.full(g.n_nodes, amp).tobytes()
+    for xi in (-g.r, 0.0):
+        assert np.float64(kernel_eval(k, xi, g.r)).tobytes() == np.float64(amp).tobytes()
+    assert DelayWindow(k, values, 0.01, np.ones(g.n_nodes)).rho == 1.0
 
 
 def test_kernel_eval_exponential_decay():
@@ -150,15 +165,15 @@ def test_kernel_eval_exponential_decay():
 def test_kernel_eval_domain_error():
     g = SegmentGrid(0.5, 11)
     with pytest.raises(ConfigurationError):
-        kernel_eval(ConstantKernel(1.0), -0.6, g.r)
+        kernel_eval(ExponentialKernel(1.0, math.inf), -0.6, g.r)
     with pytest.raises(ConfigurationError):
-        kernel_eval(ConstantKernel(1.0), 0.1, g.r)
+        kernel_eval(ExponentialKernel(1.0, math.inf), 0.1, g.r)
 
 
 def test_kernel_is_zero():
-    assert kernel_is_zero(ConstantKernel(0.0))
-    assert kernel_is_zero(ConstantKernel(-0.0))
-    assert not kernel_is_zero(ConstantKernel(0.5))
+    assert kernel_is_zero(ExponentialKernel(0.0, math.inf))
+    assert kernel_is_zero(ExponentialKernel(-0.0, math.inf))
+    assert not kernel_is_zero(ExponentialKernel(0.5, math.inf))
     assert not kernel_is_zero(ExponentialKernel(1.0, 1.0))
 
 
@@ -170,18 +185,20 @@ def test_point_lag_is_zero_at_zero_amplitude():
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda: ConstantKernel(np.nan), "amplitude must be finite"),
-        (lambda: ConstantKernel(-np.inf), "amplitude must be finite"),
+        (lambda: ExponentialKernel(np.nan, math.inf), "amplitude must be finite"),
+        (lambda: ExponentialKernel(-np.inf, math.inf), "amplitude must be finite"),
         (lambda: ExponentialKernel(np.nan, 0.5), "amplitude must be finite"),
         (lambda: ExponentialKernel(np.inf, 0.5), "amplitude must be finite"),
         (lambda: ExponentialKernel(-1.0, np.nan), "decay_scale must be positive"),
         (lambda: ExponentialKernel(-1.0, 0.0), "decay_scale must be positive"),
+        (lambda: ExponentialKernel(-1.0, -math.inf), "decay_scale must be positive"),
         (lambda: PointDelay(np.inf), "amplitude must be finite"),
         (lambda: PointDelay(np.nan), "amplitude must be finite"),
     ],
     ids=[
         "constant_nan", "constant_-inf", "exponential_amp_nan", "exponential_amp_inf",
-        "exponential_scale_nan", "exponential_scale_0", "point_inf", "point_nan",
+        "exponential_scale_nan", "exponential_scale_0", "exponential_scale_-inf",
+        "point_inf", "point_nan",
     ],
 )
 def test_kernels_refuse_non_finite_parameters(make, match):
@@ -251,7 +268,7 @@ def test_window_sum_in_place_forms_match_scalar_forms():
     # from the first raw sum on (at m = 500 a dot's grouping would differ)
     rng = np.random.default_rng(6)
     dt, m, steps = 1e-3, 500, 8
-    for k in (ExponentialKernel(-2.0, 0.3), ConstantKernel(0.7)):
+    for k in (ExponentialKernel(-2.0, 0.3), ExponentialKernel(0.7, math.inf)):
         values = kernel_eval(k, -m * dt + dt * np.arange(m + 1), m * dt)
         samples = rng.standard_normal((m + steps + 1, 8))
         paths = DelayWindow(k, values, dt, samples)
@@ -270,7 +287,7 @@ def test_window_sum_in_place_forms_match_scalar_forms():
     "kernel",
     [
         ExponentialKernel(-2.0, 0.3),
-        ConstantKernel(0.7),
+        ExponentialKernel(0.7, math.inf),
         ExponentialKernel(5.0, 3e-3),  # ratio exp(-dt / 3e-3), far from 1
     ],
     ids=["exponential", "constant", "steep"],

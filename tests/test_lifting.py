@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from oracle import e1_trajectory
 from goodwill import lifting, lq
 from goodwill.approximation import simulate_lifted_perturbed
 from goodwill.hilbert import (
-    ConstantKernel,
     ExponentialKernel,
     ProfileX,
     SegmentGrid,
@@ -34,9 +34,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ConstantKernel(0.0),
+        a1=ExponentialKernel(0.0, math.inf),
         b0=1.0,
-        b1=ConstantKernel(0.0),
+        b1=ExponentialKernel(0.0, math.inf),
         sigma=0.0,
         r=0.5,
         T=1.0,
@@ -72,7 +72,11 @@ def _zero_kernel_bytes(zero):
 
 @pytest.mark.parametrize(
     "zero",
-    [ConstantKernel(0.0), ExponentialKernel(0.0, 0.2), ExponentialKernel(-0.0, 0.2)],
+    [
+        ExponentialKernel(0.0, math.inf),
+        ExponentialKernel(0.0, 0.2),
+        ExponentialKernel(-0.0, 0.2),
+    ],
     ids=["constant", "exponential", "exponential_minus_zero"],
 )
 def test_lift_zero_kernels(zero):
@@ -82,13 +86,13 @@ def test_lift_zero_kernels(zero):
     out = lift_M(3.0, np.ones(21), np.ones(21), p, grid)
     assert out.x0 == 3.0
     np.testing.assert_array_equal(out.x1, np.zeros(21))
-    assert _zero_kernel_bytes(zero) == _zero_kernel_bytes(ConstantKernel(0.0))
+    assert _zero_kernel_bytes(zero) == _zero_kernel_bytes(ExponentialKernel(0.0, math.inf))
 
 
 def test_lift_constant_b1_unit_control():
     # m(xi) = int_{-r}^xi b dz = b*(xi + r) for v == 1
     grid = SegmentGrid(0.5, 101)
-    p = make_params(b1=ConstantKernel(2.0))
+    p = make_params(b1=ExponentialKernel(2.0, math.inf))
     out = lift_M(0.0, np.zeros(101), np.ones(101), p, grid)
     np.testing.assert_allclose(out.x1, 2.0 * (grid.nodes + 0.5), atol=1e-12)
 
@@ -121,7 +125,8 @@ def test_lift_linear_in_history_and_control(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     grid = SegmentGrid(0.5, 21)
     p = make_params(
-        a1=ConstantKernel(rng.uniform(-2, 2)), b1=ConstantKernel(rng.uniform(0, 2))
+        a1=ExponentialKernel(rng.uniform(-2, 2), math.inf),
+        b1=ExponentialKernel(rng.uniform(0, 2), math.inf),
     )
     x1a, x1b = rng.normal(size=(2, 21))
     va, vb = rng.normal(size=(2, 21))
@@ -140,7 +145,7 @@ def test_delay_ode_no_delay_is_exponential(monkeypatch):
     # RK4 on a0 * phi: nothing to gather, so no lag stencil is built
     monkeypatch.setattr(lifting, "_lag_stencils", None)
     grid = SegmentGrid(0.5, 51)
-    prob = DelayODEProblem(-1.3, ConstantKernel(0.0), 2.0,
+    prob = DelayODEProblem(-1.3, ExponentialKernel(0.0, math.inf), 2.0,
                            np.zeros(51), grid, t_end=1.0)
     times, vals = solve_delay_ode(prob, 1e-2)
     np.testing.assert_allclose(vals, 2.0 * np.exp(-1.3 * times), atol=1e-8)
@@ -165,7 +170,9 @@ def test_delay_ode_rejects_nonpositive_step(dt):
 def test_delay_ode_rejects_a_step_that_does_not_divide_the_span():
     # 0.3 does not divide 0.7: the engine must not quietly step by 0.35
     grid = SegmentGrid(0.5, 101)
-    prob = DelayODEProblem(-1.0, ConstantKernel(0.0), 1.0, np.ones(101), grid, 0.7)
+    prob = DelayODEProblem(
+        -1.0, ExponentialKernel(0.0, math.inf), 1.0, np.ones(101), grid, 0.7
+    )
     with pytest.raises(ConfigurationError, match="does not divide t_end"):
         solve_delay_ode(prob, 0.3)
 
@@ -233,7 +240,8 @@ def test_point_delay_positivity(t_end, dt, seed, a1s, a0mag):
 
 
 @pytest.mark.parametrize(
-    "a1", [PointDelay(-0.8), ConstantKernel(-1.3), ExponentialKernel(-5.0, 1 / 6)],
+    "a1",
+    [PointDelay(-0.8), ExponentialKernel(-1.3, math.inf), ExponentialKernel(-5.0, 1 / 6)],
     ids=["point", "constant", "exponential"],
 )
 def test_delay_ode_converges_to_the_exact_solution_at_first_order(a1):
@@ -303,10 +311,10 @@ def interpolating_delay_ode(problem, dt):
 
 REFERENCE_KERNELS = {
     "exponential": ExponentialKernel(-5.0, 1 / 6),
-    "constant": ConstantKernel(-1.3),
+    "constant": ExponentialKernel(-1.3, math.inf),
     "steep": ExponentialKernel(-40.0, 0.02),  # decays within one grid spacing
     "point": PointDelay(-0.8),
-    "zero": ConstantKernel(0.0),
+    "zero": ExponentialKernel(0.0, math.inf),
 }
 SPACING = 0.5 / 20  # of the 21-node grid below
 
@@ -345,7 +353,7 @@ def test_stencil_engine_matches_the_interpolating_engine_at_bench_size():
 
 
 @pytest.mark.parametrize(
-    "kernel", [ExponentialKernel(1e3, 0.1), PointDelay(1e3), ConstantKernel(0.0)],
+    "kernel", [ExponentialKernel(1e3, 0.1), PointDelay(1e3), ExponentialKernel(0.0, math.inf)],
     ids=["exponential", "point", "zero"],
 )
 def test_stencil_engine_blows_up_at_the_interpolating_engines_step(kernel):

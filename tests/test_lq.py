@@ -1,14 +1,20 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import e1_trajectory
+from oracle import ResummedWindow, e1_trajectory
 
 from goodwill import lq
-from goodwill.cli import build_params, merged_config, run_costate, run_evaluate
+from goodwill.cli import (
+    build_history,
+    build_params,
+    merged_config,
+    run_costate,
+    run_evaluate,
+)
 from goodwill.hilbert import (
-    ConstantKernel,
     DelayWindow,
     ExponentialKernel,
     PointDelay,
@@ -42,9 +48,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ConstantKernel(0.0),
+        a1=ExponentialKernel(0.0, math.inf),
         b0=1.0,
-        b1=ConstantKernel(0.0),
+        b1=ExponentialKernel(0.0, math.inf),
         sigma=0.5,
         r=0.5,
         T=1.0,
@@ -108,7 +114,12 @@ def test_costate_richardson_ratio():
 
 
 @pytest.mark.parametrize(
-    "a1", [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-1.3), ConstantKernel(0.0)],
+    "a1",
+    [
+        ExponentialKernel(-5.0, 1 / 6),
+        ExponentialKernel(-1.3, math.inf),
+        ExponentialKernel(0.0, math.inf),
+    ],
     ids=["exponential", "constant", "zero"],
 )
 def test_costate_converges_to_the_exact_solution_at_second_order(a1):
@@ -183,7 +194,7 @@ def test_noiseless_sdde_agrees_with_costate_at_first_order(a1_amp):
     "a1, b1",
     [
         (ExponentialKernel(1.2, 1 / 6), ExponentialKernel(2.0, 0.5)),
-        (ConstantKernel(0.3), ConstantKernel(0.4)),
+        (ExponentialKernel(0.3, math.inf), ExponentialKernel(0.4, math.inf)),
         (ExponentialKernel(-30.0, 0.01), ExponentialKernel(40.0, 0.01)),
     ],
 )
@@ -197,23 +208,6 @@ def test_costate_recursion_matches_window_sum(a1, b1):
     for name, want in zip(("w0", "bw", "c"), win):
         got = getattr(rec, name)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-
-
-class ResummedWindow:
-    """DelayWindow's sum and advance with the sum taken over the whole
-    window every step, the newest sample standing in for row k + m: the
-    reference for the window's O(1) recursion."""
-
-    def __init__(self, kernel, values, dt, rows):
-        self.values, self.dt, self.rows, self.m = values, dt, rows, len(values) - 1
-
-    def sum(self, k, newest):
-        v, dt, x = self.values, self.dt, self.rows[k : k + self.m + 1].copy()
-        x[-1] = newest
-        return dt * (v @ x) - dt / 2 * (v[0] * x[0] + v[-1] * x[-1])
-
-    def advance(self, k):
-        pass
 
 
 def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
@@ -265,8 +259,8 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
 
 
 B1_KINDS = [
-    ConstantKernel(0.0),
-    ConstantKernel(0.8),
+    ExponentialKernel(0.0, math.inf),
+    ExponentialKernel(0.8, math.inf),
     ExponentialKernel(5.0, 0.5),
     ExponentialKernel(40.0, 0.01),  # decays within 1% of the window
 ]
@@ -289,7 +283,7 @@ def test_a1_free_costate_equals_the_step_by_step_solve(b1, gamma, dt):
     "a1",
     [
         ExponentialKernel(-5.0, 1 / 6),
-        ConstantKernel(-1.3),
+        ExponentialKernel(-1.3, math.inf),
         ExponentialKernel(-30.0, 0.01),
     ],
     ids=["exponential", "constant", "steep"],
@@ -317,7 +311,8 @@ def test_a1_free_rows_are_shared_bit_for_bit():
         for gamma in (1.0, 2.7):
             for a0 in (-0.5, -1.3):
                 for r, b1 in (
-                    (0.5, ConstantKernel(0.0)), (0.25, ExponentialKernel(5.0, 0.5))
+                    (0.5, ExponentialKernel(0.0, math.inf)),
+                    (0.25, ExponentialKernel(5.0, 0.5)),
                 ):
                     p = make_params(a0=a0, r=r, b1=b1)
                     before = list(memo.values())
@@ -342,7 +337,7 @@ def test_a1_free_rows_keep_the_sign_of_zero(a0, gamma, a0_before, gamma_before):
     # 0.0 == -0.0, but w0(T) = gamma keeps its sign: the memo is keyed on
     # bits, so the solve just before, equal in value, does not stand in
     solve_costate(make_params(a0=a0_before), gamma_before, 0.5, 1e-3)
-    p = make_params(a0=a0, b1=ConstantKernel(0.8))
+    p = make_params(a0=a0, b1=ExponentialKernel(0.8, math.inf))
     want = stepwise_costate(p, gamma, 0.5, 1e-3)
     _assert_bits(solve_costate(p, gamma, 0.5, 1e-3), want)
 
@@ -372,7 +367,7 @@ def test_mutating_a_solution_leaves_the_next_solve_alone():
     "a1, b1",
     [
         (ExponentialKernel(-5.0, 1 / 6), ExponentialKernel(5.0, 0.5)),
-        (ConstantKernel(-1.3), ConstantKernel(0.0)),
+        (ExponentialKernel(-1.3, math.inf), ExponentialKernel(0.0, math.inf)),
     ],
     ids=["exponential", "constant"],
 )
@@ -439,7 +434,7 @@ def test_policy_matches_constant_b1_closed_form():
     # with the integral cut at xi = t - T, since a unit of advertising at
     # time t only collects its delayed effect while t - xi <= T.
     a0, b0, bc, gamma, beta, r, T = -0.5, 1.0, 2.0, 1.0, 0.5, 0.5, 1.0
-    p = make_params(a0=a0, b0=b0, b1=ConstantKernel(bc))
+    p = make_params(a0=a0, b0=b0, b1=ExponentialKernel(bc, math.inf))
     cs = solve_costate(p, gamma, beta, 1e-4)
     z = optimal_policy_lq(cs, p).z
     lo = np.maximum(-r, cs.t - T)
@@ -453,7 +448,7 @@ def test_pairing_before_T_converges_at_second_order():
     # keeps <B, w> second order in dt on t < T; without it the error is
     # dt/2 * b * gamma * w0 wherever t > T - r
     a0, b0, bc, gamma, r, T = -0.5, 1.0, 2.0, 1.0, 0.5, 1.0
-    p = make_params(a0=a0, b0=b0, b1=ConstantKernel(bc))
+    p = make_params(a0=a0, b0=b0, b1=ExponentialKernel(bc, math.inf))
     errors = []
     for dt in (2e-3, 1e-3, 5e-4):
         cs = solve_costate(p, gamma, 0.5, dt)
@@ -541,7 +536,7 @@ def test_bounded_value_matches_monte_carlo(bounds):
 
 def test_value_terminal_reduces_to_reward():
     grid = SegmentGrid(0.5, 101)
-    p = make_params(a1=ConstantKernel(-1.0), b1=ConstantKernel(1.0))
+    p = make_params(a1=ExponentialKernel(-1.0, math.inf), b1=ExponentialKernel(1.0, math.inf))
     cs = solve_costate(p, 1.5, 0.5, 1e-3)
     x = ProfileX(2.0, np.random.default_rng(0).uniform(0, 1, 101))
     assert value_lq(1.0, x, cs, grid) == pytest.approx(1.5 * 2.0, abs=1e-9)
@@ -572,6 +567,14 @@ def test_value_domain_error():
         value_lq(1.5, ProfileX(1.0, np.zeros(11)), cs, grid)
     with pytest.raises(ConfigurationError, match=r"^t=nan outside \[0, 1.0\]$"):
         value_lq(np.nan, ProfileX(1.0, np.zeros(11)), cs, grid)
+
+
+@pytest.mark.parametrize("state_nodes, grid_nodes", [(201, 51), (51, 201)])
+def test_value_refuses_a_profile_off_the_grid(state_nodes, grid_nodes):
+    cs = solve_costate(make_params(), 1.0, 0.5, 1e-2)
+    xbar = ProfileX(1.0, np.ones(state_nodes))
+    with pytest.raises(ConfigurationError, match="must live on the grid"):
+        value_lq(0.0, xbar, cs, SegmentGrid(0.5, grid_nodes))
 
 
 def test_value_matches_monte_carlo():
@@ -786,7 +789,7 @@ def test_means_and_variance_of_one_model_share_one_solve(ode_solves):
         dict(params=dict(a0=-0.6)),
         dict(params=dict(a1=ExponentialKernel(-2.5, 1 / 6))),
         dict(params=dict(b0=1.5)),
-        dict(params=dict(b1=ConstantKernel(2.0))),
+        dict(params=dict(b1=ExponentialKernel(2.0, math.inf))),
         dict(grid=SegmentGrid(0.5, 41)),
         dict(t=0.9),
         dict(dt=5e-3),
@@ -875,7 +878,7 @@ def test_lag_loop_q_peak_memory():
 def test_variance_takes_a_point_b1(ode_solves):
     # b1 leaves the variance alone, so a point b1 is no refusal there
     p = make_params(**dict(MEMO_PARAMS, b1=PointDelay(1.0)))
-    q = make_params(**dict(MEMO_PARAMS, b1=ConstantKernel(0.0)))
+    q = make_params(**dict(MEMO_PARAMS, b1=ExponentialKernel(0.0, math.inf)))
     assert trajectory_variance(1.0, p, MEMO_GRID, 1e-2) == trajectory_variance(
         1.0, q, MEMO_GRID, 1e-2
     )
@@ -906,7 +909,7 @@ def test_sensitivity_reduced_formula_without_kernels():
 
 
 def test_sensitivity_vanishes_past_horizon():
-    p = make_params(a0=-0.5, b1=ConstantKernel(1.0))
+    p = make_params(a0=-0.5, b1=ExponentialKernel(1.0, math.inf))
     grid = SegmentGrid(0.5, 201)
     x = ProfileX(1.0, np.exp(grid.nodes))
     assert sensitivity_dV_dr(0.8, x, p, 1.0, 0.5, 1e-3) == 0.0
@@ -916,17 +919,39 @@ def test_sensitivity_vanishes_past_horizon():
 # centered difference averages the two one-sided slopes
 @pytest.mark.parametrize("t", [0.0, 0.2, 0.4])
 def test_sensitivity_closed_form_against_finite_difference(t):
-    b1 = ConstantKernel(2.0)
+    b1 = ExponentialKernel(2.0, math.inf)
     p = make_params(a0=-0.5, b1=b1, r=0.5)
     grid = SegmentGrid(0.5, 201)
     x1 = 10.0 * np.exp(-np.abs(grid.nodes))
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, 1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0))
-        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0))
+        _value_at_r(0.5 + h, t, b1, ExponentialKernel(0.0, math.inf))
+        - _value_at_r(0.5 - h, t, b1, ExponentialKernel(0.0, math.inf))
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
+
+
+def test_sensitivity_takes_the_closed_form_at_an_infinite_decay_scale():
+    # ExponentialKernel(2, inf) is the constant density 2, so dV/dr is the
+    # closed form of sensitivity_dV_dr's docstring; the quadrature of the
+    # costate is 3.2e-8 off it here, which the finite differences above
+    # cannot see at their 1e-3 tolerance
+    a0, b0, b1, gamma, beta, r, T, t = -0.5, 1.0, 2.0, 1.0, 0.5, 0.5, 1.0, 0.0
+    p = make_params(
+        a0=a0, a1=ExponentialKernel(0.0, 1.0), b0=b0, b1=ExponentialKernel(b1, math.inf),
+        sigma=0.5, r=r, T=T, u_max=100.0,
+    )
+    cfg = merged_config(None, {})
+    x = build_history(cfg, SegmentGrid(r, 201))
+    got = sensitivity_dV_dr(t, ProfileX(x.x0, x.x1), p, gamma, beta, 1e-3)
+    want = gamma * math.exp(a0 * (T - t - r)) * x.x1[0] + (
+        b1 * gamma**2 / (4 * beta * a0)
+        * (b0 + b1 * (1 - math.exp(-a0 * r)) / a0)
+        * math.exp(-a0 * r)
+        * (math.exp(2 * a0 * (T - t)) - math.exp(2 * a0 * r))
+    )
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_sensitivity_quadrature_route_against_finite_difference():
@@ -938,14 +963,14 @@ def test_sensitivity_quadrature_route_against_finite_difference():
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, 1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0))
-        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0))
+        _value_at_r(0.5 + h, t, b1, ExponentialKernel(0.0, math.inf))
+        - _value_at_r(0.5 - h, t, b1, ExponentialKernel(0.0, math.inf))
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
 
 
 @pytest.mark.parametrize(
-    "b1", [ConstantKernel(2.0), ExponentialKernel(3.0, 0.4)],
+    "b1", [ExponentialKernel(2.0, math.inf), ExponentialKernel(3.0, 0.4)],
     ids=["closed_form", "quadrature"],
 )
 def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
@@ -958,8 +983,8 @@ def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
     got = sensitivity_dV_dr(t, ProfileX(10.0, x1), p, -1.0, 0.5, 1e-3)
     h = 0.005
     fd = (
-        _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0), gamma=-1.0)
-        - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0), gamma=-1.0)
+        _value_at_r(0.5 + h, t, b1, ExponentialKernel(0.0, math.inf), gamma=-1.0)
+        - _value_at_r(0.5 - h, t, b1, ExponentialKernel(0.0, math.inf), gamma=-1.0)
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-3 * (1 + abs(got)) + 2e-3)
     # the boundary term alone, -e^{a0 (T-t-r)} x1(-r), up to the costate step
@@ -968,7 +993,7 @@ def test_sensitivity_at_negative_gamma_against_finite_difference(b1):
 
 @pytest.mark.parametrize("bounds", BOUNDS, ids=BOUND_IDS)
 @pytest.mark.parametrize(
-    "b1", [ConstantKernel(2.0), ExponentialKernel(3.0, 0.4)],
+    "b1", [ExponentialKernel(2.0, math.inf), ExponentialKernel(3.0, 0.4)],
     ids=["constant", "exponential"],
 )
 def test_sensitivity_with_a_binding_bound_against_finite_difference(b1, bounds):
@@ -982,8 +1007,8 @@ def test_sensitivity_with_a_binding_bound_against_finite_difference(b1, bounds):
     errors = []
     for h in (0.04, 0.02):
         fd = (
-            _value_at_r(0.5 + h, t, b1, ConstantKernel(0.0), **bounds)
-            - _value_at_r(0.5 - h, t, b1, ConstantKernel(0.0), **bounds)
+            _value_at_r(0.5 + h, t, b1, ExponentialKernel(0.0, math.inf), **bounds)
+            - _value_at_r(0.5 - h, t, b1, ExponentialKernel(0.0, math.inf), **bounds)
         ) / (2 * h)
         errors.append(abs(fd - got))
     # O(h^2): 3.7 to 4.1 per halving, while h is well above the costate step
@@ -993,7 +1018,9 @@ def test_sensitivity_with_a_binding_bound_against_finite_difference(b1, bounds):
 
 def test_sensitivity_rejects_a1():
     # with a1 != 0 the costate depends on r, a term the formula leaves out
-    p = make_params(a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ConstantKernel(1.0))
+    p = make_params(
+        a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ExponentialKernel(1.0, math.inf)
+    )
     x = ProfileX(1.0, np.ones(201))
     with pytest.raises(ConfigurationError, match="needs a1 = 0"):
         sensitivity_dV_dr(0.0, x, p, 1.0, 0.5, 1e-3)

@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from oracle import e1_trajectory
 
-from goodwill.hilbert import ConstantKernel, ExponentialKernel, PointDelay
+from goodwill.hilbert import ExponentialKernel, PointDelay
 
 # the oracle's own checks against closed forms; the engines are checked
 # against it in test_lifting.py and test_lq.py
 
 
 @pytest.mark.parametrize(
-    "a1", [ConstantKernel(0.0), ExponentialKernel(0.0, 0.2), PointDelay(0.0)],
+    "a1", [ExponentialKernel(0.0, math.inf), ExponentialKernel(0.0, 0.2), PointDelay(0.0)],
     ids=["constant", "exponential", "point"],
 )
 def test_no_delay_gives_the_exponential(a1):
@@ -34,7 +36,7 @@ def test_point_lag_closed_form_on_the_second_interval(a1):
 def test_a_slowly_decaying_kernel_tends_to_the_constant_one():
     # the constant kernel is the exponential one at decay_scale -> inf
     slow = e1_trajectory(-0.5, ExponentialKernel(-2.0, 1e9), 0.5, 2.0, 400)
-    flat = e1_trajectory(-0.5, ConstantKernel(-2.0), 0.5, 2.0, 400)
+    flat = e1_trajectory(-0.5, ExponentialKernel(-2.0, math.inf), 0.5, 2.0, 400)
     np.testing.assert_allclose(slow, flat, rtol=0, atol=1e-9)
 
 
@@ -49,4 +51,4 @@ def test_samples_do_not_depend_on_the_step():
 
 def test_a_step_that_does_not_divide_r_is_refused():
     with pytest.raises(ValueError, match="does not divide r"):
-        e1_trajectory(-0.5, ConstantKernel(1.0), 0.5, 1.0, 3)
+        e1_trajectory(-0.5, ExponentialKernel(1.0, math.inf), 0.5, 1.0, 3)

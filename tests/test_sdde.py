@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -6,11 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import ResummedWindow
 
 from goodwill import lq, sdde, state_delay
 
 from goodwill.hilbert import (
-    ConstantKernel,
     DelayWindow,
     ExponentialKernel,
     PointDelay,
@@ -41,9 +42,9 @@ from goodwill.sdde import (
 def make_params(**kw):
     base = dict(
         a0=-1.0,
-        a1=ConstantKernel(0.0),
+        a1=ExponentialKernel(0.0, math.inf),
         b0=1.0,
-        b1=ConstantKernel(0.0),
+        b1=ExponentialKernel(0.0, math.inf),
         sigma=0.0,
         r=0.5,
         T=1.0,
@@ -81,7 +82,7 @@ def test_params_reject_negative_b0_and_b1():
     with pytest.raises(ConfigurationError):
         make_params(b0=-1.0)
     with pytest.raises(ConfigurationError):
-        make_params(b1=ConstantKernel(-1.0))
+        make_params(b1=ExponentialKernel(-1.0, math.inf))
     with pytest.raises(ConfigurationError):
         make_params(b1=ExponentialKernel(-5.0, 0.5))
 
@@ -127,6 +128,21 @@ def test_history_requires_matching_endpoint():
     x1[-1] = 2.0
     with pytest.raises(ConfigurationError):
         make_history(GRID, x0=1.0, x1=x1)
+
+
+@pytest.mark.parametrize(
+    "x1, delta",
+    [
+        (np.ones((201, 2)), np.zeros(201)),  # a 2-d profile of the grid's length
+        (np.ones(201), np.zeros((201, 1))),
+        (np.ones(200), np.zeros(201)),
+    ],
+    ids=["x1_2d", "delta_2d", "x1_short"],
+)
+def test_history_profiles_must_be_1d_on_the_grid(x1, delta):
+    grid = SegmentGrid(0.5, 201)
+    with pytest.raises(ConfigurationError, match="1-d and live on the grid"):
+        HistoryPair(grid, 1.0, x1, delta)
 
 
 def test_history_rejects_negative_values():
@@ -214,7 +230,7 @@ def test_point_b1_matches_closed_form_at_first_order():
 
 def test_distributed_delay_against_reference():
     a1c = 0.8
-    p = make_params(a0=-1.0, a1=ConstantKernel(a1c))
+    p = make_params(a0=-1.0, a1=ExponentialKernel(a1c, math.inf))
     hist = make_history(GRID, x0=1.0)
     dt = 1e-3
     ens = simulate_paths(p, hist, zero_policy(p.T, dt), dt, 1, 0)
@@ -223,7 +239,7 @@ def test_distributed_delay_against_reference():
 
 
 def test_weak_convergence_order_one():
-    p = make_params(a0=-1.0, a1=ConstantKernel(0.5))
+    p = make_params(a0=-1.0, a1=ExponentialKernel(0.5, math.inf))
     hist = make_history(GRID)
     vals = {}
     for dt in (2e-3, 1e-3, 5e-4):
@@ -250,7 +266,11 @@ ORACLE_HISTORY = HistoryPair(
 
 @pytest.mark.parametrize(
     "a1",
-    [ExponentialKernel(-5.0, 1 / 6), ConstantKernel(-0.8), ExponentialKernel(-20.0, 0.01)],
+    [
+        ExponentialKernel(-5.0, 1 / 6),
+        ExponentialKernel(-0.8, math.inf),
+        ExponentialKernel(-20.0, 0.01),
+    ],
 )
 def test_a1_recursion_matches_window_sum(a1):
     # the O(1) delay-sum recursion against the full-window quadrature
@@ -269,7 +289,12 @@ def _open_loop_wave(T, dt):
 
 
 @pytest.mark.parametrize(
-    "b1", [ExponentialKernel(2.0, 0.5), ConstantKernel(0.8), ExponentialKernel(30.0, 0.01)]
+    "b1",
+    [
+        ExponentialKernel(2.0, 0.5),
+        ExponentialKernel(0.8, math.inf),
+        ExponentialKernel(30.0, 0.01),
+    ],
 )
 @pytest.mark.parametrize(
     "policy",
@@ -772,36 +797,18 @@ LAYOUT_CASES = dict(
     ),
     point_open_loop=(PointDelay(-0.8), PointDelay(1.5), None),
     no_window_feedback=(
-        ConstantKernel(0.0),
-        ConstantKernel(0.0),
+        ExponentialKernel(0.0, math.inf),
+        ExponentialKernel(0.0, math.inf),
         FeedbackPolicy(lambda t, y: np.maximum(2.0 - 0.3 * y, 0.0) + t),
     ),
     # both bounds clip from step 0 (u_max = 2.5), and b1 = 0, so a
     # terminal record keeps one control row
     clipping_feedback=(
         ExponentialKernel(-2.0, 0.2),
-        ConstantKernel(0.0),
+        ExponentialKernel(0.0, math.inf),
         FeedbackPolicy(lambda t, y: 3.0 * np.cos(2.0 * y)),
     ),
 )
-
-
-class ResummedWindow:
-    """DelayWindow's sum and advance with the sum taken over the whole
-    window every step, the newest sample standing in for row k + m: the
-    reference for the window's O(1) recursion, over one column per path
-    or one shared row."""
-
-    def __init__(self, kernel, values, dt, rows):
-        self.values, self.dt, self.rows, self.m = values, dt, rows, len(values) - 1
-
-    def sum(self, k, newest):
-        v, dt, x = self.values, self.dt, self.rows[k : k + self.m + 1].copy()
-        x[-1] = newest
-        return dt * (v @ x) - dt / 2 * (v[0] * x[0] + v[-1] * x[-1])
-
-    def advance(self, k):
-        pass
 
 
 class PointRead:
@@ -1008,7 +1015,7 @@ def test_monotone_coupling(seed, a1_amp, sigma):
     """a1 >= 0 and ordered histories give ordered paths under shared noise."""
     rng = np.random.default_rng(seed)
     grid = SegmentGrid(0.5, 11)
-    p = make_params(a0=-float(rng.uniform(0, 2)), a1=ConstantKernel(a1_amp),
+    p = make_params(a0=-float(rng.uniform(0, 2)), a1=ExponentialKernel(a1_amp, math.inf),
                     sigma=sigma, T=0.5)
     lo = rng.uniform(0.0, 1.0, grid.n_nodes)
     hi = lo + rng.uniform(0.0, 1.0, grid.n_nodes)
@@ -1027,8 +1034,8 @@ def test_pathwise_concavity_certificate(seed, lam):
     objective with concave phi0 / convex h0 is concave in that pair."""
     rng = np.random.default_rng(seed)
     grid = SegmentGrid(0.5, 11)
-    p = make_params(a0=-0.5, a1=ConstantKernel(1.0), b0=1.0,
-                    b1=ConstantKernel(0.5), sigma=0.4, T=0.5)
+    p = make_params(a0=-0.5, a1=ExponentialKernel(1.0, math.inf), b0=1.0,
+                    b1=ExponentialKernel(0.5, math.inf), sigma=0.4, T=0.5)
     obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
     dt = 0.05
     t = dt * np.arange(11)
@@ -1051,7 +1058,7 @@ def test_lipschitz_in_initial_state():
     N across random history pairs (linear reward makes the map affine)."""
     rng = np.random.default_rng(0)
     grid = SegmentGrid(0.5, 21)
-    p = make_params(a0=-0.5, a1=ConstantKernel(0.5), sigma=0.3)
+    p = make_params(a0=-0.5, a1=ExponentialKernel(0.5, math.inf), sigma=0.3)
     obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
     pol = zero_policy(p.T, 0.01)
 

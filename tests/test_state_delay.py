@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodwill import sdde
-from goodwill.hilbert import ConstantKernel, PointDelay, SegmentGrid
+from goodwill.hilbert import ExponentialKernel, PointDelay, SegmentGrid
 from goodwill.lq import hamiltonian, trajectory_variance
 from goodwill.sdde import (
     PATH_BLOCK,
@@ -142,8 +143,8 @@ def test_feedback_maps_range(d0v):
 
 def make_params(**kw):
     base = dict(
-        a0=-0.5, a1=ConstantKernel(0.0), b0=1.0, b1=ConstantKernel(0.0), sigma=0.3,
-        r=0.5, T=1.0,
+        a0=-0.5, a1=ExponentialKernel(0.0, math.inf), b0=1.0,
+        b1=ExponentialKernel(0.0, math.inf), sigma=0.3, r=0.5, T=1.0,
     )
     base.update(kw)
     return ModelParams(**base)
@@ -157,7 +158,7 @@ def make_history(grid, x0=2.0):
 
 def test_simulate_feedback_rejects_kernels():
     grid = SegmentGrid(0.5, 11)
-    p = make_params(b1=ConstantKernel(1.0))
+    p = make_params(b1=ExponentialKernel(1.0, math.inf))
     pol = quadratic_feedback_policy(quad_spec(), lambda t, y: 1.0)
     with pytest.raises(ConfigurationError):
         simulate_feedback(p, -0.5, make_history(grid), pol, 0.05, 2, 0)
@@ -476,7 +477,7 @@ def test_trajectory_variance_reaches_the_stationary_variance(a0, a1, r):
     # RK4 at dt = 0.01 on 401 nodes: the largest error is 1.6e-3 relative,
     # at (-1, -2, 1), and it halves with dt and the node spacing
     assert invariant_measure_condition(a0, a1, r).holds
-    p = ModelParams(a0=a0, a1=PointDelay(a1), b0=1.0, b1=ConstantKernel(0.0),
+    p = ModelParams(a0=a0, a1=PointDelay(a1), b0=1.0, b1=ExponentialKernel(0.0, math.inf),
                     sigma=SIGMA, r=r, T=HORIZON)
     got = trajectory_variance(HORIZON, p, SegmentGrid(r, 401), 0.01)
     assert got == pytest.approx(stationary_variance(a0, a1, r, SIGMA), rel=3e-3)
@@ -490,8 +491,8 @@ def test_uncontrolled_sample_variance_reaches_the_stationary_variance(a0, a1, r)
     # itself is off by at most 5.6 dt relative over these five, at
     # (-1, -2, 1), and halving dt halves it)
     dt, n_paths = 0.01, 2000
-    p = ModelParams(a0=a0, a1=ConstantKernel(0.0), b0=1.0, b1=ConstantKernel(0.0),
-                    sigma=SIGMA, r=r, T=HORIZON)
+    p = ModelParams(a0=a0, a1=ExponentialKernel(0.0, math.inf), b0=1.0,
+                    b1=ExponentialKernel(0.0, math.inf), sigma=SIGMA, r=r, T=HORIZON)
     grid = SegmentGrid(r, 11)
     zero = HistoryPair(grid=grid, x0=0.0, x1=np.zeros(11), delta=np.zeros(11))
     off = FeedbackPolicy(lambda t, y: np.zeros_like(y))
