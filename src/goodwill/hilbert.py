@@ -164,11 +164,13 @@ class DelayWindow:
     do not depend on how many columns share the array. After that a 1-d
     sample array is summed in Python floats, and a 2-d array, one column
     per path, in place: `sum` returns a buffer that the next `sum`
-    overwrites. The rows the window reads must be filled before it
-    reaches them. Once every row of a 1-d array without history is
-    filled, `sums` gives the sums of all steps in one pass: the end terms
-    as two arrays, the recursion in one loop over Python floats, with the
-    operations of `sum` and `advance` in their order.
+    overwrites. While the oldest sample is the shared history's, its end
+    term a_0 x_0 is one float for every column, not a column buffer. The
+    rows the window reads must be filled before it reaches them. Once
+    every row of a 1-d array without history is filled, `sums` gives the
+    sums of all steps in one pass: the end terms as two arrays, the
+    recursion in one loop over Python floats, with the operations of
+    `sum` and `advance` in their order.
     """
 
     def __init__(
@@ -197,7 +199,7 @@ class DelayWindow:
             self.h = float(h)
             return
         n = samples.shape[1]
-        self.h, self.e0, self.e1, self.out = (np.empty(n) for _ in range(4))
+        self.h, self.e0_row, self.e1, self.out = (np.empty(n) for _ in range(4))
         self.h[:] = h
 
     def _oldest(self, k: int):
@@ -209,12 +211,15 @@ class DelayWindow:
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
+        # one float for a 1-d window, and for every column while the
+        # oldest sample is the shared history's
+        oldest = self._oldest(k)
+        self.e0 = (self.first * float(oldest) if oldest.ndim == 0
+                   else np.multiply(oldest, self.first, out=self.e0_row))
         if not self.columns:
-            self.e0 = self.first * float(self._oldest(k))
             self.e1 = self.last * newest
             return self.dt * (self.h + 0.5 * (self.e1 - self.e0))
         out = self.out
-        np.multiply(self._oldest(k), self.first, out=self.e0)
         np.multiply(newest, self.last, out=self.e1)
         np.subtract(self.e1, self.e0, out=out)
         out *= 0.5

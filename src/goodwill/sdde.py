@@ -16,7 +16,8 @@ compare them). A point lag is amp * x(t - r), one multiply of the row r
 behind, or of the history sample while t < r. Open-loop and
 feedback policies share one step loop over time-major rows (one row per
 step, one column per path); an open-loop control is one number per step,
-shared by every path. The loop and the windows fill preallocated
+shared by every path, so its drift terms are taken once per call as one
+float per step. The loop and the windows fill preallocated
 per-path buffers in place; only a feedback policy's control and its clip
 count make per-step arrays. Each path draws its noise from a Philox
 stream keyed by (seed, path index), and every per-path sum runs in an
@@ -35,9 +36,9 @@ perturbs, so the noise needs no array of its own beyond a buffer of 64
 paths. One fill function draws it on one thread per usable CPU, the
 caller's among them, at most one per 64-path chunk and 8 in all (numpy's
 normal draw releases the GIL); each thread fills the columns it claims
-through its share of that buffer and re-keys one generator per path, so
-neither the bits nor the memory depend on the CPU count. There is no
-option for it.
+through its share of that buffer and re-keys one generator per path in
+place, so neither the bits nor the memory depend on the CPU count. There
+is no option for it.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * steps + m)
 whatever the path count; state_delay.simulate_feedback blocks the same
@@ -320,14 +321,15 @@ def _check_seed(seed: int) -> None:
 
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
     """Noise increments for one path from a counter-based substream. The
-    key passes through an int64 array, which holds path indices in
-    [0, 2**63) one to one (a larger one would go through float64)."""
+    kept state's two key words are set in place from Python ints, the
+    seed as the uint64 it is congruent to, so a numpy integer of any kind
+    keys the stream its value names."""
     _check_seed(seed)
     if not 0 <= path_index < 2**63:
         raise ConfigurationError(f"path_index must be in [0, 2**63), got {path_index}")
     own = _THREAD_GENERATOR
-    # the key conversion Philox(key=[...]) applies to a list
-    own.state["state"]["key"] = np.asarray([seed, path_index]).astype(np.uint64)
+    key = own.state["state"]["key"]
+    key[0], key[1] = int(seed) & (2**64 - 1), int(path_index)
     own.generator.bit_generator.state = own.state  # copied, so it stays at 0
     return own.generator.standard_normal(shape)
 
@@ -402,7 +404,10 @@ def simulate_paths(
     O(n_paths * steps + m) memory: a delay term reads the m = r/dt history
     samples, the same for every path, from one array of m + 1 numbers.
     The noise is copied into the state rows it perturbs, so it takes no
-    (n_paths, steps) array of its own.
+    (n_paths, steps) array of its own. An open-loop policy's drift terms,
+    b0 z(t_k) and the b1 term (one DelayWindow.sums pass for a density),
+    are one float per step, taken before the step loop with the bits of
+    the per-step multiply and window.
 
     With terminal=True the ensemble is the terminal record: t = [T], y(T)
     as an (n_paths, 1) copy, z(T) likewise (or its one shared number
@@ -451,29 +456,37 @@ def simulate_paths(
         clip_count = int(np.count_nonzero(z != z_open))
 
     # a density kernel's integral is a DelayWindow along its rows and
-    # history; a nonzero point lag's term is amp * x(t_k - r)
+    # history; a nonzero point lag's term is amp * x(t_k - r). Every path
+    # shares an open-loop control: its terms are one float per step, the
+    # b1 term read from the history and control, z(t_k - r) at entry k
+    z_rows, z_hist = (z, hist_z) if feedback else (np.concatenate([hist_z[:m], z]), None)
     win_a, win_b = (
         None if kernel_is_zero(k) or isinstance(k, PointDelay)
         else DelayWindow(k, kernel_eval(k, xi, params.r), dt, rows, hist)
-        for k, rows, hist in ((params.a1, y, hist_y), (params.b1, z, hist_z))
+        for k, rows, hist in ((params.a1, y, hist_y), (params.b1, z_rows, z_hist))
     )
     lag_a, lag_b = (
         k.amp if isinstance(k, PointDelay) and not kernel_is_zero(k) else None
         for k in (params.a1, params.b1)
     )
+    if not feedback:
+        zterms = [z * params.b0]
+        if win_b is not None:
+            zterms.append(win_b.sums())
+        elif lag_b is not None:
+            zterms.append(z_rows[: steps + 1] * lag_b)
+        zterms = list(zip(*(terms.tolist() for terms in zterms)))
 
     def lagged(rows, hist, k):
         """x(t_k - r): the history's sample k while k < m, then row k - m."""
         return hist[k] if k < m else rows[k - m]
 
-    # per-step buffers, filled in place; the control terms of an open-loop
-    # policy are scalars, shared by every path
+    # per-step buffers, filled in place
     drift, term = np.empty(n_paths), np.empty(n_paths)
-    zterm = term if feedback else None
     for k in range(steps + 1):
         ycur = y[k]
-        zcur = z[k % len(z)]
         if feedback:
+            zcur = z[k % len(z)]
             # clip and != broadcast one number for every path themselves
             zk = np.asarray(policy.control_fn(t[k], ycur), dtype=float)
             np.clip(zk, params.u_min, params.u_max, out=zcur)
@@ -485,20 +498,27 @@ def simulate_paths(
             drift += win_a.sum(k, ycur)
         elif lag_a is not None:
             drift += np.multiply(lagged(y, hist_y, k), lag_a, out=term)
-        drift += np.multiply(zcur, params.b0, out=zterm)
-        if win_b is not None:
-            drift += win_b.sum(k, zcur)
-            win_b.advance(k)
-        elif lag_b is not None:
-            drift += np.multiply(lagged(z, hist_z, k), lag_b, out=zterm)
+        if feedback:
+            drift += np.multiply(zcur, params.b0, out=term)
+            if win_b is not None:
+                drift += win_b.sum(k, zcur)
+                win_b.advance(k)
+            elif lag_b is not None:
+                drift += np.multiply(lagged(z, hist_z, k), lag_b, out=term)
+        else:
+            for zterm in zterms[k]:
+                drift += zterm
         drift *= dt
         drift += ycur
         # the noise already in the new row joins y + drift (+ commutes,
         # so the bits are those of (y + drift) + noise)
         ynew = y[k + 1]
         ynew += drift
-        # maximum propagates NaN, so this also catches a non-finite state
-        if not np.maximum.reduce(np.abs(ynew, out=term)) <= BLOWUP_LIMIT:
+        # no rounding takes a sum of squares with a term above the limit's
+        # square below a quarter of it (vdot, unlike dot, does not warn
+        # when a square overflows); maximum propagates NaN
+        if not (np.vdot(ynew, ynew) < 0.25 * BLOWUP_LIMIT**2
+                or np.maximum.reduce(np.abs(ynew, out=term)) <= BLOWUP_LIMIT):
             bad = int(np.argmax(~np.isfinite(ynew) | (np.abs(ynew) > BLOWUP_LIMIT)))
             raise BlowupError(
                 f"path {first_path + bad} left the finite range at step {k + 1} "

@@ -313,25 +313,29 @@ def test_b1_recursion_matches_window_sum(policy, b1):
     assert _rel_diff(a.z, z) <= 1e-12
 
 
-def test_feedback_replaying_open_loop_is_bit_identical():
-    # one step loop serves both policy kinds: a feedback rule that ignores
-    # the state and returns z(t_k) must reproduce the open-loop ensemble
-    # bit for bit (a zero advertising history makes both window sums start
-    # at exactly zero)
+@pytest.mark.parametrize("n_paths", [1, 3, 16])
+@pytest.mark.parametrize(
+    "b1", [ExponentialKernel(2.0, 0.5), PointDelay(1.5)], ids=["density", "point"]
+)
+def test_feedback_replaying_open_loop_is_bit_identical(b1, n_paths):
+    # a feedback rule that ignores the state and returns z(t_k) must
+    # reproduce the open-loop ensemble bit for bit: the open-loop control
+    # terms, taken once per run, equal the feedback loop's per-step
+    # multiply and window over one control column per path. The
+    # advertising history is nonzero, so the b1 terms read it from step 0
     dt, T = 1e-3, 2.0
     pol = _open_loop_wave(T, dt)
     replay = FeedbackPolicy(lambda t, y: pol.sample(None, t))
     hist = HistoryPair(
         grid=ORACLE_GRID, x0=2.0, x1=2.0 * np.exp(ORACLE_GRID.nodes),
-        delta=np.zeros(501),
+        delta=1.0 + 0.5 * np.sin(7.0 * ORACLE_GRID.nodes),
     )
     p = make_params(
-        a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=ExponentialKernel(2.0, 0.5),
-        sigma=0.5, T=T, u_max=2.1,
+        a0=-0.5, a1=ExponentialKernel(-2.0, 1 / 6), b1=b1, sigma=0.5, T=T, u_max=2.1,
     )
-    ol = simulate_paths(p, hist, pol, dt, 16, 5)
-    fb = simulate_paths(p, hist, replay, dt, 16, 5)
-    assert fb.clip_count == 16 * ol.clip_count > 0
+    ol = simulate_paths(p, hist, pol, dt, n_paths, 5)
+    fb = simulate_paths(p, hist, replay, dt, n_paths, 5)
+    assert fb.clip_count == n_paths * ol.clip_count > 0
     np.testing.assert_array_equal(fb.y, ol.y)
     np.testing.assert_array_equal(fb.z, np.broadcast_to(ol.z, fb.z.shape))
 
@@ -468,13 +472,18 @@ def test_path_prefix_stable_in_path_count():
 
 def test_path_normals_match_fresh_philox_generators():
     # one re-keyed generator gives the bits of a new generator per path; a
-    # seed keys Philox as the uint64 it is congruent to. The shapes are
-    # drawn in turn on this thread, so each draw follows one that left the
+    # seed keys Philox as the uint64 it is congruent to, a numpy integer
+    # of any kind as its value (a uint64 among int64s once went through
+    # float64, so two paths could share a stream). The shapes are drawn
+    # in turn on this thread, so each draw follows one that left the
     # generator's state elsewhere
-    for seed in (0, 7, 12345, 2**32 - 1, 2**63 - 1, -1, -(2**63)):
-        for path in (0, 1, 513, 2**63 - 1):
+    seeds = (0, 7, 12345, 2**32 - 1, 2**63 - 1, -1, -(2**63),
+             np.int64(-1), np.int64(2**63 - 1), np.int32(-5), np.uint64(7))
+    paths = (0, 1, 513, 2**63 - 1, np.int64(513), np.uint64(513), np.uint64(2**63 - 1))
+    for seed in seeds:
+        for path in paths:
             for shape in (1, 1000, (2, 37)):
-                key = np.array([seed % 2**64, path], dtype=np.uint64)
+                key = np.array([int(seed) % 2**64, int(path)], dtype=np.uint64)
                 fresh = np.random.Generator(np.random.Philox(key=key))
                 want = fresh.standard_normal(shape)
                 assert np.array_equal(path_normals(seed, path, shape), want)
@@ -600,6 +609,60 @@ def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
     obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
     with pytest.raises(BlowupError, match=rf"^path {target} .* at step 4 "):
         evaluate_policy(p, BLOCK_HISTORY, policy, obj, BLOCK_DT, PATH_BLOCK + 10, 2)
+
+
+# --- the blow-up check at its limit -----------------------------------------------
+
+# 1e12 is a double, so it is the largest double <= BLOWUP_LIMIT
+AT_LIMIT = sdde.BLOWUP_LIMIT
+ABOVE_LIMIT = np.nextafter(AT_LIMIT, np.inf)
+# where an extreme state sits among 2048 ordinary ones
+EXTREME_PATH = 1234
+
+
+def _with_extreme(state, n_paths):
+    """`state` alone, or at path EXTREME_PATH of n_paths standard normals."""
+    states = np.random.default_rng(4).standard_normal(n_paths)
+    states[EXTREME_PATH if n_paths > 1 else 0] = state
+    return states
+
+
+def _one_step(monkeypatch, states):
+    """One Euler step (dt = T = r = 1, sigma = 1) from x0 = 0 with zero
+    kernels and control, its noise patched so that path i's y(1) is
+    states[i] exactly."""
+    monkeypatch.setattr(
+        sdde, "path_normals", lambda seed, path, shape: np.full(shape, states[path])
+    )
+    p = make_params(sigma=1.0, r=1.0, T=1.0)
+    hist = make_history(SegmentGrid(1.0, 3), x0=0.0)
+    return simulate_paths(p, hist, zero_policy(1.0, 1.0), 1.0, len(states), 0)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2048])
+@pytest.mark.parametrize("state", [AT_LIMIT, -AT_LIMIT])
+def test_a_state_at_the_blowup_limit_passes(monkeypatch, state, n_paths):
+    states = _with_extreme(state, n_paths)
+    np.testing.assert_array_equal(_one_step(monkeypatch, states).y[:, 1], states)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2048])
+@pytest.mark.parametrize(
+    "state", [ABOVE_LIMIT, -ABOVE_LIMIT, 1e200, np.nan, np.inf, -np.inf]
+)
+def test_a_state_past_the_blowup_limit_raises(monkeypatch, state, n_paths):
+    # the next double above the limit, one whose square overflows the
+    # pre-check's sum, and a non-finite state name their path and step
+    path = EXTREME_PATH if n_paths > 1 else 0
+    with pytest.raises(BlowupError, match=rf"^path {path} left the finite range at step 1 "):
+        _one_step(monkeypatch, _with_extreme(state, n_paths))
+
+
+def test_many_states_near_the_blowup_limit_pass(monkeypatch):
+    # their sum of squares is far past the one-reduction pre-check's bound,
+    # so the exact test decides
+    states = np.full(2048, 0.9 * AT_LIMIT)
+    np.testing.assert_array_equal(_one_step(monkeypatch, states).y[:, 1], states)
 
 
 # --- the noise threads ----------------------------------------------------------
