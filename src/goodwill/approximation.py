@@ -8,7 +8,10 @@ convergence table for the regularized objective.
 The lifted scheme keeps its state node-major, one row of paths per node,
 so the upwind difference is one contiguous operation and y1(0) one row;
 each step checks finiteness with one sum, and looks at every entry only
-when that sum is not finite.
+when that sum is not finite. One call steps any number of eps1 values
+side by side: each path's noise is drawn once for all of them, and each
+value runs on its own thread, one per usable CPU, with the bits of its
+own call. The convergence table makes that one call for its eps1 list.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sdde
 from .hilbert import ProfileX, SegmentGrid, kernel_eval, kernel_is_zero
 from .sdde import (
     PATH_BLOCK,
@@ -26,6 +30,7 @@ from .sdde import (
     Policy,
     _check_horizon,
     _mean_stderr,
+    _share_out,
     _steps_of,
     open_loop_controls,
     path_normals,
@@ -37,6 +42,9 @@ _CONVOLVE_ROWS = 64
 # the lifted scheme's CFL bound: a step may exceed the grid spacing by at
 # most this relative round-off
 CFL_RTOL = 1e-12
+# the most threads the lifted scheme steps its eps1 groups on, as many as
+# sdde's noise fill takes at most
+_MAX_THREADS = 8
 
 
 def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
@@ -91,17 +99,18 @@ def mollify_h(h0, eps2: float, eval_points):
 
 @dataclass(frozen=True)
 class LiftedEnsemble:
-    """Terminal lifted states of the perturbed evolution."""
+    """Terminal lifted states of the perturbed evolution; a sequence of
+    eps1 values puts its shape in front of both."""
 
-    y0: np.ndarray  # (n_paths,)
-    y1: np.ndarray  # (n_paths, n_nodes)
+    y0: np.ndarray  # (n_paths,), or (len(eps1), n_paths)
+    y1: np.ndarray  # (n_paths, n_nodes), or (len(eps1), n_paths, n_nodes)
 
 
 def simulate_lifted_perturbed(
     params: ModelParams,
     lifted_init: ProfileX,
     policy: Policy,
-    eps1: float,
+    eps1,
     grid: SegmentGrid,
     dt: float,
     n_paths: int,
@@ -115,17 +124,31 @@ def simulate_lifted_perturbed(
     shared Brownian increment scaled by eps1 * b1(xi) (the rank-one
     perturbation).
 
-    Paths are stepped sdde.PATH_BLOCK at a time in preallocated buffers,
-    so the noise takes O(PATH_BLOCK * steps) memory whatever the path
-    count; a path's result does not depend on the count or the blocking.
-    A block's state is node-major, (n_nodes + 1, paths): one row per node
-    and a last row for y0, transposed once into y1 at the end. A step's
-    finiteness check is one sum of the new state; only a sum that is not
-    finite (a non-finite entry, or finite entries whose sum overflows) is
-    followed by the elementwise check, which decides. Every entry takes
-    the same operations in the same order as on path-major rows.
+    eps1 is one value or a sequence of them, each of whose runs (a group)
+    has the bits of its own call. Paths are stepped sdde.PATH_BLOCK at a
+    time in preallocated buffers, so the noise takes O(PATH_BLOCK * steps)
+    memory whatever the path count; a path's result does not depend on the
+    count or the blocking. Each path's noise is drawn once, on the caller's
+    thread, for every group: its first row drives y0, its second (drawn
+    when some group is perturbed) the rank-one term. A block's groups are
+    stepped on one thread per usable CPU, the caller's among them, at most
+    one per group and 8 in all (sdde._share_out), in buffers allocated on
+    the caller's thread; besides them the call holds len(eps1) terminal
+    (n_paths, n_nodes) arrays. A group's state is node-major,
+    (n_nodes + 1, paths): one row per node and a last row for y0, updated
+    in place (y0 last, as the y1 source reads the old y0) and transposed
+    once into y1 at the end of the block. A step's finiteness check is one
+    sum of the state; only a sum that is not finite (a non-finite entry, or
+    finite entries whose sum overflows) is followed by the elementwise
+    check, which decides. Every entry takes the same operations in the
+    same order as on path-major rows. A blow-up raises the BlowupError of
+    the first eps1 in sequence order that blows up, as a loop over the
+    values would.
     """
-    _check_eps1(eps1)
+    eps = np.asarray(eps1, dtype=float)
+    groups = eps.reshape(-1)
+    for value in groups:
+        _check_eps1(value)
     dxi = grid.spacing
     if dt > dxi * (1 + CFL_RTOL):
         raise ConfigurationError(
@@ -145,50 +168,49 @@ def simulate_lifted_perturbed(
     b1v = kernel_eval(params.b1, grid.nodes, params.r)
     lam = dt / dxi
     sig0 = params.sigma * np.sqrt(dt)
-    sig1 = eps1 * np.sqrt(dt)
-    perturbed = sig1 > 0 and not kernel_is_zero(params.b1)
+    sig1 = groups * np.sqrt(dt)
+    perturbed = (sig1 > 0) & (not kernel_is_zero(params.b1))
 
     m = grid.n_nodes
-    y0_out = np.empty(n_paths)
-    y1_out = np.empty((n_paths, m))
+    y0_out = np.empty((len(groups), n_paths))
+    y1_out = np.empty((len(groups), n_paths, m))
     rows = min(PATH_BLOCK, n_paths)
-    # node-major state, double-buffered: row i < m holds y1 at node i for
-    # every path (row m-1 is y1(0)), row m holds y0
-    state_buf, new_buf = (np.empty((m + 1, rows)) for _ in range(2))
-    work_buf = np.empty((m, rows))
-    drift_buf, kick_buf = (np.empty(rows) for _ in range(2))
-    b1z = np.empty(m)
-    # time-major: a step reads one row; an unperturbed run draws no y1 noise
-    noise_buf = np.empty((1 + perturbed, steps, rows))
-    # overflow shows as a non-finite state, which raises BlowupError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_paths, PATH_BLOCK):
-            n = min(PATH_BLOCK, n_paths - first)
-            state, new, work = (b[:, :n] for b in (state_buf, new_buf, work_buf))
-            drift, kick = drift_buf[:n], kick_buf[:n]
-            noise = noise_buf[:, :, :n]
-            for j in range(n):
-                noise[:, :, j] = path_normals(seed, first + j, noise.shape[:2])
-            state[m] = float(lifted_init.x0)
-            state[:m] = np.asarray(lifted_init.x1, dtype=float)[:, None]
+    workers = min(sdde._usable_cpus(), len(groups), _MAX_THREADS)
+    # one thread's buffers each: the node-major state (row i < m holds y1
+    # at node i for every path, row m-1 being y1(0); row m holds y0), the
+    # step's work rows and temporaries
+    state_buf = np.empty((workers, m + 1, rows))
+    work_buf = np.empty((workers, m, rows))
+    drift_buf, kick_buf = (np.empty((workers, rows)) for _ in range(2))
+    b1z_buf = np.empty((workers, m))
+    # time-major: a step reads one row; with no group perturbed, no y1 noise
+    noise_buf = np.empty((1 + perturbed.any(), steps, rows))
+    failed = {}  # group -> its first BlowupError, in block order
 
+    def step_group(slot, g):
+        n = noise.shape[2]
+        state, work = state_buf[slot, :, :n], work_buf[slot, :, :n]
+        drift, kick, b1z = drift_buf[slot, :n], kick_buf[slot, :n], b1z_buf[slot]
+        y0, y1 = state[m], state[:m]
+        state[m] = float(lifted_init.x0)
+        state[:m] = np.asarray(lifted_init.x1, dtype=float)[:, None]
+        # numpy's error state is a context variable, which a pool thread
+        # does not inherit; overflow shows as a non-finite state, which
+        # raises BlowupError below
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
-                y0, y1, y0_new, y1_new = state[m], state[:m], new[m], new[:m]
-                # y0_new = y0 + (a0 y0 + y1(0) + b0 z) dt + sig0 dW0
+                # drift = (a0 y0 + y1(0) + b0 z) dt, from the old y1(0)
                 np.multiply(y0, params.a0, out=drift)
                 drift += y1[-1]
                 drift += params.b0 * z[k]
                 drift *= dt
-                np.add(y0, drift, out=y0_new)
-                np.multiply(noise[0, k], sig0, out=kick)
-                y0_new += kick
 
-                # y1_new = y1 - lam * upwind + dt * (a1 y0 + b1 z), the
-                # ghost value at xi = -r being 0
+                # y1 <- y1 - lam * upwind + dt * (a1 y0 + b1 z), the ghost
+                # value at xi = -r being 0, from the old y0
                 work[0] = y1[0]
                 np.subtract(y1[1:], y1[:-1], out=work[1:])
                 work *= lam
-                np.subtract(y1, work, out=y1_new)
+                y1 -= work
                 # one multiply per entry, as a broadcast product but faster;
                 # einsum's 0 + a*b drops only the sign of a zero product,
                 # which reaches the state only through an entry that is
@@ -197,22 +219,40 @@ def simulate_lifted_perturbed(
                 np.multiply(b1v, z[k], out=b1z)
                 work += b1z[:, None]
                 work *= dt
-                y1_new += work
-                if perturbed:
-                    np.multiply(noise[1, k], sig1, out=kick)
+                y1 += work
+                if perturbed[g]:
+                    np.multiply(noise[1, k], sig1[g], out=kick)
                     np.einsum("i,j->ij", b1v, kick, out=work)
-                    y1_new += work
+                    y1 += work
+
+                # y0 <- y0 + drift + sig0 dW0
+                y0 += drift
+                np.multiply(noise[0, k], sig0, out=kick)
+                y0 += kick
 
                 # a finite sum has only finite terms; a non-finite one may
                 # be a sum of finite terms that overflows
-                if not (np.isfinite(new.sum()) or np.isfinite(new).all()):
-                    raise BlowupError(f"lifted evolution lost finiteness at step {k+1}")
-                state, new = new, state
+                if not (np.isfinite(state.sum()) or np.isfinite(state).all()):
+                    failed[g] = BlowupError(
+                        f"lifted evolution lost finiteness at step {k+1}"
+                    )
+                    return
+        y0_out[g, first : first + n] = y0
+        y1_out[g, first : first + n] = y1.T
 
-            y0_out[first : first + n] = state[m]
-            y1_out[first : first + n] = state[:m].T
-
-    return LiftedEnsemble(y0=y0_out, y1=y1_out)
+    for first in range(0, n_paths, PATH_BLOCK):
+        # a group after one that failed cannot change the error raised
+        live = range(min(failed, default=len(groups)))
+        if not live:
+            break
+        noise = noise_buf[:, :, : min(PATH_BLOCK, n_paths - first)]
+        for j in range(noise.shape[2]):
+            noise[:, :, j] = path_normals(seed, first + j, noise.shape[:2])
+        _share_out(step_group, live, min(workers, len(live)))
+    if failed:
+        raise failed[min(failed)]
+    shape = eps.shape + (n_paths,)
+    return LiftedEnsemble(y0=y0_out.reshape(shape), y1=y1_out.reshape(shape + (m,)))
 
 
 @dataclass(frozen=True)
@@ -254,12 +294,13 @@ def convergence_study(
             np.sum(mollify_h(lambda x: beta * x**2, eps2, z[:-1])) * dt
             for eps2 in eps2_seq
         ]
-        for eps1 in eps1_seq:
-            ens = simulate_lifted_perturbed(
-                params, lifted_init, policy, eps1, grid, dt, n_paths, seed
-            )
+        # one call steps every eps1, side by side
+        ens = simulate_lifted_perturbed(
+            params, lifted_init, policy, eps1_seq, grid, dt, n_paths, seed
+        )
+        for eps1, y0 in zip(eps1_seq, ens.y0):
             for eps2, cost in zip(eps2_seq, costs):
-                terminal = mollify_phi(lambda x: gamma * x, eps2, ens.y0)
+                terminal = mollify_phi(lambda x: gamma * x, eps2, y0)
                 mean, se = _mean_stderr(terminal - cost)
                 if not np.isfinite(mean):
                     raise BlowupError(

@@ -50,6 +50,7 @@ control of a path may depend on that path's state only.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -312,24 +313,38 @@ class _ThreadGenerator(threading.local):
 _THREAD_GENERATOR = _ThreadGenerator()
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a seed outside [-2**63, 2**63): the Philox key holds it as a
-    uint64, onto which this range maps one to one."""
+def _integer(value, name: str) -> int:
+    """value as a Python int; ConfigurationError unless it is an integer
+    (a numpy one too), since a float would key the stream of its truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> int:
+    """The seed as a Python int. Refuse a seed that is not an integer in
+    [-2**63, 2**63): the Philox key holds it as a uint64, onto which this
+    range maps one to one."""
+    seed = _integer(seed, "seed")
     if not -(2**63) <= seed < 2**63:
         raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {seed}")
+    return seed
 
 
 def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
     """Noise increments for one path from a counter-based substream. The
     kept state's two key words are set in place from Python ints, the
     seed as the uint64 it is congruent to, so a numpy integer of any kind
-    keys the stream its value names."""
-    _check_seed(seed)
+    keys the stream its value names; a key that is not an integer is
+    refused."""
+    seed = _check_seed(seed)
+    path_index = _integer(path_index, "path_index")
     if not 0 <= path_index < 2**63:
         raise ConfigurationError(f"path_index must be in [0, 2**63), got {path_index}")
     own = _THREAD_GENERATOR
     key = own.state["state"]["key"]
-    key[0], key[1] = int(seed) & (2**64 - 1), int(path_index)
+    key[0], key[1] = seed & (2**64 - 1), path_index
     own.generator.bit_generator.state = own.state  # copied, so it stays at 0
     return own.generator.standard_normal(shape)
 
@@ -342,43 +357,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _share_out(work, items, workers: int):
+    """Call work(slot, item) for every item on `workers` threads, the
+    caller's (slot 0) among them, each of which claims the next item under a
+    lock until none is left. A failure stops the claiming, and the earliest
+    item's failure is raised, as a loop over the items would raise it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    unclaimed, lock, failures = iter(enumerate(items)), threading.Lock(), {}
+
+    def run(slot):
+        while True:
+            with lock:
+                claim = None if failures else next(unclaimed, None)
+            if claim is None:
+                return
+            try:
+                work(slot, claim[1])
+            except BaseException as exc:
+                failures[claim[0]] = exc
+
+    # threads start per task, and leaving the block joins them
+    with ThreadPoolExecutor(workers) as pool:
+        for slot in range(1, workers):
+            pool.submit(run, slot)
+        run(0)
+    if failures:
+        raise failures[min(failures)]
+
+
 def _fill_noise(rows, seed, first_path, scale):
     """Put scale * path_normals(seed, first_path + j, steps) into column j
     of rows (time-major), on one thread per usable CPU, the caller's among
-    them, at most one per _NOISE_CHUNK paths and 8 in all. Each thread
-    claims the next run of columns until none is left, so a thread slowed
-    by a busy CPU takes fewer, and draws it into its own path-major buffer
-    before one copy (a column at a time would write a cache line per
-    number). The buffers share _NOISE_CHUNK paths, a multiple of
-    _NOISE_LINE each, so memory does not grow with the CPU count."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    them, at most one per _NOISE_CHUNK paths and 8 in all (_share_out), so
+    a thread slowed by a busy CPU claims fewer. Each thread draws the run
+    of columns it claims into its own path-major buffer before one copy (a
+    column at a time would write a cache line per number). The buffers
+    share _NOISE_CHUNK paths, a multiple of _NOISE_LINE each, allocated on
+    the caller's thread, so memory does not grow with the CPU count."""
     steps, n_paths = rows.shape
     workers = min(
         _usable_cpus(), -(-n_paths // _NOISE_CHUNK), _NOISE_CHUNK // _NOISE_LINE
     )
     width = min(_NOISE_CHUNK // workers // _NOISE_LINE * _NOISE_LINE, n_paths)
-    unclaimed, lock = iter(range(0, n_paths, width)), threading.Lock()
+    buffers = np.empty((workers, width, steps))
 
-    def draw():
-        buffer = np.empty((width, steps))
-        while True:
-            with lock:
-                first = next(unclaimed, None)
-            if first is None:
-                return
-            chunk = buffer[: n_paths - first]
-            for i, row in enumerate(chunk):
-                row[:] = path_normals(seed, first_path + first + i, steps)
-            chunk *= scale
-            rows[:, first : first + len(chunk)] = chunk.T
+    def draw(slot, first):
+        chunk = buffers[slot, : n_paths - first]
+        for i, row in enumerate(chunk):
+            row[:] = path_normals(seed, first_path + first + i, steps)
+        chunk *= scale
+        rows[:, first : first + len(chunk)] = chunk.T
 
-    # threads start per task, and leaving the block joins them, failed or not
-    with ThreadPoolExecutor(workers) as pool:
-        tasks = [pool.submit(draw) for _ in range(workers - 1)]
-        draw()
-        for task in tasks:
-            task.result()  # re-raises a task's exception
+    _share_out(draw, range(0, n_paths, width), workers)
 
 
 def simulate_paths(

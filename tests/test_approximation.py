@@ -1,10 +1,11 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from goodwill import approximation
+from goodwill import approximation, sdde
 from goodwill.approximation import (
     BUMP_U,
     BUMP_ZETA,
@@ -468,12 +469,110 @@ def test_node_major_scheme_matches_the_path_major_loop(monkeypatch, a1, b1, eps1
         assert got.y1.tobytes() == ref.y1.tobytes()
 
 
+def _stacked_path_major_reference(params, lifted_init, policy, eps1, *rest):
+    """_path_major_reference run once per eps1 and stacked, as one call over
+    the eps1 sequence returns it."""
+    runs = [_path_major_reference(params, lifted_init, policy, e, *rest) for e in eps1]
+    return LiftedEnsemble(
+        y0=np.stack([run.y0 for run in runs]), y1=np.stack([run.y1 for run in runs])
+    )
+
+
 def test_convergence_rows_match_the_path_major_loop(monkeypatch):
     p, x, pol, grid, dt = _battery_case("exponential", "exponential")
     args = (p, x, pol, 1.0, 0.5, 0.3, [0.0, 0.3], [0.4, 0.1], grid, dt, 7, 5)
     got = convergence_study(*args)
-    monkeypatch.setattr(approximation, "simulate_lifted_perturbed", _path_major_reference)
+    monkeypatch.setattr(
+        approximation, "simulate_lifted_perturbed", _stacked_path_major_reference
+    )
     assert got == convergence_study(*args)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("eps1", [[0.3], [0.0, 0.3], [0.3, 0.0, 0.7]])
+def test_eps1_groups_keep_the_bits_of_their_own_calls(monkeypatch, eps1, cpus):
+    # the groups share each path's one noise draw and step on threads of
+    # their own, in buffers of their own; each keeps the bits of its own
+    # call across a block boundary, and no thread outlives the call
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    n = BATTERY_BLOCK + 3
+    before = threading.active_count()
+    got = simulate_lifted_perturbed(p, x, pol, eps1, grid, dt, n, 11)
+    assert threading.active_count() == before
+    assert got.y0.shape == (len(eps1), n) and got.y1.shape == (len(eps1), n, 21)
+    for g, value in enumerate(eps1):
+        own = simulate_lifted_perturbed(p, x, pol, value, grid, dt, n, 11)
+        assert own.y0.shape == (n,) and own.y1.shape == (n, 21)
+        assert got.y0[g].tobytes() == own.y0.tobytes()
+        assert got.y1[g].tobytes() == own.y1.tobytes()
+
+
+def test_an_empty_eps1_list_draws_nothing_and_returns_no_rows(monkeypatch):
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
+    got = simulate_lifted_perturbed(p, x, pol, [], grid, dt, 5, 11)
+    assert got.y0.shape == (0, 5) and got.y1.shape == (0, 5, 21)
+    assert convergence_study(p, x, pol, 1.0, 0.5, 0.3, [], [0.1], grid, dt, 5, 11) == []
+
+
+def _in_eps1_order(p, x, pol, eps1, *rest):
+    """The scalar calls, one eps1 after another: the first to blow up raises."""
+    for value in eps1:
+        simulate_lifted_perturbed(p, x, pol, value, *rest)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_later_eps1_that_blows_up_first_does_not_name_the_error(monkeypatch, cpus):
+    # eps1 = 1e200 overflows at step 5 and eps1 = 0 at step 11: the error is
+    # eps1 = 0's, as the loop in eps1 order raises it, with no warning from
+    # either thread
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    grid = SegmentGrid(0.5, 21)
+    p = make_params(
+        a0=0.0, a1=ExponentialKernel(1e60, math.inf), b1=ExponentialKernel(1.0, math.inf)
+    )
+    pol = OpenLoop(t=np.linspace(0.0, 1.0, 41), z=np.zeros(41))
+    x = ProfileX(1.0, np.zeros(21))
+    rest = (grid, 0.025, 3, 0)
+    with pytest.raises(BlowupError, match="at step 5$"):
+        simulate_lifted_perturbed(p, x, pol, 1e200, *rest)
+    with pytest.raises(BlowupError, match="at step 11$") as ref:
+        _in_eps1_order(p, x, pol, [0.0, 1e200], *rest)
+    with pytest.raises(BlowupError) as got:
+        simulate_lifted_perturbed(p, x, pol, [0.0, 1e200], *rest)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_eps1_that_blows_up_in_a_later_block_names_the_error(monkeypatch, cpus):
+    # eps1 = 0.3 reads the y1 noise row, whose inf at path 1 blows it up at
+    # step 3 of the first block; both groups read the y0 row, whose inf at
+    # path 5 blows them up at step 7 of the second. The loop in eps1 order
+    # raises eps1 = 0's error, from the second block
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    normals = approximation.path_normals
+
+    def shocked(seed, path_index, shape):
+        out = normals(seed, path_index, shape)
+        if path_index == 1 and len(out) == 2:
+            out[1, 2] = np.inf
+        if path_index == BATTERY_BLOCK + 1:
+            out[0, 6] = np.inf
+        return out
+
+    monkeypatch.setattr(approximation, "path_normals", shocked)
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    rest = (grid, dt, BATTERY_BLOCK + 3, 11)
+    with pytest.raises(BlowupError, match="at step 3$"):
+        simulate_lifted_perturbed(p, x, pol, 0.3, *rest)
+    with pytest.raises(BlowupError, match="at step 7$") as ref:
+        _in_eps1_order(p, x, pol, [0.0, 0.3], *rest)
+    with pytest.raises(BlowupError) as got:
+        simulate_lifted_perturbed(p, x, pol, [0.0, 0.3], *rest)
+    assert str(got.value) == str(ref.value)
 
 
 def test_lifted_sum_overflow_with_finite_state_is_no_blowup():

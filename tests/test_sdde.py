@@ -506,6 +506,18 @@ def test_path_normals_refuse_path_indices_the_key_cannot_hold(path):
 
 
 @pytest.mark.parametrize(
+    "seed, path, name",
+    [(1.5, 0, "seed"), (np.float64(2.0), 0, "seed"), ("7", 0, "seed"),
+     (0, 2.7, "path_index"), (0, np.float64(3.0), "path_index")],
+)
+def test_path_normals_refuse_a_key_that_is_not_an_integer(seed, path, name):
+    # a float keyed the stream of its truncation: (1.5, 0) drew (1, 0)'s
+    # normals and (0, 2.7) drew (0, 2)'s
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer, got "):
+        path_normals(seed, path, 3)
+
+
+@pytest.mark.parametrize(
     "first_path, n_paths", [(2**63 - 1, 2), (2**63, 1), (0, 2**63 + 1)]
 )
 def test_simulate_paths_refuses_path_indices_past_the_key(first_path, n_paths):
@@ -844,6 +856,31 @@ def test_a_failed_draw_reaches_the_caller_and_ends_every_thread(monkeypatch, cpu
         simulate_paths(p, BLOCK_HISTORY, policy, BLOCK_DT, THREAD_PATHS, 5)
     assert threading.active_count() == before
 
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_shared_work_raises_the_failure_of_the_earliest_item(workers):
+    # items 2 and 5 fail, and on more than one thread 5 fails first; the
+    # error is item 2's, as a loop over the items raises it, and one thread
+    # claims no item after a failure
+    five_failed, done = threading.Event(), []
+
+    def work(slot, item):
+        assert 0 <= slot < workers
+        if item == 2:
+            if workers > 1:
+                assert five_failed.wait(timeout=30)
+            raise _DrawFailed("item 2")
+        if item == 5:
+            five_failed.set()
+            raise _DrawFailed("item 5")
+        done.append(item)
+
+    before = threading.active_count()
+    with pytest.raises(_DrawFailed, match="^item 2$"):
+        sdde._share_out(work, range(40), workers)
+    assert threading.active_count() == before
+    assert {0, 1} <= set(done) and (workers > 1 or done == [0, 1])
 
 # --- the rows a run keeps -----------------------------------------------------
 
