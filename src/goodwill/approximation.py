@@ -11,7 +11,9 @@ each step checks finiteness with one sum, and looks at every entry only
 when that sum is not finite. One call steps any number of eps1 values
 side by side: each path's noise is drawn once for all of them, and each
 value runs on its own thread, one per usable CPU, with the bits of its
-own call. The convergence table makes that one call for its eps1 list.
+own call. The convergence table makes that one call for its eps1 list,
+then shares its mollifications out over the CPUs. Paths go PATH_BLOCK and
+mollifier points _CONVOLVE_ROWS at a time, so a thread's arrays fit L2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from . import sdde
 from .hilbert import ProfileX, SegmentGrid, kernel_eval, kernel_is_zero
 from .sdde import (
-    PATH_BLOCK,
     BlowupError,
     ConfigurationError,
     ModelParams,
@@ -37,13 +38,15 @@ from .sdde import (
 )
 
 _MOLLIFIER_POINTS = 2001
-# evaluation points per (points x _MOLLIFIER_POINTS) temporary of _convolve
-_CONVOLVE_ROWS = 64
+# points per (points x _MOLLIFIER_POINTS) temporary of _convolve: 256 KB
+_CONVOLVE_ROWS = 16
+# paths per lifted block: a group's state and work rows at 201 nodes, 0.8 MB
+PATH_BLOCK = 512
 # the lifted scheme's CFL bound: a step may exceed the grid spacing by at
 # most this relative round-off
 CFL_RTOL = 1e-12
-# the most threads the lifted scheme steps its eps1 groups on, as many as
-# sdde's noise fill takes at most
+# the most threads the lifted scheme and the mollifications run on, as
+# many as sdde's noise fill takes at most
 _MAX_THREADS = 8
 
 
@@ -58,27 +61,38 @@ def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
 
 # the one bump every mollifier uses; eps2 only scales its support
 BUMP_U, BUMP_ZETA = _unit_bump()
+BUMP_DU = np.diff(BUMP_U)
 
 
-def _check_eps1(eps1: float):
-    if not eps1 >= 0:
-        raise ConfigurationError(f"eps1 must be non-negative, got {eps1}")
+def _check_eps(eps1_seq=(), eps2_seq=()):
+    for e in eps1_seq:
+        if not 0 <= e < np.inf:
+            raise ConfigurationError(f"eps1 must be non-negative and finite, got {e}")
+    for e in eps2_seq:
+        if not 0 < e < np.inf:
+            raise ConfigurationError(f"eps2 must be positive and finite, got {e}")
 
 
 def _convolve(fn, eps2: float, eval_points):
     """(fn * zeta_eps2)(x) by quadrature: int fn(x - eps2 u) zeta(u) du.
 
-    The points go _CONVOLVE_ROWS at a time, so the temporaries stay
-    bounded however many there are; each point's sum is the same.
+    The points go _CONVOLVE_ROWS at a time through two buffers, so memory
+    stays bounded; np.trapezoid's operations, in its order, keep each
+    point's sum.
     """
-    if not eps2 > 0:
-        raise ConfigurationError(f"eps2 must be positive, got {eps2}")
+    _check_eps(eps2_seq=[eps2])
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    out = np.empty(len(pts))
+    out, shift = np.empty(len(pts)), eps2 * BUMP_U
+    rows = min(_CONVOLVE_ROWS, len(pts))
+    args_buf, pair_buf = np.empty((rows, len(BUMP_U))), np.empty((rows, len(BUMP_DU)))
     for i in range(0, len(pts), _CONVOLVE_ROWS):
-        args = pts[i : i + _CONVOLVE_ROWS, None] - eps2 * BUMP_U[None, :]
-        vals = fn(args) * BUMP_ZETA[None, :]
-        out[i : i + _CONVOLVE_ROWS] = np.trapezoid(vals, BUMP_U, axis=1)
+        vals, pairs = args_buf[: len(pts) - i], pair_buf[: len(pts) - i]
+        np.subtract(pts[i : i + _CONVOLVE_ROWS, None], shift, out=vals)
+        np.multiply(fn(vals), BUMP_ZETA, out=vals)
+        np.add(vals[:, 1:], vals[:, :-1], out=pairs)
+        np.multiply(BUMP_DU, pairs, out=pairs)
+        pairs /= 2.0
+        np.sum(pairs, axis=1, out=out[i : i + _CONVOLVE_ROWS])
     return out
 
 
@@ -86,7 +100,7 @@ def mollify_phi(phi0, eps2: float, eval_points):
     """Truncate the reward outside [-1/eps2, 1/eps2], then mollify at
     scale eps2."""
 
-    def truncated(x):  # called only after _convolve has checked eps2 > 0
+    def truncated(x):  # called only after _convolve has checked eps2
         return np.where(np.abs(x) <= 1.0 / eps2, phi0(x), 0.0)
 
     return _convolve(truncated, eps2, eval_points)
@@ -125,8 +139,8 @@ def simulate_lifted_perturbed(
     perturbation).
 
     eps1 is one value or a sequence of them, each of whose runs (a group)
-    has the bits of its own call. Paths are stepped sdde.PATH_BLOCK at a
-    time in preallocated buffers, so the noise takes O(PATH_BLOCK * steps)
+    has the bits of its own call. Paths are stepped PATH_BLOCK at a time
+    in preallocated buffers, so the noise takes O(PATH_BLOCK * steps)
     memory whatever the path count; a path's result does not depend on the
     count or the blocking. Each path's noise is drawn once, on the caller's
     thread, for every group: its first row drives y0, its second (drawn
@@ -147,8 +161,7 @@ def simulate_lifted_perturbed(
     """
     eps = np.asarray(eps1, dtype=float)
     groups = eps.reshape(-1)
-    for value in groups:
-        _check_eps1(value)
+    _check_eps(groups)
     dxi = grid.spacing
     if dt > dxi * (1 + CFL_RTOL):
         raise ConfigurationError(
@@ -280,39 +293,44 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Gap table |J_eps - baseline| for the regularized objective under a
     fixed open-loop policy, one row per (eps1, eps2) pair. A one-path
-    row reports stderr NaN: one path carries no spread information."""
+    row reports stderr NaN: one path carries no spread information.
+
+    Every eps is checked before the one lifted call for the whole eps1
+    list. The mollifications, the control's cost at each eps2 and then the
+    reward at each (eps1, eps2), are shared out over the usable CPUs, at
+    most 8 (sdde._share_out); the rows are built in (eps1, eps2) order, so
+    the first non-finite J_eps names the BlowupError."""
     _check_horizon(params, grid)
-    for eps1 in eps1_seq:
-        _check_eps1(eps1)
+    _check_eps(eps1_seq, eps2_seq)
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)
     z = open_loop_controls(policy, params, t, "convergence_study")
+    ens = simulate_lifted_perturbed(
+        params, lifted_init, policy, eps1_seq, grid, dt, n_paths, seed
+    )
+    # the control is shared by every path, so its cost depends on eps2 alone
+    jobs = [(mollify_h, lambda x: beta * x**2, eps2, z[:-1]) for eps2 in eps2_seq]
+    jobs += [(mollify_phi, lambda x: gamma * x, e, y) for y in ens.y0 for e in eps2_seq]
+    done = [None] * len(jobs)
+
+    def mollify(slot, k):
+        # numpy's error state does not reach a pool thread; overflow shows
+        # as a non-finite J_eps, which raises BlowupError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            done[k] = jobs[k][0](*jobs[k][1:])
+
+    workers = max(1, min(sdde._usable_cpus(), len(jobs), _MAX_THREADS))
+    _share_out(mollify, range(len(jobs)), workers)
+    terminals = iter(done[len(eps2_seq) :])
     rows = []
-    # overflow shows as a non-finite J_eps, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        # the control is shared by every path, so its cost depends on eps2 alone
-        costs = [
-            np.sum(mollify_h(lambda x: beta * x**2, eps2, z[:-1])) * dt
-            for eps2 in eps2_seq
-        ]
-        # one call steps every eps1, side by side
-        ens = simulate_lifted_perturbed(
-            params, lifted_init, policy, eps1_seq, grid, dt, n_paths, seed
-        )
-        for eps1, y0 in zip(eps1_seq, ens.y0):
+        costs = [np.sum(c) * dt for c in done[: len(eps2_seq)]]
+        for eps1 in eps1_seq:
             for eps2, cost in zip(eps2_seq, costs):
-                terminal = mollify_phi(lambda x: gamma * x, eps2, y0)
-                mean, se = _mean_stderr(terminal - cost)
+                mean, se = _mean_stderr(next(terminals) - cost)
                 if not np.isfinite(mean):
                     raise BlowupError(
                         f"J_eps left the finite range at eps1={eps1}, eps2={eps2}"
                     )
-                rows.append(
-                    ConvergenceRow(
-                        eps1=float(eps1),
-                        eps2=float(eps2),
-                        j_eps=mean,
-                        stderr=se,
-                        gap=abs(mean - baseline),
-                    )
-                )
+                gap = abs(mean - baseline)
+                rows.append(ConvergenceRow(float(eps1), float(eps2), mean, se, gap))
     return rows

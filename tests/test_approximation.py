@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -9,6 +10,7 @@ from goodwill import approximation, sdde
 from goodwill.approximation import (
     BUMP_U,
     BUMP_ZETA,
+    ConvergenceRow,
     LiftedEnsemble,
     convergence_study,
     mollify_h,
@@ -133,7 +135,8 @@ def test_mollify_is_the_same_point_by_point():
 
 
 def test_mollify_memory_does_not_grow_with_the_point_count():
-    # sizes, not timing: one (20000 x 2001) temporary alone would be 320 MB
+    # sizes, not timing: one (20000 x 2001) temporary alone would be 320 MB,
+    # and 16-point chunks through buffers allocated once take about 1.5 MB
     x = np.linspace(-3, 3, 20_000)
     tracemalloc.start()
     try:
@@ -141,7 +144,43 @@ def test_mollify_memory_does_not_grow_with_the_point_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 3 * 2**20
+
+
+SHIPPED_EPS2 = (0.4, 0.2, 0.1, 0.05)
+
+
+def _literal_mollify(truncate):
+    """The mollifier as one np.trapezoid per point."""
+
+    def mollify(fn, eps2, points):
+        g = fn
+        if truncate:
+            g = lambda v: np.where(np.abs(v) <= 1.0 / eps2, fn(v), 0.0)
+        vals = [np.trapezoid(g(x - eps2 * BUMP_U) * BUMP_ZETA, BUMP_U) for x in points]
+        return np.array(vals, dtype=float)
+
+    return mollify
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 37])
+@pytest.mark.parametrize("eps2", SHIPPED_EPS2)
+def test_mollify_keeps_the_bits_of_the_literal_trapezoid(n, eps2):
+    # chunks, reused buffers and the written-out trapezoid rule change no
+    # bit of any point, the truncated reward's points beyond 1/eps2 too
+    x = np.linspace(-1.5 / eps2, 1.5 / eps2, n)
+    for mollify, fn, truncate in (
+        (mollify_phi, lambda v: 1.5 * v, True),
+        (mollify_h, lambda v: 0.5 * v * v, False),
+    ):
+        got, ref = mollify(fn, eps2, x), _literal_mollify(truncate)(fn, eps2, x)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mollify", [mollify_phi, mollify_h])
+def test_infinite_eps2_is_a_config_error(mollify):
+    with pytest.raises(ConfigurationError, match="eps2 must be positive and finite"):
+        mollify(np.abs, math.inf, np.zeros(3))
 
 
 # --- lifted evolution ---------------------------------------------------------
@@ -270,6 +309,28 @@ def test_negative_eps1_raises_before_simulating(monkeypatch, run):
     monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
     with pytest.raises(ConfigurationError, match="eps1 must be non-negative"):
         run(make_params(b1=ExponentialKernel(1.0, math.inf)))
+
+
+def test_infinite_eps1_is_a_config_error(monkeypatch):
+    # an infinite rank-one kick made the state non-finite at the first step
+    monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
+    with pytest.raises(ConfigurationError, match="non-negative and finite"):
+        simulate_lifted_perturbed(
+            make_params(b1=ExponentialKernel(1.0, math.inf)), X11, POL, math.inf,
+            GRID11, 0.05, 1, 0,
+        )
+
+
+@pytest.mark.parametrize("eps2", [0.0, math.nan, math.inf])
+def test_bad_eps2_raises_before_simulating(monkeypatch, eps2):
+    # every eps2 is checked before the lifted call draws any noise; an
+    # infinite one made J_eps non-finite, a BlowupError, after the run
+    monkeypatch.setattr(approximation, "path_normals", _no_noise_draw)
+    with pytest.raises(ConfigurationError, match="eps2 must be positive and finite"):
+        convergence_study(
+            make_params(b1=ExponentialKernel(1.0, math.inf)), X11, POL, 1.0, 0.5, 0.0,
+            [0.0], [0.1, eps2], GRID11, 0.05, 2, 0,
+        )
 
 
 def test_lifted_blowup_is_a_numerical_failure():
@@ -488,6 +549,43 @@ def test_convergence_rows_match_the_path_major_loop(monkeypatch):
     assert got == convergence_study(*args)
 
 
+def _convergence_reference(p, x, pol, gamma, beta, base, eps1, eps2, grid, dt, *rest):
+    """The table as one loop on the caller's thread: the path-major scheme,
+    the control's cost at each eps2, then one literal trapezoid per point
+    of each (eps1, eps2) row, in that order."""
+    z = open_loop_controls(pol, p, dt * np.arange(round(p.T / dt) + 1), "reference")
+    ens = _stacked_path_major_reference(p, x, pol, eps1, grid, dt, *rest)
+    cost_of, reward_of = _literal_mollify(False), _literal_mollify(True)
+    costs = [np.sum(cost_of(lambda v: beta * v**2, e2, z[:-1])) * dt for e2 in eps2]
+    rows = []
+    for e1, y0 in zip(eps1, ens.y0):
+        for e2, cost in zip(eps2, costs):
+            terminal = reward_of(lambda v: gamma * v, e2, y0)
+            mean, se = sdde._mean_stderr(terminal - cost)
+            rows.append(ConvergenceRow(e1, e2, mean, se, abs(mean - base)))
+    return rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_convergence_rows_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    # the mollifications shared out over 1, 2 or 3 threads, switching
+    # often, give the rows of the one-thread loop, across a block
+    # boundary, and no thread outlives the call
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    args = (p, x, pol, 1.0, 0.5, 0.3, [0.0, 0.3], SHIPPED_EPS2, grid, dt,
+            BATTERY_BLOCK + 3, 5)
+    expected = _convergence_reference(*args)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert convergence_study(*args) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("eps1", [[0.3], [0.0, 0.3], [0.3, 0.0, 0.7]])
 def test_eps1_groups_keep_the_bits_of_their_own_calls(monkeypatch, eps1, cpus):
@@ -515,6 +613,8 @@ def test_an_empty_eps1_list_draws_nothing_and_returns_no_rows(monkeypatch):
     got = simulate_lifted_perturbed(p, x, pol, [], grid, dt, 5, 11)
     assert got.y0.shape == (0, 5) and got.y1.shape == (0, 5, 21)
     assert convergence_study(p, x, pol, 1.0, 0.5, 0.3, [], [0.1], grid, dt, 5, 11) == []
+    # no eps2 either: nothing to mollify, and still no rows
+    assert convergence_study(p, x, pol, 1.0, 0.5, 0.3, [], [], grid, dt, 5, 11) == []
 
 
 def _in_eps1_order(p, x, pol, eps1, *rest):
