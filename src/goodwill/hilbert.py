@@ -237,26 +237,32 @@ class DelayWindow:
             self.h += self.e1
             self.h *= self.rho
 
-    def sums(self) -> np.ndarray:
+    def sums(self, head: np.ndarray | None = None, raw: np.ndarray | None = None):
         """The sum of every step of a 1-d window without history whose rows
         are all filled, row k + m being the newest sample of step k: entry
         k equals `sum(k, samples[k + m])` followed by `advance(k)`, bit for
         bit, and the window is left where those calls leave it. The end
         terms are two arrays and the raw sums the recursion, run in one
-        float loop."""
+        float loop into `raw`, one per step from start on. If rows 0..start - 1
+        are zeros and values >= 0, `head` may bring the raw sums of steps
+        0..start = len(head) - 1 of a window with the same rho, last value and
+        newest samples: first * 0.0 is +0.0 and h - 0.0 is h, bit for bit."""
         m, rows = self.m, self.samples
         n = len(rows) - m
-        e0, e1 = self.first * rows[:n], self.last * rows[m:]
-        h, rho = self.h, self.rho
-        raw = np.empty(n)
+        head = np.array([self.h]) if head is None else head
+        start = len(head) - 1
+        e0, e1 = self.first * rows[start:n], self.last * rows[m:]
+        raw = np.empty(n - start) if raw is None else raw
+        h, rho = head.item(start), self.rho
         at = memoryview(raw)
-        for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1))):
+        for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1)[start:])):
             at[k] = h
             h = rho * (h - a + b)
-        self.h, self.e0, self.e1 = h, e0.item(n - 1), e1.item(n - 1)
+        self.h, self.e0, self.e1 = h, e0.item(-1), e1.item(n - 1)
         # dt * (h + 0.5 * (e1 - e0)) of `sum`, in place
-        e1 -= e0
+        e1[start:] -= e0
         e1 *= 0.5
-        e1 += raw
+        e1[:start] += head[:start]
+        e1[start:] += raw
         e1 *= self.dt
         return e1

@@ -21,8 +21,8 @@ updated in O(1) per step; the recursion agrees with a full re-sum of the
 window to 1e-12 relative over 1e5 steps (tests compare them).
 The pairing is one pass over the filled phi rows. Without a1 those rows
 depend on neither r nor b1, so a one-entry memo lets the solves of an r
-or b1 sweep share them. A costate that leaves the finite range raises
-sdde.BlowupError.
+or b1 sweep share them, and the pairing's zero-history steps too. A
+costate that leaves the finite range raises sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -81,8 +81,10 @@ class CostateSolution:
 # The filled rows phi[m:] of the last a1-free solve, read-only, keyed on the
 # exact bits of (a0, gamma, dt) and the step count n (bits, not values:
 # 0.0 == -0.0 and nan != nan). Those rows do not depend on r or b1, so the
-# solves of a sweep over either share one Heun loop. One entry is kept.
+# solves of a sweep over either share one Heun loop. One entry is kept, and
+# for it the b1 pairing's zero-history raw sums (see _prefixed_sums).
 _A1_FREE_ROWS: dict = {}
+_A1_FREE_PREFIXES: dict = {}
 
 
 def solve_costate(
@@ -105,8 +107,9 @@ def solve_costate(
     and b1 repeat them). With a1 the loop runs on local floats too, the
     window's sum and advance written out inline, O(1) a step, the rows
     and jump terms streamed through memoryviews. The pairing comes after,
-    from the filled rows in one DelayWindow.sums pass. The bits are those
-    of a loop of sum/advance calls per step.
+    from the filled rows in one DelayWindow.sums pass, an a1-free one past
+    the zero-history steps a memo holds (_prefixed_sums). The bits are
+    those of a loop of sum/advance calls per step.
     """
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -115,11 +118,16 @@ def solve_costate(
 
     # row m + i holds gamma * phi(u_i), u_i = i*dt, that is w0(T - u_i);
     # the zero history rows below it stand for w0 = 0 beyond T. phi is
-    # allocated first, so rows the memo keeps sit below the call's
-    # temporaries on the heap, not between them (about 0.3 MB less peak
-    # RSS in the exact_fine benchmark)
+    # allocated first, and a new prefix block right after it, so what the
+    # memos keep sits below the call's temporaries on the heap, not between
+    # them (about 0.3 MB less peak RSS in the exact_fine benchmark)
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
+    a1_free = kernel_is_zero(params.a1)
+    key = (struct.pack("3d", params.a0, gamma, dt), n)
+    if a1_free and not kernel_is_zero(params.b1) and key not in _A1_FREE_PREFIXES:
+        _A1_FREE_PREFIXES.clear()
+        _A1_FREE_PREFIXES[key] = (np.empty(n + 1), {})
     t = dt * np.arange(n + 1)
     xi = -params.r + dt * np.arange(m + 1)
     p = phi.item  # samples as Python floats: scalar arithmetic is faster
@@ -129,18 +137,16 @@ def solve_costate(
     # trapezoid boundary weight dt/2, not dt, so each window sum drops
     # jump(values)[i] = dt/2 * values[j] * gamma
     def jump(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(n + 1)
-        i = np.arange(1, min(m, n + 1))
-        out[i] = dt / 2 * values[m - i] * gamma
+        out, k = np.zeros(n + 1), min(m, n + 1)
+        out[1:k] = dt / 2 * values[m - 1 : m - k : -1] * gamma
         return out
 
     a0, half, prev, rows = float(params.a0), dt / 2, p(m), memoryview(phi)
     # overflow shows as a non-finite costate, which raises BlowupError below
     with np.errstate(over="ignore", invalid="ignore"):
-        if kernel_is_zero(params.a1):
+        if a1_free:
             # the slope is a0 * phi, so rows m.. depend on (a0, gamma, dt, n)
             # alone: a solve that repeats the last one's copies its rows
-            key = (struct.pack("3d", a0, gamma, dt), n)
             memo = _A1_FREE_ROWS.get(key)
             if memo is not None:
                 phi[m:] = memo
@@ -183,7 +189,11 @@ def solve_costate(
         if not kernel_is_zero(params.b1):
             # every row of phi is filled now, so the pairing is one pass
             b1v = kernel_eval(params.b1, xi, params.r)
-            bw = bw + DelayWindow(params.b1, b1v, dt, phi).sums() - jump(b1v)
+            del xi
+            win = DelayWindow(params.b1, b1v, dt, phi)
+            bw += _prefixed_sums(win, min(m, n), key) if a1_free else win.sums()
+            bw -= jump(b1v)
+            del b1v
 
         # c(T - u_i) sums dt/2 (g_{l-1} + g_l) over l = 1..i, in that order,
         # g = H(bw); the sums run straight into c(t), reversed, and each
@@ -202,6 +212,30 @@ def solve_costate(
         _check_finite(c, t, "c")
 
     return CostateSolution(t=t, w0=w0, c=c, bw=bw, beta=beta, params=params)
+
+
+def _prefixed_sums(win: DelayWindow, s: int, key) -> np.ndarray:
+    """win.sums() of an a1-free pairing. Its oldest samples at steps 0..s - 1
+    are zero rows, so the raw sums of steps 0..s depend on the rows (key),
+    rho and last alone: a read-only block of n + 1 floats keeps them, one
+    head per (rho, last) bits, a longer head after the others or alone."""
+    block, held = _A1_FREE_PREFIXES[key]
+    pkey = struct.pack("2d", win.rho, win.last)
+    at, size = held.get(pkey, (0, 0))
+    start = min(s, size - 1) if size else 0
+    raw = np.empty(len(block) - start)
+    sums = win.sums(block[at : at + start + 1] if size else None, raw)
+    if size <= s:
+        end = max((a + k for q, (a, k) in held.items() if q != pkey), default=0)
+        if end + s + 1 > len(block):  # no room: the other heads go
+            held.clear()
+            end = 0
+        block.setflags(write=True)
+        block[end : end + start] = block[at : at + start]
+        block[end + start : end + s + 1] = raw[: s + 1 - start]
+        block.setflags(write=False)
+        held[pkey] = (end, s + 1)
+    return sums
 
 
 def _check_finite(values: np.ndarray, t: np.ndarray, name: str):

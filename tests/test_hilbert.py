@@ -307,3 +307,30 @@ def test_window_sums_equal_the_step_by_step_sums(kernel, m):
         stepped.advance(k)
     np.testing.assert_array_equal(whole.sums(), want)
     assert whole.h == stepped.h
+
+
+@pytest.mark.parametrize("m, n", [(1, 300), (50, 300), (400, 300)])
+@pytest.mark.parametrize(
+    "kernel",
+    [ExponentialKernel(0.7, math.inf), ExponentialKernel(5.0, 3e-3)],
+    ids=["constant", "steep"],
+)
+def test_window_sums_from_a_head_equal_the_whole_pass(kernel, m, n):
+    # steps 0..start - 1 see a zero row as the oldest sample, so a window
+    # given their raw sums runs the loop from step start alone, and sums,
+    # raw sums and the window's end state keep the bits of the whole pass
+    rng = np.random.default_rng(m)
+    dt = 1e-3
+    samples = np.zeros(m + n)
+    samples[m:] = 2.7 + rng.standard_normal(n)
+    samples[m + 7] = -0.0
+    values = kernel_eval(kernel, -m * dt + dt * np.arange(m + 1), m * dt)
+    whole, raw = DelayWindow(kernel, values, dt, samples), np.empty(n)
+    want = whole.sums(None, raw)
+    for start in sorted({1, min(m, n - 1) // 2 or 1, min(m, n - 1)}):
+        head = raw[: start + 1].copy()
+        head.setflags(write=False)
+        part, rest = DelayWindow(kernel, values, dt, samples), np.empty(n - start)
+        assert part.sums(head, rest).tobytes() == want.tobytes()
+        assert rest.tobytes() == raw[start:].tobytes()
+        assert (part.h, part.e0, part.e1) == (whole.h, whole.e0, whole.e1)

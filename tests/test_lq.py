@@ -362,6 +362,104 @@ def test_mutating_a_solution_leaves_the_next_solve_alone():
     _assert_bits(solve_costate(p, 1.0, 0.5, 1e-3), stepwise_costate(p, 1.0, 0.5, 1e-3))
 
 
+SHIPPED_R_GRID = [round(0.25 + 0.05 * i, 10) for i in range(10)]
+FINE_DT = 5e-5  # b1(0) reads 1-2 ulps low at r = 0.35, 0.7: xi[-1] = -r + dt*m > 0
+
+
+def _clear_a1_free_memos():
+    lq._A1_FREE_ROWS.clear()
+    lq._A1_FREE_PREFIXES.clear()
+
+
+def _solve_and_compare(r, b1, gamma=1.0, a1=ExponentialKernel(0.0, math.inf)):
+    p = make_params(a0=-0.5, r=r, a1=a1, b1=b1)
+    _assert_bits(solve_costate(p, gamma, 0.5, FINE_DT),
+                 stepwise_costate(p, gamma, 0.5, FINE_DT))
+
+
+@pytest.mark.parametrize("amp", [1.0, 5.0])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_r_sweeps_share_the_pairing_prefix_bit_for_bit(order, amp):
+    # every a1-free solve of a sweep takes the raw sums of its zero-history
+    # steps from the prefix memo where it can; r = 0.35 and 0.7 read b1(0)
+    # 1-2 ulps low, so their prefixes are their own
+    rs = {"ascending": SHIPPED_R_GRID, "descending": SHIPPED_R_GRID[::-1],
+          "shuffled": list(np.random.default_rng(4).permutation(SHIPPED_R_GRID))}[order]
+    _clear_a1_free_memos()
+    for r in [0.5, *rs, 0.35, 0.7, 0.35, 0.7]:
+        _solve_and_compare(float(r), ExponentialKernel(amp, 0.5))
+
+
+def test_an_r_sweep_runs_each_zero_history_prefix_once(monkeypatch):
+    # the exact_fine benchmark's order: r = 0.5, then the grid ascending.
+    # At b1 = 1 the grid has three distinct b1(0) bits (r = 0.35, 0.7 and
+    # the rest), so the recursion runs the longest zero-history prefix of
+    # each once, plus every solve's steps past its own
+    steps, sums = [], DelayWindow.sums
+
+    def counted(win, head=None, raw=None):
+        steps.append(len(win.samples) - win.m - (0 if head is None else len(head) - 1))
+        return sums(win, head, raw)
+
+    monkeypatch.setattr(DelayWindow, "sums", counted)
+    _clear_a1_free_memos()
+    rs = [0.5, *SHIPPED_R_GRID]
+    for r in rs:
+        solve_costate(make_params(a0=-0.5, r=r, b1=ExponentialKernel(1.0, 0.5)),
+                      1.0, 0.5, FINE_DT)
+    n, m = 20_000, [round(r / FINE_DT) for r in rs]
+    assert sum(steps) == sum(n + 1 - k for k in m) + 13_000 + 7_000 + 14_000
+
+
+@pytest.mark.parametrize("r", [FINE_DT, 1.0, 1.25])
+def test_pairing_prefix_at_the_shortest_and_longest_windows(r):
+    # m = 1; m = n; m > n, where every step's oldest sample is a zero row
+    _clear_a1_free_memos()
+    for r_i in (r, 0.5, r, 0.3, r):
+        _solve_and_compare(r_i, ExponentialKernel(5.0, 0.5))
+
+
+def test_pairing_prefix_sweeps_interleaved_with_other_solves():
+    # an a1 solve, another b1 amplitude and a constant b1 (rho = 1) between
+    # the solves of a sweep: each keeps or drops what the others share
+    _clear_a1_free_memos()
+    for r in SHIPPED_R_GRID[::3] + [0.7, 0.35]:
+        _solve_and_compare(r, ExponentialKernel(5.0, 0.5))
+        _solve_and_compare(r, ExponentialKernel(5.0, 0.5), a1=ExponentialKernel(-2.0, 1 / 6))
+        _solve_and_compare(r, ExponentialKernel(2.0, 0.5))
+        _solve_and_compare(r, ExponentialKernel(0.8, math.inf))
+        _solve_and_compare(r, ExponentialKernel(0.0, math.inf))
+
+
+def test_pairing_prefix_keeps_the_sign_of_zero_gamma():
+    # gamma = 0.0 and -0.0 are equal values with rows of their own bits
+    _clear_a1_free_memos()
+    for gamma in (0.0, -0.0, -0.0, 0.0, 1.0, -0.0):
+        for r in (0.3, 0.45):
+            _solve_and_compare(r, ExponentialKernel(5.0, 0.5), gamma=gamma)
+
+
+def test_pairing_prefix_nan_gamma_raises_on_a_miss_and_a_hit():
+    _clear_a1_free_memos()
+    for r in (0.3, 0.3, 0.45, 0.35):  # a miss, a hit, a longer head, another b1(0)
+        p = make_params(a0=-0.5, r=r, b1=ExponentialKernel(5.0, 0.5))
+        with pytest.raises(BlowupError, match=BLOWUP_AT_T):
+            solve_costate(p, float("nan"), 0.5, FINE_DT)
+    _solve_and_compare(0.45, ExponentialKernel(5.0, 0.5))
+
+
+def test_pairing_prefixes_are_read_only_and_not_shared_out():
+    _clear_a1_free_memos()
+    solutions = [solve_costate(make_params(a0=-0.5, r=r, b1=ExponentialKernel(5.0, 0.5)),
+                               1.0, 0.5, FINE_DT) for r in (0.35, 0.5, 0.7)]
+    [(block, held)] = lq._A1_FREE_PREFIXES.values()
+    assert len(held) >= 1 and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0] = 1.0
+    for cs in solutions:
+        assert not any(np.shares_memory(block, getattr(cs, a)) for a in ("w0", "bw", "c"))
+
+
 @pytest.mark.parametrize("lag_steps", [1, 2])
 @pytest.mark.parametrize(
     "a1, b1",
@@ -381,20 +479,26 @@ def test_a1_costate_with_the_shortest_windows(a1, b1, lag_steps):
 
 @pytest.mark.parametrize(
     "changes, limit_mib, miss",
-    [({"a1_amp": 0.0}, 1.30, False), ({"a1_amp": 0.0}, 1.30, True), ({}, 1.53, False)],
-    ids=["b1_only", "b1_only_memo_miss", "both_churns"],
+    [
+        ({"a1_amp": 0.0}, 1.30, ()),
+        ({"a1_amp": 0.0}, 1.30, ("_A1_FREE_ROWS",)),
+        ({"a1_amp": 0.0}, 1.30, ("_A1_FREE_ROWS", "_A1_FREE_PREFIXES")),
+        ({}, 1.53, ()),
+    ],
+    ids=["b1_only", "b1_only_memo_miss", "b1_only_both_memos_miss", "both_churns"],
 )
 def test_costate_peak_memory(changes, limit_mib, miss):
     # the tracemalloc peak of one fine-step solve at the shipped model: a
     # few arrays of the 20,001 steps, no Python list of a float per step
-    # (that alone would add about 0.6 MiB); the peaks are 1.22 and 1.45
-    # MiB. A miss of the a1-free memo keeps the solve's own rows, no copy
-    # of them, so it peaks where a hit does
+    # (that alone would add about 0.6 MiB); the peaks are 0.99, 0.99, 1.23
+    # and 1.30 MiB. A miss of the a1-free memo keeps the solve's own rows,
+    # no copy of them; a miss of the prefix memo adds its block of 20,001
+    # floats, which the suffix-sized temporaries and in-place sums make room for
     cfg = merged_config(None, {})
     p = build_params(dict(cfg, **changes))
     solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)  # one-time set-up off the count
-    if miss:
-        lq._A1_FREE_ROWS.clear()
+    for memo in miss:
+        getattr(lq, memo).clear()
     tracemalloc.start()
     try:
         solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)
