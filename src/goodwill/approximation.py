@@ -27,6 +27,7 @@ from .hilbert import ProfileX, SegmentGrid, kernel_eval, kernel_is_zero
 from .sdde import (
     BlowupError,
     ConfigurationError,
+    _MAX_THREADS,
     ModelParams,
     Policy,
     _check_horizon,
@@ -45,9 +46,6 @@ PATH_BLOCK = 512
 # the lifted scheme's CFL bound: a step may exceed the grid spacing by at
 # most this relative round-off
 CFL_RTOL = 1e-12
-# the most threads the lifted scheme and the mollifications run on, as
-# many as sdde's noise fill takes at most
-_MAX_THREADS = 8
 
 
 def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +144,18 @@ def simulate_lifted_perturbed(
     thread, for every group: its first row drives y0, its second (drawn
     when some group is perturbed) the rank-one term. A block's groups are
     stepped on one thread per usable CPU, the caller's among them, at most
-    one per group and 8 in all (sdde._share_out), in buffers allocated on
-    the caller's thread; besides them the call holds len(eps1) terminal
-    (n_paths, n_nodes) arrays. A group's state is node-major,
+    one per group and _MAX_THREADS in all (sdde._share_out), in buffers
+    allocated on the caller's thread; besides them the call holds len(eps1)
+    terminal (n_paths, n_nodes) arrays. A group's state is node-major,
     (n_nodes + 1, paths): one row per node and a last row for y0, updated
     in place (y0 last, as the y1 source reads the old y0) and transposed
     once into y1 at the end of the block. A step's finiteness check is one
     sum of the state; only a sum that is not finite (a non-finite entry, or
     finite entries whose sum overflows) is followed by the elementwise
-    check, which decides. Every entry takes the same operations in the
-    same order as on path-major rows. A blow-up raises the BlowupError of
-    the first eps1 in sequence order that blows up, as a loop over the
-    values would.
+    check, which decides. Every entry takes the same operations in the same
+    order as on path-major rows. A blow-up raises the BlowupError of the
+    first eps1 in sequence order that blows up, as a loop over the values
+    would.
     """
     eps = np.asarray(eps1, dtype=float)
     groups = eps.reshape(-1)
@@ -298,8 +296,8 @@ def convergence_study(
     Every eps is checked before the one lifted call for the whole eps1
     list. The mollifications, the control's cost at each eps2 and then the
     reward at each (eps1, eps2), are shared out over the usable CPUs, at
-    most 8 (sdde._share_out); the rows are built in (eps1, eps2) order, so
-    the first non-finite J_eps names the BlowupError."""
+    most _MAX_THREADS (sdde._share_out); the rows are built in (eps1, eps2)
+    order, so the first non-finite J_eps names the BlowupError."""
     _check_horizon(params, grid)
     _check_eps(eps1_seq, eps2_seq)
     t = dt * np.arange(_steps_of(params.T, dt, "T") + 1)

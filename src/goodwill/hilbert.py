@@ -129,13 +129,19 @@ def kernel_is_zero(k: Kernel) -> bool:
     return k.amp == 0.0
 
 
+def _window_lags(r: float, dt: float, m: int) -> np.ndarray:
+    """A window's lags -r + j*dt, j = 0..m, the newest 0.0 exactly, as it
+    is by definition (-r + m*dt may miss 0 by an ulp, and a(0) with it)."""
+    return np.append(-r + dt * np.arange(m), 0.0)
+
+
 class DelayWindow:
     """Trapezoid sum of a density kernel over a window that slides along
     samples one time step apart (a point lag has no window: its delay
     term is the one sample amp * x_k).
 
     The window at step k holds m + 1 samples x_0..x_m, x_j sitting at the
-    lag xi_j = -r + j*dt, and `values` are a(xi_j). Its sum is
+    lag xi_j = -r + j*dt (_window_lags), and `values` are a(xi_j). Its sum is
 
         dt * sum_j a_j x_j  -  dt/2 * (a_0 x_0 + a_m x_m),
 

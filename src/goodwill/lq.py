@@ -21,8 +21,8 @@ updated in O(1) per step; the recursion agrees with a full re-sum of the
 window to 1e-12 relative over 1e5 steps (tests compare them).
 The pairing is one pass over the filled phi rows. Without a1 those rows
 depend on neither r nor b1, so a one-entry memo lets the solves of an r
-or b1 sweep share them, and the pairing's zero-history steps too. A
-costate that leaves the finite range raises sdde.BlowupError.
+or b1 sweep share them, and one head of the pairing's zero-history steps
+too. A costate that leaves the finite range raises sdde.BlowupError.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .hilbert import (
     PointDelay,
     ProfileX,
     SegmentGrid,
+    _window_lags,
     inner_product,
     kernel_eval,
     kernel_is_zero,
@@ -78,13 +79,13 @@ class CostateSolution:
         return np.interp(t, self.t, self.c)
 
 
-# The filled rows phi[m:] of the last a1-free solve, read-only, keyed on the
-# exact bits of (a0, gamma, dt) and the step count n (bits, not values:
-# 0.0 == -0.0 and nan != nan). Those rows do not depend on r or b1, so the
-# solves of a sweep over either share one Heun loop. One entry is kept, and
-# for it the b1 pairing's zero-history raw sums (see _prefixed_sums).
-_A1_FREE_ROWS: dict = {}
-_A1_FREE_PREFIXES: dict = {}
+# [rows, block, pattern, size] of the last a1-free solve, one entry keyed on
+# the exact bits of (a0, gamma, dt) and the step count n (bits, not values:
+# 0.0 == -0.0 and nan != nan). The rows phi[m:] do not depend on r or b1, so
+# the solves of a sweep over either share one Heun loop; the block of n + 1
+# floats holds the b1 pairing's zero-history raw sums of steps 0..size - 1
+# for the window's (rho, last) bits `pattern` (_prefixed_sums). Read-only.
+_A1_FREE: dict = {}
 
 
 def solve_costate(
@@ -108,8 +109,8 @@ def solve_costate(
     window's sum and advance written out inline, O(1) a step, the rows
     and jump terms streamed through memoryviews. The pairing comes after,
     from the filled rows in one DelayWindow.sums pass, an a1-free one past
-    the zero-history steps a memo holds (_prefixed_sums). The bits are
-    those of a loop of sum/advance calls per step.
+    the zero-history steps that the memo's one head holds (_prefixed_sums).
+    The bits are those of a loop of sum/advance calls per step.
     """
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -118,18 +119,19 @@ def solve_costate(
 
     # row m + i holds gamma * phi(u_i), u_i = i*dt, that is w0(T - u_i);
     # the zero history rows below it stand for w0 = 0 beyond T. phi is
-    # allocated first, and a new prefix block right after it, so what the
-    # memos keep sits below the call's temporaries on the heap, not between
-    # them (about 0.3 MB less peak RSS in the exact_fine benchmark)
+    # allocated first, and on a memo miss the head block right after it, so
+    # what the memo keeps sits below the call's temporaries on the heap, not
+    # between them (about 0.3 MB less peak RSS in the exact_fine benchmark)
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
     a1_free = kernel_is_zero(params.a1)
     key = (struct.pack("3d", params.a0, gamma, dt), n)
-    if a1_free and not kernel_is_zero(params.b1) and key not in _A1_FREE_PREFIXES:
-        _A1_FREE_PREFIXES.clear()
-        _A1_FREE_PREFIXES[key] = (np.empty(n + 1), {})
+    memo = _A1_FREE.get(key) if a1_free else None
+    if a1_free and memo is None:
+        _A1_FREE.clear()
+        block = np.empty(n + 1)
     t = dt * np.arange(n + 1)
-    xi = -params.r + dt * np.arange(m + 1)
+    xi = _window_lags(params.r, dt, m)
     p = phi.item  # samples as Python floats: scalar arithmetic is faster
 
     # the rows jump from 0 to gamma at u = 0 (row m), which the window at
@@ -147,9 +149,8 @@ def solve_costate(
         if a1_free:
             # the slope is a0 * phi, so rows m.. depend on (a0, gamma, dt, n)
             # alone: a solve that repeats the last one's copies its rows
-            memo = _A1_FREE_ROWS.get(key)
             if memo is not None:
-                phi[m:] = memo
+                phi[m:] = memo[0]
             else:
                 # Heun's step on Python floats
                 for i in range(m + 1, m + n + 1):
@@ -158,10 +159,9 @@ def solve_costate(
                     rows[i] = prev
                 # the memo keeps this call's own rows, not a copy of them:
                 # nothing writes to phi after this point
-                memo = phi[m:]
-                memo.setflags(write=False)
-                _A1_FREE_ROWS.clear()
-                _A1_FREE_ROWS[key] = memo
+                memo = _A1_FREE[key] = [phi[m:], block, b"", 0]
+                for kept in memo[:2]:
+                    kept.setflags(write=False)
         else:
             # the window's sum and advance, inlined on Python floats: a, b
             # are its end terms and h its raw sum; rows 0..n and the jump
@@ -191,7 +191,7 @@ def solve_costate(
             b1v = kernel_eval(params.b1, xi, params.r)
             del xi
             win = DelayWindow(params.b1, b1v, dt, phi)
-            bw += _prefixed_sums(win, min(m, n), key) if a1_free else win.sums()
+            bw += _prefixed_sums(win, min(m, n), memo) if a1_free else win.sums()
             bw -= jump(b1v)
             del b1v
 
@@ -214,27 +214,21 @@ def solve_costate(
     return CostateSolution(t=t, w0=w0, c=c, bw=bw, beta=beta, params=params)
 
 
-def _prefixed_sums(win: DelayWindow, s: int, key) -> np.ndarray:
+def _prefixed_sums(win: DelayWindow, s: int, memo: list) -> np.ndarray:
     """win.sums() of an a1-free pairing. Its oldest samples at steps 0..s - 1
-    are zero rows, so the raw sums of steps 0..s depend on the rows (key),
-    rho and last alone: a read-only block of n + 1 floats keeps them, one
-    head per (rho, last) bits, a longer head after the others or alone."""
-    block, held = _A1_FREE_PREFIXES[key]
-    pkey = struct.pack("2d", win.rho, win.last)
-    at, size = held.get(pkey, (0, 0))
+    are zero rows, so the raw sums of steps 0..s depend on the rows (the
+    memo's key), rho and last alone. The memo's block keeps one head of them
+    from step 0, grown in place; another (rho, last) starts it again."""
+    block, pattern = memo[1], struct.pack("2d", win.rho, win.last)
+    size = memo[3] if memo[2] == pattern else 0
     start = min(s, size - 1) if size else 0
     raw = np.empty(len(block) - start)
-    sums = win.sums(block[at : at + start + 1] if size else None, raw)
+    sums = win.sums(block[: start + 1] if size else None, raw)
     if size <= s:
-        end = max((a + k for q, (a, k) in held.items() if q != pkey), default=0)
-        if end + s + 1 > len(block):  # no room: the other heads go
-            held.clear()
-            end = 0
         block.setflags(write=True)
-        block[end : end + start] = block[at : at + start]
-        block[end + start : end + s + 1] = raw[: s + 1 - start]
+        block[start : s + 1] = raw[: s + 1 - start]
         block.setflags(write=False)
-        held[pkey] = (end, s + 1)
+        memo[2:] = pattern, s + 1
     return sums
 
 

@@ -64,6 +64,7 @@ from .hilbert import (
     Kernel,
     PointDelay,
     SegmentGrid,
+    _window_lags,
     kernel_eval,
     kernel_is_zero,
 )
@@ -72,11 +73,12 @@ BLOWUP_LIMIT = 1e12
 # evaluate_policy and state_delay.simulate_feedback simulate this many
 # paths at a time
 PATH_BLOCK = 2048
-# simulate_paths draws the noise of at most this many paths at a time,
+_MAX_THREADS = 8  # the most threads of any thread pool in this package
+# simulate_paths draws the noise of at most _NOISE_CHUNK paths at a time,
 # split among its threads, each of which takes at least _NOISE_LINE
 # paths (one 64-byte cache line of a state row)
-_NOISE_CHUNK = 64
 _NOISE_LINE = 8
+_NOISE_CHUNK = _MAX_THREADS * _NOISE_LINE
 # the most time steps any solver takes over one span (T or r); checked
 # before anything is allocated
 MAX_STEPS = 10**7
@@ -389,16 +391,15 @@ def _share_out(work, items, workers: int):
 def _fill_noise(rows, seed, first_path, scale):
     """Put scale * path_normals(seed, first_path + j, steps) into column j
     of rows (time-major), on one thread per usable CPU, the caller's among
-    them, at most one per _NOISE_CHUNK paths and 8 in all (_share_out), so
-    a thread slowed by a busy CPU claims fewer. Each thread draws the run
-    of columns it claims into its own path-major buffer before one copy (a
-    column at a time would write a cache line per number). The buffers
-    share _NOISE_CHUNK paths, a multiple of _NOISE_LINE each, allocated on
-    the caller's thread, so memory does not grow with the CPU count."""
+    them, at most one per _NOISE_CHUNK paths and _MAX_THREADS in all
+    (_share_out), so a thread slowed by a busy CPU claims fewer. Each
+    thread draws the run of columns it claims into its own path-major
+    buffer before one copy (a column at a time would write a cache line per
+    number). The buffers share _NOISE_CHUNK paths, a multiple of
+    _NOISE_LINE each, allocated on the caller's thread, so memory does not
+    grow with the CPU count."""
     steps, n_paths = rows.shape
-    workers = min(
-        _usable_cpus(), -(-n_paths // _NOISE_CHUNK), _NOISE_CHUNK // _NOISE_LINE
-    )
+    workers = min(_usable_cpus(), -(-n_paths // _NOISE_CHUNK), _MAX_THREADS)
     width = min(_NOISE_CHUNK // workers // _NOISE_LINE * _NOISE_LINE, n_paths)
     buffers = np.empty((workers, width, steps))
 
@@ -460,7 +461,7 @@ def simulate_paths(
     m = _steps_of(params.r, dt, "r")
     grid = history.grid
     t = dt * np.arange(steps + 1)
-    xi = -params.r + dt * np.arange(m + 1)
+    xi = _window_lags(params.r, dt, m)
     hist_y = np.interp(xi, grid.nodes, history.x1)
     hist_z = np.interp(xi, grid.nodes, history.delta)
 

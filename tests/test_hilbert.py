@@ -11,10 +11,12 @@ from goodwill.hilbert import (
     PointDelay,
     ProfileX,
     SegmentGrid,
+    _window_lags,
     inner_product,
     kernel_eval,
     kernel_is_zero,
 )
+from goodwill.sdde import _steps_of
 
 
 def grid1(n=201):
@@ -208,6 +210,28 @@ def test_kernels_refuse_non_finite_parameters(make, match):
 
 
 # --- window sums ----------------------------------------------------------------
+
+
+SHIPPED_R_GRID = [round(0.25 + 0.05 * i, 10) for i in range(10)]
+# the shipped r-grid and the sensitivity table's finite-difference points
+# r -/+ r/50, each formed as the table forms it
+LAG_R = sorted({x for r in SHIPPED_R_GRID for x in (r - r / 50.0, r, r + r / 50.0)})
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-5])
+@pytest.mark.parametrize("r", LAG_R)
+def test_window_lags_end_at_zero_so_a_kernel_reads_its_amplitude(r, dt):
+    # -r + dt*m misses 0 by an ulp at some r (5.6e-17 at r = 0.35, dt =
+    # 5e-5), and exp(-|xi|/delta) with it; the newest lag is 0.0 exactly
+    m = _steps_of(r, dt, "r")
+    lags = _window_lags(r, dt, m)
+    assert len(lags) == m + 1
+    assert lags[:-1].tobytes() == (-r + dt * np.arange(m + 1))[:-1].tobytes()
+    assert lags[-1] == 0.0 and not np.signbit(lags[-1])
+    for amp in (1.0, 2.0, 3.0, 4.0, 5.0, -2.0):
+        for decay_scale in (0.5, 0.01, math.inf):
+            values = kernel_eval(ExponentialKernel(amp, decay_scale), lags, r)
+            assert values[-1] == amp
 
 
 def test_window_refuses_a_point_lag():

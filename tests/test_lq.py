@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -217,6 +218,7 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
     solve_costate must give these bits."""
     n, m = round(params.T / dt), round(params.r / dt)
     xi = -params.r + dt * np.arange(m + 1)
+    xi[-1] = 0.0  # the newest sample's lag, which -r + dt*m may miss by an ulp
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
 
@@ -305,7 +307,7 @@ def test_a1_free_rows_are_shared_bit_for_bit():
     # interleaved keys: a solve that repeats the last (a0, gamma, dt) at
     # another r or b1 copies the memo's rows, any other solve re-runs the
     # loop, and both give the step-by-step bits
-    memo, hits = lq._A1_FREE_ROWS, []
+    memo, hits = lq._A1_FREE, []
     memo.clear()
     for dt in (1e-3, 5e-4):
         for gamma in (1.0, 2.7):
@@ -347,7 +349,7 @@ BLOWUP_AT_T = r"^costate w0 left the finite range at t=1$"
 
 def test_a1_free_nan_gamma_raises_on_a_miss_and_a_hit():
     p = make_params(a0=-0.5, b1=ExponentialKernel(5.0, 0.5))
-    lq._A1_FREE_ROWS.clear()
+    lq._A1_FREE.clear()
     for _ in range(2):
         with pytest.raises(BlowupError, match=BLOWUP_AT_T):
             solve_costate(p, float("nan"), 0.5, 1e-3)
@@ -363,12 +365,7 @@ def test_mutating_a_solution_leaves_the_next_solve_alone():
 
 
 SHIPPED_R_GRID = [round(0.25 + 0.05 * i, 10) for i in range(10)]
-FINE_DT = 5e-5  # b1(0) reads 1-2 ulps low at r = 0.35, 0.7: xi[-1] = -r + dt*m > 0
-
-
-def _clear_a1_free_memos():
-    lq._A1_FREE_ROWS.clear()
-    lq._A1_FREE_PREFIXES.clear()
+FINE_DT = 5e-5  # -r + dt*m is 5.6e-17 at r = 0.35 and 1.1e-16 at r = 0.7
 
 
 def _solve_and_compare(r, b1, gamma=1.0, a1=ExponentialKernel(0.0, math.inf)):
@@ -381,20 +378,19 @@ def _solve_and_compare(r, b1, gamma=1.0, a1=ExponentialKernel(0.0, math.inf)):
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_r_sweeps_share_the_pairing_prefix_bit_for_bit(order, amp):
     # every a1-free solve of a sweep takes the raw sums of its zero-history
-    # steps from the prefix memo where it can; r = 0.35 and 0.7 read b1(0)
-    # 1-2 ulps low, so their prefixes are their own
+    # steps from the memo's head where it can; every r reads b1(0) = amp,
+    # r = 0.35 and 0.7 among them, so the sweep shares one head
     rs = {"ascending": SHIPPED_R_GRID, "descending": SHIPPED_R_GRID[::-1],
           "shuffled": list(np.random.default_rng(4).permutation(SHIPPED_R_GRID))}[order]
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     for r in [0.5, *rs, 0.35, 0.7, 0.35, 0.7]:
         _solve_and_compare(float(r), ExponentialKernel(amp, 0.5))
 
 
 def test_an_r_sweep_runs_each_zero_history_prefix_once(monkeypatch):
     # the exact_fine benchmark's order: r = 0.5, then the grid ascending.
-    # At b1 = 1 the grid has three distinct b1(0) bits (r = 0.35, 0.7 and
-    # the rest), so the recursion runs the longest zero-history prefix of
-    # each once, plus every solve's steps past its own
+    # Every r reads b1(0) = amp, so the recursion runs the longest
+    # zero-history prefix (r = 0.7) once, plus every solve's steps past its own
     steps, sums = [], DelayWindow.sums
 
     def counted(win, head=None, raw=None):
@@ -402,19 +398,19 @@ def test_an_r_sweep_runs_each_zero_history_prefix_once(monkeypatch):
         return sums(win, head, raw)
 
     monkeypatch.setattr(DelayWindow, "sums", counted)
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     rs = [0.5, *SHIPPED_R_GRID]
     for r in rs:
         solve_costate(make_params(a0=-0.5, r=r, b1=ExponentialKernel(1.0, 0.5)),
                       1.0, 0.5, FINE_DT)
     n, m = 20_000, [round(r / FINE_DT) for r in rs]
-    assert sum(steps) == sum(n + 1 - k for k in m) + 13_000 + 7_000 + 14_000
+    assert sum(steps) == sum(n + 1 - k for k in m) + 14_000
 
 
 @pytest.mark.parametrize("r", [FINE_DT, 1.0, 1.25])
 def test_pairing_prefix_at_the_shortest_and_longest_windows(r):
     # m = 1; m = n; m > n, where every step's oldest sample is a zero row
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     for r_i in (r, 0.5, r, 0.3, r):
         _solve_and_compare(r_i, ExponentialKernel(5.0, 0.5))
 
@@ -422,7 +418,7 @@ def test_pairing_prefix_at_the_shortest_and_longest_windows(r):
 def test_pairing_prefix_sweeps_interleaved_with_other_solves():
     # an a1 solve, another b1 amplitude and a constant b1 (rho = 1) between
     # the solves of a sweep: each keeps or drops what the others share
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     for r in SHIPPED_R_GRID[::3] + [0.7, 0.35]:
         _solve_and_compare(r, ExponentialKernel(5.0, 0.5))
         _solve_and_compare(r, ExponentialKernel(5.0, 0.5), a1=ExponentialKernel(-2.0, 1 / 6))
@@ -433,31 +429,36 @@ def test_pairing_prefix_sweeps_interleaved_with_other_solves():
 
 def test_pairing_prefix_keeps_the_sign_of_zero_gamma():
     # gamma = 0.0 and -0.0 are equal values with rows of their own bits
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     for gamma in (0.0, -0.0, -0.0, 0.0, 1.0, -0.0):
         for r in (0.3, 0.45):
             _solve_and_compare(r, ExponentialKernel(5.0, 0.5), gamma=gamma)
 
 
 def test_pairing_prefix_nan_gamma_raises_on_a_miss_and_a_hit():
-    _clear_a1_free_memos()
-    for r in (0.3, 0.3, 0.45, 0.35):  # a miss, a hit, a longer head, another b1(0)
-        p = make_params(a0=-0.5, r=r, b1=ExponentialKernel(5.0, 0.5))
+    lq._A1_FREE.clear()
+    # a miss, a hit, a longer head, another b1(0)
+    for r, amp in ((0.3, 5.0), (0.3, 5.0), (0.45, 5.0), (0.35, 2.0)):
+        p = make_params(a0=-0.5, r=r, b1=ExponentialKernel(amp, 0.5))
         with pytest.raises(BlowupError, match=BLOWUP_AT_T):
             solve_costate(p, float("nan"), 0.5, FINE_DT)
     _solve_and_compare(0.45, ExponentialKernel(5.0, 0.5))
 
 
 def test_pairing_prefixes_are_read_only_and_not_shared_out():
-    _clear_a1_free_memos()
+    lq._A1_FREE.clear()
     solutions = [solve_costate(make_params(a0=-0.5, r=r, b1=ExponentialKernel(5.0, 0.5)),
                                1.0, 0.5, FINE_DT) for r in (0.35, 0.5, 0.7)]
-    [(block, held)] = lq._A1_FREE_PREFIXES.values()
-    assert len(held) >= 1 and not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0] = 1.0
-    for cs in solutions:
-        assert not any(np.shares_memory(block, getattr(cs, a)) for a in ("w0", "bw", "c"))
+    # one entry with one head: b1(0) = 5 at every r, and r = 0.7 reaches furthest
+    [(rows, block, pattern, size)] = lq._A1_FREE.values()
+    assert pattern == struct.pack("2d", math.exp(-FINE_DT / 0.5), 5.0)
+    assert size == 14_001 and len(block) == len(rows) == 20_001
+    for kept in (rows, block):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+        for cs in solutions:
+            assert not any(np.shares_memory(kept, getattr(cs, a)) for a in ("w0", "bw", "c"))
 
 
 @pytest.mark.parametrize("lag_steps", [1, 2])
@@ -480,25 +481,24 @@ def test_a1_costate_with_the_shortest_windows(a1, b1, lag_steps):
 @pytest.mark.parametrize(
     "changes, limit_mib, miss",
     [
-        ({"a1_amp": 0.0}, 1.30, ()),
-        ({"a1_amp": 0.0}, 1.30, ("_A1_FREE_ROWS",)),
-        ({"a1_amp": 0.0}, 1.30, ("_A1_FREE_ROWS", "_A1_FREE_PREFIXES")),
-        ({}, 1.53, ()),
+        ({"a1_amp": 0.0}, 1.30, False),
+        ({"a1_amp": 0.0}, 1.30, True),
+        ({}, 1.53, False),
     ],
-    ids=["b1_only", "b1_only_memo_miss", "b1_only_both_memos_miss", "both_churns"],
+    ids=["b1_only", "b1_only_both_memos_miss", "both_churns"],
 )
 def test_costate_peak_memory(changes, limit_mib, miss):
     # the tracemalloc peak of one fine-step solve at the shipped model: a
     # few arrays of the 20,001 steps, no Python list of a float per step
-    # (that alone would add about 0.6 MiB); the peaks are 0.99, 0.99, 1.23
-    # and 1.30 MiB. A miss of the a1-free memo keeps the solve's own rows,
-    # no copy of them; a miss of the prefix memo adds its block of 20,001
-    # floats, which the suffix-sized temporaries and in-place sums make room for
+    # (that alone would add about 0.6 MiB); the peaks are 0.99, 1.23 and
+    # 1.30 MiB. A miss of the a1-free memo keeps the solve's own rows, no
+    # copy of them, and adds the head block of 20,001 floats, which the
+    # suffix-sized temporaries and in-place sums make room for
     cfg = merged_config(None, {})
     p = build_params(dict(cfg, **changes))
     solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)  # one-time set-up off the count
-    for memo in miss:
-        getattr(lq, memo).clear()
+    if miss:
+        lq._A1_FREE.clear()
     tracemalloc.start()
     try:
         solve_costate(p, cfg["gamma"], cfg["beta"], 5e-5)

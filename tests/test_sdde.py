@@ -283,6 +283,31 @@ def test_a1_recursion_matches_window_sum(a1):
     assert _rel_diff(a.y, y) <= 1e-12
 
 
+@pytest.mark.parametrize("dt", [1e-3, 5e-5])
+def test_every_window_reads_its_kernel_amplitude_at_lag_zero(monkeypatch, dt):
+    # r = 0.35, where -r + dt*m is 5.6e-17 at dt = 5e-5, not 0: the windows
+    # of simulate_paths (open-loop and feedback) and of solve_costate (with
+    # and without a1) read a(0) = amp all the same
+    made = []
+
+    class Recording(DelayWindow):
+        def __init__(self, kernel, values, *args):
+            super().__init__(kernel, values, *args)
+            made.append((kernel, self.last))
+
+    for module in (sdde, lq):
+        monkeypatch.setattr(module, "DelayWindow", Recording)
+    a1, b1 = ExponentialKernel(-1.0, 1 / 6), ExponentialKernel(1.0, 0.5)
+    p = make_params(a1=a1, b1=b1, r=0.35, sigma=0.5)
+    history = make_history(SegmentGrid(0.35, 36))
+    simulate_paths(p, history, _open_loop_wave(p.T, dt), dt, 2, seed=3)
+    simulate_paths(p, history, FeedbackPolicy(lambda t, y: 3.0 - 0.5 * y), dt, 2, seed=3)
+    for params in (p, make_params(b1=b1, r=0.35)):
+        lq.solve_costate(params, 1.0, 0.5, dt)
+    assert [k for k, _ in made] == [a1, b1, a1, b1, a1, b1, b1]
+    assert all(last == k.amp for k, last in made)
+
+
 def _open_loop_wave(T, dt):
     t = dt * np.arange(round(T / dt) + 1)
     return OpenLoop(t=t, z=1.5 + np.sin(t))
@@ -933,6 +958,7 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
     reads row k through PointRead."""
     steps, m = round(p.T / dt), round(p.r / dt)
     t, xi = dt * np.arange(steps + 1), -p.r + dt * np.arange(m + 1)
+    xi[-1] = 0.0  # the newest sample's lag, which -r + dt*m may miss by an ulp
     hist_y = np.interp(xi, history.grid.nodes, history.x1)
     hist_z = np.interp(xi, history.grid.nodes, history.delta)
     y = np.empty((m + steps + 1, n_paths))
