@@ -6,14 +6,14 @@ evolution with the rank-one perturbed diffusion, and the empirical
 convergence table for the regularized objective.
 
 The lifted scheme keeps its state node-major, one row of paths per node,
-so the upwind difference is one contiguous operation and y1(0) one row;
-each step checks finiteness with one sum, and looks at every entry only
-when that sum is not finite. One call steps any number of eps1 values
-side by side: each path's noise is drawn once for all of them, and each
-value runs on its own thread, one per usable CPU, with the bits of its
-own call. The convergence table makes that one call for its eps1 list,
-then shares its mollifications out over the CPUs. Paths go PATH_BLOCK and
-mollifier points _CONVOLVE_ROWS at a time, so a thread's arrays fit L2.
+so the upwind difference is one subtract (a zero ghost row stands at
+xi = -r) and y1(0) one row; a block is checked for finiteness once, after
+its last step. One call steps any number of eps1 values side by side:
+each path's noise is drawn once for all of them, and each value runs on
+its own thread, one per usable CPU, with the bits of its own call. The
+convergence table makes that one call for its eps1 list, then shares its
+mollifications out over the CPUs. Paths go PATH_BLOCK and mollifier
+points _CONVOLVE_ROWS at a time, so a thread's arrays fit L2.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ PATH_BLOCK = 512
 # the lifted scheme's CFL bound: a step may exceed the grid spacing by at
 # most this relative round-off
 CFL_RTOL = 1e-12
+
+
+def _finite(state) -> bool:
+    # a finite sum has only finite terms; any other sum is checked entrywise
+    return bool(np.isfinite(state.sum()) or np.isfinite(state).all())
 
 
 def _unit_bump() -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +152,16 @@ def simulate_lifted_perturbed(
     one per group and _MAX_THREADS in all (sdde._share_out), in buffers
     allocated on the caller's thread; besides them the call holds len(eps1)
     terminal (n_paths, n_nodes) arrays. A group's state is node-major,
-    (n_nodes + 1, paths): one row per node and a last row for y0, updated
-    in place (y0 last, as the y1 source reads the old y0) and transposed
-    once into y1 at the end of the block. A step's finiteness check is one
-    sum of the state; only a sum that is not finite (a non-finite entry, or
-    finite entries whose sum overflows) is followed by the elementwise
-    check, which decides. Every entry takes the same operations in the same
-    order as on path-major rows. A blow-up raises the BlowupError of the
-    first eps1 in sequence order that blows up, as a loop over the values
-    would.
+    (n_nodes + 2, paths): a zero ghost row for xi = -r, never written, one
+    row per node and a last row for y0, updated in place (y0 last, as the y1
+    source reads the old y0) and transposed once into y1 at the end of the
+    block. A non-finite entry stays non-finite, so one check after the
+    block's last step (a sum, and every entry only if it is not finite) sees
+    every step's; a block that fails it runs again on the same noise,
+    checking every step, to name the first step that failed. Every entry
+    takes the same operations in the same order as on path-major rows. A
+    blow-up raises the BlowupError of the first eps1 in sequence order that
+    blows up, as a loop over the values would.
     """
     eps = np.asarray(eps1, dtype=float)
     groups = eps.reshape(-1)
@@ -187,67 +193,69 @@ def simulate_lifted_perturbed(
     y1_out = np.empty((len(groups), n_paths, m))
     rows = min(PATH_BLOCK, n_paths)
     workers = min(sdde._usable_cpus(), len(groups), _MAX_THREADS)
-    # one thread's buffers each: the node-major state (row i < m holds y1
-    # at node i for every path, row m-1 being y1(0); row m holds y0), the
-    # step's work rows and temporaries
-    state_buf = np.empty((workers, m + 1, rows))
+    # one thread's buffers each: the node-major state (ghost row 0, y1 at
+    # node i - 1 in row i, y0 last), the step's work rows and temporaries
+    state_buf = np.zeros((workers, m + 2, rows))
     work_buf = np.empty((workers, m, rows))
     drift_buf, kick_buf = (np.empty((workers, rows)) for _ in range(2))
     b1z_buf = np.empty((workers, m))
     # time-major: a step reads one row; with no group perturbed, no y1 noise
     noise_buf = np.empty((1 + perturbed.any(), steps, rows))
+    b0z = (params.b0 * z).tolist()  # the bits of params.b0 * z[k]
     failed = {}  # group -> its first BlowupError, in block order
 
     def step_group(slot, g):
         n = noise.shape[2]
         state, work = state_buf[slot, :, :n], work_buf[slot, :, :n]
         drift, kick, b1z = drift_buf[slot, :n], kick_buf[slot, :n], b1z_buf[slot]
-        y0, y1 = state[m], state[:m]
-        state[m] = float(lifted_init.x0)
-        state[:m] = np.asarray(lifted_init.x1, dtype=float)[:, None]
+        behind, y1, y0 = state[:m], state[1 : m + 1], state[m + 1]
         # numpy's error state is a context variable, which a pool thread
         # does not inherit; overflow shows as a non-finite state, which
         # raises BlowupError below
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                # drift = (a0 y0 + y1(0) + b0 z) dt, from the old y1(0)
-                np.multiply(y0, params.a0, out=drift)
-                drift += y1[-1]
-                drift += params.b0 * z[k]
-                drift *= dt
+            # a non-finite entry stays non-finite (each update reads its old
+            # value with a nonzero factor: y1 - lam (y1 - behind), lam > 0,
+            # and y0 + drift; inf - inf, 0 * inf and NaN give NaN), so one
+            # check ends a block, whose re-run names the first failed step
+            for every_step in (False, True):
+                y0[:] = float(lifted_init.x0)
+                y1[:] = np.asarray(lifted_init.x1, dtype=float)[:, None]
+                for k in range(steps):
+                    # drift = (a0 y0 + y1(0) + b0 z) dt, from the old y1(0)
+                    np.multiply(y0, params.a0, out=drift)
+                    drift += y1[-1]
+                    drift += b0z[k]
+                    drift *= dt
 
-                # y1 <- y1 - lam * upwind + dt * (a1 y0 + b1 z), the ghost
-                # value at xi = -r being 0, from the old y0
-                work[0] = y1[0]
-                np.subtract(y1[1:], y1[:-1], out=work[1:])
-                work *= lam
-                y1 -= work
-                # one multiply per entry, as a broadcast product but faster;
-                # einsum's 0 + a*b drops only the sign of a zero product,
-                # which reaches the state only through an entry that is
-                # already -0.0, and the scheme makes none itself
-                np.einsum("i,j->ij", a1v, y0, out=work)
-                np.multiply(b1v, z[k], out=b1z)
-                work += b1z[:, None]
-                work *= dt
-                y1 += work
-                if perturbed[g]:
-                    np.multiply(noise[1, k], sig1[g], out=kick)
-                    np.einsum("i,j->ij", b1v, kick, out=work)
+                    # y1 <- y1 - lam * upwind + dt * (a1 y0 + b1 z), from the
+                    # old y0; y1(-r) minus the ghost row's 0.0 keeps its bits
+                    np.subtract(y1, behind, out=work)
+                    work *= lam
+                    y1 -= work
+                    # one multiply per entry, as a broadcast product but
+                    # faster; einsum's 0 + a*b drops only the sign of a zero
+                    # product, which reaches the state only through an entry
+                    # that is already -0.0, and the scheme makes none itself
+                    np.einsum("i,j->ij", a1v, y0, out=work)
+                    np.multiply(b1v, z[k], out=b1z)
+                    work += b1z[:, None]
+                    work *= dt
                     y1 += work
+                    if perturbed[g]:
+                        np.multiply(noise[1, k], sig1[g], out=kick)
+                        np.einsum("i,j->ij", b1v, kick, out=work)
+                        y1 += work
 
-                # y0 <- y0 + drift + sig0 dW0
-                y0 += drift
-                np.multiply(noise[0, k], sig0, out=kick)
-                y0 += kick
-
-                # a finite sum has only finite terms; a non-finite one may
-                # be a sum of finite terms that overflows
-                if not (np.isfinite(state.sum()) or np.isfinite(state).all()):
-                    failed[g] = BlowupError(
-                        f"lifted evolution lost finiteness at step {k+1}"
-                    )
-                    return
+                    # y0 <- y0 + drift + sig0 dW0, the row scaled by the caller
+                    y0 += drift
+                    y0 += noise[0, k]
+                    if every_step and not _finite(state):
+                        failed[g] = BlowupError(
+                            f"lifted evolution lost finiteness at step {k+1}"
+                        )
+                        return
+                if _finite(state):
+                    break
         y0_out[g, first : first + n] = y0
         y1_out[g, first : first + n] = y1.T
 
@@ -259,6 +267,8 @@ def simulate_lifted_perturbed(
         noise = noise_buf[:, :, : min(PATH_BLOCK, n_paths - first)]
         for j in range(noise.shape[2]):
             noise[:, :, j] = path_normals(seed, first + j, noise.shape[:2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise[0] *= sig0  # every group reads the one scaled y0 row
         _share_out(step_group, live, min(workers, len(live)))
     if failed:
         raise failed[min(failed)]

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import threading
@@ -517,9 +518,10 @@ def _battery_case(a1, b1):
 @pytest.mark.parametrize("b1", sorted(KERNELS_B1))
 @pytest.mark.parametrize("a1", sorted(KERNELS_A1))
 def test_node_major_scheme_matches_the_path_major_loop(monkeypatch, a1, b1, eps1):
-    # node-major rows, einsum rank-one products, a one-row noise draw when
-    # unperturbed and the one-sum finiteness check change no bit of any
-    # path, across path blocks too
+    # node-major rows behind a zero ghost row, einsum rank-one products, a
+    # one-row noise draw when unperturbed, the y0 row scaled once per block
+    # and one finiteness check per block change no bit of any path, across
+    # path blocks too
     p, x, pol, grid, dt = _battery_case(a1, b1)
     monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
     for n in (1, 5, BATTERY_BLOCK + 3):
@@ -705,6 +707,123 @@ def test_lifted_blowup_names_the_reference_step():
         simulate_lifted_perturbed(p, x, pol, 0.0, grid, 0.025, 3, 0)
     assert str(got.value) == str(ref.value)
     assert int(str(got.value).rsplit(" ", 1)[1]) > 1
+
+
+def _shock(monkeypatch, path_index, row, step, value):
+    """Put value at (row, step) of path_index's noise draw, for the scheme
+    and for the path-major reference alike, and count the draws."""
+    normals, calls = sdde.path_normals, []
+
+    def shocked(seed, index, shape):
+        calls.append(index)
+        out = normals(seed, index, shape)
+        if index == path_index and row < len(out):
+            out[row, step] = value
+        return out
+
+    monkeypatch.setattr(approximation, "path_normals", shocked)
+    monkeypatch.setitem(globals(), "path_normals", shocked)
+    return calls
+
+
+def _same_blowup(got_run, ref_run):
+    """Both raise BlowupError with one message; the step it names."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError) as ref:
+            ref_run()
+    with pytest.raises(BlowupError) as got:
+        got_run()
+    assert str(got.value) == str(ref.value)
+    return int(str(got.value).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("eps1", [0.0, 0.3])
+@pytest.mark.parametrize("b1", sorted(KERNELS_B1))
+@pytest.mark.parametrize("a1", sorted(KERNELS_A1))
+def test_one_check_per_block_names_the_step_of_the_per_step_check(
+    monkeypatch, a1, b1, eps1
+):
+    # a non-finite noise entry stays non-finite through every later step,
+    # so the check after the block's last step, and the block's re-run
+    # checking every step, name the step the per-step reference names: at
+    # the first, a middle and the last step, and in the second path block
+    p, x, pol, grid, dt = _battery_case(a1, b1)
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    steps, n = round(p.T / dt), BATTERY_BLOCK + 3
+    perturbed = eps1 > 0 and not kernel_is_zero(p.b1)
+    places = [(1, 0), (2, steps // 2), (0, steps - 1), (BATTERY_BLOCK + 1, 37)]
+    for row in (0, 1) if perturbed else (0,):
+        for path_index, step in places:
+            for value in (np.inf, -np.inf, np.nan):
+                _shock(monkeypatch, path_index, row, step, value)
+                named = _same_blowup(
+                    lambda: simulate_lifted_perturbed(p, x, pol, eps1, grid, dt, n, 11),
+                    lambda: _path_major_reference(p, x, pol, eps1, grid, dt, n, 11),
+                )
+                assert named == step + 1
+
+
+@pytest.mark.parametrize("node", [0, 10, 20, None])
+def test_a_non_finite_initial_profile_fails_at_step_1(node):
+    # node None puts the NaN in y0; either way the per-step reference and
+    # the block's re-run both fail at the first step
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    x1 = np.array(x.x1)
+    if node is not None:
+        x1[node] = np.nan
+    bad = ProfileX(np.nan if node is None else x.x0, x1)
+    named = _same_blowup(
+        lambda: simulate_lifted_perturbed(p, bad, pol, 0.3, grid, dt, 3, 11),
+        lambda: _path_major_reference(p, bad, pol, 0.3, grid, dt, 3, 11),
+    )
+    assert named == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "eps1, path_index, step",
+    [([0.3], BATTERY_BLOCK + 1, 20), ([0.0, 0.3], 1, 2), ([0.0, 0.3], 6, 30)],
+)
+def test_a_blowup_rerun_draws_no_noise_twice(monkeypatch, cpus, eps1, path_index, step):
+    # the y1 row's inf blows up eps1 = 0.3 alone; its block runs again on
+    # the noise already drawn, so every path is drawn exactly once
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(approximation, "PATH_BLOCK", BATTERY_BLOCK)
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    n = BATTERY_BLOCK + 3
+    calls = _shock(monkeypatch, path_index, 1, step, np.inf)
+    with pytest.raises(BlowupError, match=f"at step {step + 1}$"):
+        simulate_lifted_perturbed(p, x, pol, eps1, grid, dt, n, 11)
+    assert sorted(calls) == list(range(n))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_lifted_scheme_leaves_no_reference_cycle(monkeypatch, cpus):
+    # with the collector off, every buffer of a call is freed when the call
+    # returns: nothing is left for gc.collect() to find
+    monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
+    p, x, pol, grid, dt = _battery_case("exponential", "exponential")
+    t = np.linspace(0.0, 1.0, 41)
+    hist = HistoryPair(grid=grid, x0=1.0, x1=np.exp(grid.nodes), delta=np.zeros(21))
+    obj = sdde.ObjectiveSpec(phi0=sdde.LinearReward(1.0), h0=sdde.QuadraticCost(0.5))
+    runs = [
+        lambda: simulate_lifted_perturbed(p, x, pol, 0.3, grid, dt, 600, 11),
+        lambda: simulate_lifted_perturbed(p, x, pol, [0.0, 0.3], grid, dt, 600, 11),
+        lambda: convergence_study(
+            p, x, pol, 1.0, 0.5, 0.3, [0.0, 0.3], [0.4, 0.1], grid, dt, 600, 5
+        ),
+        lambda: sdde.evaluate_policy(
+            p, hist, OpenLoop(t=t, z=np.ones_like(t)), obj, dt, 600, 3
+        ),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- convergence table --------------------------------------------------------
