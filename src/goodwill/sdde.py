@@ -32,13 +32,14 @@ reads before t = r are one array, shared by every path, not rows copied
 into each path. Each path's noise substream is drawn whole (the ziggurat
 takes a variable number of Philox words per normal, so a later time chunk
 has no known counter to start from) and copied into the state rows it
-perturbs, so the noise needs no array of its own beyond a buffer of 64
-paths. One fill function draws it on one thread per usable CPU, the
-caller's among them, at most one per 64-path chunk and 8 in all (numpy's
-normal draw releases the GIL); each thread fills the columns it claims
-through its share of that buffer and re-keys one generator per path in
-place, so neither the bits nor the memory depend on the CPU count. There
-is no option for it.
+perturbs, so the noise needs no array of its own beyond the runs of paths
+in flight, 64 paths in all. One fill function draws it on one thread per
+usable CPU, the caller's among them, at most one per 64-path chunk and 8
+in all (numpy's normal draw releases the GIL); each claim of a thread is
+one path_normals call for a run of columns, which checks the key once,
+re-keys the thread's one generator per path in place and draws each path
+straight into its row of the run. Neither the bits nor the memory depend
+on the CPU count. There is no option for it.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * steps + m)
 whatever the path count; state_delay.simulate_feedback blocks the same
@@ -304,12 +305,19 @@ def _steps_of(span: float, dt: float, what: str) -> int:
 class _ThreadGenerator(threading.local):
     """One generator per thread, kept with the state of its Philox(0) at
     counter 0: path_normals re-keys that state to [seed, path_index] and
-    hands it back, which gives the bits of a fresh Generator(Philox(key=
-    [seed, path_index])) and builds no generator or state per path."""
+    hands it back before each path, which gives the bits of a fresh
+    Generator(Philox(key=[seed, path_index])) and builds no generator or
+    state per path. The kept state holds Python ints, not numpy arrays,
+    which the state setter reads more than twice as fast."""
 
     def __init__(self):
         self.generator = np.random.Generator(np.random.Philox(0))
-        self.state = self.generator.bit_generator.state
+        state = self.generator.bit_generator.state
+        self.state = {
+            **state,
+            "state": {name: words.tolist() for name, words in state["state"].items()},
+            "buffer": state["buffer"].tolist(),
+        }
 
 
 _THREAD_GENERATOR = _ThreadGenerator()
@@ -334,21 +342,39 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def path_normals(seed: int, path_index: int, shape) -> np.ndarray:
-    """Noise increments for one path from a counter-based substream. The
-    kept state's two key words are set in place from Python ints, the
-    seed as the uint64 it is congruent to, so a numpy integer of any kind
-    keys the stream its value names; a key that is not an integer is
-    refused."""
+def path_normals(
+    seed: int, path_index: int, shape, n_paths: int | None = None
+) -> np.ndarray:
+    """Noise increments for one path from a counter-based substream, or
+    with n_paths = n for the run of paths path_index .. path_index + n - 1
+    as one (n, *shape) array whose row j is path path_index + j's draw.
+    The key is checked once per call. The kept state's two key words are
+    set in place from Python ints, the seed as the uint64 it is congruent
+    to, so a numpy integer of any kind keys the stream its value names; a
+    key that is not an integer is refused. Each path is drawn straight
+    into its row, so a run builds no array per path."""
     seed = _check_seed(seed)
     path_index = _integer(path_index, "path_index")
     if not 0 <= path_index < 2**63:
         raise ConfigurationError(f"path_index must be in [0, 2**63), got {path_index}")
+    run = 1 if n_paths is None else _integer(n_paths, "n_paths")
+    if run < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {run}")
+    if path_index + run > 2**63:
+        raise ConfigurationError(
+            f"path_index + n_paths must be at most 2**63, got {path_index + run}"
+        )
     own = _THREAD_GENERATOR
-    key = own.state["state"]["key"]
-    key[0], key[1] = seed & (2**64 - 1), path_index
-    own.generator.bit_generator.state = own.state  # copied, so it stays at 0
-    return own.generator.standard_normal(shape)
+    bits, key = own.generator.bit_generator, own.state["state"]["key"]
+    key[0] = seed & (2**64 - 1)
+    out = np.empty((run, *(shape if np.iterable(shape) else (shape,))))
+    # standard_normal fills its output in C order, so a flat row holds
+    # the bits of a draw of any shape
+    for j, row in enumerate(out.reshape(run, -1)):
+        key[1] = path_index + j
+        bits.state = own.state  # copied, so it stays at 0
+        own.generator.standard_normal(out=row)
+    return out[0] if n_paths is None else out
 
 
 def _usable_cpus() -> int:
@@ -392,23 +418,24 @@ def _fill_noise(rows, seed, first_path, scale):
     """Put scale * path_normals(seed, first_path + j, steps) into column j
     of rows (time-major), on one thread per usable CPU, the caller's among
     them, at most one per _NOISE_CHUNK paths and _MAX_THREADS in all
-    (_share_out), so a thread slowed by a busy CPU claims fewer. Each
-    thread draws the run of columns it claims into its own path-major
-    buffer before one copy (a column at a time would write a cache line per
-    number). The buffers share _NOISE_CHUNK paths, a multiple of
-    _NOISE_LINE each, allocated on the caller's thread, so memory does not
-    grow with the CPU count."""
+    (_share_out), so a thread slowed by a busy CPU claims fewer. Each claim
+    is a run of columns, whole cache lines (a multiple of _NOISE_LINE
+    paths) when more than one thread draws, taken by one path_normals call
+    into a path-major array, scaled there in place and copied into its
+    columns once (a column at a time would write a cache line per
+    number). Neither pass is buffered: one multiply of the transposed run
+    into the columns would make the ufunc buffer both layouts, 128 KB a
+    claim, and runs slower. The threads' runs in flight hold _NOISE_CHUNK
+    paths at most, so memory does not grow with the CPU count."""
     steps, n_paths = rows.shape
     workers = min(_usable_cpus(), -(-n_paths // _NOISE_CHUNK), _MAX_THREADS)
     width = min(_NOISE_CHUNK // workers // _NOISE_LINE * _NOISE_LINE, n_paths)
-    buffers = np.empty((workers, width, steps))
 
     def draw(slot, first):
-        chunk = buffers[slot, : n_paths - first]
-        for i, row in enumerate(chunk):
-            row[:] = path_normals(seed, first_path + first + i, steps)
+        n = min(width, n_paths - first)
+        chunk = path_normals(seed, first_path + first, steps, n)
         chunk *= scale
-        rows[:, first : first + len(chunk)] = chunk.T
+        rows[:, first : first + n] = chunk.T
 
     _share_out(draw, range(0, n_paths, width), workers)
 
@@ -436,7 +463,8 @@ def simulate_paths(
     O(n_paths * steps + m) memory: a delay term reads the m = r/dt history
     samples, the same for every path, from one array of m + 1 numbers.
     The noise is copied into the state rows it perturbs, so it takes no
-    (n_paths, steps) array of its own. An open-loop policy's drift terms,
+    (n_paths, steps) array of its own, only the runs of at most 64 paths
+    that the fill threads draw at a time. An open-loop policy's drift terms,
     b0 z(t_k) and the b1 term (one DelayWindow.sums pass for a density),
     are one float per step, taken before the step loop with the bits of
     the per-step multiply and window.

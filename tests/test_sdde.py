@@ -542,6 +542,33 @@ def test_path_normals_refuse_a_key_that_is_not_an_integer(seed, path, name):
         path_normals(seed, path, 3)
 
 
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("shape", [300, (2, 300)])
+@pytest.mark.parametrize("seed, first", [(11, 513), (-5, None), (-(2**63), None)])
+def test_a_run_of_paths_stacks_the_one_path_draws(seed, first, shape, n):
+    # row j of a run is path first + j's draw, byte for byte; the run may
+    # end at the last path index the key holds
+    first = 2**63 - n if first is None else first
+    run = path_normals(seed, first, shape, n)
+    want = np.stack([path_normals(seed, first + j, shape) for j in range(n)])
+    assert run.shape == want.shape and run.dtype == want.dtype
+    assert run.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "first, n_paths, message",
+    [(0, 0, r"n_paths must be at least 1, got 0$"),
+     (0, -1, r"n_paths must be at least 1, got -1$"),
+     (0, 1.5, r"n_paths must be an integer, got 1\.5$"),
+     (0, np.float64(2.0), r"n_paths must be an integer, got "),
+     (2**63 - 3, 4, r"path_index \+ n_paths must be at most 2\*\*63, got "),
+     (2**63 - 1, 2, r"path_index \+ n_paths must be at most 2\*\*63, got ")],
+)
+def test_path_normals_refuse_a_run_the_key_cannot_hold(first, n_paths, message):
+    with pytest.raises(ConfigurationError, match="^" + message):
+        path_normals(0, first, 3, n_paths)
+
+
 @pytest.mark.parametrize(
     "first_path, n_paths", [(2**63 - 1, 2), (2**63, 1), (0, 2**63 + 1)]
 )
@@ -635,10 +662,10 @@ def test_blowup_in_a_later_block_names_the_global_path(monkeypatch):
     target = PATH_BLOCK + 7
     normals = sdde.path_normals
 
-    def shocked(seed, path_index, shape):
-        out = normals(seed, path_index, shape)
-        if path_index == target:
-            out[3] = 1e15
+    def shocked(seed, first, shape, n_paths):
+        out = normals(seed, first, shape, n_paths)
+        if 0 <= target - first < n_paths:
+            out[target - first, 3] = 1e15
         return out
 
     monkeypatch.setattr(sdde, "path_normals", shocked)
@@ -668,9 +695,11 @@ def _one_step(monkeypatch, states):
     """One Euler step (dt = T = r = 1, sigma = 1) from x0 = 0 with zero
     kernels and control, its noise patched so that path i's y(1) is
     states[i] exactly."""
-    monkeypatch.setattr(
-        sdde, "path_normals", lambda seed, path, shape: np.full(shape, states[path])
-    )
+
+    def run(seed, first, shape, n_paths):
+        return np.full((n_paths, shape), states[first : first + n_paths, None])
+
+    monkeypatch.setattr(sdde, "path_normals", run)
     p = make_params(sigma=1.0, r=1.0, T=1.0)
     hist = make_history(SegmentGrid(1.0, 3), x0=0.0)
     return simulate_paths(p, hist, zero_policy(1.0, 1.0), 1.0, len(states), 0)
@@ -784,15 +813,6 @@ def test_bits_do_not_depend_on_the_cpu_count(monkeypatch, run):
             np.testing.assert_array_equal(g, want)
 
 
-class _RecordedRows(np.ndarray):
-    """Rows that record each column run copied into them, with the thread
-    that copied it."""
-
-    def __setitem__(self, key, value):
-        self.copies.append((key[1], threading.get_ident()))
-        super().__setitem__(key, value)
-
-
 @pytest.mark.parametrize(
     "cpus, n_paths, threads",
     [(1, THREAD_PATHS, 1), (2, 64, 1), (2, 65, 2), (3, THREAD_PATHS, 3),
@@ -801,10 +821,12 @@ class _RecordedRows(np.ndarray):
 def test_noise_threads_share_the_columns(monkeypatch, cpus, n_paths, threads):
     # one thread per usable CPU, at most one per 64-path chunk and 8 in
     # all: a pool of that many, given one task fewer, since the caller
-    # draws too; their buffers are whole cache lines (8 paths) and hold 64
-    # paths at most, every path is drawn once, and one thread draws alone
+    # draws too. Each claim is one path_normals call whose run of columns
+    # is whole cache lines (8 paths; every case here has 64 paths or
+    # more), the threads' runs hold 64 paths at most, the runs tile the
+    # columns, and one thread draws alone
     _force_cpus(monkeypatch, cpus)
-    pools, drawn, normals = [], [], sdde.path_normals
+    pools, claims, normals = [], [], sdde.path_normals
 
     class RecordedPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -816,29 +838,26 @@ def test_noise_threads_share_the_columns(monkeypatch, cpus, n_paths, threads):
             self.submits += 1
             return super().submit(*args, **kwargs)
 
-    def recorded_normals(seed, path_index, shape):
-        drawn.append((path_index, threading.get_ident()))
-        return normals(seed, path_index, shape)
+    def recorded_normals(seed, first, shape, n_paths):
+        claims.append((first, first + n_paths, threading.get_ident()))
+        return normals(seed, first, shape, n_paths)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
     monkeypatch.setattr(sdde, "path_normals", recorded_normals)
     steps, scale = 30, 0.25
-    rows = np.zeros((steps, n_paths)).view(_RecordedRows)
-    rows.copies = []
+    rows = np.zeros((steps, n_paths))
     sdde._fill_noise(rows, 5, 3, scale)
     [pool] = pools
     assert (pool.workers, pool.submits) == (threads, threads - 1)
-    assert sorted(path for path, _ in drawn) == list(range(3, 3 + n_paths))
-    runs = sorted((cols.start, cols.stop) for cols, _ in rows.copies)
+    runs = sorted((a, b) for a, b, _ in claims)
     assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
-    assert runs[0][0] == 0 and runs[-1][1] == n_paths
-    width = runs[0][1]  # every run but the last is one buffer wide
+    assert runs[0][0] == 3 and runs[-1][1] == 3 + n_paths
+    width = runs[0][1] - runs[0][0]  # every run but the last is one claim wide
     assert all(b - a == width for a, b in runs[:-1])
     assert runs[-1][1] - runs[-1][0] <= width
-    assert threads * width <= 64 and (threads == 1 or width % 8 == 0)
+    assert width % 8 == 0 and threads * width <= 64
     if threads == 1:
-        caller = {threading.get_ident()}
-        assert {t for _, t in drawn} == caller == {t for _, t in rows.copies}
+        assert {t for _, _, t in claims} == {threading.get_ident()}
     for j in range(n_paths):
         np.testing.assert_array_equal(rows[:, j], scale * normals(5, 3 + j, steps))
 
@@ -860,6 +879,38 @@ def test_path_normals_are_thread_safe():
             np.testing.assert_array_equal(normals, fresh.standard_normal(300))
 
 
+def test_runs_of_paths_are_thread_safe():
+    # 4 threads draw runs at once on different seeds; each row is that of
+    # a fresh generator for its key
+    barrier = threading.Barrier(4)
+
+    def draws(thread):
+        barrier.wait(timeout=30)
+        return [path_normals(7 + thread, first, 300, 8) for first in range(0, 48, 8)]
+
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(draws, range(4)))
+    for thread, runs in enumerate(results):
+        for path, normals in enumerate(np.concatenate(runs)):
+            fresh = np.random.Generator(np.random.Philox(key=[7 + thread, path]))
+            np.testing.assert_array_equal(normals, fresh.standard_normal(300))
+
+
+def test_noise_fill_peak_is_at_most_64_paths_of_noise(monkeypatch):
+    # sizes, not timing: the rows are allocated before tracing starts, so
+    # the peak is the threads' runs in flight, 64 paths at most, plus 5 %
+    # for the threads themselves. Each thread's own objects (its frames,
+    # its generator) are traced too, about 6 KB a thread, so 8 threads are
+    # held to the looser bounds of test_memory_bounds_hold_at_many_cpus;
+    # the thread pool's module is imported above, not inside the trace
+    steps = 1000
+    rows = np.empty((steps, PATH_BLOCK))
+    for cpus in (1, 2, 3):
+        _force_cpus(monkeypatch, cpus)
+        peak = _peak_bytes(lambda: sdde._fill_noise(rows, 5, 0, 0.5))
+        assert peak <= 1.05 * 8 * 64 * steps, (cpus, peak)
+
+
 class _DrawFailed(RuntimeError):
     pass
 
@@ -869,10 +920,10 @@ def test_a_failed_draw_reaches_the_caller_and_ends_every_thread(monkeypatch, cpu
     _force_cpus(monkeypatch, cpus)
     normals = sdde.path_normals
 
-    def failing(seed, path_index, shape):
-        if path_index == 300:
-            raise _DrawFailed(f"path {path_index}")
-        return normals(seed, path_index, shape)
+    def failing(seed, first, shape, n_paths):
+        if first <= 300 < first + n_paths:
+            raise _DrawFailed("path 300")
+        return normals(seed, first, shape, n_paths)
 
     monkeypatch.setattr(sdde, "path_normals", failing)
     p, policy = _block_setup("exponential")
@@ -1083,8 +1134,8 @@ def test_one_block_holds_states_and_controls_only(case):
     ids=["peak_does_not_grow", "one_block"],
 )
 def test_memory_bounds_hold_at_many_cpus(monkeypatch, check, cpus):
-    # the noise threads share one 64-path buffer, so the bounds above hold
-    # unchanged with 8 threads (32 CPUs still make 8)
+    # the noise threads' runs hold 64 paths at most, so the bounds above
+    # hold unchanged with 8 threads (32 CPUs still make 8)
     _force_cpus(monkeypatch, cpus)
     check()
 

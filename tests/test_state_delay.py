@@ -249,10 +249,10 @@ def test_feedback_blowup_in_a_later_block_names_the_global_path(monkeypatch):
     target = PATH_BLOCK + 7
     normals = sdde.path_normals
 
-    def shocked(seed, path_index, shape):
-        out = normals(seed, path_index, shape)
-        if path_index == target:
-            out[3] = 1e15
+    def shocked(seed, first, shape, n_paths):
+        out = normals(seed, first, shape, n_paths)
+        if 0 <= target - first < n_paths:
+            out[target - first, 3] = 1e15
         return out
 
     monkeypatch.setattr(sdde, "path_normals", shocked)
@@ -319,8 +319,8 @@ def test_feedback_block_holds_states_and_controls_only():
     ids=["peak_does_not_grow", "one_block"],
 )
 def test_feedback_memory_bounds_hold_at_many_cpus(monkeypatch, check, cpus):
-    # the noise threads share one 64-path buffer, so the bounds above hold
-    # unchanged with 8 threads (32 CPUs still make 8)
+    # the noise threads' runs hold 64 paths at most, so the bounds above
+    # hold unchanged with 8 threads (32 CPUs still make 8)
     monkeypatch.setattr(sdde, "_usable_cpus", lambda: cpus)
     check()
 
