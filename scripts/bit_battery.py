@@ -35,6 +35,10 @@ few kernel settings at the shipped defaults:
                  a1 and b1 under lags' clipping feedback policy, so the b1
                  window runs over one control column per path: 64-path
                  ensembles' y, z and clip count
+    gap          sdde.relative_gap's gap and stderr for blocks' two
+                 estimates (equal lengths: the paired stderr), and for
+                 blocks' z* estimate against the memoryless policy on 64
+                 paths (unequal lengths: the independent formula)
 
 A change that keeps the bits prints the same lines as its parent; two runs
 of one tree always print the same lines, on any number of CPUs. The run
@@ -48,8 +52,8 @@ prints with numpy's dispatched SIMD kernels and OpenBLAS's kernel pinned,
         PYTHONPATH=src python3 scripts/bit_battery.py
 
 under the numpy, Python and glibc that the file's first line names. Both
-pins matter: costate, paths, bounded, feedback, lags, blocks and windows
-follow numpy's dispatch, and lifted, convergence and exact also follow the
+pins matter: costate, paths, bounded, feedback, lags, blocks, windows and
+gap follow numpy's dispatch, and lifted, convergence and exact also follow the
 BLAS kernel, because lift_M's np.convolve sums through OpenBLAS ddot;
 delay_ode follows neither. To check a tree, diff the pinned run against
 the file's lines after the first:
@@ -62,6 +66,7 @@ change (the first line, then the pinned run's lines) and says why.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -235,27 +240,48 @@ def exact():
     yield [cli._sensitivity_at(cfg, round(0.25 + 0.05 * i, 10), 0.0) for i in range(10)]
 
 
-def blocks():
-    # one path past a block: the first block's noise is drawn on up to 8
-    # threads, and the second block starts at path PATH_BLOCK
-    n_paths = sdde.PATH_BLOCK + 3
+# one path past a block: the first block's noise is drawn on up to 8
+# threads, and the second block starts at path PATH_BLOCK
+BLOCK_PATHS = sdde.PATH_BLOCK + 3
+
+
+@functools.cache
+def churn_estimate(optimal: bool, n_paths: int) -> sdde.MCEstimate:
+    """sdde.evaluate_policy with both churns on, under z* or the memoryless
+    policy."""
     history, obj = cli.build_history(CFG, GRID), cli.build_objective(CFG)
     p = params(A1[2], B1[2])
-    zstar = lq.optimal_policy_lq(lq.solve_costate(p, GAMMA, BETA, 0.01), p)
-    for policy in (zstar, lq.memoryless_policy(p, GAMMA, BETA)):
-        est = sdde.evaluate_policy(p, history, policy, obj, 0.01, n_paths, SEED)
-        yield est.values
+    if optimal:
+        policy = lq.optimal_policy_lq(lq.solve_costate(p, GAMMA, BETA, 0.01), p)
+    else:
+        policy = lq.memoryless_policy(p, GAMMA, BETA)
+    return sdde.evaluate_policy(p, history, policy, obj, 0.01, n_paths, SEED)
+
+
+def blocks():
+    for optimal in (True, False):
+        yield churn_estimate(optimal, BLOCK_PATHS).values
+    history = cli.build_history(CFG, GRID)
     p = params(ExponentialKernel(0.0, math.inf), ExponentialKernel(0.0, math.inf))
     spec = state_delay.HamiltonianSpec("quadratic", BETA, p.b0, p.sigma, 2.0)
     policy = state_delay.quadratic_feedback_policy(spec, lambda t, y: 3.0 - 0.2 * y)
-    ens = state_delay.simulate_feedback(p, -1.0, history, policy, 0.01, n_paths, SEED)
+    ens = state_delay.simulate_feedback(
+        p, -1.0, history, policy, 0.01, BLOCK_PATHS, SEED
+    )
     yield from (ens.y, ens.z, [ens.clip_count])
+
+
+def gap():
+    v_opt = churn_estimate(True, BLOCK_PATHS)
+    for n_paths in (BLOCK_PATHS, 64):  # paired, then of unequal lengths
+        result = sdde.relative_gap(v_opt, churn_estimate(False, n_paths))
+        yield [result.gap, result.stderr]
 
 
 if __name__ == "__main__":
     groups = (
         costate, delay_ode, paths, lifted, convergence, bounded, feedback, lags,
-        exact, blocks, windows,
+        exact, blocks, windows, gap,
     )
     for group in groups:
         print(group.__name__, digest(group()))

@@ -324,14 +324,17 @@ def run_evaluate(cfg: dict) -> str:
     )
     xbar = lift_M(history.x0, history.x1, history.delta, params, grid)
     analytic = lq.value_lq(0.0, xbar, cs, grid)
-    # a one-path stderr is undefined (NaN), which JSON writes as null
+    # a one-path stderr is undefined (NaN), which JSON writes as null; so
+    # is the z-score of the mean against the analytic value then, and when
+    # the paths have no spread (stderr 0)
     stderr = None if math.isnan(est.stderr) else est.stderr
+    z_score = (est.mean - analytic) / stderr if stderr else None
     return json.dumps(
         {
             "config_hash": config_hash(cfg),
             "mc": {
                 "mean": est.mean, "stderr": stderr,
-                "n_paths": est.n_paths, "seed": est.seed,
+                "n_paths": est.n_paths, "seed": est.seed, "z_score": z_score,
             },
             "analytic_value": analytic,
         },

@@ -37,9 +37,11 @@ in flight, 64 paths in all. One fill function draws it on one thread per
 usable CPU, the caller's among them, at most one per 64-path chunk and 8
 in all (numpy's normal draw releases the GIL); each claim of a thread is
 one path_normals call for a run of columns, which checks the key once,
-re-keys the thread's one generator per path in place and draws each path
+re-keys the thread's one generator (built at its first draw, so importing
+the module loads no numpy.random) per path in place and draws each path
 straight into its row of the run. Neither the bits nor the memory depend
-on the CPU count. There is no option for it.
+on the CPU count. There is no option for it. relative_gap pairs the
+per-path values of two such runs, which share their noise paths.
 evaluate_policy simulates PATH_BLOCK (2048) paths at a time and keeps
 only each path's objective, so its memory is O(PATH_BLOCK * steps + m)
 whatever the path count; state_delay.simulate_feedback blocks the same
@@ -302,25 +304,27 @@ def _steps_of(span: float, dt: float, what: str) -> int:
     return n
 
 
-class _ThreadGenerator(threading.local):
-    """One generator per thread, kept with the state of its Philox(0) at
-    counter 0: path_normals re-keys that state to [seed, path_index] and
-    hands it back before each path, which gives the bits of a fresh
-    Generator(Philox(key=[seed, path_index])) and builds no generator or
-    state per path. The kept state holds Python ints, not numpy arrays,
-    which the state setter reads more than twice as fast."""
+_THREAD = threading.local()
 
-    def __init__(self):
-        self.generator = np.random.Generator(np.random.Philox(0))
-        state = self.generator.bit_generator.state
-        self.state = {
+
+def _thread_generator():
+    """This thread's one generator and the state of its Philox(0) at
+    counter 0, built at the thread's first draw, so that importing the
+    package loads no numpy.random. path_normals re-keys that state to
+    [seed, path_index] and hands it back before each path, which gives
+    the bits of a fresh Generator(Philox(key=[seed, path_index])) and
+    builds no generator or state per path. The kept state holds Python
+    ints, not numpy arrays, which the state setter reads more than twice
+    as fast."""
+    if not hasattr(_THREAD, "generator"):
+        generator = np.random.Generator(np.random.Philox(0))
+        state = generator.bit_generator.state
+        _THREAD.generator, _THREAD.state = generator, {
             **state,
             "state": {name: words.tolist() for name, words in state["state"].items()},
             "buffer": state["buffer"].tolist(),
         }
-
-
-_THREAD_GENERATOR = _ThreadGenerator()
+    return _THREAD.generator, _THREAD.state
 
 
 def _integer(value, name: str) -> int:
@@ -364,16 +368,16 @@ def path_normals(
         raise ConfigurationError(
             f"path_index + n_paths must be at most 2**63, got {path_index + run}"
         )
-    own = _THREAD_GENERATOR
-    bits, key = own.generator.bit_generator, own.state["state"]["key"]
+    generator, kept = _thread_generator()
+    bits, key = generator.bit_generator, kept["state"]["key"]
     key[0] = seed & (2**64 - 1)
     out = np.empty((run, *(shape if np.iterable(shape) else (shape,))))
     # standard_normal fills its output in C order, so a flat row holds
     # the bits of a draw of any shape
     for j, row in enumerate(out.reshape(run, -1)):
         key[1] = path_index + j
-        bits.state = own.state  # copied, so it stays at 0
-        own.generator.standard_normal(out=row)
+        bits.state = kept  # copied, so it stays at 0
+        generator.standard_normal(out=row)
     return out[0] if n_paths is None else out
 
 
@@ -662,17 +666,29 @@ def evaluate_policy(
 
 
 def relative_gap(v_opt: MCEstimate, v_base: MCEstimate) -> GapEstimate:
-    """(v_opt - v_base)/v_opt with first-order propagated standard error;
-    ConfigurationError when v_opt is 0, which leaves the gap undefined, or
-    when v_opt squared, which the error divides by, is 0 or not finite."""
-    square = v_opt.mean * v_opt.mean  # ** would raise OverflowError instead
+    """(v_opt - v_base)/v_opt with its first-order (delta-method) standard
+    error; ConfigurationError when v_opt is 0, which leaves the gap
+    undefined, or when v_opt squared is 0 or not finite.
+
+    When both estimates carry per-path values of one length, path i of
+    each is taken as a pair (evaluate_policy runs path i of any policy on
+    substream (seed, i): common random numbers), and the stderr is that
+    of the mean of psi_i = ((x_i - x)*y/x - (y_i - y))/x, x and y being
+    the means of v_opt and v_base. For independent runs it estimates the
+    same error as the unpaired formula; runs that share their noise get
+    the far smaller error that they have. Estimates of unequal length, or
+    without values, combine their two stderrs as if independent."""
+    x, y = v_opt.mean, v_base.mean
+    square = x * x  # ** would raise OverflowError instead
     if square == 0.0 or not np.isfinite(square):
-        value = f"{v_opt.mean:g}, whose square is {square:g}" if v_opt.mean else "0"
+        value = f"{x:g}, whose square is {square:g}" if x else "0"
         raise ConfigurationError(
             f"the relative gap is undefined: the reference value is {value}"
         )
-    gap = (v_opt.mean - v_base.mean) / v_opt.mean
-    se = np.hypot(
-        v_base.mean / v_opt.mean**2 * v_opt.stderr, v_base.stderr / v_opt.mean
-    )
+    gap = (x - y) / x
+    xs, ys = v_opt.values, v_base.values
+    if xs is not None and ys is not None and len(xs) == len(ys):
+        _, se = _mean_stderr(((xs - x) * (y / x) - (ys - y)) / x)
+    else:
+        se = np.hypot(y / x**2 * v_opt.stderr, v_base.stderr / x)
     return GapEstimate(gap=float(gap), stderr=float(se))

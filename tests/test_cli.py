@@ -281,7 +281,19 @@ def test_evaluate_json_fields(tmp_path):
     obj = json.loads(Path(out).read_text())
     assert set(obj) == {"config_hash", "mc", "analytic_value"}
     est = obj["mc"]
+    assert set(est) == {"mean", "stderr", "n_paths", "seed", "z_score"}
     assert abs(est["mean"] - obj["analytic_value"]) <= 4 * est["stderr"] + 0.05
+    # the z-score of the Monte Carlo mean against the analytic value
+    assert est["z_score"] == (est["mean"] - obj["analytic_value"]) / est["stderr"]
+
+
+def test_noiseless_evaluate_writes_a_null_z_score(tmp_path):
+    # paths without spread (stderr 0) measure no distance in stderrs
+    path = write_config(tmp_path, {"n_paths": 20, "sigma": 0.0})
+    out = tmp_path / "value.json"
+    assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
+    est = json.loads(out.read_text())["mc"]
+    assert est["stderr"] == 0.0 and est["z_score"] is None
 
 
 def test_one_path_evaluate_writes_a_null_stderr(tmp_path):
@@ -293,7 +305,7 @@ def test_one_path_evaluate_writes_a_null_stderr(tmp_path):
         raise ValueError(f"{name} is not JSON")
 
     est = json.loads(out.read_text(), parse_constant=refuse)["mc"]
-    assert est["n_paths"] == 1 and est["stderr"] is None
+    assert est["n_paths"] == 1 and est["stderr"] is None and est["z_score"] is None
     assert np.isfinite(est["mean"])
 
 

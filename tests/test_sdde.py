@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import ResummedWindow
 
-from goodwill import lq, sdde, state_delay
+from goodwill import cli, lq, sdde, state_delay
 
 from goodwill.hilbert import (
     DelayWindow,
@@ -1172,6 +1172,10 @@ def test_one_path_stderr_is_nan():
     other = MCEstimate(mean=est.mean + 1.0, stderr=0.1, n_paths=100, seed=3)
     assert np.isnan(relative_gap(est, other).stderr)
     assert np.isnan(relative_gap(other, est).stderr)
+    # one pair of paths, as paired as it gets, says no more
+    pair = evaluate_policy(p, hist, Memoryless(1.0, 0.5), obj, 0.01, 1, 3)
+    gap = relative_gap(est, pair)
+    assert np.isfinite(gap.gap) and np.isnan(gap.stderr)
 
 
 def test_relative_gap_examples():
@@ -1181,6 +1185,70 @@ def test_relative_gap_examples():
     assert relative_gap(a, a).gap == 0.0
     with pytest.raises(ConfigurationError, match="reference value is 0"):
         relative_gap(MCEstimate(0.0, 0.0, 1, 0), b)
+
+
+def independent_gap_stderr(v_opt, v_base):
+    """The gap's stderr with the two estimates taken as independent."""
+    return float(np.hypot(v_base.mean / v_opt.mean**2 * v_opt.stderr,
+                          v_base.stderr / v_opt.mean))
+
+
+def shipped_churn_gap(a1_amp, b1_amp, dt, n_paths, seed):
+    cfg = dict(cli.load_defaults(), a1_amp=a1_amp, b1_amp=b1_amp, dt=dt,
+               n_paths=n_paths, seed=seed)
+    return cli.churn_gap(cfg)
+
+
+@pytest.mark.parametrize("a1_amp, b1_amp", [(0.0, 5.0), (-5.0, 5.0), (-5.0, 0.0)])
+def test_paired_gap_stderr_matches_the_spread_over_seeds(a1_amp, b1_amp):
+    # both policies run path i on substream (seed, i), so their values move
+    # together: the paired stderr is the spread of the gap over seeds
+    # (1.05-1.09 of it), and the independent formula overstates it 16-141x
+    runs = [shipped_churn_gap(a1_amp, b1_amp, 0.01, 400, seed) for seed in range(40)]
+    spread = np.std([gap.gap for _, _, gap in runs], ddof=1)
+    paired = np.mean([gap.stderr for _, _, gap in runs])
+    independent = np.mean([independent_gap_stderr(o, m) for o, m, _ in runs])
+    assert 0.75 <= spread / paired <= 1.35
+    assert independent >= 5 * spread
+
+
+def test_paired_gap_stderr_vanishes_without_churn():
+    # with no churn both policies are one control, so every pair differs
+    # only by rounding: the gap and its paired stderr are round-off
+    v_opt, v_mem, gap = shipped_churn_gap(0.0, 0.0, 1e-3, 4000, 12345)
+    assert gap.stderr < 1e-12
+    assert independent_gap_stderr(v_opt, v_mem) > 1e-4
+
+
+def test_paired_gap_stderr_is_the_delta_method_on_the_pairs():
+    # Var(gap) ~ (a^2 Var x + b^2 Var y + 2ab Cov(x, y))/n, a = y/x^2, b = -1/x
+    rng = np.random.default_rng(3)
+    x = 10.0 + rng.standard_normal(500)
+    y = 0.8 * x + 0.1 * rng.standard_normal(500)
+    v_opt = MCEstimate(x.mean(), x.std(ddof=1) / np.sqrt(500), 500, 0, x)
+    v_base = MCEstimate(y.mean(), y.std(ddof=1) / np.sqrt(500), 500, 0, y)
+    a, b = y.mean() / x.mean() ** 2, -1.0 / x.mean()
+    cov = np.cov(x, y)
+    var = a * a * cov[0, 0] + b * b * cov[1, 1] + 2 * a * b * cov[0, 1]
+    gap = relative_gap(v_opt, v_base)
+    assert gap.gap == (v_opt.mean - v_base.mean) / v_opt.mean
+    assert gap.stderr == pytest.approx(np.sqrt(var / 500), rel=1e-9)
+    assert gap.stderr < independent_gap_stderr(v_opt, v_base) / 5
+
+
+def test_unpaired_gap_keeps_the_independent_formula():
+    # values of unequal length, or none, cannot be paired: the stderrs
+    # combine as if independent, with the bits of that formula
+    p = make_params(sigma=0.5)
+    hist = make_history(GRID)
+    obj = ObjectiveSpec(phi0=LinearReward(1.0), h0=QuadraticCost(0.5))
+    v_opt = evaluate_policy(p, hist, zero_policy(p.T, 0.01), obj, 0.01, 300, 3)
+    v_base = evaluate_policy(p, hist, Memoryless(1.0, 0.5), obj, 0.01, 200, 3)
+    bare = MCEstimate(v_base.mean, v_base.stderr, v_base.n_paths, v_base.seed)
+    for opt, base in ((v_opt, v_base), (v_base, v_opt), (v_opt, bare)):
+        gap = relative_gap(opt, base)
+        assert gap.gap == (opt.mean - base.mean) / opt.mean
+        assert gap.stderr == independent_gap_stderr(opt, base)
 
 
 # --- pathwise structure (A9 property suites) ----------------------------------

@@ -423,7 +423,8 @@ def test_cot_root_bisection_matches_brentq():
 
 def test_import_leaves_scipy_unloaded():
     # goodwill needs numpy only, the stability condition included; the
-    # noise threads' pool is imported at the first draw, never at import
+    # noise threads' pool and numpy.random (each thread's generator) are
+    # imported at the first draw, never at import
     import os
     import subprocess
     import sys
@@ -434,13 +435,14 @@ def test_import_leaves_scipy_unloaded():
     code = (
         "import sys, goodwill, goodwill.cli; "
         "goodwill.state_delay.invariant_measure_condition(-1.0, -2.0, 0.5); "
-        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules, "
+        "'numpy.random' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(goodwill.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 # --- stationary variance --------------------------------------------------------
