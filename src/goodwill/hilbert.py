@@ -5,10 +5,11 @@ uniform grid over [-r, 0]; integrals are trapezoid quadratures on that
 grid. Delay kernels live here too, each with an amplitude amp (any kernel
 whose amp is 0 is the zero kernel): the exponential density on [-r, 0],
 evaluated at any lags in [-r, 0], whose infinite decay scale is the
-constant density, and the point lag amp * x(t - r). With them comes
-DelayWindow, the trapezoid sum of a density over a window that slides one
-time step at a time (the delay terms of the simulator and of the costate
-solve). ConfigurationError, the one exception every module raises for
+constant density, and the point lag amp * x(t - r), which _delayed reads.
+With them comes DelayWindow, the trapezoid sum of a density over a window
+that slides one time step at a time: it steps path columns (the
+simulator's delay terms) or sums a filled row in one pass (the costate's
+pairing). ConfigurationError, the one exception every module raises for
 invalid input, is defined here, at the bottom of the import graph.
 """
 
@@ -111,17 +112,18 @@ Kernel = PointDelay | ExponentialKernel
 
 
 def kernel_eval(k: Kernel, xi, r: float):
-    """Evaluate a kernel at lags xi in [-r, 0] (scalar or array)."""
-    if isinstance(k, PointDelay):
+    """Evaluate a kernel at lags xi in [-r, 0] (scalar or array); a zero
+    point lag is the zero kernel, the constant density amp = 0."""
+    if isinstance(k, PointDelay) and not kernel_is_zero(k):
         raise ConfigurationError(
             "a point lag has no density: it needs a kernel with one"
         )
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < -r - 1e-12 * r) or np.any(xi > 1e-12 * r):
         raise ConfigurationError(f"kernel argument outside [-{r}, 0]")
-    if not isinstance(k, ExponentialKernel):
+    if not isinstance(k, Kernel):
         raise TypeError(f"unknown kernel type {type(k).__name__}")
-    out = k.amp * np.exp(-np.abs(xi) / k.decay_scale)
+    out = k.amp * np.exp(-np.abs(xi) / getattr(k, "decay_scale", np.inf))
     return out if out.ndim else float(out)
 
 
@@ -135,10 +137,16 @@ def _window_lags(r: float, dt: float, m: int) -> np.ndarray:
     return np.append(-r + dt * np.arange(m), 0.0)
 
 
+def _delayed(rows, history, k: int, m: int):
+    """x(t_k - r), the oldest sample of step k's window: history[k] while
+    k < m, then row k - m."""
+    return history[k] if k < m else rows[k - m]
+
+
 class DelayWindow:
     """Trapezoid sum of a density kernel over a window that slides along
     samples one time step apart (a point lag has no window: its delay
-    term is the one sample amp * x_k).
+    term is the one sample amp * x(t - r), read by _delayed).
 
     The window at step k holds m + 1 samples x_0..x_m, x_j sitting at the
     lag xi_j = -r + j*dt (_window_lags), and `values` are a(xi_j). Its sum is
@@ -160,23 +168,20 @@ class DelayWindow:
     window at step k: the m past samples of step 0 are its first rows.
     With a 1-d `history` of at least m samples, row k is the sample at
     step k, and the m past samples of step 0 are the history, shared by
-    every column: the window's oldest sample at step k is history[k]
-    while k < m, and row k - m after.
+    every column. Either way the oldest sample at step k is _delayed's.
 
     Step 0's raw sum is taken at construction as one running sum in lag
-    order per column, over the m past samples of step 0 (which must be
-    filled by then): a 1-d array or a shared history has one such sum, so
-    a 1-d window equals a one-column window bit for bit, and a path's sums
-    do not depend on how many columns share the array. After that a 1-d
-    sample array is summed in Python floats, and a 2-d array, one column
-    per path, in place: `sum` returns a buffer that the next `sum`
-    overwrites. While the oldest sample is the shared history's, its end
-    term a_0 x_0 is one float for every column, not a column buffer. The
-    rows the window reads must be filled before it reaches them. Once
-    every row of a 1-d array without history is filled, `sums` gives the
-    sums of all steps in one pass: the end terms as two arrays, the
-    recursion in one loop over Python floats, with the operations of
-    `sum` and `advance` in their order.
+    order per column, over the m past samples of step 0 (filled by then): a
+    shared history has one such sum, so a path's sums do not depend on how
+    many columns share the array. The window has two jobs. Over a 2-d array,
+    one column per path, `sum` and `advance` step in place, each row read
+    once it is filled: `sum` returns a buffer that the next `sum`
+    overwrites, and while the oldest sample is the shared history's, its end
+    term a_0 x_0 is one float for every column. Over a filled 1-d array
+    without history, `sums` gives the sums of all steps in one pass: the end
+    terms as two arrays, the recursion in one loop over Python floats, with
+    the operations of `sum` and `advance` in their order, so a one-column
+    window stepped over the same rows gives its bits.
     """
 
     def __init__(
@@ -189,42 +194,33 @@ class DelayWindow:
     ):
         if isinstance(kernel, PointDelay):
             raise ConfigurationError("a point lag has no density to sum")
-        self.samples, self.history = samples, history
-        self.columns = samples.ndim == 2
         values = np.asarray(values, dtype=float)
         self.first = float(values[0])
         self.last = float(values[-1])
-        self.m = len(values) - 1
+        self.m = m = len(values) - 1
         self.dt = dt
         self.rho = float(np.exp(-dt / kernel.decay_scale))
+        # padded samples: their first m rows are the history
+        self.samples = samples
+        self.history, self.rows = (
+            (samples[:m], samples[m:]) if history is None else (history, samples)
+        )
         # h of step 0: a running sum of its m past samples in lag order
-        head = values[:-1]
-        past = samples[: self.m] if history is None else history[: self.m]
-        h = np.cumsum(head * past.T, axis=-1)[..., -1]
-        if not self.columns:
+        h = np.cumsum(values[:-1] * self.history[:m].T, axis=-1)[..., -1]
+        if samples.ndim == 1:
             self.h = float(h)
             return
         n = samples.shape[1]
         self.h, self.e0_row, self.e1, self.out = (np.empty(n) for _ in range(4))
         self.h[:] = h
 
-    def _oldest(self, k: int):
-        """The oldest sample of the window at step k."""
-        if self.history is None:
-            return self.samples[k]
-        return self.history[k] if k < self.m else self.samples[k - self.m]
-
     def sum(self, k: int, newest):
         """The trapezoid sum of the window at step k, whose newest sample
         is `newest`; its end terms are kept for `advance`."""
-        # one float for a 1-d window, and for every column while the
-        # oldest sample is the shared history's
-        oldest = self._oldest(k)
+        # one float for every column while it is the shared history's
+        oldest = _delayed(self.rows, self.history, k, self.m)
         self.e0 = (self.first * float(oldest) if oldest.ndim == 0
                    else np.multiply(oldest, self.first, out=self.e0_row))
-        if not self.columns:
-            self.e1 = self.last * newest
-            return self.dt * (self.h + 0.5 * (self.e1 - self.e0))
         out = self.out
         np.multiply(newest, self.last, out=self.e1)
         np.subtract(self.e1, self.e0, out=out)
@@ -236,23 +232,20 @@ class DelayWindow:
     def advance(self, k: int):
         """Move the window from step k to step k + 1: the oldest sample
         leaves it and the newest given to the last `sum` joins its past."""
-        if not self.columns:
-            self.h = self.rho * (self.h - self.e0 + self.e1)
-        else:
-            np.subtract(self.h, self.e0, out=self.h)
-            self.h += self.e1
-            self.h *= self.rho
+        np.subtract(self.h, self.e0, out=self.h)
+        self.h += self.e1
+        self.h *= self.rho
 
     def sums(self, head: np.ndarray | None = None, raw: np.ndarray | None = None):
         """The sum of every step of a 1-d window without history whose rows
         are all filled, row k + m being the newest sample of step k: entry
-        k equals `sum(k, samples[k + m])` followed by `advance(k)`, bit for
-        bit, and the window is left where those calls leave it. The end
-        terms are two arrays and the raw sums the recursion, run in one
-        float loop into `raw`, one per step from start on. If rows 0..start - 1
-        are zeros and values >= 0, `head` may bring the raw sums of steps
-        0..start = len(head) - 1 of a window with the same rho, last value and
-        newest samples: first * 0.0 is +0.0 and h - 0.0 is h, bit for bit."""
+        k has the bits of `sum(k, samples[k + m])` followed by `advance(k)`
+        on a one-column window. The end terms are two arrays and the raw
+        sums the recursion, run in one float loop into `raw`, one per step
+        from start on. If rows 0..start - 1 are zeros and values >= 0,
+        `head` may bring the raw sums of steps 0..start = len(head) - 1 of a
+        window with the same rho, last value and newest samples:
+        first * 0.0 is +0.0 and h - 0.0 is h, bit for bit."""
         m, rows = self.m, self.samples
         n = len(rows) - m
         head = np.array([self.h]) if head is None else head
@@ -264,7 +257,6 @@ class DelayWindow:
         for k, (a, b) in enumerate(zip(memoryview(e0), memoryview(e1)[start:])):
             at[k] = h
             h = rho * (h - a + b)
-        self.h, self.e0, self.e1 = h, e0.item(-1), e1.item(n - 1)
         # dt * (h + 0.5 * (e1 - e0)) of `sum`, in place
         e1[start:] -= e0
         e1 *= 0.5

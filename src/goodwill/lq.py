@@ -110,7 +110,7 @@ def solve_costate(
     and jump terms streamed through memoryviews. The pairing comes after,
     from the filled rows in one DelayWindow.sums pass, an a1-free one past
     the zero-history steps that the memo's one head holds (_prefixed_sums).
-    The bits are those of a loop of sum/advance calls per step.
+    The bits are those of a one-column window's sum/advance, step by step.
     """
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
@@ -332,8 +332,8 @@ def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
 
     phi solves the distributed delay ODE from x0 = 1, x1 = 0. Returns the
     read-only arrays (times, phi, q, tail): q(s) = <B, e^{(t-s)A*} e1>
-    at the times (None for a point b1, which has no density to pair
-    with) and tail = phi(t + xi) at the grid nodes. q is summed one lag
+    at the times (None for a nonzero point b1, which has no density to
+    pair with) and tail = phi(t + xi) at the grid nodes. q is summed one lag
     at a time, so the call holds a few arrays of steps + 1 floats, never
     a (steps x nodes) one. One entry is kept: trajectory_mean for two
     policies and trajectory_variance on one model share a solve, and
@@ -347,7 +347,7 @@ def _e1_trajectory(params: ModelParams, grid: SegmentGrid, t: float, dt: float):
 
     tail = phi_at(t + grid.nodes)
     q = None
-    if not isinstance(params.b1, PointDelay):
+    if kernel_is_zero(params.b1) or not isinstance(params.b1, PointDelay):
         b1v = kernel_eval(params.b1, grid.nodes, params.r)
         q = params.b0 * phi_at(t - times)
         if not kernel_is_zero(params.b1):

@@ -13,16 +13,17 @@ control rows and their history: for exponential and constant kernels it
 updates the a1 state window and the b1 control window in O(1) per step
 (the recursion agrees with a full re-sum to 1e-12 relative; tests
 compare them). A point lag is amp * x(t - r), one multiply of the row r
-behind, or of the history sample while t < r. Open-loop and
-feedback policies share one step loop over time-major rows (one row per
-step, one column per path); an open-loop control is one number per step,
-shared by every path, so its drift terms are taken once per call as one
-float per step. The loop and the windows fill preallocated
-per-path buffers in place; only a feedback policy's control and its clip
-count make per-step arrays. Each path draws its noise from a Philox
-stream keyed by (seed, path index), and every per-path sum runs in an
-order that does not depend on how many paths share an array, so a path's
-result is bit-identical whatever the path count, blocking or scheduling.
+behind, or of the history sample while t < r: a window's oldest sample
+(hilbert._delayed). Open-loop and feedback policies share one step loop
+over time-major rows (one row per step, one column per path); an
+open-loop control is one number per step, shared by every path, so its
+drift terms are taken once per call as one float per step. The loop and
+the windows fill preallocated per-path buffers in place; only a feedback
+policy's control and its clip count make per-step arrays. Each path draws
+its noise from a Philox stream keyed by (seed, path index), and every
+per-path sum runs in an order that does not depend on how many paths
+share an array, so a path's result is bit-identical whatever the path
+count, blocking or scheduling.
 
 simulate_paths keeps steps + 1 = T/dt + 1 rows of states, and of controls
 under feedback; asked for the terminal record only, a feedback run whose
@@ -67,6 +68,7 @@ from .hilbert import (
     Kernel,
     PointDelay,
     SegmentGrid,
+    _delayed,
     _window_lags,
     kernel_eval,
     kernel_is_zero,
@@ -541,10 +543,6 @@ def simulate_paths(
             zterms.append(z_rows[: steps + 1] * lag_b)
         zterms = list(zip(*(terms.tolist() for terms in zterms)))
 
-    def lagged(rows, hist, k):
-        """x(t_k - r): the history's sample k while k < m, then row k - m."""
-        return hist[k] if k < m else rows[k - m]
-
     # per-step buffers, filled in place
     drift, term = np.empty(n_paths), np.empty(n_paths)
     for k in range(steps + 1):
@@ -561,14 +559,14 @@ def simulate_paths(
         if win_a is not None:
             drift += win_a.sum(k, ycur)
         elif lag_a is not None:
-            drift += np.multiply(lagged(y, hist_y, k), lag_a, out=term)
+            drift += np.multiply(_delayed(y, hist_y, k, m), lag_a, out=term)
         if feedback:
             drift += np.multiply(zcur, params.b0, out=term)
             if win_b is not None:
                 drift += win_b.sum(k, zcur)
                 win_b.advance(k)
             elif lag_b is not None:
-                drift += np.multiply(lagged(z, hist_z, k), lag_b, out=term)
+                drift += np.multiply(_delayed(z, hist_z, k, m), lag_b, out=term)
         else:
             for zterm in zterms[k]:
                 drift += zterm

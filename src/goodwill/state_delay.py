@@ -33,9 +33,9 @@ class HamiltonianSpec:
     """Control cost shape and the control set U = [0, R] of the feedback maps.
 
     cost is "quadratic" (h0(z) = beta z^2) or "linear" (h0(z) = beta z).
-    No map reads sigma: it stays a field so that the five positional
-    arguments (cost, beta, b0, sigma, R) that perfbench/workloads.py
-    passes keep their meaning.
+    No map reads sigma, so sigma = 0 (a noiseless closed loop) is a spec:
+    it stays a field so that the five positional arguments (cost, beta,
+    b0, sigma, R) that perfbench/workloads.py passes keep their meaning.
     """
 
     cost: str
@@ -48,8 +48,8 @@ class HamiltonianSpec:
         if self.cost not in ("quadratic", "linear"):
             raise ConfigurationError(f"unknown cost form {self.cost!r}")
         # a nan fails every comparison, so it fails this one too
-        if not all(v > 0 for v in (self.beta, self.b0, self.sigma, self.R)):
-            raise ConfigurationError("beta, b0, sigma, R must all be positive")
+        if not (all(v > 0 for v in (self.beta, self.b0, self.R)) and self.sigma >= 0):
+            raise ConfigurationError("beta, b0, R must all be positive, sigma >= 0")
 
 
 def feedback_quadratic(d0v, spec: HamiltonianSpec):

@@ -1,5 +1,6 @@
 """Reference computations for tests: the exact e1 trajectory of the scalar
-linear delay equation, and a delay window re-summed every step.
+linear delay equation, a delay window re-summed every step, and noise of
+unit kicks that gives a scheme's response to each of its normals.
 
     phi'(t) = a0 phi(t) + D(t),   phi = 0 on [-r, 0), phi(0) = 1,
 
@@ -89,3 +90,16 @@ class ResummedWindow:
 
     def advance(self, k):
         pass
+
+
+def unit_kicks(seed, path_index, shape, n_paths=None):
+    """sdde.path_normals' stand-in with a unit kick for noise: path k draws
+    1.0 at entry k of its noise, counted in C order, and 0.0 elsewhere
+    (whatever the seed), so a run with as many paths as entries gives the
+    response to each entry."""
+    run = 1 if n_paths is None else n_paths
+    out = np.zeros((run, *np.atleast_1d(shape)))
+    flat = out.reshape(run, -1)
+    for j in range(run):
+        flat[j, path_index + j] = 1.0
+    return out[0] if n_paths is None else out

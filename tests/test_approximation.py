@@ -3,11 +3,13 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle import unit_kicks
 
-from goodwill import approximation, sdde
+from goodwill import approximation, cli, lq, sdde
 from goodwill.approximation import (
     BUMP_U,
     BUMP_ZETA,
@@ -824,6 +826,28 @@ def test_the_lifted_scheme_leaves_no_reference_cycle(monkeypatch, cpus):
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_lifted_scheme_is_affine_in_its_noise(monkeypatch):
+    # under an open-loop policy y0(T) is affine in a path's two rows of
+    # normals: mu, the sigma = eps1 = 0 run, plus each normal times the
+    # response to a unit kick in its row and step, read at the shipped
+    # model with eps1 = 0.1, dt the grid spacing (8.0e-14 relative or less)
+    cfg, seed = cli.load_defaults(), 7
+    p, grid, history = cli._model(cfg)
+    cs = lq.solve_costate(p, cfg["gamma"], cfg["beta"], cfg["dt"])
+    policy = lq.optimal_policy_lq(cs, p)
+    x = lift_M(history.x0, history.x1, history.delta, p, grid)
+    dt = grid.spacing
+    kicks = 2 * round(p.T / dt)  # the y0 row, then the rank-one row
+    real = simulate_lifted_perturbed(p, x, policy, 0.1, grid, dt, 32, seed).y0
+    xi = path_normals(seed, 0, kicks, 32)  # both rows of each path, flat
+    quiet = replace(p, sigma=0.0)
+    mu = simulate_lifted_perturbed(quiet, x, policy, 0.0, grid, dt, 1, seed).y0[0]
+    monkeypatch.setattr(approximation, "path_normals", unit_kicks)
+    kicked = simulate_lifted_perturbed(p, x, policy, 0.1, grid, dt, kicks, seed).y0
+    want = mu + xi @ (kicked - mu)
+    assert np.max(np.abs(real - want) / np.abs(real)) <= 1e-12
 
 
 # --- convergence table --------------------------------------------------------

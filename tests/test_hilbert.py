@@ -256,24 +256,19 @@ def test_window_sum_per_column_independent_of_column_count(n):
     np.testing.assert_array_equal(wide.h[:n], want)
 
 
-@pytest.mark.parametrize("n", [None, 1, 2, 3, 9, 64, 513])
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 513])
 def test_window_over_a_shared_history_equals_padded_rows(n):
     # a 1-d history shared by every column stands for the m past rows of
-    # step 0: each column's first raw sum is one running sum in lag order
-    # (n = None: a 1-d sample array, summed in Python floats, starts from
-    # the same one), and sum/advance read history[k] while k < m and row
-    # k - m after, with the bits of a window over rows padded with the
-    # history. Random node values make any regrouping show in the bits.
+    # step 0: each column's first raw sum is one running sum in lag order,
+    # and sum/advance read history[k] while k < m and row k - m after,
+    # with the bits of a window over rows padded with the history. Random
+    # node values make any regrouping show in the bits.
     rng = np.random.default_rng(7)
     dt, m, steps = 1e-3, 500, 600  # the window leaves the history at step m
     k, values = ExponentialKernel(-2.0, 0.3), rng.standard_normal(m + 1)
     history = rng.standard_normal(m + 1)
-    if n is None:
-        rows = rng.standard_normal(steps + 1)
-        padded = np.concatenate([history[:m], rows])
-    else:
-        rows = rng.standard_normal((steps + 1, n))
-        padded = np.concatenate([np.tile(history[:m, None], (1, n)), rows])
+    rows = rng.standard_normal((steps + 1, n))
+    padded = np.concatenate([np.tile(history[:m, None], (1, n)), rows])
     shared = DelayWindow(k, values, dt, rows, history)
     window = DelayWindow(k, values, dt, padded)
     np.testing.assert_array_equal(shared.h, np.cumsum(values[:-1] * history[:m])[-1])
@@ -288,22 +283,25 @@ def test_window_over_a_shared_history_equals_padded_rows(n):
 
 def test_window_sum_in_place_forms_match_scalar_forms():
     # a window over path columns, summed and moved on in place, gives each
-    # column the bits of a window over that column alone, in Python floats,
-    # from the first raw sum on (at m = 500 a dot's grouping would differ)
+    # column the bits of that column's sums() pass, whose recursion runs in
+    # Python floats, raw sum by raw sum from the first on (at m = 500 a
+    # dot's grouping would differ)
     rng = np.random.default_rng(6)
     dt, m, steps = 1e-3, 500, 8
     for k in (ExponentialKernel(-2.0, 0.3), ExponentialKernel(0.7, math.inf)):
         values = kernel_eval(k, -m * dt + dt * np.arange(m + 1), m * dt)
         samples = rng.standard_normal((m + steps + 1, 8))
         paths = DelayWindow(k, values, dt, samples)
-        cols = [DelayWindow(k, values, dt, samples[:, i].copy()) for i in range(8)]
+        raws = np.empty((8, steps + 1))
+        sums = [DelayWindow(k, values, dt, samples[:, i].copy()).sums(None, raws[i])
+                for i in range(8)]
         for step in range(steps):
+            np.testing.assert_array_equal(paths.h, raws[:, step])
             got = paths.sum(step, samples[step + m])
             paths.advance(step)
-            for i, col in enumerate(cols):
-                assert got[i] == col.sum(step, float(samples[step + m, i]))
-                col.advance(step)
-                assert paths.h[i] == col.h
+            for i, col in enumerate(sums):
+                assert got[i] == col[step]
+        np.testing.assert_array_equal(paths.h, raws[:, steps])
 
 
 @pytest.mark.parametrize("m", [1, 2, 50])
@@ -318,19 +316,22 @@ def test_window_sum_in_place_forms_match_scalar_forms():
 )
 def test_window_sums_equal_the_step_by_step_sums(kernel, m):
     # the costate's layout: m zero rows, a jump, then a rough run, every
-    # row filled; sums() against sum(k, row k + m) then advance(k)
+    # row filled; sums() against a one-column window's sum(k, row k + m)
+    # then advance(k), raw sum by raw sum
     rng = np.random.default_rng(m)
     dt = 1e-3
     samples = np.zeros(m + 300)
     samples[m:] = 2.7 + rng.standard_normal(300)
     values = kernel_eval(kernel, -m * dt + dt * np.arange(m + 1), m * dt)
-    stepped, whole = (DelayWindow(kernel, values, dt, samples) for _ in range(2))
-    want = np.empty(len(samples) - m)
-    for k in range(len(want)):
-        want[k] = stepped.sum(k, samples.item(k + m))
+    stepped = DelayWindow(kernel, values, dt, samples[:, None])
+    whole, raw = DelayWindow(kernel, values, dt, samples), np.empty(300)
+    want, h = np.empty(300), np.empty(300)
+    for k in range(300):
+        h[k] = stepped.h.item()
+        want[k] = stepped.sum(k, samples.item(k + m)).item()
         stepped.advance(k)
-    np.testing.assert_array_equal(whole.sums(), want)
-    assert whole.h == stepped.h
+    np.testing.assert_array_equal(whole.sums(None, raw), want)
+    np.testing.assert_array_equal(raw, h)
 
 
 @pytest.mark.parametrize("m, n", [(1, 300), (50, 300), (400, 300)])
@@ -341,8 +342,8 @@ def test_window_sums_equal_the_step_by_step_sums(kernel, m):
 )
 def test_window_sums_from_a_head_equal_the_whole_pass(kernel, m, n):
     # steps 0..start - 1 see a zero row as the oldest sample, so a window
-    # given their raw sums runs the loop from step start alone, and sums,
-    # raw sums and the window's end state keep the bits of the whole pass
+    # given their raw sums runs the loop from step start alone, and sums
+    # and raw sums keep the bits of the whole pass
     rng = np.random.default_rng(m)
     dt = 1e-3
     samples = np.zeros(m + n)
@@ -357,4 +358,3 @@ def test_window_sums_from_a_head_equal_the_whole_pass(kernel, m, n):
         part, rest = DelayWindow(kernel, values, dt, samples), np.empty(n - start)
         assert part.sums(head, rest).tobytes() == want.tobytes()
         assert rest.tobytes() == raw[start:].tobytes()
-        assert (part.h, part.e0, part.e1) == (whole.h, whole.e0, whole.e1)

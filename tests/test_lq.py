@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import struct
@@ -214,13 +215,14 @@ def test_costate_recursion_matches_window_sum(a1, b1):
 def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
     """(w0, <B, w>, c), one call per step: Heun's loop through a slope
     function that sums and advances the a1 window, then the pairing
-    through the b1 window's sum and advance. With the DelayWindow,
-    solve_costate must give these bits."""
+    through the b1 window's sum and advance, each window over phi as one
+    column. With the DelayWindow, solve_costate must give these bits."""
     n, m = round(params.T / dt), round(params.r / dt)
     xi = -params.r + dt * np.arange(m + 1)
     xi[-1] = 0.0  # the newest sample's lag, which -r + dt*m may miss by an ulp
     phi = np.zeros(m + n + 1)
     phi[m] = gamma
+    column = phi[:, None]  # a view: the windows read the rows as they fill
 
     def jump(values):
         out = np.zeros(n + 1)
@@ -231,12 +233,12 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
     win_a = None
     if params.a1.amp != 0.0:
         a1v = kernel_eval(params.a1, xi, params.r)
-        win_a, jump_a = window(params.a1, a1v, dt, phi), jump(a1v)
+        win_a, jump_a = window(params.a1, a1v, dt, column), jump(a1v)
 
     def slope(i, phi_i):
         if win_a is None:
             return params.a0 * phi_i
-        return params.a0 * phi_i + (win_a.sum(i, phi_i) - jump_a.item(i))
+        return params.a0 * phi_i + (win_a.sum(i, phi_i).item() - jump_a.item(i))
 
     for i in range(1, n + 1):
         prev = phi.item(m + i - 1)
@@ -248,10 +250,10 @@ def stepwise_costate(params, gamma, beta, dt, window=DelayWindow):
     bw = params.b0 * phi[m:]
     if params.b1.amp != 0.0:
         b1v = kernel_eval(params.b1, xi, params.r)
-        win = window(params.b1, b1v, dt, phi)
+        win = window(params.b1, b1v, dt, column)
         pairing = np.empty(n + 1)
         for i in range(n + 1):
-            pairing[i] = win.sum(i, phi.item(m + i))
+            pairing[i] = win.sum(i, phi.item(m + i)).item()
             win.advance(i)
         bw = bw + pairing - jump(b1v)
     g = np.maximum(bw, 0.0) ** 2 / (4.0 * beta)
@@ -368,10 +370,18 @@ SHIPPED_R_GRID = [round(0.25 + 0.05 * i, 10) for i in range(10)]
 FINE_DT = 5e-5  # -r + dt*m is 5.6e-17 at r = 0.35 and 1.1e-16 at r = 0.7
 
 
+@functools.lru_cache(maxsize=32)
+def _fine_reference(r, b1, gamma_bits, a1):
+    # the sweeps repeat their settings; gamma is keyed on its bits, as
+    # 0.0 == -0.0 and the two have rows of their own
+    p = make_params(a0=-0.5, r=r, a1=a1, b1=b1)
+    return stepwise_costate(p, struct.unpack("d", gamma_bits)[0], 0.5, FINE_DT)
+
+
 def _solve_and_compare(r, b1, gamma=1.0, a1=ExponentialKernel(0.0, math.inf)):
     p = make_params(a0=-0.5, r=r, a1=a1, b1=b1)
     _assert_bits(solve_costate(p, gamma, 0.5, FINE_DT),
-                 stepwise_costate(p, gamma, 0.5, FINE_DT))
+                 _fine_reference(r, b1, struct.pack("d", gamma), a1))
 
 
 @pytest.mark.parametrize("amp", [1.0, 5.0])
@@ -746,6 +756,40 @@ def test_density_consumers_refuse_a_point_lag(consumer):
     # the one refusal is kernel_eval's
     with pytest.raises(ConfigurationError, match="^a point lag has no density"):
         _refusals()[consumer]()
+
+
+def _zero_kernel_consumers():
+    from goodwill.approximation import simulate_lifted_perturbed
+
+    grid = SegmentGrid(0.5, 11)
+    x, v = ProfileX(1.0, np.linspace(0.5, 1.0, 11)), np.linspace(0.0, 2.0, 11)
+    t = np.linspace(0.0, 1.0, 21)
+    pol = OpenLoop(t=t, z=1.0 + t)
+
+    def lifted(p):
+        ens = simulate_lifted_perturbed(p, x, pol, [0.0, 0.1], grid, 0.05, 3, 0)
+        return ens.y0, ens.y1
+
+    return {
+        "kernel_eval": lambda p: [kernel_eval(k, grid.nodes, grid.r) for k in (p.a1, p.b1)],
+        "lift_M": lambda p: [lift_M(x.x0, x.x1, v, p, grid).x1],
+        "lifted_scheme": lifted,
+        "trajectory_mean": lambda p: [trajectory_mean(0.5, x, pol, p, grid, 0.01)],
+    }
+
+
+@pytest.mark.parametrize("slot", ["a1", "b1"])
+@pytest.mark.parametrize("consumer", list(_zero_kernel_consumers()))
+def test_a_zero_point_lag_is_the_zero_kernel(consumer, slot):
+    # any kernel whose amp is 0 is the zero kernel: a density consumer
+    # gives a zero point lag the bits of a zero exponential kernel, beside
+    # a nonzero kernel in the other slot
+    run = _zero_kernel_consumers()[consumer]
+    base = dict(a0=-0.5, a1=ExponentialKernel(-1.5, 0.3), b1=ExponentialKernel(2.0, 0.5))
+    want = run(make_params(**{**base, slot: ExponentialKernel(0.0, 0.2)}))
+    got = run(make_params(**{**base, slot: PointDelay(0.0)}))
+    for g, w in zip(got, want, strict=True):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def test_trajectory_mean_reads_a_point_a1():

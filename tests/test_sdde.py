@@ -3,11 +3,12 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle import ResummedWindow
+from oracle import ResummedWindow, unit_kicks
 
 from goodwill import cli, lq, sdde, state_delay
 
@@ -1006,7 +1007,8 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
     noise in its own array: the layout simulate_paths trims. Its windows
     are DelayWindows, or another class with their sum and advance, over
     the rows whose row k + m is the newest sample of step k; a point lag
-    reads row k through PointRead."""
+    reads row k through PointRead. An open-loop control, shared by every
+    path, is one column."""
     steps, m = round(p.T / dt), round(p.r / dt)
     t, xi = dt * np.arange(steps + 1), -p.r + dt * np.arange(m + 1)
     xi[-1] = 0.0  # the newest sample's lag, which -r + dt*m may miss by an ulp
@@ -1018,8 +1020,9 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
     if feedback:
         z = np.empty((m + steps + 1, n_paths))
         z[:m] = hist_z[:m, None]
-    else:  # one control row shared by every path
+    else:  # one control column shared by every path
         z = np.concatenate([hist_z[:m], np.clip(policy.sample(p, t), p.u_min, p.u_max)])
+        z = z[:, None]
 
     def make_window(kernel, rows):
         if kernel.amp == 0.0:
@@ -1046,7 +1049,7 @@ def _padded_euler(p, history, policy, dt, n_paths, seed, window=DelayWindow):
         y[m + k + 1] = (y[m + k] + drift * dt) + noise[:, k]
         if win_a is not None:
             win_a.advance(k)
-    return y[m:].T, z[m:].T
+    return y[m:].T, z[m:].T if feedback else z[m:, 0]
 
 
 @pytest.mark.parametrize("T", LAYOUT_T)
@@ -1249,6 +1252,29 @@ def test_unpaired_gap_keeps_the_independent_formula():
         gap = relative_gap(opt, base)
         assert gap.gap == (opt.mean - base.mean) / opt.mean
         assert gap.stderr == independent_gap_stderr(opt, base)
+
+
+@pytest.mark.parametrize("optimal", [True, False], ids=["z_star", "memoryless"])
+def test_euler_is_affine_in_its_noise(monkeypatch, optimal):
+    # under an open-loop policy the scheme is affine in its normals:
+    # y(T) = mu + sigma sqrt(dt) sum_k xi_k u_k, mu the sigma = 0 run and
+    # sigma sqrt(dt) u_k the response to a unit kick at step k, all read
+    # at the shipped model with both churns on (1.3e-14 relative or less)
+    cfg, dt, seed = cli.load_defaults(), 1e-2, 12345
+    p, _, history = cli._model(cfg)
+    if optimal:
+        cs = lq.solve_costate(p, cfg["gamma"], cfg["beta"], dt)
+        policy = lq.optimal_policy_lq(cs, p)
+    else:
+        policy = lq.memoryless_policy(p, cfg["gamma"], cfg["beta"])
+    steps = round(p.T / dt)
+    real = simulate_paths(p, history, policy, dt, 32, seed).y[:, -1]
+    xi = path_normals(seed, 0, steps, 32)
+    mu = simulate_paths(replace(p, sigma=0.0), history, policy, dt, 1, seed).y[0, -1]
+    monkeypatch.setattr(sdde, "path_normals", unit_kicks)
+    kicked = simulate_paths(p, history, policy, dt, steps, seed).y[:, -1]
+    want = mu + xi @ (kicked - mu)
+    assert np.max(np.abs(real - want) / np.abs(real)) <= 1e-13
 
 
 # --- pathwise structure (A9 property suites) ----------------------------------

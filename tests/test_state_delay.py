@@ -47,8 +47,11 @@ def lin_spec(**kw):
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         HamiltonianSpec("cubic", 0.5, 1.0, 1.0, 10.0)
-    with pytest.raises(ConfigurationError):
-        quad_spec(sigma=0.0)
+    for field in ("beta", "b0", "R"):
+        with pytest.raises(ConfigurationError, match="must all be positive"):
+            quad_spec(**{field: 0.0})
+    with pytest.raises(ConfigurationError, match="sigma >= 0"):
+        quad_spec(sigma=-0.5)
     for field in ("beta", "b0", "sigma", "R"):
         with pytest.raises(ConfigurationError, match="must all be positive"):
             quad_spec(**{field: float("nan")})
@@ -221,6 +224,22 @@ def test_state_independent_gradient_reproduces_open_loop_lq():
     ol = simulate_paths(
         p, make_history(grid), memoryless_policy(p, 1.0, 0.5), 0.01, 16, 5
     )
+    np.testing.assert_allclose(fb.y, ol.y, atol=1e-10)
+
+
+def test_noiseless_closed_loop_builds_its_spec():
+    # no feedback map reads sigma, so a sigma = 0 spec drives a sigma = 0
+    # closed loop: every path is the one noiseless path, and a gradient that
+    # does not look at y gives the open-loop memoryless run
+    from goodwill.lq import memoryless_policy
+
+    grid = SegmentGrid(0.5, 11)
+    p = make_params(sigma=0.0)
+    grad = lambda t, y: np.exp(p.a0 * (p.T - t))
+    pol = quadratic_feedback_policy(quad_spec(sigma=0.0), grad)
+    fb = closed_loop(p, 0.0, make_history(grid), pol, 0.01, 4, 5)
+    assert (fb.y == fb.y[:1]).all() and (fb.z == fb.z[:1]).all()
+    ol = simulate_paths(p, make_history(grid), memoryless_policy(p, 1.0, 0.5), 0.01, 4, 5)
     np.testing.assert_allclose(fb.y, ol.y, atol=1e-10)
 
 
